@@ -222,6 +222,17 @@ def cmd_special(args):
     return _report_exit(report)
 
 
+def _degree(text):
+    """argparse type of --max-degree: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative; degrees start at 0")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="hopfcyclic",
@@ -230,7 +241,7 @@ def build_parser():
 
     def common(sp, dump=False):
         sp.add_argument("--field", help='field override: "Q" or "Fp:<p>"')
-        sp.add_argument("--max-degree", type=int, default=4)
+        sp.add_argument("--max-degree", type=_degree, default=4)
         sp.add_argument("--json", action="store_true", help="emit the JSON report")
         if dump:
             sp.add_argument("--dump", help="write serialized complexes to this path")

@@ -321,7 +321,7 @@ class Echelon:
                         combo[g] = w
 
     def insert(self, vec):
-        """Insert a vector (``{coord: scalar}``; consumed). True if rank grew."""
+        """Insert a copy of ``vec`` (``{coord: scalar}``). True if rank grew."""
         f = self.field
         combo = {self.ngens: f.one} if self.combos is not None else None
         self.ngens += 1
@@ -394,33 +394,32 @@ def rank_kernel(M):
     """Rank of M and a Matrix whose columns are a basis of ker M.
 
     The kernel basis is canonical: one vector per free column, carrying 1 at
-    its free column and 0 at every other free column.
+    its free column and 0 at every other free column. It is read off the
+    RREF of M in one pass; see :func:`_free_basis`.
     """
-    f = M.field
-    ech = Echelon(f)
+    ech = Echelon(M.field)
     for row in M.rowdict.values():
-        ech.insert(dict(row))
-    r = ech.rank
-    piv = ech.pivrows
-    free = [c for c in range(M.cols) if c not in piv]
-    ents = []
-    for k, fc in enumerate(free):
-        x = {fc: f.one}
-        for p in sorted(piv, reverse=True):
-            row = piv[p]
-            s = f.zero
-            for c, v in row.items():
-                if c == p:
-                    continue
-                xc = x.get(c)
-                if xc is not None:
-                    s = f.add(s, f.mul(v, xc))
-            if s != f.zero:
-                x[p] = f.neg(s)  # pivot entry is 1, so no division needed
-        for coord, v in x.items():
-            ents.append((coord, k, v))
-    kernel = Matrix.from_entries(f, M.cols, len(free), ents)
-    return r, kernel
+        ech.insert(row)
+    _, kernel = _free_basis(M.field, M.cols, ech.reduced_rows())
+    return ech.rank, kernel
+
+
+def _free_basis(field, ncols, red):
+    """Free columns of the RREF ``red`` and the canonical basis of its kernel.
+
+    Basis vector k has 1 at the k-th free column and -red[p][c] at each pivot
+    p, so row p of the basis matrix is row p of ``red`` negated, without its
+    pivot, and indexed by free column. The transpose of this matrix is the
+    projection of k^ncols onto the free coordinates along the row space.
+    """
+    free = [c for c in range(ncols) if c not in red]
+    index = {c: k for k, c in enumerate(free)}
+    rd = {c: {k: field.one} for k, c in enumerate(free)}
+    for p in sorted(red):
+        row = {index[c]: field.neg(v) for c, v in red[p].items() if c != p}
+        if row:
+            rd[p] = row
+    return free, Matrix(field, ncols, len(free), rd)
 
 
 class SubSpace:
@@ -431,14 +430,14 @@ class SubSpace:
         self.dim = dim
         self.ech = Echelon(field, track=track)
         for v in vectors:
-            self.ech.insert(dict(v))
+            self.ech.insert(v)
 
     @classmethod
     def from_columns(cls, M, track=False):
         return cls(M.field, M.rows, M.columns(), track=track)
 
     def insert(self, vec):
-        return self.ech.insert(dict(vec))
+        return self.ech.insert(vec)
 
     @property
     def rank(self):
@@ -471,25 +470,13 @@ class QuotientSpace:
         self.ambient_dim = ambient_dim
         ech = Echelon(field)
         for v in relation_vectors:
-            ech.insert(dict(v))
-        red = ech.reduced_rows()
+            ech.insert(v)
         self._relech = ech
-        piv = sorted(red)
-        free = [c for c in range(ambient_dim) if c not in red]
+        free, basis = _free_basis(field, ambient_dim, ech.reduced_rows())
         self.dim = len(free)
-        self._free_index = {c: k for k, c in enumerate(free)}
-        f = field
-        ents = []
-        for c, k in self._free_index.items():
-            ents.append((k, c, f.one))
-        for p in piv:
-            for c, v in red[p].items():
-                if c == p:
-                    continue
-                ents.append((self._free_index[c], p, f.neg(v)))
-        self.projection = Matrix.from_entries(f, self.dim, ambient_dim, ents)
-        sec = [(c, k, f.one) for c, k in self._free_index.items()]
-        self.section = Matrix.from_entries(f, ambient_dim, self.dim, sec)
+        self.projection = basis.transpose()
+        sec = [(c, k, field.one) for k, c in enumerate(free)]
+        self.section = Matrix.from_entries(field, ambient_dim, self.dim, sec)
 
     def relations_contain(self, vec):
         return self._relech.contains(vec)
@@ -560,10 +547,7 @@ def invert(M):
     """Inverse of a square matrix, or None when singular."""
     if M.rows != M.cols:
         raise ShapeMismatch("only square matrices invert")
-    X = solve_columns(M, Matrix.identity(M.field, M.rows))
-    if X is None:
-        return None
-    return X
+    return solve_columns(M, Matrix.identity(M.field, M.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +561,8 @@ class GradedComplex:
     ``orientation`` is +1 for degree-raising differentials and -1 for
     degree-lowering ones. ``diffs[n]`` is the differential leaving degree n
     (absent exactly at the terminal degree). Construction checks shapes and
-    that consecutive differentials compose to zero, entry-exactly.
+    that consecutive differentials compose to zero, entry-exactly. The rank
+    of each differential is computed on first use and kept.
     """
 
     def __init__(self, field, orientation, dims, diffs):
@@ -588,6 +573,7 @@ class GradedComplex:
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.diffs = dict(diffs)
+        self._ranks = {}
         for n, d in self.diffs.items():
             tgt = n + orientation
             if not (0 <= n <= self.top and 0 <= tgt <= self.top):
@@ -617,14 +603,14 @@ class GradedComplex:
             raise DegreeOutOfRange(
                 f"degree {n} not certified (valid through {self.max_valid_degree})"
             )
-        d_out = self.diffs.get(n)
-        if d_out is None:
-            ker_dim = self.dims[n]
-        else:
-            ker_dim = self.dims[n] - rank(d_out)
-        d_in = self.diffs.get(n - self.orientation)
-        im_rank = rank(d_in) if d_in is not None else 0
-        return ker_dim - im_rank
+        return self.dims[n] - self._rank(n) - self._rank(n - self.orientation)
+
+    def _rank(self, n):
+        """Rank of the differential leaving degree n; 0 where there is none."""
+        if n not in self._ranks:
+            d = self.diffs.get(n)
+            self._ranks[n] = rank(d) if d is not None else 0
+        return self._ranks[n]
 
 
 def complex_homology(X, max_valid_degree):
@@ -684,19 +670,3 @@ def slotted(field, pre_dim, M, post_dim):
     if post_dim != 1:
         out = out.kron(Matrix.identity(field, post_dim))
     return out
-
-
-def random_invertible(field, n, rng):
-    """Random invertible n x n matrix: unit lower x unit upper with small entries."""
-    f = field
-    lo = []
-    up = []
-    for i in range(n):
-        for j in range(n):
-            if i > j and rng.random() < 0.4:
-                lo.append((i, j, f.from_int(rng.randint(-2, 2))))
-            if i < j and rng.random() < 0.4:
-                up.append((i, j, f.from_int(rng.randint(-2, 2))))
-    L = Matrix.identity(f, n).add(Matrix.from_entries(f, n, n, lo))
-    U = Matrix.identity(f, n).add(Matrix.from_entries(f, n, n, up))
-    return L.mul(U)

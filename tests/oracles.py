@@ -64,3 +64,44 @@ def sympy_rank(M):
     if not d:
         return 0
     return sympy.Matrix(d).rank()
+
+
+def backsub_kernel(M):
+    """Rank, free columns and kernel basis of a package Matrix, column by column.
+
+    Dense row echelon form with monic leftmost pivots, then for every free
+    column fc the kernel vector with 1 at fc and 0 at the other free columns,
+    solved upward through the pivot rows one pivot at a time. Kernel vectors
+    come back as ``{row: value}`` dicts without zero entries.
+    """
+    f = M.field
+    m = dense_of(M)
+    nr, nc = M.rows, M.cols
+    piv = {}  # pivot column -> its echelon row
+    top = 0
+    for col in range(nc):
+        r = next((r for r in range(top, nr) if m[r][col] != f.zero), None)
+        if r is None:
+            continue
+        m[top], m[r] = m[r], m[top]
+        inv = f.inv(m[top][col])
+        m[top] = [f.mul(inv, x) for x in m[top]]
+        for r in range(top + 1, nr):
+            if m[r][col] != f.zero:
+                c = m[r][col]
+                m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[top])]
+        piv[col] = m[top]
+        top += 1
+    free = [c for c in range(nc) if c not in piv]
+    kernel = []
+    for fc in free:
+        x = {fc: f.one}
+        for p in sorted(piv, reverse=True):
+            s = f.zero
+            for c in range(p + 1, nc):
+                if c in x:
+                    s = f.add(s, f.mul(piv[p][c], x[c]))
+            if s != f.zero:
+                x[p] = f.neg(s)  # the pivot entry is 1
+        kernel.append(x)
+    return len(piv), free, kernel

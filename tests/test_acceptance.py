@@ -7,9 +7,11 @@ budgets are asserted as hard bounds.
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from hopfcyclic.cli import parse_input
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import (
     BialgebraDesc,
@@ -49,7 +51,6 @@ from hopfcyclic.linalg import (
     Matrix,
     complex_homology,
     invert,
-    random_invertible,
 )
 from hopfcyclic.theorems import (
     group_homology,
@@ -59,6 +60,9 @@ from hopfcyclic.theorems import (
 )
 
 from groups import cyclic_table, symmetric_table
+from randmat import random_invertible
+
+FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
 
 @contextmanager
@@ -331,3 +335,14 @@ def test_criterion_14_basis_independence():
                 gs = [random_invertible(cx.field, d, rng) for d in cx.dims]
                 conj = conjugate(cx, gs)
                 assert complex_homology(conj, cx.max_valid_degree) == base
+
+
+def test_degree_ceiling_algebra_excision_f2():
+    with budget("degree ceiling: algebra-side excision at degree 4 over F_2", 15):
+        ses = parse_input(str(FIXTURES / "z2_product_algebra_ses.json"), "Fp:2")
+        X = make_coefficient("eps", ses.A.over)
+        rep = verify_excision(ses, X, "algebra", 4)
+        assert rep.all_pass
+        assert [d.n for d in rep.degrees] == [0, 1, 2, 3, 4]
+        for d in rep.degrees:
+            assert d.dims["A"] == d.dims["I"] + d.dims["A/I"], d.n

@@ -188,6 +188,26 @@ class TestDeterminism:
         assert json.loads(json.dumps(doc, sort_keys=True)) == doc
 
 
+VALID_ARGV = {
+    "check": ["check", str(FIXTURES / "sweedler_h4.json")],
+    "homology": ["homology", str(FIXTURES / "trivial_triple.json"), "--json"],
+    "excision": ["excision", str(FIXTURES / "direct_sum_ses.json")],
+    "relative": ["relative", str(FIXTURES / "direct_sum_ses.json")],
+    "group-example": ["group-example", "--group", str(FIXTURES / "z4_group.json"),
+                      "--normal", "0,2"],
+    "special": ["special", "--kind", "additivity",
+                "--params", str(FIXTURES / "additivity_params.json")],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VALID_ARGV))
+def test_negative_max_degree_exit_2(capsys, verb):
+    code, out, err = run(capsys, *VALID_ARGV[verb], "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree: -1 is negative" in err
+
+
 class TestParseInput:
     def test_dispatch_by_shape(self):
         desc = parse_input(str(FIXTURES / "sweedler_h4.json"))

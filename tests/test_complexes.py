@@ -35,11 +35,11 @@ from hopfcyclic.linalg import (
     Matrix,
     complex_homology,
     invert,
-    random_invertible,
 )
 
 from groups import cyclic_table
 from oracles import dense_rank_of_matrix
+from randmat import random_invertible
 
 
 class TestBar:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcyclic import linalg
 from hopfcyclic.errors import DegreeOutOfRange, ShapeMismatch
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.linalg import (
@@ -16,13 +17,13 @@ from hopfcyclic.linalg import (
     complex_homology,
     invert,
     quotient,
-    random_invertible,
     rank,
     rank_kernel,
     solve_columns,
 )
 
-from oracles import dense_of, dense_rank, dense_rank_of_matrix, sympy_rank
+from oracles import backsub_kernel, dense_of, dense_rank, dense_rank_of_matrix, sympy_rank
+from randmat import random_invertible
 
 
 def mat(field, dense):
@@ -111,6 +112,61 @@ class TestRankKernel:
             dense = [[rng.randint(0, 4) for _ in range(cols)] for _ in range(rows)]
             m = mat(f5, dense)
             assert rank(m) == rank(m.transpose())
+
+
+def check_kernel(M):
+    """rank_kernel against the back-substitution oracle and its own contract."""
+    f = M.field
+    r, K = rank_kernel(M)
+    r_o, free, kernel = backsub_kernel(M)
+    assert r == r_o
+    cols = K.columns()
+    assert (K.rows, K.cols) == (M.cols, len(kernel))
+    assert cols == kernel
+    assert M.mul(K).is_zero()
+    assert r + K.cols == M.cols
+    for k, col in enumerate(cols):
+        for fc in free:
+            assert col.get(fc, f.zero) == (f.one if fc == free[k] else f.zero)
+
+
+KERNEL_FIELDS = [QQ, GF(2), GF(3)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("shape, dense", [
+    ((0, 0), []),
+    ((0, 4), []),
+    ((3, 0), [[], [], []]),
+    ((3, 4), [[0] * 4] * 3),
+    ((2, 6), [[1, 0, 2, 0, 1, 1], [0, 0, 1, 1, 0, 2]]),
+    ((6, 2), [[1, 1], [2, 2], [0, 1], [1, 0], [0, 0], [2, 1]]),
+])
+def test_kernel_edge_shapes(field, shape, dense):
+    rows, cols = shape
+    ents = [(i, j, field.from_int(v)) for i, r in enumerate(dense) for j, v in enumerate(r) if v]
+    check_kernel(Matrix.from_entries(field, rows, cols, ents))
+
+
+@st.composite
+def sparse_matrices(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if not rows or not cols:
+        return Matrix.zero(field, rows, cols)
+    cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                     st.integers(-3, 3), st.integers(1, 3))
+    ents = []
+    for i, j, a, b in draw(st.lists(cell, max_size=rows * cols)):
+        v = Fraction(a, b) if field == QQ else field.from_int(a)
+        ents.append((i, j, v))
+    return Matrix.from_entries(field, rows, cols, ents)
+
+
+@given(sparse_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_backsubstitution_oracle(M):
+    check_kernel(M)
 
 
 @given(
@@ -207,6 +263,21 @@ class TestGradedComplex:
     def test_zero_differential(self):
         x = GradedComplex(QQ, +1, [2, 3, 4], {0: Matrix.zero(QQ, 3, 2), 1: Matrix.zero(QQ, 4, 3)})
         assert complex_homology(x, 1) == [2, 3]
+
+    def test_each_differential_ranked_once(self, monkeypatch):
+        ranked = []
+
+        def counting_rank(M):
+            ranked.append(M)
+            return rank(M)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        d0 = mat(QQ, [[1, 1, 0], [1, 1, 0]])
+        d1 = mat(QQ, [[1, -1], [0, 0]])
+        x = GradedComplex(QQ, +1, [3, 2, 2, 1], {0: d0, 1: d1, 2: Matrix.zero(QQ, 1, 2)})
+        assert complex_homology(x, 2) == [2, 0, 1]
+        assert complex_homology(x, 2) == [2, 0, 1]
+        assert len(ranked) == 3
 
     def test_degree_out_of_range(self):
         x = GradedComplex(QQ, +1, [1, 1], {0: Matrix.identity(QQ, 1)})
