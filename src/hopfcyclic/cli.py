@@ -12,22 +12,31 @@ import sys
 
 from .complexes import assemble, homology
 from .equivariant import (
+    CoalgebraSES,
     ComoduleAlgebra,
+    ModuleCoalgebra,
     coefficient_from_json,
     make_coefficient,
 )
 from .errors import AuditFailed, HopfCyclicError, ParseError
 from .fields import field_by_name
-from .hopf import audit, desc_from_json
+from .hopf import BialgebraDesc, audit, desc_from_json
 from .serialize import (
     complex_dump,
     dumps,
     module_coalgebra_from_json,
     ses_from_json,
 )
-from .theorems import relative_hc, special_checks, verify_excision
+from .theorems import AlgebraSES, relative_hc, special_checks, verify_excision
 
 PASS = "PASS"
+# what parse_input returns, by the document kind it read
+DOCUMENT_KINDS = {
+    CoalgebraSES: "coalgebra short exact sequence",
+    AlgebraSES: "algebra short exact sequence",
+    ModuleCoalgebra: "module coalgebra",
+    BialgebraDesc: "bialgebra description",
+}
 
 
 def _load_json(path):
@@ -67,6 +76,15 @@ def parse_input(path, field=None):
     raise ParseError(f"{path}: unrecognized input document")
 
 
+def parse_expected(path, field, expected):
+    """parse_input, refusing any document that does not parse to ``expected``."""
+    obj = parse_input(path, field)
+    if not isinstance(obj, expected):
+        raise ParseError(f"{path}: expected a {DOCUMENT_KINDS[expected]} document, "
+                         f"got a {DOCUMENT_KINDS[type(obj)]}")
+    return obj
+
+
 def _algebra_ses_from_json(doc):
     """Algebra-side SES input.
 
@@ -76,7 +94,6 @@ def _algebra_ses_from_json(doc):
     multiplication.
     """
     from .hopf import matrix_from_json
-    from .theorems import AlgebraSES
 
     if "A" in doc:
         a_doc = doc["A"]
@@ -130,7 +147,7 @@ def cmd_check(args):
 
 
 def cmd_homology(args):
-    obj = parse_input(args.input, args.field)
+    obj = parse_expected(args.input, args.field, ModuleCoalgebra)
     B = obj.over
     X = _coefficient(args.coefficient, B)
     side = args.side
@@ -153,8 +170,12 @@ def cmd_homology(args):
 
 
 def cmd_excision(args):
-    ses = parse_input(args.input, args.field)
-    B = ses.C.over if args.side == "coalgebra" else ses.A.over
+    if args.side == "coalgebra":
+        ses = parse_expected(args.input, args.field, CoalgebraSES)
+        B = ses.C.over
+    else:
+        ses = parse_expected(args.input, args.field, AlgebraSES)
+        B = ses.A.over
     X = _coefficient(args.coefficient, B)
     report = verify_excision(ses, X, args.side, args.max_degree)
     rows = [(h.name, h.verdict, h.window or "") for h in report.hypotheses]

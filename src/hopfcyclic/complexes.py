@@ -11,6 +11,8 @@ it was built through; consumers asking beyond the certified window get a
 DegreeOutOfRange error, never a silent wrong answer.
 """
 
+import functools
+
 from .errors import (
     DegreeOutOfRange,
     IdentityViolation,
@@ -21,22 +23,18 @@ from .errors import (
     ShapeMismatch,
     WellDefinednessFailure,
 )
-from .equivariant import (
-    action_of_basis,
-    antipode_inv_of,
-    regular_bicomodule,
-)
+from .equivariant import action_of_vector, antipode_inv_of, regular_bicomodule
 from .linalg import (
     GradedComplex,
     Matrix,
     QuotientSpace,
+    SubSpace,
     block_matrix,
     map_well_defined,
-    permute_slots,
     rank_kernel,
     slotted,
     solve_columns,
-    swap_matrix,
+    wire,
 )
 
 
@@ -44,28 +42,33 @@ def _pow(n, k):
     return n**k if k >= 0 else 0
 
 
-def diagonal_action(B, factors):
-    """Diagonal B-action tensor on a product of B-modules.
+def diagonal_action(B, factors, coefficient=None):
+    """Diagonal B-action on a product of B-modules: L_b for every basis b.
 
     ``factors`` is a list of (dim, action) pairs in slot order; Sweedler legs
-    are dealt left to right.
+    are dealt left to right. A ``coefficient`` (dim, action) pair occupies
+    the first slot and receives the last leg. Each L_b is the sum over
+    Delta(b) = b_(1) (x) b_(2) of the tensor product of the per-leg
+    matrices: b_(1) acts on the first factor and b_(2) diagonally on the
+    rest, or b_(2) on the coefficient and b_(1) on the factors.
     """
-    if not factors:
-        return B.counit
-    dim0, act0 = factors[0]
-    if len(factors) == 1:
-        return act0
-    rest = factors[1:]
-    rest_dim = 1
-    for d, _ in rest:
-        rest_dim *= d
-    act_rest = diagonal_action(B, rest)
-    f = B.field
-    b = B.dim
-    # B (x) V0 (x) W -> (B (x) V0) (x) (B (x) W) -> V0 (x) W
-    spread = B.comult.kron(Matrix.identity(f, dim0 * rest_dim))
-    reorder = permute_slots(f, [b, b, dim0, rest_dim], [0, 2, 1, 3])
-    return act0.kron(act_rest).mul(reorder).mul(spread)
+    d = B.dim
+    if coefficient is None and len(factors) <= 1:
+        return (factors[0][1] if factors else B.counit).column_blocks(d)
+    if coefficient is None:
+        head, rest = factors[0][1].column_blocks(d), diagonal_action(B, factors[1:])
+    else:
+        head, rest = coefficient[1].column_blocks(d), diagonal_action(B, factors)
+    out = []
+    for b in range(d):
+        terms = []
+        for r, v in B.comult.coldict()[b].items():
+            b1, b2 = divmod(r, d)
+            if coefficient is not None:
+                b1, b2 = b2, b1
+            terms.append(head[b1].scale(v).kron(rest[b2]))
+        out.append(functools.reduce(Matrix.add, terms))
+    return out
 
 
 def right_coaction_of_modcomod(X):
@@ -74,31 +77,25 @@ def right_coaction_of_modcomod(X):
     x -> x_(0) (x) x_(-1); the leg order convention downstream multiplies
     this leg last.
     """
-    f = X.over.field
-    return swap_matrix(f, X.over.dim, X.dim).mul(X.coaction)
+    dims = {"x": X.dim, "x0": X.dim, "h": X.over.dim}
+    return wire(X.over.field, dims, "x -> x0 h", (X.coaction, "x -> h x0"))
 
 
 def diagonal_right_coaction(B, factors):
     """Diagonal right B-coaction on a product of right comodules.
 
     ``factors`` is a list of (dim, coaction V -> V (x) B); legs multiply in
-    slot order.
+    slot order, v0_(1) (v1_(1) (... vk_(1))). Each step wires the first
+    factor to the coaction of the rest.
     """
-    f = B.field
-    b = B.dim
     dim0, rho0 = factors[0]
     if len(factors) == 1:
         return rho0
-    rest = factors[1:]
-    rest_dim = 1
-    for d, _ in rest:
-        rest_dim *= d
-    rho_rest = diagonal_right_coaction(B, rest)
-    # V0 (x) W -> V0 (x) B (x) W (x) B -> V0 (x) W (x) B (x) B -> V0 (x) W (x) B
-    spread = rho0.kron(rho_rest)
-    reorder = permute_slots(f, [dim0, b, rest_dim, b], [0, 2, 1, 3])
-    collect = Matrix.identity(f, dim0 * rest_dim).kron(B.mult)
-    return collect.mul(reorder).mul(spread)
+    rho_rest = diagonal_right_coaction(B, factors[1:])
+    rest = rho_rest.cols
+    dims = {"v": dim0, "v0": dim0, "w": rest, "w0": rest, "h": B.dim, "k": B.dim, "p": B.dim}
+    return wire(B.field, dims, "v w -> v0 w0 p", (rho0, "v -> v0 h"),
+                (rho_rest, "w -> w0 k"), (B.mult, "h k -> p"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +143,7 @@ class CosimplicialModule:
     def differential(self, n, drop_last=False):
         """Alternating coface sum out of degree n (b' when drop_last)."""
         faces = self.cofaces[n]
-        upto = len(faces) - (1 if drop_last else 0)
-        f = self.field
-        acc = Matrix.zero(f, self.dims[n + 1], self.dims[n])
-        sign = 1
-        for j in range(upto):
-            acc = acc.add(faces[j]) if sign > 0 else acc.sub(faces[j])
-            sign = -sign
-        return acc
-
-    def to_complex(self, drop_last=False):
-        diffs = {n: self.differential(n, drop_last) for n in range(self.top)}
-        return GradedComplex(self.field, +1, self.dims, diffs)
+        return _alternating(self.field, faces[:len(faces) - drop_last])
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +182,7 @@ def bar(C, variant, maxdeg):
     over = None
     if mc is not None:
         over = mc.over
-        actions = []
-        for n in range(maxdeg + 1):
-            big = diagonal_action(over, [(c, mc.action)] * (n + 2))
-            actions.append([action_of_basis(big, over.dim, dims[n], b)
-                            for b in range(over.dim)])
+        actions = [diagonal_action(over, [(c, mc.action)] * (n + 2)) for n in range(maxdeg + 1)]
     return CosimplicialModule(f, dims, cofaces, actions=actions, over=over)
 
 
@@ -219,15 +201,6 @@ def bar_complex(desc, maxN):
             sign = -sign
         diffs[n] = acc
     return GradedComplex(f, +1, dims, diffs)
-
-
-def bar_coactions(desc, n):
-    """Left and right C-coactions on the bar resolution degree n space."""
-    f = desc.field
-    c = desc.dim
-    left = slotted(f, 1, desc.comult, _pow(c, n + 1))
-    right = slotted(f, _pow(c, n + 1), desc.comult, 1)
-    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +232,11 @@ def twisted_ch(C, M, X, maxdeg, check=True):
         faces = [slotted(f, x, M.right_coaction, _pow(c, n))]
         for j in range(1, n + 1):
             faces.append(slotted(f, x * m * _pow(c, j - 1), C.base.comult, _pow(c, n - j)))
-        # last: apply both left coactions and push the acted leg to the end
-        cn = _pow(c, n)
-        spread = X.coaction.kron(M.left_coaction).kron(Matrix.identity(f, cn))
-        reorder = permute_slots(f, [b, x, c, m, cn], [1, 3, 4, 0, 2])
-        act_last = Matrix.identity(f, x * m * cn).kron(C.action)
-        faces.append(act_last.mul(reorder).mul(spread))
+        faces.append(_wrap_coface(C, M, X, _pow(c, n)))
         cofaces.append(faces)
-    actions = []
-    for n in range(maxdeg + 1):
-        cn = _pow(c, n)
-        rest_dim = m * cn
-        rest = diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n)
-        spread = B.comult.kron(Matrix.identity(f, x * rest_dim))
-        reorder = permute_slots(f, [b, b, x, rest_dim], [1, 2, 0, 3])
-        big = X.action.kron(rest).mul(reorder).mul(spread)
-        actions.append([action_of_basis(big, b, dims[n], bb) for bb in range(b)])
+    actions = [diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n,
+                               coefficient=(x, X.action))
+               for n in range(maxdeg + 1)]
     cs = CosimplicialModule(f, dims, cofaces, actions=actions, over=B, check=check)
     if check:
         for n in range(maxdeg):
@@ -288,29 +250,23 @@ def twisted_ch(C, M, X, maxdeg, check=True):
     return cs
 
 
-def coinvariants(field, B, action, dim):
-    """Quotient of a B-module by the span of b.v - eps(b) v.
+def _wrap_coface(C, M, X, cn):
+    """The last coface x (x) m (x) t -> x_(0) (x) m_(0) (x) t (x) x_(-1)(m_(-1)).
 
-    Returns (dim, projection); the underlying QuotientSpace is available via
-    :func:`coinvariant_space` for consumers needing sections.
+    ``t`` is the C^n tail of dimension ``cn``, an identity slot.
     """
-    q = coinvariant_space(field, B, action, dim)
-    return q.dim, q.projection
-
-
-def coinvariant_space(field, B, action, dim):
-    eps = B.counit.rowdict.get(0, {})
-    rels = []
-    I = Matrix.identity(field, dim)
-    for bb in range(B.dim):
-        L = action_of_basis(action, B.dim, dim, bb)
-        e = eps.get(bb, field.zero)
-        R = L.sub(I.scale(e)) if e != field.zero else L
-        rels.extend(col for col in R.columns() if col)
-    return QuotientSpace(field, dim, rels)
+    dims = {"x": X.dim, "x0": X.dim, "m": M.dim, "m0": M.dim, "t": cn,
+            "h": C.over.dim, "c": C.dim, "hc": C.dim}
+    return wire(C.over.field, dims, "x m t -> x0 m0 t hc",
+                (X.coaction, "x -> h x0"), (M.left_coaction, "m -> c m0"),
+                (C.action, "h c -> hc"))
 
 
 def coinvariant_space_from_matrices(field, B, L_list, dim):
+    """Quotient of a B-module by the span of b.v - eps(b) v.
+
+    ``L_list`` holds the action matrix L_b of every basis element b.
+    """
     eps = B.counit.rowdict.get(0, {})
     rels = []
     I = Matrix.identity(field, dim)
@@ -416,10 +372,8 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
     B, act_X, act_C, act_Y = equivariant
     actions = []
     for n in range(top + 1):
-        big = diagonal_action(B, [(xd, act_X)] + [(c, act_C)] * (n + 2) + [(yd, act_Y)])
         per_b = []
-        for bb in range(B.dim):
-            L = action_of_basis(big, B.dim, xd * _pow(c, n + 2) * yd, bb)
+        for L in diagonal_action(B, [(xd, act_X)] + [(c, act_C)] * (n + 2) + [(yd, act_Y)]):
             small = solve_columns(inclusions[n], L.mul(inclusions[n]))
             if small is None:
                 raise WellDefinednessFailure("cotensor subspace is not B-stable")
@@ -442,20 +396,15 @@ def doi_check(C_desc, M, maxdeg):
     md, lco, rco = M
     res = bar(C_desc, "resolution", maxdeg + 1)
 
-    def rho_e_M():
-        # m -> m_(0) (x) (m_(1) (x) m_(-1))
-        step = lco  # m -> m_(-1) (x) m_(0)
-        step2 = Matrix.identity(f, c).kron(rco).mul(step)  # c_l, m_0, c_r
-        return permute_slots(f, [c, md, c], [1, 2, 0]).mul(step2)
+    dims = {"m": md, "m1": md, "m0": md, "cl": c, "cr": c, "w1": c, "wl": c, "u": c, "v": c}
+    coact = ((lco, "m -> cl m1"), (rco, "m1 -> m0 cr"))
 
     def lambda_e_W(n):
-        w = _pow(c, n + 2)
-        lam = slotted(f, 1, C_desc.comult, _pow(c, n + 1))  # W -> C (x) W
-        rho = slotted(f, _pow(c, n + 1), C_desc.comult, 1)
-        step = slotted(f, c, rho, 1).mul(lam)  # c_l, w, c_r
-        return permute_slots(f, [c, w, c], [0, 2, 1]).mul(step)
+        # w1 (x) t (x) wl -> w1_(1) (x) wl_(2) (x) w1_(2) (x) t (x) wl_(1)
+        return wire(f, dict(dims, t=_pow(c, n)), "w1 t wl -> cl cr u t v",
+                    (C_desc.comult, "w1 -> cl u"), (C_desc.comult, "wl -> v cr"))
 
-    rho_m = rho_e_M()
+    rho_m = wire(f, dims, "m -> m0 cr cl", *coact)  # m -> m_(0) (x) m_(1) (x) m_(-1)
     inclusions = []
     for n in range(maxdeg + 1):
         w = _pow(c, n + 2)
@@ -468,12 +417,9 @@ def doi_check(C_desc, M, maxdeg):
     ch_faces = _ch_cofaces(C_desc, M, maxdeg)
     for n in range(maxdeg + 1):
         cn = _pow(c, n)
-        step = Matrix.identity(f, c).kron(rco).mul(lco)  # m -> c_l, m0, c_r
-        spread = step.kron(Matrix.identity(f, cn))
-        phi = permute_slots(f, [c, md, c, cn], [1, 2, 3, 0]).mul(spread)
+        phi = wire(f, dict(dims, t=cn), "m t -> m0 cr t cl", *coact)
         phis.append(phi)
-        sub = SubSpaceCheck(inclusions[n])
-        if not sub.contains_all(phi):
+        if not SubSpace.from_columns(inclusions[n]).contains_columns(phi):
             return False
         r, _ = rank_kernel(phi)
         if r != md * cn or inclusions[n].cols != md * cn:
@@ -486,18 +432,6 @@ def doi_check(C_desc, M, maxdeg):
     return True
 
 
-class SubSpaceCheck:
-    """Column-span membership helper for inclusion matrices."""
-
-    def __init__(self, inclusion):
-        from .linalg import SubSpace
-
-        self.space = SubSpace.from_columns(inclusion)
-
-    def contains_all(self, M):
-        return self.space.contains_columns(M)
-
-
 def _ch_cofaces(C_desc, M, maxdeg):
     """Plain (untwisted) Cartier-Hochschild cofaces for a bicomodule."""
     f = C_desc.field
@@ -508,10 +442,8 @@ def _ch_cofaces(C_desc, M, maxdeg):
         faces = [slotted(f, 1, rco, _pow(c, n))]
         for j in range(1, n + 1):
             faces.append(slotted(f, md * _pow(c, j - 1), C_desc.comult, _pow(c, n - j)))
-        cn = _pow(c, n)
-        spread = lco.kron(Matrix.identity(f, cn))
-        wrap = permute_slots(f, [c, md, cn], [1, 2, 0]).mul(spread)
-        faces.append(wrap)
+        dims = {"m": md, "m0": md, "t": _pow(c, n), "c": c}
+        faces.append(wire(f, dims, "m t -> m0 t c", (lco, "m -> c m0")))
         out.append(faces)
     return out
 
@@ -547,34 +479,39 @@ def shear_map(n, B):
     if n < 1:
         raise ShapeMismatch("shear map needs n >= 1")
 
+    def diag_tensor(k):
+        """The diagonal action on B^{(x) k} as one B (x) B^{(x) k} -> B^{(x) k} tensor."""
+        return functools.reduce(Matrix.hstack, diagonal_action(B, [(d, B.mult)] * k))
+
     def shear_rec(k):
         if k == 1:
             return I
-        rest = shear_rec(k - 1)
-        diag = diagonal_action(B, [(d, B.mult)] * (k - 1))
-        spread = B.comult.kron(rest)
-        return I.kron(diag).mul(spread)
+        r = _pow(d, k - 1)
+        dims = {"b": d, "b1": d, "b2": d, "r": r, "s": r, "t": r}
+        return wire(f, dims, "b r -> b1 t", (B.comult, "b -> b1 b2"),
+                    (shear_rec(k - 1), "r -> s"), (diag_tensor(k - 1), "b2 s -> t"))
 
     g = shear_rec(n)
-    # inverse: comultiply slots 1..n-1, then fold S between adjacent legs
-    if n == 1:
-        ginv = I
-    else:
-        spread = None
-        for _ in range(n - 1):
-            spread = B.comult if spread is None else spread.kron(B.comult)
-        spread = spread.kron(I)
-        ms = B.mult.mul(B.antipode.kron(I))
-        fold = I
-        for _ in range(n - 1):
-            fold = fold.kron(ms)
-        ginv = fold.mul(spread)
+    # inverse: b_1 (x) ... (x) b_n -> b_1(1) (x) S(b_1(2)) b_2(1) (x) ... (x) S(b_{n-1}(2)) b_n
+    dims = {}
+    steps = []
+    outs = []
+    for i in range(n):
+        dims.update({f"{leg}{i}": d for leg in "bpqso"})
+        leg = f"b{i}"
+        if i < n - 1:
+            steps += [(B.comult, f"b{i} -> p{i} q{i}"), (B.antipode, f"q{i} -> s{i}")]
+            leg = f"p{i}"
+        if i > 0:
+            steps.append((B.mult, f"s{i - 1} {leg} -> o{i}"))
+            leg = f"o{i}"
+        outs.append(leg)
+    ginv = wire(f, dims, " ".join(f"b{i}" for i in range(n)) + " -> " + " ".join(outs), *steps)
     big = Matrix.identity(f, _pow(d, n))
     if g.mul(ginv) != big or ginv.mul(g) != big:
         raise IdentityViolation(n, "shear inverse")
-    first_mult = B.mult.kron(Matrix.identity(f, _pow(d, n - 1)))
-    diag_full = diagonal_action(B, [(d, B.mult)] * n)
-    if g.mul(first_mult) != diag_full.mul(Matrix.identity(f, d).kron(g)):
+    first_mult = slotted(f, 1, B.mult, _pow(d, n - 1))
+    if g.mul(first_mult) != diag_tensor(n).mul(slotted(f, d, g, 1)):
         raise IdentityViolation(n, "shear intertwining")
     return g, ginv
 
@@ -593,20 +530,11 @@ def untwist(B, U, V):
     vd, act_v = V
     amb = ud * vd
     diag = diagonal_action(B, [(ud, act_u), (vd, act_v)])
-    q1 = coinvariant_space(f, B, diag, amb)
+    q1 = coinvariant_space_from_matrices(f, B, diag, amb)
     rels2 = []
-    I_v = Matrix.identity(f, vd)
-    I_u = Matrix.identity(f, ud)
-    for bb in range(B.dim):
-        sb = sinv.col(bb)  # S^{-1}(e_b) coordinates
-        L_s = None
-        for i, coeff in sb.items():
-            term = action_of_basis(act_u, B.dim, ud, i).scale(coeff)
-            L_s = term if L_s is None else L_s.add(term)
-        if L_s is None:
-            L_s = Matrix.zero(f, ud, ud)
-        L_vb = action_of_basis(act_v, B.dim, vd, bb)
-        R = L_s.kron(I_v).sub(I_u.kron(L_vb))
+    for bb, L_vb in enumerate(act_v.column_blocks(B.dim)):
+        L_s = action_of_vector(B, act_u, ud, sinv.col(bb))  # S^{-1}(e_b) acting on U
+        R = slotted(f, 1, L_s, vd).sub(slotted(f, ud, L_vb, 1))
         rels2.extend(col for col in R.columns() if col)
     q2 = QuotientSpace(f, amb, rels2)
     ident = Matrix.identity(f, amb)
@@ -624,6 +552,16 @@ def untwist(B, U, V):
 # ---------------------------------------------------------------------------
 
 
+def _check_tau_order(cm):
+    """tau^{n+1} = id in every degree, entry-exactly."""
+    for n in range(cm.top + 1):
+        power = Matrix.identity(cm.field, cm.dims[n])
+        for _ in range(n + 1):
+            power = cm.tau[n].mul(power)
+        if power != Matrix.identity(cm.field, cm.dims[n]):
+            raise IdentityViolation(n, "tau^{n+1} = id")
+
+
 class CocyclicModule:
     """Validated cocyclic module on coinvariant spaces (coalgebra side)."""
 
@@ -639,14 +577,7 @@ class CocyclicModule:
         self.orientation = +1
 
     def validate(self):
-        f = self.field
-        for n in range(self.top + 1):
-            t = self.tau[n]
-            power = Matrix.identity(f, self.dims[n])
-            for _ in range(n + 1):
-                power = t.mul(power)
-            if power != Matrix.identity(f, self.dims[n]):
-                raise IdentityViolation(n, "tau^{n+1} = id")
+        _check_tau_order(self)
         for n in range(1, self.top + 1):
             faces_in = self.cofaces[n - 1]
             for j in range(1, n + 1):
@@ -671,14 +602,7 @@ class CyclicModule:
         self.orientation = -1
 
     def validate(self):
-        f = self.field
-        for n in range(self.top + 1):
-            t = self.tau[n]
-            power = Matrix.identity(f, self.dims[n])
-            for _ in range(n + 1):
-                power = t.mul(power)
-            if power != Matrix.identity(f, self.dims[n]):
-                raise IdentityViolation(n, "tau^{n+1} = id")
+        _check_tau_order(self)
         for n in range(1, self.top + 1):
             faces = self.faces[n]
             lower = self.faces[n - 1] if n >= 1 else None
@@ -719,7 +643,6 @@ def _assemble_coalgebra(C, X, maxdeg):
     B = C.over
     f = B.field
     c = C.dim
-    x = X.dim
     M = regular_bicomodule(C)
     T = twisted_ch(C, M, X, maxdeg, check=True)
     quots = [coinvariant_space_from_matrices(f, B, T.actions[n], T.dims[n])
@@ -734,16 +657,33 @@ def _assemble_coalgebra(C, X, maxdeg):
         cofaces.append(faces)
     taus = []
     for n in range(maxdeg + 1):
-        cn = _pow(c, n)
-        spread = X.coaction.kron(Matrix.identity(f, c * cn))
-        reorder = permute_slots(f, [B.dim, x, c, cn], [1, 3, 0, 2])
-        t_amb = Matrix.identity(f, x * cn).kron(C.action).mul(reorder).mul(spread)
+        t_amb = _coalgebra_rotation(C, X, _pow(c, n))
         if not map_well_defined(t_amb, quots[n], quots[n]):
             raise IdentityViolation(n, "cyclic operator well-defined on coinvariants")
         taus.append(quots[n].induce(quots[n], t_amb))
     cm = CocyclicModule(f, B, [q.dim for q in quots], cofaces, taus, quots, T.dims)
     cm.validate()
     return cm
+
+
+def _coalgebra_rotation(C, X, cn):
+    """The cyclic operator x (x) c0 (x) t -> x_(0) (x) t (x) x_(-1)(c0).
+
+    ``t`` is the C^n tail of dimension ``cn``, an identity slot.
+    """
+    dims = {"x": X.dim, "x0": X.dim, "c0": C.dim, "t": cn, "h": C.over.dim, "c": C.dim}
+    return wire(C.over.field, dims, "x c0 t -> x0 t c",
+                (X.coaction, "x -> h x0"), (C.action, "h c0 -> c"))
+
+
+def _algebra_rotation(A, X, an):
+    """The cyclic operator r (x) a (x) x -> a_(0) (x) r (x) a_(1) x.
+
+    ``r`` is the A^n head of dimension ``an``, an identity slot.
+    """
+    dims = {"r": an, "a": A.dim, "a0": A.dim, "x": X.dim, "y": X.dim, "h": A.over.dim}
+    return wire(A.over.field, dims, "r a x -> a0 r y",
+                (A.coaction, "a -> a0 h"), (X.action, "h x -> y"))
 
 
 def _assemble_algebra(A, X, maxdeg):
@@ -760,7 +700,7 @@ def _assemble_algebra(A, X, maxdeg):
         amb = _pow(a, n + 1) * x
         amb_dims.append(amb)
         rho = diagonal_right_coaction(B, [(a, A.coaction)] * (n + 1) + [(x, rho_x)])
-        triv = Matrix.identity(f, amb).kron(unit)
+        triv = slotted(f, amb, unit, 1)
         _, ker = rank_kernel(rho.sub(triv))
         inclusions.append(ker)
         dims.append(ker.cols)
@@ -771,13 +711,7 @@ def _assemble_algebra(A, X, maxdeg):
             raise IdentityViolation(n_src, "operator preserves the cotensor subspace")
         return small
 
-    taus_amb = []
-    for n in range(maxdeg + 1):
-        an = _pow(a, n)
-        spread = Matrix.identity(f, an).kron(A.coaction).kron(Matrix.identity(f, x))
-        reorder = permute_slots(f, [an, a, B.dim, x], [1, 0, 2, 3])
-        t_amb = Matrix.identity(f, _pow(a, n + 1)).kron(X.action).mul(reorder).mul(spread)
-        taus_amb.append(t_amb)
+    taus_amb = [_algebra_rotation(A, X, _pow(a, n)) for n in range(maxdeg + 1)]
     faces = [None]
     faces[0] = []  # degree 0 has no faces
     all_faces = [[]]
@@ -803,28 +737,20 @@ def _assemble_algebra(A, X, maxdeg):
 # ---------------------------------------------------------------------------
 
 
-def _hochschild_complex_cocyclic(cm, drop_last=False):
-    f = cm.field
-    diffs = {}
-    for n in range(cm.top):
-        faces = cm.cofaces[n]
-        upto = len(faces) - (1 if drop_last else 0)
-        diffs[n] = _alternating(f, faces[:upto])
-    return GradedComplex(f, +1, cm.dims, diffs)
+def _face_maps(cm):
+    """Degree -> its (co)faces, for every degree a (co)face leaves."""
+    if cm.orientation > 0:
+        return {n: cm.cofaces[n] for n in range(cm.top)}
+    return {n: cm.faces[n] for n in range(1, cm.top + 1)}
 
 
-def _hochschild_complex_cyclic(cm, drop_last=False):
-    f = cm.field
-    diffs = {}
-    for n in range(1, cm.top + 1):
-        faces = cm.faces[n]
-        upto = len(faces) - (1 if drop_last else 0)
-        diffs[n] = _alternating(f, faces[:upto])
-    return GradedComplex(f, -1, cm.dims, diffs)
+def _hochschild_complex(cm, drop_last=False):
+    diffs = {n: _alternating(cm.field, faces[:len(faces) - drop_last])
+             for n, faces in _face_maps(cm).items()}
+    return GradedComplex(cm.field, cm.orientation, cm.dims, diffs)
 
 
 def _lambda_n(cm, n):
-    f = cm.field
     t = cm.tau[n]
     return t if n % 2 == 0 else t.neg()
 
@@ -851,12 +777,8 @@ def cyclic_total_complex(cm, maxtot):
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
     cochain = cm.orientation == +1
-    if cochain:
-        b_full = {n: _alternating(f, cm.cofaces[n]) for n in range(cm.top)}
-        b_prime = {n: _alternating(f, cm.cofaces[n][:-1]) for n in range(cm.top)}
-    else:
-        b_full = {n: _alternating(f, cm.faces[n]) for n in range(1, cm.top + 1)}
-        b_prime = {n: _alternating(f, cm.faces[n][:-1]) for n in range(1, cm.top + 1)}
+    b_full = {n: _alternating(f, faces) for n, faces in _face_maps(cm).items()}
+    b_prime = {n: _alternating(f, faces[:-1]) for n, faces in _face_maps(cm).items()}
     tot_dims = []
     blocks = []  # per total degree: list of (p, q)
     for m in range(maxtot + 1):
@@ -901,14 +823,11 @@ def homology(obj, theory, maxdeg):
     """Dimensions per degree of the chosen theory of a (co)cyclic module."""
     if theory not in ("hochschild", "cyclic", "bar"):
         raise ShapeMismatch(f"unknown theory {theory!r}")
-    is_cocyclic = isinstance(obj, CocyclicModule)
     if theory in ("hochschild", "bar"):
         if maxdeg + 1 > obj.top:
             raise DegreeOutOfRange(
                 f"degree {maxdeg} needs internal degree {maxdeg + 1}, built through {obj.top}")
-        drop = theory == "bar"
-        cx = (_hochschild_complex_cocyclic(obj, drop) if is_cocyclic
-              else _hochschild_complex_cyclic(obj, drop))
+        cx = _hochschild_complex(obj, drop_last=theory == "bar")
         return [cx.homology(n) for n in range(maxdeg + 1)]
     if maxdeg + 1 > obj.top:
         raise DegreeOutOfRange(
@@ -943,7 +862,7 @@ def relative_bar(ses, maxdeg):
     proj = ses.projection
     sec = ses.space.section
     rho_q = slotted(f, c, proj, 1).mul(C.base.comult).mul(sec)  # C/K -> C (x) C/K
-    delta_k_into_c = Matrix.identity(f, k).kron(K_incl).mul(Kmc.base.comult)  # K -> K (x) C
+    delta_k_into_c = slotted(f, k, K_incl, 1).mul(Kmc.base.comult)  # K -> K (x) C
     dims = [k * _pow(c, n) * q for n in range(maxdeg + 2)]
     diffs = {}
     for n in range(maxdeg + 1):
@@ -953,11 +872,8 @@ def relative_bar(ses, maxdeg):
         faces.append(slotted(f, k * _pow(c, n), rho_q, 1))
         diffs[n] = _alternating(f, faces)
     cx = GradedComplex(f, +1, dims, diffs)
-    actions = []
-    for n in range(maxdeg + 2):
-        big = diagonal_action(
-            B, [(k, Kmc.action)] + [(c, C.action)] * n + [(q, Q.action)])
-        actions.append([action_of_basis(big, B.dim, dims[n], bb) for bb in range(B.dim)])
+    actions = [diagonal_action(B, [(k, Kmc.action)] + [(c, C.action)] * n + [(q, Q.action)])
+               for n in range(maxdeg + 2)]
     for n in range(maxdeg + 1):
         for bb in range(B.dim):
             if actions[n + 1][bb].mul(diffs[n]) != diffs[n].mul(actions[n][bb]):

@@ -8,6 +8,8 @@ projectivity test. All conditions are verified entry-exactly; nothing is
 asserted on trust.
 """
 
+import functools
+
 from .errors import (
     AuditFailed,
     MissingAntipodeInverse,
@@ -23,31 +25,17 @@ from .linalg import (
     QuotientSpace,
     SubSpace,
     invert,
-    permute_slots,
+    slotted,
     solve_columns,
-    swap_matrix,
+    wire,
 )
 
 
-def left_mult_matrix(desc, b_index):
-    """L_b on the underlying space of an algebra description."""
-    e_b = Matrix.from_entries(desc.field, desc.dim, 1, [(b_index, 0, desc.field.one)])
-    return desc.mult.mul(e_b.kron(desc.identity_matrix()))
-
-
-def action_of_basis(action, dim_b, dim_x, b_index):
-    """Single-element action matrix out of a B (x) X -> X tensor."""
-    f = action.field
-    rd = {}
-    for i, row in action.rowdict.items():
-        base = b_index * dim_x
-        tgt = {}
-        for j, v in row.items():
-            if base <= j < base + dim_x:
-                tgt[j - base] = v
-        if tgt:
-            rd[i] = tgt
-    return Matrix(f, dim_x, dim_x, rd)
+def action_of_vector(B, action, dim, vec):
+    """x -> v . x on a B-module, for a vector ``vec`` = {basis index: coeff} of B."""
+    dims = {"b": B.dim, "x": dim, "y": dim}
+    return wire(B.field, dims, "x -> y",
+                (Matrix.column(B.field, vec, B.dim), "-> b"), (action, "b x -> y"))
 
 
 def antipode_inv_of(B):
@@ -89,8 +77,10 @@ class ModuleCoalgebra:
     def dim(self):
         return self.base.dim
 
-    def action_of(self, b_index):
-        return action_of_basis(self.action, self.over.dim, self.base.dim, b_index)
+    @functools.cached_property
+    def action_matrices(self):
+        """L_b on C for every basis element b of B."""
+        return self.action.column_blocks(self.over.dim)
 
     def __repr__(self):
         return f"ModuleCoalgebra(dim={self.dim} over dim={self.over.dim})"
@@ -145,9 +135,6 @@ class EquivariantBicomodule:
             if not report.ok:
                 raise AuditFailed(report)
 
-    def action_of(self, b_index):
-        return action_of_basis(self.action, self.coalgebra.over.dim, self.dim, b_index)
-
 
 def regular_bicomodule(mc):
     """C over itself: both coactions are the comultiplication."""
@@ -186,22 +173,15 @@ class ModComod:
             sinv = antipode_inv_of(B)
         except MissingAntipodeInverse:
             return False
-        f = B.field
-        d, x = B.dim, self.dim
-        I_B = B.identity_matrix()
-        I_X = Matrix.identity(f, x)
         lhs = self.coaction.mul(self.action)
-        # b_(1) x_(-1) S^{-1}(b_(3)) (x) b_(2) x_(0)
-        delta2 = B.comult.kron(I_B).mul(B.comult)  # b -> b1 (x) b2 (x) b3
-        spread = delta2.kron(self.coaction)  # B(x)X -> B,B,B,Bx,X
-        reorder = permute_slots(f, [d, d, d, d, x], [0, 3, 2, 1, 4])
-        m3 = B.mult.mul(B.mult.kron(I_B))  # triple product
-        m3s = m3.mul(I_B.kron(I_B).kron(sinv))
-        rhs = m3s.kron(self.action).mul(reorder).mul(spread)
+        # b (x) x -> b_(1) x_(-1) S^{-1}(b_(3)) (x) b_(2) x_(0)
+        dims = dict.fromkeys(["b", "b12", "b1", "b2", "b3", "h", "s", "p", "q"], B.dim)
+        dims.update(x=self.dim, x0=self.dim, y=self.dim)
+        rhs = wire(B.field, dims, "b x -> q y",
+                   (B.comult, "b -> b12 b3"), (B.comult, "b12 -> b1 b2"),
+                   (self.coaction, "x -> h x0"), (sinv, "b3 -> s"),
+                   (B.mult, "b1 h -> p"), (B.mult, "p s -> q"), (self.action, "b2 x0 -> y"))
         return lhs == rhs
-
-    def action_of(self, b_index):
-        return action_of_basis(self.action, self.over.dim, self.dim, b_index)
 
     def __repr__(self):
         return f"ModComod(dim={self.dim}, stable={self.stable}, ayd={self.ayd})"
@@ -242,8 +222,10 @@ def _audit_module_coalgebra(mc):
     checks.append(_compare("action associativity", assoc_l, assoc_r, _names(B, names), 1))
     checks.append(_compare("action unitality", act.mul(B.unit.kron(I_C)), I_C, C.basis, 1))
     lhs = C.comult.mul(act)
-    mid = I_B.kron(swap_matrix(f, B.dim, C.dim)).kron(I_C)
-    rhs = act.kron(act).mul(mid).mul(B.comult.kron(C.comult))
+    dims = {"b": B.dim, "b1": B.dim, "b2": B.dim, "c": C.dim, "c1": C.dim, "c2": C.dim,
+            "p": C.dim, "q": C.dim}
+    rhs = wire(f, dims, "b c -> p q", (B.comult, "b -> b1 b2"), (C.comult, "c -> c1 c2"),
+               (act, "b1 c1 -> p"), (act, "b2 c2 -> q"))
     checks.append(_compare("comultiplication compatibility", lhs, rhs, names, 1))
     if C.counit is not None and B.counit is not None:
         checks.append(_compare("counit compatibility", C.counit.mul(act),
@@ -264,8 +246,10 @@ def _audit_comodule_algebra(ca):
     if B.counit is not None:
         checks.append(_compare("coaction counitality", I_A.kron(B.counit).mul(rho), I_A, names, 1))
     lhs = rho.mul(A.mult)
-    mid = I_A.kron(swap_matrix(f, B.dim, A.dim)).kron(I_B)
-    rhs = A.mult.kron(B.mult).mul(mid).mul(rho.kron(rho))
+    dims = {"a": A.dim, "a0": A.dim, "e": A.dim, "e0": A.dim, "p": A.dim,
+            "h": B.dim, "k": B.dim, "q": B.dim}
+    rhs = wire(f, dims, "a e -> p q", (rho, "a -> a0 h"), (rho, "e -> e0 k"),
+               (A.mult, "a0 e0 -> p"), (B.mult, "h k -> q"))
     checks.append(_compare("multiplicativity", lhs, rhs, pair_names, 1))
     if A.unit is not None and B.unit is not None:
         checks.append(_compare("unit colinearity", rho.mul(A.unit), A.unit.kron(B.unit), ["1"], 0))
@@ -287,8 +271,10 @@ def _audit_equivariant_bicomodule(m, both=True):
     coassoc_r = Matrix.identity(f, C.dim).kron(lco).mul(lco)
     checks.append(_compare("left coaction coassociativity", coassoc_l, coassoc_r, mnames, 1))
     lhs = lco.mul(m.action)
-    mid = I_B.kron(swap_matrix(f, B.dim, C.dim)).kron(I_M)
-    rhs = mc.action.kron(m.action).mul(mid).mul(B.comult.kron(lco))
+    dims = {"b": B.dim, "b1": B.dim, "b2": B.dim, "c": C.dim, "p": C.dim,
+            "m": m.dim, "m0": m.dim, "q": m.dim}
+    rhs = wire(f, dims, "b m -> p q", (B.comult, "b -> b1 b2"), (lco, "m -> c m0"),
+               (mc.action, "b1 c -> p"), (m.action, "b2 m0 -> q"))
     checks.append(_compare("left coaction equivariance", lhs, rhs, names, 1))
     if both:
         rco = m.right_coaction
@@ -296,8 +282,8 @@ def _audit_equivariant_bicomodule(m, both=True):
         coassoc_r = I_M.kron(C.comult).mul(rco)
         checks.append(_compare("right coaction coassociativity", coassoc_l, coassoc_r, mnames, 1))
         lhs = rco.mul(m.action)
-        mid2 = I_B.kron(swap_matrix(f, B.dim, m.dim)).kron(Matrix.identity(f, C.dim))
-        rhs = m.action.kron(mc.action).mul(mid2).mul(B.comult.kron(rco))
+        rhs = wire(f, dims, "b m -> q p", (B.comult, "b -> b1 b2"), (rco, "m -> m0 c"),
+                   (m.action, "b1 m0 -> q"), (mc.action, "b2 c -> p"))
         checks.append(_compare("right coaction equivariance", lhs, rhs, names, 1))
         bicosym_l = lco.kron(Matrix.identity(f, C.dim)).mul(rco)
         bicosym_r = Matrix.identity(f, C.dim).kron(rco).mul(lco)
@@ -361,17 +347,15 @@ def make_coefficient(kind, B, payload=None):
     if kind in ("r_ad", "ad_r"):
         sinv = antipode_inv_of(B)
         d = B.dim
-        I_B = B.identity_matrix()
+        dims = dict.fromkeys(["x", "x12", "x1", "x2", "x3", "b", "b1", "b2", "s", "p", "q"], d)
         if kind == "r_ad":
-            delta2 = B.comult.kron(I_B).mul(B.comult)  # x1 (x) x2 (x) x3
-            reorder = permute_slots(f, [d, d, d], [0, 2, 1])  # x1, x3, x2
-            pair = B.mult.mul(I_B.kron(sinv)).kron(I_B)  # x1 S^{-1}(x3) (x) x2
-            coaction = pair.mul(reorder).mul(delta2)
+            coaction = wire(f, dims, "x -> p x2",  # x_(1) S^{-1}(x_(3)) (x) x_(2)
+                            (B.comult, "x -> x12 x3"), (B.comult, "x12 -> x1 x2"),
+                            (sinv, "x3 -> s"), (B.mult, "x1 s -> p"))
             return ModComod(B, d, B.mult, coaction)
-        # ad_r
-        spread = B.comult.kron(I_B)  # B (x) X -> b1, b2, x
-        reorder = permute_slots(f, [d, d, d], [0, 2, 1])  # b1, x, b2
-        act = B.mult.mul(B.mult.kron(I_B)).mul(I_B.kron(I_B).kron(sinv)).mul(reorder).mul(spread)
+        act = wire(f, dims, "b x -> q",  # b_(1) x S^{-1}(b_(2))
+                   (B.comult, "b -> b1 b2"), (sinv, "b2 -> s"),
+                   (B.mult, "b1 x -> p"), (B.mult, "p s -> q"))
         return ModComod(B, d, act, B.comult)
     raise ParseError(f"unknown coefficient kind {kind!r}")
 
@@ -455,8 +439,7 @@ def quotient_ses(C, K_gens, mode):
     kdim = K_basis.cols
 
     # B-stability
-    for b in range(B.dim):
-        act_b = C.action_of(b)
+    for b, act_b in enumerate(C.action_matrices):
         if not ksub.contains_columns(act_b.mul(K_basis)):
             raise NotBStable(f"action of basis element {B.basis[b]} leaves the subspace")
 
@@ -504,9 +487,7 @@ def _find_b_linear_section(C, quotient_mc, proj):
     f = B.field
     n, q = C.dim, quotient_mc.dim
     constraints = [([(proj, Matrix.identity(f, q))], Matrix.identity(f, q))]
-    for b in range(B.dim):
-        act_b = C.action_of(b)
-        act_qb = quotient_mc.action_of(b)
+    for act_b, act_qb in zip(C.action_matrices, quotient_mc.action_matrices):
         constraints.append(
             ([(Matrix.identity(f, n), act_qb), (act_b.neg(), Matrix.identity(f, q))],
              Matrix.zero(f, n, q)))
@@ -576,8 +557,6 @@ def h_counitality_probe(C_desc, maxdeg):
     """
     from .complexes import bar_complex  # local import: complexes builds on this module
 
-    if maxdeg < 1:
-        raise ShapeMismatch("probe needs maxdeg >= 1")
     cx = bar_complex(C_desc, maxdeg + 1)
     return [cx.homology(n) for n in range(maxdeg + 1)]
 
@@ -594,9 +573,8 @@ def is_projective(B, action, dim):
     I_P = Matrix.identity(f, dim)
     constraints = [([(action, I_P)], I_P)]
     big = B.dim * dim
-    for b in range(B.dim):
-        act_b = action_of_basis(action, B.dim, dim, b)
-        lb_free = left_mult_matrix(B, b).kron(I_P)
+    for act_b, L_b in zip(action.column_blocks(B.dim), B.mult.column_blocks(B.dim)):
+        lb_free = slotted(f, 1, L_b, dim)
         constraints.append(
             ([(Matrix.identity(f, big), act_b), (lb_free.neg(), I_P)], Matrix.zero(f, big, dim)))
     section = solve_matrix_system(f, big, dim, constraints)

@@ -10,7 +10,7 @@ a witness basis tuple.
 
 from .errors import AuditFailed, NotAGroup, NotInvertible, ParseError, ShapeMismatch
 from .fields import field_by_name
-from .linalg import Matrix, invert, solve_columns, swap_matrix
+from .linalg import Matrix, invert, solve_columns, wire
 
 LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf")
 
@@ -274,9 +274,10 @@ def audit(desc, level=None):
             checks.append(_compare("left counit law", e.kron(I).mul(cm), I, basis, 1))
             checks.append(_compare("right counit law", I.kron(e).mul(cm), I, basis, 1))
     if level in ("bialgebra", "hopf"):
-        mid_swap = I.kron(swap_matrix(f, d, d)).kron(I)
         lhs = cm.mul(m)
-        rhs = m.kron(m).mul(mid_swap).mul(cm.kron(cm))
+        dims = dict.fromkeys(["a", "a1", "a2", "b", "b1", "b2", "p", "q"], d)
+        rhs = wire(f, dims, "a b -> p q", (cm, "a -> a1 a2"), (cm, "b -> b1 b2"),
+                   (m, "a1 b1 -> p"), (m, "a2 b2 -> q"))
         checks.append(_compare("comultiplication multiplicative", lhs, rhs, basis, 2))
         checks.append(_compare("counit multiplicative", e.mul(m), e.kron(e), basis, 2))
         checks.append(_compare("comultiplication unital", cm.mul(u), u.kron(u), basis, 0))

@@ -8,8 +8,11 @@ entries small on the structured matrices this package produces. Floating
 point never appears.
 """
 
+import itertools
+import math
+import operator
+
 from .errors import DegreeOutOfRange, ShapeMismatch
-from .fields import QQ
 
 
 class Matrix:
@@ -208,6 +211,22 @@ class Matrix:
                         tgt[base + jb] = f.mul(a, b)
         return Matrix(f, self.rows * orows, self.cols * ocols, rd)
 
+    def column_blocks(self, count):
+        """The columns cut into ``count`` consecutive blocks of equal width.
+
+        Cutting an action tensor B (x) X -> X into dim B blocks gives the
+        action matrix L_b of every basis element b.
+        """
+        if count <= 0 or self.cols % count:
+            raise ShapeMismatch(f"{self.cols} columns do not split into {count} blocks")
+        width = self.cols // count
+        rds = [{} for _ in range(count)]
+        for i, row in self.rowdict.items():
+            for j, v in row.items():
+                q, r = divmod(j, width)
+                rds[q].setdefault(i, {})[r] = v
+        return [Matrix(self.field, self.rows, width, rd) for rd in rds]
+
     def hstack(self, other):
         if self.rows != other.rows or self.field != other.field:
             raise ShapeMismatch("hstack shape mismatch")
@@ -344,11 +363,6 @@ class Echelon:
     def contains(self, vec):
         vec, _ = self._reduce(dict(vec))
         return not vec
-
-    def residual(self, vec):
-        """Remainder of ``vec`` after reduction (empty dict iff in span)."""
-        vec, _ = self._reduce(dict(vec))
-        return vec
 
     def express(self, vec):
         """Coefficients writing ``vec`` over the inserted generators, or None.
@@ -591,12 +605,6 @@ class GradedComplex:
     def max_valid_degree(self):
         return self.top - 1
 
-    def diff_out(self, n):
-        d = self.diffs.get(n)
-        if d is None:
-            return Matrix.zero(self.field, self.dims[n + self.orientation] if 0 <= n + self.orientation <= self.top else 0, self.dims[n])
-        return d
-
     def homology(self, n):
         """dim ker(d out of n) - rank(d into n)."""
         if not (0 <= n <= self.max_valid_degree):
@@ -622,51 +630,119 @@ def complex_homology(X, max_valid_degree):
     return [X.homology(n) for n in range(max_valid_degree + 1)]
 
 
-def swap_matrix(field, m, n):
-    """The flip V (x) W -> W (x) V for dim V = m, dim W = n."""
-    one = field.one
-    rd = {}
-    for i in range(m):
-        for j in range(n):
-            rd[j * m + i] = {i * n + j: one}
-    return Matrix(field, m * n, m * n, rd)
+def _legs(text):
+    """The leg names on either side of "in legs -> out legs"."""
+    src, arrow, dst = text.partition("->")
+    if not arrow:
+        raise ShapeMismatch(f"wiring {text!r} has no '->'")
+    return src.split(), dst.split()
 
 
-def permute_slots(field, dims, perm):
-    """Matrix reordering tensor slots: target slot k holds source slot perm[k].
+def _unravel(index, dims):
+    """The row-major slot values of ``index`` in a product of ``dims``."""
+    out = []
+    for d in reversed(dims):
+        index, r = divmod(index, d)
+        out.append(r)
+    return tuple(reversed(out))
 
-    ``dims`` are the source slot dimensions; row-major indexing throughout.
+
+def _picker(positions):
+    """st -> the tuple of st's entries at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    if positions:
+        k = positions[0]
+        return lambda st: (st[k],)
+    return lambda st: ()
+
+
+def wire(field, dims, spec, *steps):
+    """The operator of a wiring of structure tensors, entries written directly.
+
+    ``spec`` reads ``"in legs -> out legs"``: the tensor slots of source and
+    target, row-major. Each step is ``(tensor, "in legs -> out legs")``: a
+    Matrix whose columns index its in legs and whose rows index its out
+    legs, both row-major. Steps apply in order; a step consumes its in legs
+    and creates its out legs, and a step without in legs is a vector.
+    ``dims`` gives the dimension of every leg.
+
+    Source legs that no step consumes are identity slots. The coefficient
+    table is computed once on the other legs, one basis tuple at a time, and
+    copied across the identity slots by stride arithmetic.
     """
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise ShapeMismatch(f"{perm} is not a permutation of {n} slots")
-    src_strides = [1] * n
-    for k in range(n - 2, -1, -1):
-        src_strides[k] = src_strides[k + 1] * dims[k + 1]
-    tgt_dims = [dims[p] for p in perm]
-    tgt_strides = [1] * n
-    for k in range(n - 2, -1, -1):
-        tgt_strides[k] = tgt_strides[k + 1] * tgt_dims[k + 1]
-    total = 1
-    for d in dims:
-        total *= d
-    one = field.one
+    f = field
+    zero = f.zero
+    src, dst = _legs(spec)
+    consumed = {leg for _, text in steps for leg in _legs(text)[0]}
+    ident = [leg for leg in src if leg not in consumed]
+    live = [leg for leg in src if leg in consumed]
+    touched = list(live)
+    plan = []
+    for M, text in steps:
+        ins, outs = _legs(text)
+        if any(leg not in live for leg in ins) or any(
+                leg in live or leg in ident for leg in outs):
+            raise ShapeMismatch(f"step {text!r} does not fit the live legs {live}")
+        in_dims = [dims[leg] for leg in ins]
+        out_dims = [dims[leg] for leg in outs]
+        shape = (math.prod(out_dims), math.prod(in_dims))
+        if (M.rows, M.cols) != shape:
+            raise ShapeMismatch(f"step {text!r} needs a {shape[0]}x{shape[1]} tensor, "
+                                f"got {M.rows}x{M.cols}")
+        reads = [live.index(leg) for leg in ins]
+        keep = [k for k, leg in enumerate(live) if leg not in ins]
+        hits = {}  # in leg values, as ``read`` returns them -> [(out leg values, entry)]
+        for i, row in M.rowdict.items():
+            values = _unravel(i, out_dims)
+            for j, v in row.items():
+                key = _unravel(j, in_dims)
+                hits.setdefault(key[0] if len(key) == 1 else key, []).append((values, v))
+        read = operator.itemgetter(*reads) if reads else (lambda st: ())
+        plan.append((read, _picker(keep), hits))
+        live = [live[k] for k in keep] + outs
+    if sorted(live + ident) != sorted(dst) or len(set(dst)) != len(dst):
+        raise ShapeMismatch(f"wiring {spec!r} leaves legs {live} unmatched")
+    src_strides = {leg: math.prod(dims[x] for x in src[k + 1:]) for k, leg in enumerate(src)}
+    dst_strides = {leg: math.prod(dims[x] for x in dst[k + 1:]) for k, leg in enumerate(dst)}
+    col_strides = [src_strides[leg] for leg in touched]
+    row_strides = [dst_strides[leg] for leg in live]
+
+    table = {}  # row on the touched legs -> {column on the touched legs: entry}
+    for start in itertools.product(*[range(dims[leg]) for leg in touched]):
+        states = {start: f.one}
+        for read, keep, hits in plan:
+            nxt = {}
+            for st, c in states.items():
+                found = hits.get(read(st))
+                if found is None:
+                    continue
+                base = keep(st)
+                for values, v in found:
+                    key = base + values
+                    w = f.add(nxt.get(key, zero), f.mul(c, v))
+                    if w == zero:
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = w
+            states = nxt
+        col = sum(t * s for t, s in zip(start, col_strides))
+        for st, c in states.items():
+            row = sum(t * s for t, s in zip(st, row_strides))
+            table.setdefault(row, {})[col] = c
+
+    offsets = [(0, 0)]  # (row offset, column offset) of each identity basis tuple
+    for leg in ident:
+        so, si = dst_strides[leg], src_strides[leg]
+        offsets = [(ro + t * so, co + t * si) for ro, co in offsets for t in range(dims[leg])]
     rd = {}
-    idx = [0] * n
-    for col in range(total):
-        rem = col
-        for k in range(n):
-            idx[k], rem = divmod(rem, src_strides[k])
-        row = sum(idx[perm[k]] * tgt_strides[k] for k in range(n))
-        rd[row] = {col: one}
-    return Matrix(field, total, total, rd)
+    for row, cols in table.items():
+        for ro, co in offsets:
+            rd[row + ro] = {col + co: v for col, v in cols.items()}
+    return Matrix(f, math.prod(dims[leg] for leg in dst), math.prod(dims[leg] for leg in src), rd)
 
 
 def slotted(field, pre_dim, M, post_dim):
-    """id_{pre} (x) M (x) id_{post} without building needless identities."""
-    out = M
-    if pre_dim != 1:
-        out = Matrix.identity(field, pre_dim).kron(out)
-    if post_dim != 1:
-        out = out.kron(Matrix.identity(field, post_dim))
-    return out
+    """id_{pre} (x) M (x) id_{post}, written by stride arithmetic."""
+    dims = {"p": pre_dim, "q": post_dim, "i": M.cols, "o": M.rows}
+    return wire(field, dims, "p i q -> p o q", (M, "i -> o"))

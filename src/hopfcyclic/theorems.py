@@ -26,7 +26,7 @@ from .equivariant import (
     EquivariantBicomodule,
     ModComod,
     ModuleCoalgebra,
-    action_of_basis,
+    action_of_vector,
     antipode_inv_of,
     counit_action,
     h_counitality_probe,
@@ -972,7 +972,7 @@ def _check_commutative_hopf(params, maxdeg):
     _bialgebra_ideal_checks(B, J_basis, report)
     # the action-splitting premise: z . x = 0 for z in J
     kills = all(
-        _action_of_vector(X.action, B.dim, X.dim, col).is_zero()
+        action_of_vector(B, X.action, X.dim, col).is_zero()
         for col in J_basis.columns())
     report.add_hypothesis("J annihilates the coefficient", PASS if kills else FAIL)
     report.add_hypothesis("coefficient stable", PASS if X.stable else FAIL)
@@ -1013,17 +1013,6 @@ def _check_commutative_hopf(params, maxdeg):
         ok = hc[n] == expected
         report.add_degree(n, {"HC": hc[n], "sum_HH": expected}, PASS if ok else FAIL)
     return report
-
-
-def _action_of_vector(action, dim_b, dim_x, vec):
-    f = action.field
-    out = None
-    for b, coeff in vec.items():
-        term = action_of_basis(action, dim_b, dim_x, b).scale(coeff)
-        out = term if out is None else out.add(term)
-    if out is None:
-        return Matrix.zero(f, dim_x, dim_x)
-    return out
 
 
 def _group_like_splitting(B, space):

@@ -77,6 +77,13 @@ class TestHomology:
         assert "cyclic_total" in doc
         assert doc["cyclic_total"]["certificate"]["d_squared_zero"] is True
 
+    def test_bare_description_exit_2(self, capsys):
+        code, out, err = run(capsys, "homology", str(FIXTURES / "sweedler_h4.json"))
+        assert code == 2
+        assert out == ""
+        assert "expected a module coalgebra document, got a bialgebra description" in err
+        assert "Traceback" not in err
+
 
 class TestExcision:
     def test_direct_sum_q_exit_0(self, capsys):
@@ -106,6 +113,47 @@ class TestExcision:
         start = next(i for i, l in enumerate(lines) if l == "{")
         doc = json.loads("\n".join(lines[start:]))
         assert doc["theorem"] == "excision/coalgebra"
+
+    def test_wrong_document_kind_exit_2(self, capsys):
+        for argv, want, got in (
+                (["direct_sum_ses.json", "--side", "algebra"],
+                 "algebra short exact sequence", "coalgebra short exact sequence"),
+                (["z2_product_algebra_ses.json"],
+                 "coalgebra short exact sequence", "algebra short exact sequence"),
+                (["z2_regular_module_coalgebra.json"],
+                 "coalgebra short exact sequence", "module coalgebra")):
+            code, out, err = run(capsys, "excision", str(FIXTURES / argv[0]), *argv[1:])
+            assert code == 2, argv
+            assert out == ""
+            assert f"expected a {want} document, got a {got}" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fixture, side, field, sub, quot", [
+        ("direct_sum_ses.json", "coalgebra", "Q", "K", "C/K"),
+        ("z2_product_algebra_ses.json", "algebra", "Fp:2", "I", "A/I"),
+    ])
+    def test_degree_zero_window_matches_degree_one(self, capsys, fixture, side, field, sub,
+                                                   quot):
+        """--max-degree 0 is a valid window: its report is the degree-0 part of --max-degree 1."""
+        reports = []
+        for top in (0, 1):
+            code, out, err = run(capsys, "excision", str(FIXTURES / fixture), "--side", side,
+                                 "--field", field, "--max-degree", str(top), "--json")
+            assert code == 0, err
+            lines = out.splitlines()
+            reports.append(json.loads("\n".join(lines[lines.index("{"):])))
+        at0, at1 = reports
+        assert [d["n"] for d in at0["degrees"]] == [0]
+        assert at0["degrees"][0] == at1["degrees"][0]
+        dims = at0["degrees"][0]["dims"]
+        assert dims[sub] == 1 and dims[quot] == 1 and sum(dims.values()) == 4
+
+        def window_free(hyps):
+            return [{k: v for k, v in h.items() if k != "window"} for h in hyps]
+
+        assert window_free(at0["hypotheses"]) == window_free(at1["hypotheses"])
+        assert all(h["verdict"] == "PASS" for h in at0["hypotheses"])
+        assert {h.get("window") for h in at0["hypotheses"]} <= {None, "0..0"}
 
 
 class TestRelative:

@@ -1,0 +1,243 @@
+"""The tensor-wiring builder against the reference Kronecker/permutation forms.
+
+Every structure map the engine writes with ``linalg.wire`` or
+``complexes.diagonal_action`` must equal, entry for entry, the same map
+composed from Kronecker products, slot permutation matrices and matrix
+products (``tests/oracles.py``). The mutation tests check that a
+mis-wired builder does not get through construction.
+"""
+
+import pytest
+
+from hopfcyclic import complexes, equivariant, hopf
+from hopfcyclic.complexes import (
+    _algebra_rotation,
+    _ch_cofaces,
+    _coalgebra_rotation,
+    _wrap_coface,
+    assemble,
+    diagonal_action,
+    diagonal_right_coaction,
+    doi_check,
+    homology,
+    right_coaction_of_modcomod,
+    shear_map,
+    twisted_ch,
+)
+from hopfcyclic.equivariant import (
+    ComoduleAlgebra,
+    EquivariantBicomodule,
+    ModuleCoalgebra,
+    action_of_vector,
+    antipode_inv_of,
+    make_coefficient,
+    regular_bicomodule,
+    regular_comodule_algebra,
+    regular_module_coalgebra,
+)
+from hopfcyclic.errors import IdentityViolation, ShapeMismatch
+from hopfcyclic.fields import GF, QQ
+from hopfcyclic.hopf import audit, dual_group_algebra, group_algebra, sweedler_h4
+from hopfcyclic.linalg import Matrix, slotted, wire
+
+import oracles
+from groups import cyclic_table
+
+BIALGEBRAS = {
+    "H4": sweedler_h4,
+    "Z3": lambda f: group_algebra(cyclic_table(3), f),
+    "dual Z3": lambda f: dual_group_algebra(cyclic_table(3), f),
+}
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
+COEFFICIENTS = ("eps", "unit", "r_ad", "ad_r")
+TOP = 3
+
+
+def spy(monkeypatch, module):
+    """Record every operator ``module.wire`` builds, keyed by its wiring."""
+    seen = {}
+    real = module.wire
+
+    def recording(field, dims, spec, *steps):
+        M = real(field, dims, spec, *steps)
+        seen.setdefault(spec, []).append(M)
+        return M
+
+    monkeypatch.setattr(module, "wire", recording)
+    return seen
+
+
+class TestWire:
+    def test_flip_is_the_swap(self):
+        for m, n in ((1, 3), (2, 3), (3, 2)):
+            got = wire(QQ, {"v": m, "w": n}, "v w -> w v")
+            assert got == oracles.swap_matrix(QQ, m, n)
+
+    def test_reorders_like_a_slot_permutation(self):
+        dims = [2, 3, 1, 2]
+        names = ["a", "b", "c", "d"]
+        for perm in ([0, 1, 2, 3], [3, 1, 0, 2], [1, 3, 2, 0]):
+            spec = " ".join(names) + " -> " + " ".join(names[p] for p in perm)
+            got = wire(GF(3), dict(zip(names, dims)), spec)
+            assert got == oracles.permute_slots(GF(3), dims, perm)
+
+    def test_identity_slots_match_kron_with_identities(self):
+        M = Matrix.from_dense(QQ, [[1, 0, 2], [0, -1, 0]])
+        for pre, post in ((1, 1), (3, 1), (1, 2), (2, 3)):
+            assert slotted(QQ, pre, M, post) == oracles.slotted(QQ, pre, M, post)
+
+    def test_vector_step_and_contraction(self, z2_q):
+        # x -> (e_0 + 2 e_1) . x, and b (x) x -> eps(b) x through a covector step
+        vec = {0: 1, 1: 2}
+        got = action_of_vector(z2_q, z2_q.mult, 2, vec)
+        assert got == oracles.action_of_vector(z2_q, z2_q.mult, 2, vec)
+        eps = wire(QQ, {"b": 2, "x": 3}, "b x -> x", (z2_q.counit, "b ->"))
+        assert eps == equivariant.counit_action(z2_q, 3)
+
+    def test_wrong_tensor_shape_refused(self, z2_q):
+        with pytest.raises(ShapeMismatch):
+            wire(QQ, {"a": 2, "b": 3}, "a -> b", (z2_q.comult, "a -> b"))
+
+    def test_dangling_or_unknown_legs_refused(self, z2_q):
+        dims = {"a": 2, "a1": 2, "a2": 2}
+        with pytest.raises(ShapeMismatch):
+            wire(QQ, dims, "a -> a1", (z2_q.comult, "a -> a1 a2"))
+        with pytest.raises(ShapeMismatch):
+            wire(QQ, dims, "a -> a1 a2", (z2_q.comult, "a2 -> a1 a2"))
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+@pytest.mark.parametrize("bname", list(BIALGEBRAS))
+def test_structure_maps_equal_reference_forms(bname, fname, monkeypatch):
+    """Every ported operator against its oracle, coefficients eps/unit/r_ad/ad_r, n = 0..3."""
+    f = FIELDS[fname]
+    B = BIALGEBRAS[bname](f)
+    d = B.dim
+    sinv = antipode_inv_of(B)
+    mc = regular_module_coalgebra(B)
+    M = regular_bicomodule(mc)
+    A = regular_comodule_algebra(B)
+    for n in range(TOP + 1):
+        factors = [(d, mc.action)] * (n + 1)
+        assert diagonal_action(B, factors) == oracles.diagonal_action(B, factors)
+    built = spy(monkeypatch, equivariant)
+    for kind in COEFFICIENTS:
+        X = make_coefficient(kind, B)
+        x = X.dim
+        if kind == "r_ad":
+            assert X.coaction == oracles.r_ad_coaction(B, sinv)
+        if kind == "ad_r":
+            assert X.action == oracles.ad_r_action(B, sinv)
+        assert built.pop("b x -> q y") == [oracles.ayd_rhs(X, sinv)]
+        mixed = [(x, X.action), (d, mc.action), (d, mc.action), (x, X.action)]
+        assert diagonal_action(B, mixed) == oracles.diagonal_action(B, mixed)
+        rho_x = right_coaction_of_modcomod(X)
+        assert rho_x == oracles.right_coaction_of_modcomod(X)
+        T = twisted_ch(mc, M, X, TOP, check=False)
+        for n in range(TOP + 1):
+            assert T.actions[n] == oracles.twisted_actions(B, M, mc, X, n), (kind, n)
+            assert _wrap_coface(mc, M, X, d**n) == oracles.wrap_coface(mc, M, X, n)
+            if n < TOP:
+                assert T.cofaces[n][0] == oracles.slotted(f, x, M.right_coaction, d**n)
+                for j in range(1, n + 1):
+                    assert T.cofaces[n][j] == oracles.slotted(
+                        f, x * d**j, mc.base.comult, d**(n - j))
+                assert T.cofaces[n][n + 1] == oracles.wrap_coface(mc, M, X, n)
+            assert _coalgebra_rotation(mc, X, d**n) == oracles.coalgebra_rotation(mc, X, n)
+            assert _algebra_rotation(A, X, d**n) == oracles.algebra_rotation(A, X, n)
+            factors = [(d, A.coaction)] * (n + 1) + [(x, rho_x)]
+            assert diagonal_right_coaction(B, factors) == \
+                oracles.diagonal_right_coaction(B, factors)
+        vec = sinv.col(d - 1)
+        assert action_of_vector(B, X.action, x, vec) == \
+            oracles.action_of_vector(B, X.action, x, vec)
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+@pytest.mark.parametrize("bname", list(BIALGEBRAS))
+def test_audit_and_comparison_maps_equal_reference_forms(bname, fname, monkeypatch):
+    f = FIELDS[fname]
+    B = BIALGEBRAS[bname](f)
+    d = B.dim
+    built = spy(monkeypatch, hopf)
+    assert audit(B, "hopf").ok
+    assert built["a b -> p q"] == [oracles.bialgebra_rhs(B)]
+
+    built = spy(monkeypatch, equivariant)
+    mc = ModuleCoalgebra(B, B, B.mult)
+    ca = ComoduleAlgebra(B, B, B.comult)
+    m = EquivariantBicomodule(mc, d, B.mult, B.comult, B.comult)
+    assert built["b c -> p q"] == [oracles.module_coalgebra_rhs(mc)]
+    assert built["a e -> p q"] == [oracles.comodule_algebra_rhs(ca)]
+    left, right = oracles.bicomodule_rhs(m)
+    assert built["b m -> p q"] == [left]
+    assert built["b m -> q p"] == [right]
+
+    for n in range(TOP):
+        faces = _ch_cofaces(B, (d, B.comult, B.comult), n + 1)
+        assert faces[n][n + 1] == oracles.ch_wrap(B, d, B.comult, n)
+    built = spy(monkeypatch, complexes)
+    assert doi_check(B, (d, B.comult, B.comult), TOP - 1)
+    for n in range(TOP):
+        rho_m, lam_w, phi = oracles.doi_maps(B, d, B.comult, B.comult, n)
+        assert built["m -> m0 cr cl"] == [rho_m]
+        assert built["w1 t wl -> cl cr u t v"][n] == lam_w
+        assert built["m t -> m0 cr t cl"][n] == phi
+    for n in (1, 2, 3):
+        assert shear_map(n, B) == oracles.shear_maps(n, B)
+
+
+# ---------------------------------------------------------------------------
+# Mutants: a mis-wired builder must not get through construction
+# ---------------------------------------------------------------------------
+
+
+def _sweedler_triple():
+    h4 = sweedler_h4(QQ)
+    return regular_module_coalgebra(h4), make_coefficient("r_ad", h4)
+
+
+def test_sweedler_construction_passes_unmutated():
+    mc, X = _sweedler_triple()
+    assert homology(assemble("coalgebra", mc, X, 3), "cyclic", 2) == [2, 1, 2]
+
+
+def test_mutant_wrapped_leg_in_wrong_slot_rejected(monkeypatch):
+    """The last coface writes x_(-1)(m_(-1)) next to x_(0) instead of at the end."""
+    def miswired(C, M, X, cn):
+        dims = {"x": X.dim, "x0": X.dim, "m": M.dim, "m0": M.dim, "t": cn,
+                "h": C.over.dim, "c": C.dim, "hc": C.dim}
+        return wire(C.over.field, dims, "x m t -> x0 hc m0 t",
+                    (X.coaction, "x -> h x0"), (M.left_coaction, "m -> c m0"),
+                    (C.action, "h c -> hc"))
+
+    monkeypatch.setattr(complexes, "_wrap_coface", miswired)
+    mc, X = _sweedler_triple()
+    with pytest.raises(ShapeMismatch, match="coface identity"):
+        assemble("coalgebra", mc, X, 3)
+
+
+def test_mutant_coefficient_takes_first_leg_rejected(monkeypatch):
+    """The graded action deals the coefficient the first coproduct leg, not the last."""
+    real = complexes.diagonal_action
+
+    def miswired(B, factors, coefficient=None):
+        return real(B, ([coefficient] if coefficient else []) + list(factors))
+
+    monkeypatch.setattr(complexes, "diagonal_action", miswired)
+    mc, X = _sweedler_triple()
+    with pytest.raises(IdentityViolation, match="coface d_1 well-defined"):
+        assemble("coalgebra", mc, X, 3)
+
+
+def test_mutant_rotation_without_twist_rejected(monkeypatch):
+    """The cyclic operator rotates c0 to the end without acting x_(-1) on it."""
+    def miswired(C, X, cn):
+        dims = {"x": X.dim, "x0": X.dim, "c0": C.dim, "t": cn, "h": C.over.dim}
+        return wire(C.over.field, dims, "x c0 t -> x0 t c0",
+                    (X.coaction, "x -> h x0"), (C.over.counit, "h ->"))
+
+    monkeypatch.setattr(complexes, "_coalgebra_rotation", miswired)
+    mc, X = _sweedler_triple()
+    with pytest.raises(IdentityViolation, match="cyclic operator well-defined"):
+        assemble("coalgebra", mc, X, 3)
