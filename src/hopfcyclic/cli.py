@@ -29,7 +29,6 @@ from .serialize import (
 )
 from .theorems import AlgebraSES, relative_hc, special_checks, verify_excision
 
-PASS = "PASS"
 # what parse_input returns, by the document kind it read
 DOCUMENT_KINDS = {
     CoalgebraSES: "coalgebra short exact sequence",
@@ -85,6 +84,21 @@ def parse_expected(path, field, expected):
     return obj
 
 
+def _require_keys(path, doc, keys, kind):
+    """Refuse a document that lacks any of ``keys``: it is not a ``kind`` document."""
+    if not isinstance(doc, dict) or any(k not in doc for k in keys):
+        raise ParseError(f"{path}: expected a {kind} document (keys {', '.join(keys)})")
+
+
+# the keys each special check reads from its parameters document
+SPECIAL_KEYS = {
+    "additivity": ("C1", "C2"),
+    "commutative_hopf": ("B", "ideal"),
+    "cocommutative_hopf": ("B", "ideal"),
+    "group_example": ("table", "subgroup"),
+}
+
+
 def _algebra_ses_from_json(doc):
     """Algebra-side SES input.
 
@@ -126,10 +140,12 @@ def _emit(args, table_rows, report_doc, dump_doc=None):
             fh.write(dumps(dump_doc))
 
 
-def _report_exit(report):
-    ok = all(h.verdict == PASS for h in report.hypotheses) and all(
-        d.verdict == PASS for d in report.degrees)
-    return 0 if ok else 1
+def _emit_report(args, report):
+    """Hypothesis rows, then degree rows; exit 0 when every verdict passes."""
+    rows = [(h.name, h.verdict, h.window or "") for h in report.hypotheses]
+    rows += [(d.n, json.dumps(d.dims, sort_keys=True), d.verdict) for d in report.degrees]
+    _emit(args, rows, report.to_json())
+    return 0 if report.all_pass else 1
 
 
 def cmd_check(args):
@@ -178,14 +194,12 @@ def cmd_excision(args):
         B = ses.A.over
     X = _coefficient(args.coefficient, B)
     report = verify_excision(ses, X, args.side, args.max_degree)
-    rows = [(h.name, h.verdict, h.window or "") for h in report.hypotheses]
-    rows += [(d.n, json.dumps(d.dims, sort_keys=True), d.verdict) for d in report.degrees]
-    _emit(args, rows, report.to_json())
-    return _report_exit(report)
+    return _emit_report(args, report)
 
 
 def cmd_relative(args):
     ses_doc = _override_field(_load_json(args.input), args.field)
+    _require_keys(args.input, ses_doc, ("C", "K"), DOCUMENT_KINDS[CoalgebraSES])
     mc = module_coalgebra_from_json(ses_doc["C"])
     from .hopf import matrix_from_json
 
@@ -194,7 +208,7 @@ def cmd_relative(args):
     dims, report = relative_hc(mc, K, X, args.mode, args.max_degree)
     rows = [(n, dims[n], report.degrees[n].verdict) for n in range(args.max_degree + 1)]
     _emit(args, rows, report.to_json())
-    return _report_exit(report)
+    return 0 if report.all_pass else 1
 
 
 def cmd_group_example(args):
@@ -205,15 +219,15 @@ def cmd_group_example(args):
     report = special_checks(
         "group_example", {"table": table, "subgroup": subgroup, "field": field},
         args.max_degree)
-    rows = [(h.name, h.verdict, "") for h in report.hypotheses]
-    rows += [(d.n, json.dumps(d.dims, sort_keys=True), d.verdict) for d in report.degrees]
-    _emit(args, rows, report.to_json())
-    return _report_exit(report)
+    return _emit_report(args, report)
 
 
 def cmd_special(args):
     kind = args.kind.replace("-", "_")
     params_doc = _override_field(_load_json(args.params), args.field)
+    if kind in SPECIAL_KEYS:
+        _require_keys(args.params, params_doc, SPECIAL_KEYS[kind],
+                      f"--kind {args.kind} parameters")
     field = field_by_name(args.field or params_doc.get("field", "Q"))
     if kind == "additivity":
         C1 = module_coalgebra_from_json(params_doc["C1"])
@@ -237,10 +251,7 @@ def cmd_special(args):
     else:
         raise ParseError(f"unknown special kind {args.kind!r}")
     report = special_checks(kind, params, args.max_degree)
-    rows = [(h.name, h.verdict, "") for h in report.hypotheses]
-    rows += [(d.n, json.dumps(d.dims, sort_keys=True), d.verdict) for d in report.degrees]
-    _emit(args, rows, report.to_json())
-    return _report_exit(report)
+    return _emit_report(args, report)
 
 
 def _degree(text):

@@ -14,6 +14,7 @@ DegreeOutOfRange error, never a silent wrong answer.
 import functools
 
 from .errors import (
+    AuditFailed,
     DegreeOutOfRange,
     IdentityViolation,
     NotAYD,
@@ -23,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     WellDefinednessFailure,
 )
-from .equivariant import action_of_vector, antipode_inv_of, regular_bicomodule
+from .equivariant import action_of_vector, antipode_inv_of, module_audit, regular_bicomodule
 from .linalg import (
     GradedComplex,
     Matrix,
@@ -193,13 +194,8 @@ def bar_complex(desc, maxN):
     dims = [c] + [_pow(c, n + 1) for n in range(1, maxN + 1)]
     diffs = {0: desc.comult}
     for n in range(1, maxN):
-        acc = Matrix.zero(f, dims[n + 1], dims[n])
-        sign = 1
-        for j in range(n + 1):
-            face = slotted(f, _pow(c, j), desc.comult, _pow(c, n - j))
-            acc = acc.add(face) if sign > 0 else acc.sub(face)
-            sign = -sign
-        diffs[n] = acc
+        diffs[n] = _alternating(f, [slotted(f, _pow(c, j), desc.comult, _pow(c, n - j))
+                                    for j in range(n + 1)])
     return GradedComplex(f, +1, dims, diffs)
 
 
@@ -215,17 +211,28 @@ def twisted_ch(C, M, X, maxdeg, check=True):
     right coaction of M, the middle ones comultiply a C slot, the last wraps
     the left legs around with the coefficient twist
     x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1)).
-    The graded B-action is attached and the commutators [L_b, d_j] for
-    j <= n are verified to vanish.
+    The graded B-action is attached (``actions[n][b]`` = L_b for every basis
+    element b) and the commutators [L_b, d_j] for j <= n are verified to
+    vanish for the algebra generators b = g_i of B.
+
+    The generators suffice. The diagonal action is multiplicative,
+    L_{bb'} = L_b L_{b'} and L_1 = id, because Delta is an algebra map (an
+    audited bialgebra) and every factor is an audited module: C and M by
+    their construction audits, the coefficient by its ``module_report``,
+    which is required here. So if L_b and L_{b'} commute with d, then
+    L_{bb'} d = L_b L_{b'} d = L_b d L_{b'} = d L_b L_{b'} = d L_{bb'}: the b
+    whose L_b commutes with d form a subalgebra of B, and a subalgebra that
+    contains every g_i is B.
     """
     B = C.over
     f = B.field
-    b = B.dim
     c = C.dim
     m = M.dim
     x = X.dim
     if M.coalgebra is not C and M.coalgebra.base.comult != C.base.comult:
         raise ShapeMismatch("bicomodule must live over the same module coalgebra")
+    if not X.module_report.ok:
+        raise AuditFailed(X.module_report)
     dims = [x * m * _pow(c, n) for n in range(maxdeg + 1)]
     cofaces = []
     for n in range(maxdeg):
@@ -241,12 +248,12 @@ def twisted_ch(C, M, X, maxdeg, check=True):
     if check:
         for n in range(maxdeg):
             for j in range(n + 1):  # the last coface is exempt
-                for bb in range(b):
-                    lhs = cs.actions[n + 1][bb].mul(cs.cofaces[n][j])
-                    rhs = cs.cofaces[n][j].mul(cs.actions[n][bb])
+                for g in B.algebra_generators:
+                    lhs = cs.actions[n + 1][g].mul(cs.cofaces[n][j])
+                    rhs = cs.cofaces[n][j].mul(cs.actions[n][g])
                     if lhs != rhs:
                         raise ShapeMismatch(
-                            f"[L_b, d_{j}] != 0 at degree {n} for basis {bb}")
+                            f"[L_b, d_{j}] != 0 at degree {n} for b = {B.basis[g]}")
     return cs
 
 
@@ -263,45 +270,99 @@ def _wrap_coface(C, M, X, cn):
 
 
 def coinvariant_space_from_matrices(field, B, L_list, dim):
-    """Quotient of a B-module by the span of b.v - eps(b) v.
+    """Quotient of a B-module V by B^+ V, where B^+ = ker eps.
 
-    ``L_list`` holds the action matrix L_b of every basis element b.
+    ``L_list`` holds the action matrix L_b of every basis element b; only
+    those of the algebra generators g_i of B are read, since
+    B^+ V = sum_i (g_i - eps(g_i)) V. Proof: B is spanned by words in the
+    g_i, and for a word g w, g w - eps(g w) 1 = (g - eps(g)) w
+    + eps(g) (w - eps(w) 1). By induction on length every b - eps(b) 1 lies
+    in sum_i (g_i - eps(g_i)) B, and conversely each (g_i - eps(g_i)) b lies
+    in B^+ because eps is multiplicative. So B^+ = sum_i (g_i - eps(g_i)) B,
+    and B^+ V = sum_i (g_i - eps(g_i)) B V = sum_i (g_i - eps(g_i)) V, the
+    last step because the audited action is associative and unital
+    (V = 1 V).
     """
     eps = B.counit.rowdict.get(0, {})
+    zero = field.zero
     rels = []
-    I = Matrix.identity(field, dim)
-    for bb, L in enumerate(L_list):
-        e = eps.get(bb, field.zero)
-        R = L.sub(I.scale(e)) if e != field.zero else L
-        rels.extend(col for col in R.columns() if col)
+    for g in B.algebra_generators:
+        e = eps.get(g, zero)
+        for j, col in enumerate(L_list[g].columns()):  # columns of L_g - eps(g) I
+            col[j] = field.sub(col.get(j, zero), e)
+            if col[j] == zero:
+                del col[j]
+            rels.append(col)
     return QuotientSpace(field, dim, rels)
 
 
-class InducedComplex:
-    """A coinvariant complex together with its degreewise quotient data."""
+def _coinvariant_quotients(T):
+    return [coinvariant_space_from_matrices(T.field, T.over, T.actions[n], T.dims[n])
+            for n in range(T.top + 1)]
 
-    def __init__(self, complex, quotients):
-        self.complex = complex
+
+class InducedComplex:
+    """The coinvariant complex of a twisted CH complex ``T``.
+
+    ``quotients[n]`` is the coinvariant quotient of degree n and
+    ``complex`` the GradedComplex of the induced differentials. Built once
+    per run at the deepest degree any consumer needs; shallower consumers
+    take a truncation, which shares every matrix.
+    """
+
+    def __init__(self, T, quotients, complex):
+        self.T = T
         self.quotients = quotients
+        self.complex = complex
 
     @property
     def dims(self):
         return self.complex.dims
+
+    @property
+    def top(self):
+        return self.complex.top
+
+    def truncate(self, top):
+        """The same complex through degree ``top``, nothing rebuilt."""
+        if top > self.top:
+            raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
+        T = self.T
+        head = CosimplicialModule(T.field, T.dims[:top + 1], T.cofaces[:top],
+                                  actions=T.actions[:top + 1], over=T.over, check=False)
+        diffs = {n: d for n, d in self.complex.diffs.items() if n < top}
+        cx = GradedComplex(T.field, +1, self.dims[:top + 1], diffs)
+        return InducedComplex(head, self.quotients[:top + 1], cx)
+
+    def induce_map(self, other, ambient_components, check=True):
+        """The ChainMap into ``other`` induced by degreewise ambient maps.
+
+        Components above either top degree are dropped; each kept one must
+        send relations into relations, exactly.
+        """
+        from .theorems import ChainMap  # theorems builds on this module
+
+        comps = {}
+        for n, amb in ambient_components.items():
+            if n > min(self.top, other.top):
+                continue
+            if not map_well_defined(amb, self.quotients[n], other.quotients[n]):
+                raise WellDefinednessFailure(f"comparison map does not descend at degree {n}")
+            comps[n] = self.quotients[n].induce(other.quotients[n], amb)
+        return ChainMap(self.complex, other.complex, comps, check=check)
 
 
 def induced_complex(T, X, check_flags=True):
     """Coinvariants of a twisted CH complex, with well-definedness verified.
 
     Requires the coefficient to be anti-Yetter-Drinfeld (the hypothesis of
-    the descent); each differential must map the relation subspace into the
-    next one, exactly, and the induced differentials must square to zero.
+    the descent) unless ``check_flags`` is off; each differential must map
+    the relation subspace into the next one, exactly, and the induced
+    differentials must square to zero.
     """
     if check_flags and not X.ayd:
         raise NotAYD("coefficient is not anti-Yetter-Drinfeld")
-    B = T.over
-    f = T.field
-    quots = [coinvariant_space_from_matrices(f, B, T.actions[n], T.dims[n])
-             for n in range(T.top + 1)]
+    quots = _coinvariant_quotients(T)
     diffs = {}
     for n in range(T.top):
         d = T.differential(n)
@@ -309,8 +370,8 @@ def induced_complex(T, X, check_flags=True):
             raise WellDefinednessFailure(
                 f"differential at degree {n} does not descend to coinvariants")
         diffs[n] = quots[n].induce(quots[n + 1], d)
-    cx = GradedComplex(f, +1, [q.dim for q in quots], diffs)
-    return InducedComplex(cx, quots)
+    cx = GradedComplex(T.field, +1, [q.dim for q in quots], diffs)
+    return InducedComplex(T, quots, cx)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +510,19 @@ def _ch_cofaces(C_desc, M, maxdeg):
 
 
 def _alternating(field, faces):
-    acc = None
-    sign = 1
-    for d in faces:
-        if acc is None:
-            acc = d if sign > 0 else d.neg()
-        else:
-            acc = acc.add(d) if sign > 0 else acc.sub(d)
-        sign = -sign
-    return acc
+    """sum_j (-1)^j faces[j], accumulated in one pass."""
+    zero = field.zero
+    rd = {}
+    for j, d in enumerate(faces):
+        for i, row in d.rowdict.items():
+            tgt = rd.setdefault(i, {})
+            for c, v in row.items():
+                w = field.add(tgt.get(c, zero), field.neg(v) if j % 2 else v)
+                if w == zero:
+                    tgt.pop(c, None)
+                else:
+                    tgt[c] = w
+    return Matrix(field, faces[0].rows, faces[0].cols, {i: r for i, r in rd.items() if r})
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +584,15 @@ def shear_map(n, B):
 def untwist(B, U, V):
     """Mutually inverse maps between k (x)_B (U (x) V) and U^op (x)_B V.
 
-    ``U``/``V`` are (dim, action) pairs of left B-modules. Returns (phi, psi)
-    on the two quotient spaces, verified mutual inverses; the two relation
-    subspaces are checked to coincide, which is the content of the
-    trivialization.
+    ``U``/``V`` are (dim, action) pairs of left B-modules, audited as such.
+    Returns (phi, psi) on the two quotient spaces, verified mutual inverses;
+    the two relation subspaces are checked to coincide, which is the content
+    of the trivialization.
     """
+    for dim, action in (U, V):
+        report = module_audit(B, dim, action)
+        if not report.ok:
+            raise AuditFailed(report)
     sinv = antipode_inv_of(B)
     f = B.field
     ud, act_u = U
@@ -620,11 +689,14 @@ class CyclicModule:
                 raise IdentityViolation(n, "d_0 tau = d_n")
 
 
-def assemble(side, main, X, maxdeg):
+def assemble(side, main, X, maxdeg, descended=None):
     """Build the validated (co)cyclic module of a triple.
 
     Coalgebra side: coinvariants of X (x) C^{(x) n+1} with the twisted
     cofaces and the cyclic rotation through the coefficient coaction.
+    ``descended``, an InducedComplex of CH(C; X) built through at least
+    ``maxdeg``, supplies the complex and its quotients instead of a fresh
+    build.
     Algebra side: the subspace of A^{(x) n+1} (x) X on which the total
     coaction is trivial, with multiplication faces and the rotation twisted
     through the coaction. Every (co)cyclic identity is verified on the
@@ -633,35 +705,45 @@ def assemble(side, main, X, maxdeg):
     if not X.stable:
         raise NotStable("coefficient is not stable")
     if side == "coalgebra":
-        return _assemble_coalgebra(main, X, maxdeg)
+        return _assemble_coalgebra(main, X, maxdeg, descended)
     if side == "algebra":
         return _assemble_algebra(main, X, maxdeg)
     raise ShapeMismatch(f"unknown side {side!r}")
 
 
-def _assemble_coalgebra(C, X, maxdeg):
-    B = C.over
-    f = B.field
+def _assemble_coalgebra(C, X, maxdeg, descended=None):
     c = C.dim
-    M = regular_bicomodule(C)
-    T = twisted_ch(C, M, X, maxdeg, check=True)
-    quots = [coinvariant_space_from_matrices(f, B, T.actions[n], T.dims[n])
-             for n in range(maxdeg + 1)]
-    cofaces = []
-    for n in range(maxdeg):
-        faces = []
-        for j, d in enumerate(T.cofaces[n]):
+    if descended is None:
+        T = twisted_ch(C, regular_bicomodule(C), X, maxdeg)
+        quots = _coinvariant_quotients(T)
+    elif descended.top < maxdeg or descended.T.dims[0] != X.dim * c:
+        raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
+    else:
+        T, quots = descended.T, descended.quotients[:maxdeg + 1]
+    taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
+    return descend_cocyclic(C.over, T.cofaces, taus, quots, T.dims[:maxdeg + 1])
+
+
+def descend_cocyclic(over, cofaces, taus, quots, ambient_dims):
+    """The validated cocyclic module induced on the quotients ``quots``.
+
+    Every ambient coface and cyclic operator (``taus``, iterated once) must
+    send relations into relations, exactly.
+    """
+    f = over.field
+    small = []
+    for n in range(len(quots) - 1):
+        small.append([])
+        for j, d in enumerate(cofaces[n]):
             if not map_well_defined(d, quots[n], quots[n + 1]):
-                raise IdentityViolation(n, f"coface d_{j} well-defined on coinvariants")
-            faces.append(quots[n].induce(quots[n + 1], d))
-        cofaces.append(faces)
-    taus = []
-    for n in range(maxdeg + 1):
-        t_amb = _coalgebra_rotation(C, X, _pow(c, n))
-        if not map_well_defined(t_amb, quots[n], quots[n]):
-            raise IdentityViolation(n, "cyclic operator well-defined on coinvariants")
-        taus.append(quots[n].induce(quots[n], t_amb))
-    cm = CocyclicModule(f, B, [q.dim for q in quots], cofaces, taus, quots, T.dims)
+                raise IdentityViolation(n, f"coface d_{j} well-defined on the quotient")
+            small[n].append(quots[n].induce(quots[n + 1], d))
+    small_taus = []
+    for n, t in enumerate(taus):
+        if not map_well_defined(t, quots[n], quots[n]):
+            raise IdentityViolation(n, "cyclic operator well-defined on the quotient")
+        small_taus.append(quots[n].induce(quots[n], t))
+    cm = CocyclicModule(f, over, [q.dim for q in quots], small, small_taus, quots, ambient_dims)
     cm.validate()
     return cm
 
@@ -712,20 +794,11 @@ def _assemble_algebra(A, X, maxdeg):
         return small
 
     taus_amb = [_algebra_rotation(A, X, _pow(a, n)) for n in range(maxdeg + 1)]
-    faces = [None]
-    faces[0] = []  # degree 0 has no faces
-    all_faces = [[]]
+    faces_small = [[]]  # degree 0 has no faces
     for n in range(1, maxdeg + 1):
-        lst = []
-        for j in range(n):
-            d_amb = slotted(f, _pow(a, j), A.base.mult, _pow(a, n - 1 - j) * x)
-            lst.append(d_amb)
-        d0 = lst[0]
-        lst.append(d0.mul(taus_amb[n]))
-        all_faces.append(lst)
-    faces_small = [[]]
-    for n in range(1, maxdeg + 1):
-        faces_small.append([restrict(d, n, n - 1) for d in all_faces[n]])
+        faces = [slotted(f, _pow(a, j), A.base.mult, _pow(a, n - 1 - j) * x) for j in range(n)]
+        faces.append(faces[0].mul(taus_amb[n]))
+        faces_small.append([restrict(d, n, n - 1) for d in faces])
     taus_small = [restrict(taus_amb[n], n, n) for n in range(maxdeg + 1)]
     cm = CyclicModule(f, B, dims, faces_small, taus_small, inclusions, amb_dims)
     cm.validate()
@@ -776,7 +849,7 @@ def cyclic_total_complex(cm, maxtot):
     if maxtot > cm.top:
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
-    cochain = cm.orientation == +1
+    o = cm.orientation
     b_full = {n: _alternating(f, faces) for n, faces in _face_maps(cm).items()}
     b_prime = {n: _alternating(f, faces[:-1]) for n, faces in _face_maps(cm).items()}
     tot_dims = []
@@ -788,52 +861,39 @@ def cyclic_total_complex(cm, maxtot):
     diffs = {}
     for m in range(maxtot + 1):
         src = blocks[m]
-        tgt_deg = m + 1 if cochain else m - 1
-        if not (0 <= tgt_deg <= maxtot):
+        if not 0 <= m + o <= maxtot:
             continue
-        tgt = blocks[tgt_deg]
+        tgt = blocks[m + o]
         tgt_index = {pq: i for i, pq in enumerate(tgt)}
         grid = [[None] * len(src) for _ in range(len(tgt))]
         for si, (p, q) in enumerate(src):
-            if cochain:
-                vq = (p, q + 1)
-                if vq in tgt_index and q < cm.top:
-                    grid[tgt_index[vq]][si] = b_full[q] if p % 2 == 0 else b_prime[q].neg()
-                hq = (p + 1, q)
-                if hq in tgt_index:
-                    lam = _lambda_n(cm, q)
-                    one = Matrix.identity(f, cm.dims[q])
-                    grid[tgt_index[hq]][si] = one.sub(lam) if p % 2 == 0 else _norm_n(cm, q)
-            else:
-                vq = (p, q - 1)
-                if vq in tgt_index and q >= 1:
-                    grid[tgt_index[vq]][si] = b_full[q] if p % 2 == 0 else b_prime[q].neg()
-                hq = (p - 1, q)
-                if hq in tgt_index:
-                    lam = _lambda_n(cm, q)
-                    one = Matrix.identity(f, cm.dims[q])
-                    grid[tgt_index[hq]][si] = one.sub(lam) if p % 2 == 1 else _norm_n(cm, q)
+            # b leaves degree q exactly when q is in b_full
+            if (p, q + o) in tgt_index and q in b_full:
+                grid[tgt_index[p, q + o]][si] = b_full[q] if p % 2 == 0 else b_prime[q].neg()
+            if (p + o, q) in tgt_index:
+                # 1 - lambda leaves the even columns of the cochain bicomplex
+                # and the odd columns of the chain one, N the others
+                grid[tgt_index[p + o, q]][si] = (
+                    Matrix.identity(f, cm.dims[q]).sub(_lambda_n(cm, q))
+                    if (p % 2 == 0) == (o > 0) else _norm_n(cm, q))
         diffs[m] = block_matrix(f, grid,
                                 [cm.dims[q] for _, q in tgt],
                                 [cm.dims[q] for _, q in src])
-    return GradedComplex(f, +1 if cochain else -1, tot_dims, diffs)
+    return GradedComplex(f, o, tot_dims, diffs)
 
 
 def homology(obj, theory, maxdeg):
     """Dimensions per degree of the chosen theory of a (co)cyclic module."""
     if theory not in ("hochschild", "cyclic", "bar"):
         raise ShapeMismatch(f"unknown theory {theory!r}")
-    if theory in ("hochschild", "bar"):
-        if maxdeg + 1 > obj.top:
-            raise DegreeOutOfRange(
-                f"degree {maxdeg} needs internal degree {maxdeg + 1}, built through {obj.top}")
-        cx = _hochschild_complex(obj, drop_last=theory == "bar")
-        return [cx.homology(n) for n in range(maxdeg + 1)]
     if maxdeg + 1 > obj.top:
-        raise DegreeOutOfRange(
-            f"cyclic degree {maxdeg} needs internal degree {maxdeg + 1}, built through {obj.top}")
-    tot = cyclic_total_complex(obj, maxdeg + 1)
-    return [tot.homology(n) for n in range(maxdeg + 1)]
+        raise DegreeOutOfRange(f"{theory} degree {maxdeg} needs internal degree "
+                               f"{maxdeg + 1}, built through {obj.top}")
+    if theory == "cyclic":
+        cx = cyclic_total_complex(obj, maxdeg + 1)
+    else:
+        cx = _hochschild_complex(obj, drop_last=theory == "bar")
+    return [cx.homology(n) for n in range(maxdeg + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +906,9 @@ def relative_bar(ses, maxdeg):
 
     Needs subcoalgebra mode so K carries its own comultiplication. Returns
     (GradedComplex, actions) where actions[n] lists the diagonal L_b per
-    basis element; [L_b, d] = 0 is verified.
+    basis element; [L_b, d] = 0 is verified for the algebra generators of
+    B, which suffices because K, C and C/K are audited modules (see
+    :func:`twisted_ch`).
     """
     if ses.mode != "subcoalgebra":
         raise NotSubcoalgebra("relative bar complex needs a subcoalgebra")
@@ -875,7 +937,7 @@ def relative_bar(ses, maxdeg):
     actions = [diagonal_action(B, [(k, Kmc.action)] + [(c, C.action)] * n + [(q, Q.action)])
                for n in range(maxdeg + 2)]
     for n in range(maxdeg + 1):
-        for bb in range(B.dim):
-            if actions[n + 1][bb].mul(diffs[n]) != diffs[n].mul(actions[n][bb]):
+        for g in B.algebra_generators:
+            if actions[n + 1][g].mul(diffs[n]) != diffs[n].mul(actions[n][g]):
                 raise ShapeMismatch(f"relative bar differential is not B-linear at degree {n}")
     return cx, actions

@@ -150,6 +150,8 @@ class ModComod:
     stable means action following coaction is the identity, ayd means the
     coaction of an acted element twists by conjugation through the inverse
     antipode. Without an invertible antipode the ayd flag is recorded False.
+    ``module_report`` audits that the action is associative and unital; the
+    twisted complex refuses a coefficient that fails it.
     """
 
     def __init__(self, over, dim, action, coaction):
@@ -164,6 +166,7 @@ class ModComod:
             raise ShapeMismatch("coefficient coaction tensor has wrong shape")
         self.stable = action.mul(coaction) == Matrix.identity(over.field, dim)
         self.ayd = self._compute_ayd()
+        self.module_report = module_audit(over, dim, action)
 
     def _compute_ayd(self):
         B = self.over
@@ -202,8 +205,8 @@ def audit_structure(obj, kind):
         return _audit_module_coalgebra(obj)
     if kind == "comodule_algebra":
         return _audit_comodule_algebra(obj)
-    if kind in ("equivariant_comodule", "equivariant_bicomodule"):
-        return _audit_equivariant_bicomodule(obj, both=(kind == "equivariant_bicomodule"))
+    if kind == "equivariant_bicomodule":
+        return _audit_equivariant_bicomodule(obj)
     raise ParseError(f"unknown structure kind {kind!r}")
 
 
@@ -211,16 +214,25 @@ def _names(B, other_names):
     return [f"{b}|{c}" for b in B.basis for c in other_names]
 
 
+def _action_checks(B, action, names):
+    """Associativity and unitality of an action B (x) V -> V; ``names`` name V's basis."""
+    I_V = Matrix.identity(B.field, len(names))
+    assoc_l = action.mul(B.identity_matrix().kron(action))
+    assoc_r = action.mul(B.mult.kron(I_V))
+    return [_compare("action associativity", assoc_l, assoc_r, _names(B, _names(B, names)), 1),
+            _compare("action unitality", action.mul(B.unit.kron(I_V)), I_V, names, 1)]
+
+
+def module_audit(B, dim, action):
+    """AxiomReport saying whether ``action`` makes a ``dim``-space a B-module."""
+    return AxiomReport(_action_checks(B, action, [str(i) for i in range(dim)]))
+
+
 def _audit_module_coalgebra(mc):
     B, C, act = mc.over, mc.base, mc.action
     f = B.field
-    I_B, I_C = B.identity_matrix(), C.identity_matrix()
     names = _names(B, C.basis)
-    checks = []
-    assoc_l = act.mul(I_B.kron(act))
-    assoc_r = act.mul(B.mult.kron(I_C))
-    checks.append(_compare("action associativity", assoc_l, assoc_r, _names(B, names), 1))
-    checks.append(_compare("action unitality", act.mul(B.unit.kron(I_C)), I_C, C.basis, 1))
+    checks = _action_checks(B, act, C.basis)
     lhs = C.comult.mul(act)
     dims = {"b": B.dim, "b1": B.dim, "b2": B.dim, "c": C.dim, "c1": C.dim, "c2": C.dim,
             "p": C.dim, "q": C.dim}
@@ -256,11 +268,10 @@ def _audit_comodule_algebra(ca):
     return AxiomReport(checks)
 
 
-def _audit_equivariant_bicomodule(m, both=True):
+def _audit_equivariant_bicomodule(m):
     mc = m.coalgebra
     B, C = mc.over, mc.base
     f = B.field
-    I_B = B.identity_matrix()
     I_M = Matrix.identity(f, m.dim)
     mnames = [str(i) for i in range(m.dim)]
     names = _names(B, mnames)
@@ -276,24 +287,18 @@ def _audit_equivariant_bicomodule(m, both=True):
     rhs = wire(f, dims, "b m -> p q", (B.comult, "b -> b1 b2"), (lco, "m -> c m0"),
                (mc.action, "b1 c -> p"), (m.action, "b2 m0 -> q"))
     checks.append(_compare("left coaction equivariance", lhs, rhs, names, 1))
-    if both:
-        rco = m.right_coaction
-        coassoc_l = rco.kron(Matrix.identity(f, C.dim)).mul(rco)
-        coassoc_r = I_M.kron(C.comult).mul(rco)
-        checks.append(_compare("right coaction coassociativity", coassoc_l, coassoc_r, mnames, 1))
-        lhs = rco.mul(m.action)
-        rhs = wire(f, dims, "b m -> q p", (B.comult, "b -> b1 b2"), (rco, "m -> m0 c"),
-                   (m.action, "b1 m0 -> q"), (mc.action, "b2 c -> p"))
-        checks.append(_compare("right coaction equivariance", lhs, rhs, names, 1))
-        bicosym_l = lco.kron(Matrix.identity(f, C.dim)).mul(rco)
-        bicosym_r = Matrix.identity(f, C.dim).kron(rco).mul(lco)
-        checks.append(_compare("bicomodule compatibility", bicosym_l, bicosym_r, mnames, 1))
-    # action associativity and unitality
-    assoc_l = m.action.mul(I_B.kron(m.action))
-    assoc_r = m.action.mul(B.mult.kron(I_M))
-    checks.append(_compare("action associativity", assoc_l, assoc_r, _names(B, names), 1))
-    checks.append(_compare("action unitality", m.action.mul(B.unit.kron(I_M)), I_M, mnames, 1))
-    return AxiomReport(checks)
+    rco = m.right_coaction
+    coassoc_l = rco.kron(Matrix.identity(f, C.dim)).mul(rco)
+    coassoc_r = I_M.kron(C.comult).mul(rco)
+    checks.append(_compare("right coaction coassociativity", coassoc_l, coassoc_r, mnames, 1))
+    lhs = rco.mul(m.action)
+    rhs = wire(f, dims, "b m -> q p", (B.comult, "b -> b1 b2"), (rco, "m -> m0 c"),
+               (m.action, "b1 m0 -> q"), (mc.action, "b2 c -> p"))
+    checks.append(_compare("right coaction equivariance", lhs, rhs, names, 1))
+    bicosym_l = lco.kron(Matrix.identity(f, C.dim)).mul(rco)
+    bicosym_r = Matrix.identity(f, C.dim).kron(rco).mul(lco)
+    checks.append(_compare("bicomodule compatibility", bicosym_l, bicosym_r, mnames, 1))
+    return AxiomReport(checks + _action_checks(B, m.action, mnames))
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +385,13 @@ def coefficient_from_json(B, doc):
 class CoalgebraSES:
     """0 -> K -> C -> C/K -> 0 data with the induced quotient structure."""
 
-    def __init__(self, C, K_basis, quotient_mc, mode, quot_space, b_splitting,
-                 K_counit_zero):
+    def __init__(self, C, K_basis, quotient_mc, mode, quot_space, b_splitting):
         self.C = C
         self.K = K_basis  # Matrix: columns a basis of the subspace
         self.quotient = quotient_mc
         self.mode = mode
         self.space = quot_space  # QuotientSpace with projection/section
         self.b_splitting = b_splitting  # Matrix or None
-        self.K_counit_zero = K_counit_zero
 
     @property
     def projection(self):
@@ -456,7 +459,6 @@ def quotient_ses(C, K_gens, mode):
             raise NotCoideal("comultiplication does not map K into K (x) C + C (x) K")
         if Cdesc.counit is not None and not Cdesc.counit.mul(K_basis).is_zero():
             raise NotCoideal("counit does not vanish on K")
-    K_counit_zero = Cdesc.counit is None or Cdesc.counit.mul(K_basis).is_zero()
 
     # quotient structure on a complement basis
     qspace = QuotientSpace(f, n, K_basis.columns())
@@ -478,7 +480,7 @@ def quotient_ses(C, K_gens, mode):
     quotient_mc = ModuleCoalgebra(qdesc, B, action_q)
 
     b_splitting = _find_b_linear_section(C, quotient_mc, proj)
-    return CoalgebraSES(C, K_basis, quotient_mc, mode, qspace, b_splitting, K_counit_zero)
+    return CoalgebraSES(C, K_basis, quotient_mc, mode, qspace, b_splitting)
 
 
 def _find_b_linear_section(C, quotient_mc, proj):

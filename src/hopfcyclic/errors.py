@@ -72,7 +72,3 @@ class IdentityViolation(HopfCyclicError):
 
 class OrientationMismatch(HopfCyclicError):
     pass
-
-
-class HypothesisFailed(HopfCyclicError):
-    pass

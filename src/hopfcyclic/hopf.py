@@ -8,9 +8,11 @@ exact equality of composed matrices at construction time; failures come with
 a witness basis tuple.
 """
 
+import functools
+
 from .errors import AuditFailed, NotAGroup, NotInvertible, ParseError, ShapeMismatch
 from .fields import field_by_name
-from .linalg import Matrix, invert, solve_columns, wire
+from .linalg import Matrix, SubSpace, invert, solve_columns, wire
 
 LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf")
 
@@ -78,7 +80,8 @@ class BialgebraDesc:
     are present as the level demands (unit and counit may be absent below
     bialgebra level, matching non-unital algebras and non-counital
     coalgebras). ``antipode_inv`` is cached alongside the antipode because
-    downstream coaction formulas read it constantly.
+    downstream coaction formulas read it constantly; ``algebra_generators``
+    is derived from the multiplication on first use and kept.
     """
 
     def __init__(self, field, basis, level, mult=None, comult=None, unit=None,
@@ -129,32 +132,35 @@ class BialgebraDesc:
     def identity_matrix(self):
         return Matrix.identity(self.field, self.dim)
 
-    def multiply(self, a, b):
-        """Product of two coordinate vectors (dicts)."""
-        f = self.field
-        out = {}
-        for i, va in a.items():
-            for j, vb in b.items():
-                col = self.mult.col(i * self.dim + j)
-                c = f.mul(va, vb)
-                for k, w in col.items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, w))
-                    if s == f.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
+    @functools.cached_property
+    def algebra_generators(self):
+        """Basis indices g_i that generate this unital algebra.
 
-    def counit_of(self, vec):
-        f = self.field
-        s = f.zero
-        if self.counit is None:
-            return s
-        row = self.counit.rowdict.get(0, {})
-        for i, v in vec.items():
-            if i in row:
-                s = f.add(s, f.mul(v, row[i]))
-        return s
+        Exact span closure, greedy in basis order: e_i becomes a generator
+        unless it already lies in the span of the words in the earlier
+        generators, and that span is then closed again under left
+        multiplication by every generator. Computed on first use and kept.
+        """
+        f, d = self.field, self.dim
+        left = self.mult.column_blocks(d)  # left[i]: a -> e_i a
+        span, words, gens = SubSpace(f, d), [], []
+
+        def times(i, v):
+            return left[i].mul(Matrix.column(f, v, d)).col(0)
+
+        def close(pending):
+            while pending:
+                v = pending.pop()
+                if span.insert(v):
+                    words.append(v)
+                    pending.extend(times(g, v) for g in gens)
+
+        close([self.unit.col(0)])
+        for i in range(d):
+            if not span.contains({i: f.one}):
+                gens.append(i)
+                close([times(i, w) for w in words])
+        return tuple(gens)
 
     def with_antipode_inverse(self, sinv):
         return BialgebraDesc(

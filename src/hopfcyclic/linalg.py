@@ -174,6 +174,13 @@ class Matrix:
         rd = {}
         orows = other.rowdict
         for i, row in self.rowdict.items():
+            if len(row) == 1:
+                # a field has no zero divisors, so a scaled row keeps its support
+                (k, a), = row.items()
+                brow = orows.get(k)
+                if brow:
+                    rd[i] = dict(brow) if a == f.one else {j: f.mul(a, b) for j, b in brow.items()}
+                continue
             acc = {}
             for k, a in row.items():
                 brow = orows.get(k)
@@ -502,7 +509,8 @@ class QuotientSpace:
         Well-definedness (relations map into relations) is the caller's
         check; see :func:`map_well_defined`.
         """
-        return other.projection.mul(ambient_map).mul(self.section)
+        # the section picks columns, so apply it first: the products stay small
+        return other.projection.mul(ambient_map.mul(self.section))
 
 
 def map_well_defined(ambient_map, src_quot, dst_quot):

@@ -13,13 +13,6 @@ from .errors import ParseError
 from .hopf import desc_from_json, matrix_from_json, matrix_to_json
 
 
-def module_coalgebra_to_json(mc):
-    f = mc.base.field
-    n = mc.dim
-    action = [[col // n, col % n, i, f.fmt(v)] for i, col, v in mc.action.entries()]
-    return {"over": mc.over.to_json(), "base": mc.base.to_json(), "action": action}
-
-
 def _desc_inline_or_file(value):
     """Bialgebra descriptions may be inline documents or file paths."""
     if isinstance(value, str):
@@ -45,14 +38,6 @@ def module_coalgebra_from_json(doc):
     return ModuleCoalgebra(base, over, action)
 
 
-def ses_to_json(C_mc, K, mode):
-    return {
-        "C": module_coalgebra_to_json(C_mc),
-        "K": matrix_to_json(K),
-        "mode": mode,
-    }
-
-
 def ses_from_json(doc):
     try:
         mc = module_coalgebra_from_json(doc["C"])
@@ -63,15 +48,6 @@ def ses_from_json(doc):
     from .equivariant import quotient_ses
 
     return quotient_ses(mc, K, mode)
-
-
-def coefficient_to_json(X):
-    f = X.over.field
-    return {
-        "dim": X.dim,
-        "action": matrix_to_json(X.action),
-        "coaction": matrix_to_json(X.coaction),
-    }
 
 
 def dumps(doc):

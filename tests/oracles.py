@@ -1,14 +1,15 @@
 """Independent oracles used to cross-check the sparse engine.
 
 Textbook row reduction on dense lists, written without reference to the
-package internals so the two routes stay independent; and the structure
-maps in their reference form, composed from Kronecker products, slot
-permutation matrices and matrix products.
+package internals so the two routes stay independent; the structure maps in
+their reference form, composed from Kronecker products, slot permutation
+matrices and matrix products; and the coinvariant quotient taken over every
+basis element of B.
 """
 
 from fractions import Fraction
 
-from hopfcyclic.linalg import Matrix
+from hopfcyclic.linalg import Matrix, QuotientSpace
 
 
 def dense_of(M):
@@ -109,6 +110,18 @@ def backsub_kernel(M):
                 x[p] = f.neg(s)  # the pivot entry is 1
         kernel.append(x)
     return len(piv), free, kernel
+
+
+def coinvariant_space(field, B, L_list, dim):
+    """Quotient of a B-module by the span of b.v - eps(b) v over every basis b."""
+    eps = B.counit.rowdict.get(0, {})
+    rels = []
+    I = Matrix.identity(field, dim)
+    for bb, L in enumerate(L_list):
+        e = eps.get(bb, field.zero)
+        R = L.sub(I.scale(e)) if e != field.zero else L
+        rels.extend(col for col in R.columns() if col)
+    return QuotientSpace(field, dim, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -346,3 +346,14 @@ def test_degree_ceiling_algebra_excision_f2():
         assert [d.n for d in rep.degrees] == [0, 1, 2, 3, 4]
         for d in rep.degrees:
             assert d.dims["A"] == d.dims["I"] + d.dims["A/I"], d.n
+
+
+def test_degree_ceiling_coalgebra_excision():
+    with budget("degree ceiling: coalgebra-side excision at degree 5 over Q", 16):
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        rep = verify_excision(ses, X, "coalgebra", 5)
+        assert rep.all_pass
+        assert [d.n for d in rep.degrees] == [0, 1, 2, 3, 4, 5]
+        for d in rep.degrees:
+            assert d.dims["C"] == d.dims["K"] + d.dims["C/K"], d.n

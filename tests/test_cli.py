@@ -177,6 +177,12 @@ class TestRelative:
         dims = [line.split("\t")[1] for line in out.strip().splitlines()]
         assert dims == ["1", "0", "1"]
 
+    def test_wrong_document_kind_exit_2(self, capsys):
+        code, out, err = run(capsys, "relative", str(FIXTURES / "sweedler_h4.json"))
+        assert code == 2
+        assert out == ""
+        assert "expected a coalgebra short exact sequence document" in err
+
 
 class TestGroupExample:
     def test_z4_f2(self, capsys):
@@ -217,6 +223,13 @@ class TestSpecial:
                            "--params", str(FIXTURES / "cocommutative_hopf_params.json"),
                            "--max-degree", "3")
         assert code == 0
+
+    def test_wrong_document_kind_exit_2(self, capsys):
+        code, out, err = run(capsys, "special", "--kind", "additivity",
+                             "--params", str(FIXTURES / "sweedler_h4.json"))
+        assert code == 2
+        assert out == ""
+        assert "expected a --kind additivity parameters document (keys C1, C2)" in err
 
 
 class TestDeterminism:

@@ -1,13 +1,19 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from hopfcyclic.errors import DegreeOutOfRange, NotAYD, NotStable
+from hopfcyclic.cli import parse_input
+from hopfcyclic.errors import DegreeOutOfRange, HopfCyclicError, NotAYD, NotStable, ShapeMismatch
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import BialgebraDesc, group_algebra, sweedler_h4, trivial_hopf
 from hopfcyclic.equivariant import (
+    CoalgebraSES,
     ComoduleAlgebra,
+    EquivariantBicomodule,
     ModComod,
+    ModuleCoalgebra,
     counit_action,
     make_coefficient,
     regular_bicomodule,
@@ -37,9 +43,39 @@ from hopfcyclic.linalg import (
     invert,
 )
 
+from hopfcyclic.serialize import module_coalgebra_from_json
+
+import oracles
 from groups import cyclic_table
 from oracles import dense_rank_of_matrix
 from randmat import random_invertible
+
+FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
+
+
+def fixture_module_coalgebras():
+    """Every module coalgebra a fixture holds, and every Hopf fixture over itself."""
+    out = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "C1" in doc:
+            for key in ("C1", "C2"):
+                out[f"{path.stem}:{key}"] = module_coalgebra_from_json(doc[key])
+            continue
+        try:
+            obj = parse_input(str(path))
+        except HopfCyclicError:
+            continue
+        if isinstance(obj, ModuleCoalgebra):
+            out[path.stem] = obj
+        elif isinstance(obj, CoalgebraSES):
+            out[f"{path.stem}:C"] = obj.C
+            out[f"{path.stem}:C/K"] = obj.quotient
+            if obj.mode == "subcoalgebra":
+                out[f"{path.stem}:K"] = obj.k_module_coalgebra()
+        elif isinstance(obj, BialgebraDesc) and obj.level == "hopf":
+            out[path.stem] = regular_module_coalgebra(obj)
+    return out
 
 
 class TestBar:
@@ -90,6 +126,36 @@ class TestTwistedCH:
                 break
         assert found, "expected a nonzero commutator with the last coface"
 
+    def test_coface_commuting_with_g_but_not_x_rejected(self, h4_q):
+        # M's right coaction (id (x) Ad_g) Delta is coassociative and
+        # compatible with the left one, so every coface identity holds; but
+        # Ad_g(c) = g c g^{-1} commutes with left multiplication by g and not
+        # by x, so the zeroth coface is equivariant for one generator only
+        mc = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        g, x = h4_q.algebra_generators
+        assert [h4_q.basis[i] for i in (g, x)] == ["g", "x"]
+        left = h4_q.mult.column_blocks(4)
+        right_g = h4_q.mult.mul(Matrix.identity(QQ, 4).kron(Matrix.column(QQ, {g: 1}, 4)))
+        rco = Matrix.identity(QQ, 4).kron(left[g].mul(right_g)).mul(h4_q.comult)
+        M = EquivariantBicomodule(mc, 4, h4_q.mult, h4_q.comult, rco, check=False)
+        T = twisted_ch(mc, M, X, 2, check=False)
+        T.validate()
+        d0 = T.cofaces[0][0]
+        assert T.actions[1][g].mul(d0) == d0.mul(T.actions[0][g])
+        assert T.actions[1][x].mul(d0) != d0.mul(T.actions[0][x])
+        with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0 for b = x"):
+            twisted_ch(mc, M, X, 2)
+
+    def test_coefficient_must_be_a_module(self, z2_q):
+        # the generator-only checks rest on the coefficient's action being
+        # associative and unital
+        mc = regular_module_coalgebra(z2_q)
+        X = ModComod(z2_q, 2, Matrix.zero(QQ, 2, 4), z2_q.comult)
+        assert not X.module_report.ok
+        with pytest.raises(HopfCyclicError, match="action unitality"):
+            twisted_ch(mc, regular_bicomodule(mc), X, 1)
+
 
 class TestCoinvariants:
     def test_regular_action_collapses_to_scalars(self, z4_q):
@@ -109,6 +175,25 @@ class TestCoinvariants:
         q = coinvariant_space_from_matrices(QQ, z2_q, triv.column_blocks(2), 3)
         assert q.dim == 3
         assert invert(q.projection) is not None
+
+    def test_generators_give_the_full_basis_quotient(self):
+        # the relations of the algebra generators span B^+ V: the quotient
+        # equals the one over every basis element, entry for entry
+        mcs = fixture_module_coalgebras()
+        assert len(mcs) >= 15
+        assert any(len(mc.over.algebra_generators) < mc.over.dim - 1 for mc in mcs.values())
+        for name, mc in mcs.items():
+            B = mc.over
+            for kind in ("eps", "r_ad"):
+                X = make_coefficient(kind, B)
+                T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
+                for n in range(T.top + 1):
+                    args = (B.field, B, T.actions[n], T.dims[n])
+                    fast = coinvariant_space_from_matrices(*args)
+                    full = oracles.coinvariant_space(*args)
+                    assert fast.dim == full.dim, (name, kind, n)
+                    assert fast.projection == full.projection, (name, kind, n)
+                    assert fast.section == full.section, (name, kind, n)
 
 
 class TestInducedComplex:
@@ -135,6 +220,23 @@ class TestInducedComplex:
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
         with pytest.raises(NotAYD):
             induced_complex(T, X)
+
+    def test_truncation_equals_a_fresh_shallower_build(self, h4_q):
+        mc = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        deep = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3), X)
+        fresh = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 2), X)
+        cut = deep.truncate(2)
+        assert cut.top == fresh.top == 2
+        assert cut.dims == fresh.dims
+        assert cut.complex.diffs == fresh.complex.diffs
+        assert cut.T.dims == fresh.T.dims
+        assert cut.T.cofaces == fresh.T.cofaces
+        assert cut.T.actions == fresh.T.actions
+        for a, b in zip(cut.quotients, fresh.quotients, strict=True):
+            assert (a.projection, a.section) == (b.projection, b.section)
+        with pytest.raises(DegreeOutOfRange):
+            deep.truncate(4)
 
 
 class TestCotensor:
@@ -226,6 +328,12 @@ class TestShearUntwist:
     def test_untwist_sweedler(self, h4_q):
         phi, psi = untwist(h4_q, (4, h4_q.mult), (4, h4_q.mult))
         assert phi.mul(psi) == Matrix.identity(QQ, phi.rows)
+
+    def test_untwist_refuses_a_non_module(self, z2_q):
+        # the coinvariant quotient reads only the generators of B, which is
+        # exact for module actions only
+        with pytest.raises(HopfCyclicError, match="action unitality"):
+            untwist(z2_q, (2, z2_q.mult), (2, Matrix.zero(QQ, 2, 4)))
 
 
 class TestAssemble:

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from hopfcyclic.errors import DegreeOutOfRange, NotAGroup, OrientationMismatch
+from hopfcyclic import complexes, equivariant, theorems
+from hopfcyclic.cli import parse_input
+from hopfcyclic.errors import DegreeOutOfRange, NotAGroup, NotBStable, OrientationMismatch
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import BialgebraDesc, group_algebra
 from hopfcyclic.equivariant import (
@@ -29,6 +33,8 @@ from hopfcyclic.theorems import (
 )
 
 from groups import cyclic_table, dihedral_table, symmetric_table
+
+FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
 
 def flat(field, dims):
@@ -147,6 +153,23 @@ class TestExcisionCoalgebra:
             "coefficient has finite projective dimension").verdict == "UNVERIFIED"
         assert all(d.verdict == "UNVERIFIED" for d in rep.degrees)
 
+    def test_each_complex_built_once(self, monkeypatch):
+        # CH(C, C/K), CH(C/K), CH(K), CH(C, K) and CH(C): five distinct
+        # complexes, each built once at the deepest depth any consumer needs
+        depths = []
+        real = complexes.twisted_ch
+
+        def counted(C, M, X, maxdeg, check=True):
+            depths.append(maxdeg)
+            return real(C, M, X, maxdeg, check)
+
+        monkeypatch.setattr(complexes, "twisted_ch", counted)
+        monkeypatch.setattr(theorems, "twisted_ch", counted)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        rep = verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
+        assert rep.all_pass
+        assert sorted(depths) == [3, 3, 3, 3, 4]
+
     def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q):
         # non-cocommutative base with the co-adjoint SaYD coefficient: the
         # checklist exercises the aYD flag and every verdict certifies
@@ -243,6 +266,21 @@ class TestRelative:
         assert dims == [1, 0, 1, 0]
         assert any("subcoalgebra" in h.name and h.verdict == "FAIL"
                    for h in rep.hypotheses)
+
+    def test_other_errors_do_not_turn_into_coideal_mode(self, direct_sum_ses_q, k_eps_z2,
+                                                        monkeypatch):
+        # only NotSubcoalgebra selects the coideal formulation; any other
+        # error raised while building the sequence propagates
+        modes = []
+
+        def failing(C, K_gens, mode):
+            modes.append(mode)
+            raise NotBStable("raised inside quotient_ses")
+
+        monkeypatch.setattr(equivariant, "quotient_ses", failing)
+        with pytest.raises(NotBStable, match="inside quotient_ses"):
+            relative_hc(direct_sum_ses_q.C, direct_sum_ses_q.K, k_eps_z2, "quotient", 1)
+        assert modes == ["subcoalgebra"]
 
     def test_k_equals_c_cokernel_vanishes(self, z2_q, k_eps_z2):
         C = regular_module_coalgebra(z2_q)
