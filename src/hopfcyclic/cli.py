@@ -3,7 +3,9 @@
 Verbs: check, homology, excision, relative, group-example, special. Tables
 go to standard output tab-separated (degree, dim, verdict); --json emits the
 full report document; --dump writes serialized complexes. Exit codes: 0 when
-every verdict passes, 1 when a check fails, 2 on input or usage errors.
+every verdict passes, 1 when a check fails, 2 on input or usage errors, with
+a message and no traceback, and 3 on an internal error: any exception that
+is not a HopfCyclicError, with its traceback on standard error.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .equivariant import (
 )
 from .errors import AuditFailed, HopfCyclicError, ParseError
 from .fields import field_by_name
-from .hopf import BialgebraDesc, audit, desc_from_json
+from .hopf import BialgebraDesc, audit, desc_from_json, matrix_from_json
 from .serialize import (
     complex_dump,
     dumps,
@@ -107,8 +109,6 @@ def _algebra_ses_from_json(doc):
     "ideal": <matrix>}. The ideal generators are closed under two-sided
     multiplication.
     """
-    from .hopf import matrix_from_json
-
     if "A" in doc:
         a_doc = doc["A"]
         base = desc_from_json(a_doc["base"])
@@ -167,11 +167,7 @@ def cmd_homology(args):
     B = obj.over
     X = _coefficient(args.coefficient, B)
     side = args.side
-    if side == "algebra":
-        main = ComoduleAlgebra(obj.base, B, obj.base.comult) if not isinstance(
-            obj, ComoduleAlgebra) else obj
-    else:
-        main = obj
+    main = ComoduleAlgebra(obj.base, B, obj.base.comult) if side == "algebra" else obj
     cm = assemble(side, main, X, args.max_degree + 1)
     dims = homology(cm, args.theory, args.max_degree)
     rows = [(n, dims[n], "-") for n in range(args.max_degree + 1)]
@@ -201,8 +197,6 @@ def cmd_relative(args):
     ses_doc = _override_field(_load_json(args.input), args.field)
     _require_keys(args.input, ses_doc, ("C", "K"), DOCUMENT_KINDS[CoalgebraSES])
     mc = module_coalgebra_from_json(ses_doc["C"])
-    from .hopf import matrix_from_json
-
     K = matrix_from_json(mc.base.field, ses_doc["K"])
     X = _coefficient(args.coefficient, mc.over)
     dims, report = relative_hc(mc, K, X, args.mode, args.max_degree)
@@ -213,11 +207,12 @@ def cmd_relative(args):
 
 def cmd_group_example(args):
     doc = _load_json(args.group)
-    table = doc["table"] if isinstance(doc, dict) else doc
-    subgroup = [int(x) for x in args.normal.split(",")]
+    if not isinstance(doc, list):
+        _require_keys(args.group, doc, ("table",), "group table")
+        doc = doc["table"]
     field = field_by_name(args.field or "Q")
     report = special_checks(
-        "group_example", {"table": table, "subgroup": subgroup, "field": field},
+        "group_example", {"table": doc, "subgroup": args.normal, "field": field},
         args.max_degree)
     return _emit_report(args, report)
 
@@ -238,8 +233,6 @@ def cmd_special(args):
         params = {"C1": C1, "C2": C2, "X": X}
     elif kind in ("commutative_hopf", "cocommutative_hopf"):
         B = desc_from_json(params_doc["B"])
-        from .hopf import matrix_from_json
-
         ideal = matrix_from_json(B.field, params_doc["ideal"])
         X = _coefficient(params_doc.get("coefficient"), B)
         key = "J" if kind == "commutative_hopf" else "K"
@@ -263,6 +256,15 @@ def _degree(text):
     if n < 0:
         raise argparse.ArgumentTypeError(f"{n} is negative; degrees start at 0")
     return n
+
+
+def _indices(text):
+    """argparse type of --normal: comma-separated element indices."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def build_parser():
@@ -308,7 +310,8 @@ def build_parser():
 
     sp = sub.add_parser("group-example", help="discrete-group example vs the oracle")
     sp.add_argument("--group", required=True, help="JSON file with a group table")
-    sp.add_argument("--normal", required=True, help="comma-separated subgroup indices")
+    sp.add_argument("--normal", required=True, type=_indices,
+                    help="comma-separated subgroup indices")
     common(sp)
     sp.set_defaults(fn=cmd_group_example)
 
@@ -338,6 +341,12 @@ def main(argv=None):
     except HopfCyclicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, never a verdict or an input error
+        import traceback  # imported here: it adds to every start-up otherwise
+
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

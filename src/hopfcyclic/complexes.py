@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     WellDefinednessFailure,
 )
-from .equivariant import action_of_vector, antipode_inv_of, module_audit, regular_bicomodule
+from .equivariant import action_of_vector, module_audit, regular_bicomodule
 from .linalg import (
     GradedComplex,
     Matrix,
@@ -141,10 +141,9 @@ class CosimplicialModule:
                         raise ShapeMismatch(
                             f"coface identity d_{j} d_{i} = d_{i} d_{j-1} fails at degree {n}")
 
-    def differential(self, n, drop_last=False):
-        """Alternating coface sum out of degree n (b' when drop_last)."""
-        faces = self.cofaces[n]
-        return _alternating(self.field, faces[:len(faces) - drop_last])
+    def differential(self, n):
+        """Alternating coface sum out of degree n."""
+        return _alternating(self.field, self.cofaces[n])
 
 
 # ---------------------------------------------------------------------------
@@ -296,82 +295,20 @@ def coinvariant_space_from_matrices(field, B, L_list, dim):
     return QuotientSpace(field, dim, rels)
 
 
-def _coinvariant_quotients(T):
-    return [coinvariant_space_from_matrices(T.field, T.over, T.actions[n], T.dims[n])
-            for n in range(T.top + 1)]
-
-
-class InducedComplex:
-    """The coinvariant complex of a twisted CH complex ``T``.
-
-    ``quotients[n]`` is the coinvariant quotient of degree n and
-    ``complex`` the GradedComplex of the induced differentials. Built once
-    per run at the deepest degree any consumer needs; shallower consumers
-    take a truncation, which shares every matrix.
-    """
-
-    def __init__(self, T, quotients, complex):
-        self.T = T
-        self.quotients = quotients
-        self.complex = complex
-
-    @property
-    def dims(self):
-        return self.complex.dims
-
-    @property
-    def top(self):
-        return self.complex.top
-
-    def truncate(self, top):
-        """The same complex through degree ``top``, nothing rebuilt."""
-        if top > self.top:
-            raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
-        T = self.T
-        head = CosimplicialModule(T.field, T.dims[:top + 1], T.cofaces[:top],
-                                  actions=T.actions[:top + 1], over=T.over, check=False)
-        diffs = {n: d for n, d in self.complex.diffs.items() if n < top}
-        cx = GradedComplex(T.field, +1, self.dims[:top + 1], diffs)
-        return InducedComplex(head, self.quotients[:top + 1], cx)
-
-    def induce_map(self, other, ambient_components, check=True):
-        """The ChainMap into ``other`` induced by degreewise ambient maps.
-
-        Components above either top degree are dropped; each kept one must
-        send relations into relations, exactly.
-        """
-        from .theorems import ChainMap  # theorems builds on this module
-
-        comps = {}
-        for n, amb in ambient_components.items():
-            if n > min(self.top, other.top):
-                continue
-            if not map_well_defined(amb, self.quotients[n], other.quotients[n]):
-                raise WellDefinednessFailure(f"comparison map does not descend at degree {n}")
-            comps[n] = self.quotients[n].induce(other.quotients[n], amb)
-        return ChainMap(self.complex, other.complex, comps, check=check)
-
-
 def induced_complex(T, X, check_flags=True):
-    """Coinvariants of a twisted CH complex, with well-definedness verified.
+    """Coinvariants of a twisted CH complex: its :class:`CocyclicModule`, no tau yet.
 
     Requires the coefficient to be anti-Yetter-Drinfeld (the hypothesis of
-    the descent) unless ``check_flags`` is off; each differential must map
-    the relation subspace into the next one, exactly, and the induced
-    differentials must square to zero.
+    the descent) unless ``check_flags`` is off. Every coface must descend
+    (:func:`descend`). That is the same as the differential d descending:
+    the first n+1 cofaces commute with every L_g (checked by
+    :func:`twisted_ch`), so they send relations into relations, and the
+    last coface is +-(d - the others).
     """
     if check_flags and not X.ayd:
         raise NotAYD("coefficient is not anti-Yetter-Drinfeld")
-    quots = _coinvariant_quotients(T)
-    diffs = {}
-    for n in range(T.top):
-        d = T.differential(n)
-        if not map_well_defined(d, quots[n], quots[n + 1]):
-            raise WellDefinednessFailure(
-                f"differential at degree {n} does not descend to coinvariants")
-        diffs[n] = quots[n].induce(quots[n + 1], d)
-    cx = GradedComplex(T.field, +1, [q.dim for q in quots], diffs)
-    return InducedComplex(T, quots, cx)
+    return descend(T, [coinvariant_space_from_matrices(T.field, T.over, T.actions[n], T.dims[n])
+                       for n in range(T.top + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +530,7 @@ def untwist(B, U, V):
         report = module_audit(B, dim, action)
         if not report.ok:
             raise AuditFailed(report)
-    sinv = antipode_inv_of(B)
+    sinv = B.inverse_antipode
     f = B.field
     ud, act_u = U
     vd, act_v = V
@@ -631,19 +568,97 @@ def _check_tau_order(cm):
             raise IdentityViolation(n, "tau^{n+1} = id")
 
 
-class CocyclicModule:
-    """Validated cocyclic module on coinvariant spaces (coalgebra side)."""
+def _induced(amb, src, dst, failure):
+    """``amb`` induced from the quotient ``src`` to ``dst``.
 
-    def __init__(self, field, over, dims, cofaces, tau, quotients, ambient_dims):
-        self.field = field
-        self.over = over
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.cofaces = cofaces  # cofaces[n]: list of n+2 maps V_n -> V_{n+1}
-        self.tau = tau  # tau[n]: V_n -> V_n
+    Raises ``failure`` unless ``amb`` sends relations into relations, exactly.
+    """
+    if not map_well_defined(amb, src, dst):
+        raise failure
+    return src.induce(dst, amb)
+
+
+def descend(T, quotients):
+    """The :class:`CocyclicModule`, no tau yet, that ``T``'s cofaces induce on ``quotients``.
+
+    ``T`` is any module with ``cofaces``: a twisted CH complex with its
+    coinvariant quotients, or a cocyclic module with the quotients of a
+    cokernel. Every coface must send relations into relations, exactly.
+    """
+    cofaces = [[_induced(d, quotients[n], quotients[n + 1],
+                         IdentityViolation(n, f"coface d_{j} well-defined on the quotient"))
+                for j, d in enumerate(T.cofaces[n])]
+               for n in range(len(quotients) - 1)]
+    return CocyclicModule(T, quotients, cofaces)
+
+
+class CocyclicModule:
+    """Cocyclic module induced on quotients of an ambient ``T`` (coalgebra side).
+
+    ``quotients[n]`` is the quotient of degree n, ``cofaces[n]`` the n+2
+    induced cofaces leaving it and ``tau[n]`` the induced cyclic operator,
+    None until :meth:`with_tau`. Built once per run at the deepest degree any
+    consumer needs; shallower consumers take a truncation, which shares every
+    matrix.
+    """
+
+    orientation = +1
+
+    def __init__(self, T, quotients, cofaces, tau=None):
+        self.T = T
+        self.field = T.field
+        self.over = T.over
         self.quotients = quotients
-        self.ambient_dims = ambient_dims
-        self.orientation = +1
+        self.dims = [q.dim for q in quotients]
+        self.top = len(self.dims) - 1
+        self.cofaces = cofaces
+        self.tau = tau
+
+    @functools.cached_property
+    def complex(self):
+        """The Hochschild complex, d = sum_j (-1)^j d_j, built on first use.
+
+        It is the matrix that inducing ``T``'s differential gives, because
+        inducing is linear.
+        """
+        return _hochschild_complex(self)
+
+    def truncate(self, top):
+        """The same module through degree ``top``, nothing rebuilt."""
+        if top > self.top:
+            raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
+        T = self.T
+        head = CosimplicialModule(T.field, T.dims[:top + 1], T.cofaces[:top],
+                                  actions=T.actions[:top + 1], over=T.over, check=False)
+        tau = self.tau[:top + 1] if self.tau is not None else None
+        return CocyclicModule(head, self.quotients[:top + 1], self.cofaces[:top], tau)
+
+    def with_tau(self, taus):
+        """This module with the ambient cyclic operators ``taus`` induced, validated.
+
+        ``taus`` holds one operator per degree and is iterated once.
+        """
+        what = "cyclic operator well-defined on the quotient"
+        tau = [_induced(t, q, q, IdentityViolation(n, what))
+               for n, (t, q) in enumerate(zip(taus, self.quotients, strict=True))]
+        cm = CocyclicModule(self.T, self.quotients, self.cofaces, tau)
+        cm.validate()
+        return cm
+
+    def induce_map(self, other, ambient_components, check=True):
+        """The ChainMap of Hochschild complexes induced by degreewise ambient maps.
+
+        Components above either top degree are dropped; each kept one must
+        send relations into relations, exactly.
+        """
+        from .theorems import ChainMap  # theorems builds on this module
+
+        comps = {}
+        for n, amb in ambient_components.items():
+            if n <= min(self.top, other.top):
+                failure = WellDefinednessFailure(f"comparison map does not descend at degree {n}")
+                comps[n] = _induced(amb, self.quotients[n], other.quotients[n], failure)
+        return ChainMap(self.complex, other.complex, comps, check=check)
 
     def validate(self):
         _check_tau_order(self)
@@ -659,7 +674,7 @@ class CocyclicModule:
 class CyclicModule:
     """Validated cyclic module on cotensor subspaces (algebra side)."""
 
-    def __init__(self, field, over, dims, faces, tau, inclusions, ambient_dims):
+    def __init__(self, field, over, dims, faces, tau, inclusions):
         self.field = field
         self.over = over
         self.dims = list(dims)
@@ -667,7 +682,6 @@ class CyclicModule:
         self.faces = faces  # faces[n]: list of n+1 maps V_n -> V_{n-1}
         self.tau = tau
         self.inclusions = inclusions
-        self.ambient_dims = ambient_dims
         self.orientation = -1
 
     def validate(self):
@@ -694,9 +708,9 @@ def assemble(side, main, X, maxdeg, descended=None):
 
     Coalgebra side: coinvariants of X (x) C^{(x) n+1} with the twisted
     cofaces and the cyclic rotation through the coefficient coaction.
-    ``descended``, an InducedComplex of CH(C; X) built through at least
-    ``maxdeg``, supplies the complex and its quotients instead of a fresh
-    build.
+    ``descended``, the :func:`induced_complex` of CH(C; X) built through at
+    least ``maxdeg``, supplies the induced cofaces instead of a fresh build;
+    only the cyclic operator is then induced.
     Algebra side: the subspace of A^{(x) n+1} (x) X on which the total
     coaction is trivial, with multiplication faces and the rotation twisted
     through the coaction. Every (co)cyclic identity is verified on the
@@ -714,38 +728,12 @@ def assemble(side, main, X, maxdeg, descended=None):
 def _assemble_coalgebra(C, X, maxdeg, descended=None):
     c = C.dim
     if descended is None:
-        T = twisted_ch(C, regular_bicomodule(C), X, maxdeg)
-        quots = _coinvariant_quotients(T)
+        descended = induced_complex(twisted_ch(C, regular_bicomodule(C), X, maxdeg), X,
+                                    check_flags=False)
     elif descended.top < maxdeg or descended.T.dims[0] != X.dim * c:
         raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
-    else:
-        T, quots = descended.T, descended.quotients[:maxdeg + 1]
     taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
-    return descend_cocyclic(C.over, T.cofaces, taus, quots, T.dims[:maxdeg + 1])
-
-
-def descend_cocyclic(over, cofaces, taus, quots, ambient_dims):
-    """The validated cocyclic module induced on the quotients ``quots``.
-
-    Every ambient coface and cyclic operator (``taus``, iterated once) must
-    send relations into relations, exactly.
-    """
-    f = over.field
-    small = []
-    for n in range(len(quots) - 1):
-        small.append([])
-        for j, d in enumerate(cofaces[n]):
-            if not map_well_defined(d, quots[n], quots[n + 1]):
-                raise IdentityViolation(n, f"coface d_{j} well-defined on the quotient")
-            small[n].append(quots[n].induce(quots[n + 1], d))
-    small_taus = []
-    for n, t in enumerate(taus):
-        if not map_well_defined(t, quots[n], quots[n]):
-            raise IdentityViolation(n, "cyclic operator well-defined on the quotient")
-        small_taus.append(quots[n].induce(quots[n], t))
-    cm = CocyclicModule(f, over, [q.dim for q in quots], small, small_taus, quots, ambient_dims)
-    cm.validate()
-    return cm
+    return descended.truncate(maxdeg).with_tau(taus)
 
 
 def _coalgebra_rotation(C, X, cn):
@@ -776,11 +764,9 @@ def _assemble_algebra(A, X, maxdeg):
     rho_x = right_coaction_of_modcomod(X)
     inclusions = []
     dims = []
-    amb_dims = []
     unit = B.unit
     for n in range(maxdeg + 1):
         amb = _pow(a, n + 1) * x
-        amb_dims.append(amb)
         rho = diagonal_right_coaction(B, [(a, A.coaction)] * (n + 1) + [(x, rho_x)])
         triv = slotted(f, amb, unit, 1)
         _, ker = rank_kernel(rho.sub(triv))
@@ -800,7 +786,7 @@ def _assemble_algebra(A, X, maxdeg):
         faces.append(faces[0].mul(taus_amb[n]))
         faces_small.append([restrict(d, n, n - 1) for d in faces])
     taus_small = [restrict(taus_amb[n], n, n) for n in range(maxdeg + 1)]
-    cm = CyclicModule(f, B, dims, faces_small, taus_small, inclusions, amb_dims)
+    cm = CyclicModule(f, B, dims, faces_small, taus_small, inclusions)
     cm.validate()
     return cm
 

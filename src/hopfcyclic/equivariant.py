@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     SubSpace,
-    invert,
     slotted,
     solve_columns,
     wire,
@@ -36,19 +35,6 @@ def action_of_vector(B, action, dim, vec):
     dims = {"b": B.dim, "x": dim, "y": dim}
     return wire(B.field, dims, "x -> y",
                 (Matrix.column(B.field, vec, B.dim), "-> b"), (action, "b x -> y"))
-
-
-def antipode_inv_of(B):
-    """Cached antipode inverse, computing and caching on demand."""
-    if B.antipode_inv is not None:
-        return B.antipode_inv
-    if B.antipode is None:
-        raise MissingAntipodeInverse("no antipode present")
-    sinv = invert(B.antipode)
-    if sinv is None:
-        raise MissingAntipodeInverse("antipode is not invertible")
-    B.antipode_inv = sinv  # cache; descs are otherwise immutable
-    return sinv
 
 
 class ModuleCoalgebra:
@@ -173,7 +159,7 @@ class ModComod:
         if B.antipode is None:
             return False
         try:
-            sinv = antipode_inv_of(B)
+            sinv = B.inverse_antipode
         except MissingAntipodeInverse:
             return False
         lhs = self.coaction.mul(self.action)
@@ -350,7 +336,7 @@ def make_coefficient(kind, B, payload=None):
             dim, action = payload
         return ModComod(B, dim, action, unit_coaction(B, dim))
     if kind in ("r_ad", "ad_r"):
-        sinv = antipode_inv_of(B)
+        sinv = B.inverse_antipode
         d = B.dim
         dims = dict.fromkeys(["x", "x12", "x1", "x2", "x3", "b", "b1", "b2", "s", "p", "q"], d)
         if kind == "r_ad":

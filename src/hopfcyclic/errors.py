@@ -25,7 +25,7 @@ class NotAGroup(HopfCyclicError):
     pass
 
 
-class MissingAntipodeInverse(HopfCyclicError):
+class MissingAntipodeInverse(NotInvertible):
     pass
 
 

@@ -10,7 +10,7 @@ a witness basis tuple.
 
 import functools
 
-from .errors import AuditFailed, NotAGroup, NotInvertible, ParseError, ShapeMismatch
+from .errors import AuditFailed, MissingAntipodeInverse, NotAGroup, ParseError, ShapeMismatch
 from .fields import field_by_name
 from .linalg import Matrix, SubSpace, invert, solve_columns, wire
 
@@ -79,9 +79,10 @@ class BialgebraDesc:
     Immutable after construction. ``mult``/``comult``/``unit``/``counit``
     are present as the level demands (unit and counit may be absent below
     bialgebra level, matching non-unital algebras and non-counital
-    coalgebras). ``antipode_inv`` is cached alongside the antipode because
-    downstream coaction formulas read it constantly; ``algebra_generators``
-    is derived from the multiplication on first use and kept.
+    coalgebras). ``antipode_inv`` is an optional given inverse of the
+    antipode, audited and serialized; ``inverse_antipode`` and
+    ``algebra_generators`` are derived on first use and kept, leaving every
+    given field and :meth:`to_json` as they were.
     """
 
     def __init__(self, field, basis, level, mult=None, comult=None, unit=None,
@@ -162,12 +163,20 @@ class BialgebraDesc:
                 close([times(i, w) for w in words])
         return tuple(gens)
 
-    def with_antipode_inverse(self, sinv):
-        return BialgebraDesc(
-            self.field, self.basis, self.level, mult=self.mult, comult=self.comult,
-            unit=self.unit, counit=self.counit, antipode=self.antipode,
-            antipode_inv=sinv, check=False,
-        )
+    @functools.cached_property
+    def inverse_antipode(self):
+        """S^{-1}: the given ``antipode_inv``, else solved from S on first use and kept.
+
+        Raises MissingAntipodeInverse without an invertible antipode.
+        """
+        if self.antipode_inv is not None:
+            return self.antipode_inv
+        if self.antipode is None:
+            raise MissingAntipodeInverse("no antipode present")
+        sinv = invert(self.antipode)
+        if sinv is None:
+            raise MissingAntipodeInverse("antipode is not invertible")
+        return sinv
 
     def to_json(self):
         f = self.field
@@ -431,14 +440,11 @@ def make_builtin(kind, params, field):
 
 
 def antipode_inverse(desc):
-    """Desc copy carrying the two-sided inverse of S, found by solving S T = I."""
-    if desc.antipode is None:
-        raise ShapeMismatch("description carries no antipode")
-    S = desc.antipode
-    T = invert(S)
-    if T is None:
-        raise NotInvertible("antipode matrix is singular")
-    return desc.with_antipode_inverse(T)
+    """Desc copy carrying :attr:`BialgebraDesc.inverse_antipode` as ``antipode_inv``."""
+    return BialgebraDesc(desc.field, desc.basis, desc.level, mult=desc.mult,
+                         comult=desc.comult, unit=desc.unit, counit=desc.counit,
+                         antipode=desc.antipode, antipode_inv=desc.inverse_antipode,
+                         check=False)
 
 
 def find_integral(desc, side):

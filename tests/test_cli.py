@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from hopfcyclic import cli
 from hopfcyclic.cli import main, parse_input
+from hopfcyclic.complexes import assemble, homology
+from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
 from hopfcyclic.errors import ParseError
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
@@ -76,6 +79,16 @@ class TestHomology:
         doc = json.loads(dump.read_text())
         assert "cyclic_total" in doc
         assert doc["cyclic_total"]["certificate"]["d_squared_zero"] is True
+
+    def test_algebra_side_of_a_module_coalgebra(self, capsys):
+        # B over itself read as a comodule algebra through its comultiplication
+        path = str(FIXTURES / "z2_regular_module_coalgebra.json")
+        code, out, _ = run(capsys, "homology", path, "--side", "algebra", "--max-degree", "2")
+        assert code == 0
+        B = parse_input(path).over
+        cm = assemble("algebra", regular_comodule_algebra(B), make_coefficient("eps", B), 3)
+        assert [int(line.split("\t")[1]) for line in out.splitlines()] == \
+            homology(cm, "cyclic", 2)
 
     def test_bare_description_exit_2(self, capsys):
         code, out, err = run(capsys, "homology", str(FIXTURES / "sweedler_h4.json"))
@@ -204,6 +217,23 @@ class TestGroupExample:
                        if r.split("\t")[0].isdigit()]
         assert [json.loads(r[1])["HC"] for r in degree_rows] == [1, 0, 1, 0, 1]
 
+    def test_document_without_table_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "rows.json"
+        doc.write_text(json.dumps({"rows": [[0, 1], [1, 0]]}))
+        code, out, err = run(capsys, "group-example", "--group", str(doc), "--normal", "0")
+        assert code == 2
+        assert out == ""
+        assert "expected a group table document (keys table)" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_subgroup_exit_2(self, capsys):
+        code, out, err = run(capsys, "group-example",
+                             "--group", str(FIXTURES / "z4_group.json"), "--normal", "a")
+        assert code == 2
+        assert out == ""
+        assert "--normal: 'a' is not a comma-separated list of integers" in err
+        assert "Traceback" not in err
+
 
 class TestSpecial:
     def test_additivity(self, capsys):
@@ -267,6 +297,21 @@ def test_negative_max_degree_exit_2(capsys, verb):
     assert code == 2
     assert out == ""
     assert "--max-degree: -1 is negative" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    # an exception that is not a HopfCyclicError is a bug: exit 3 with its
+    # traceback, never a verdict (1) or an input error (2)
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_excision", boom)
+    code, out, err = run(capsys, *VALID_ARGV["excision"])
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert "RuntimeError: boom" in err
+    assert err.rstrip().endswith("internal error")
 
 
 class TestParseInput:

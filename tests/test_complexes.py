@@ -5,7 +5,14 @@ from pathlib import Path
 import pytest
 
 from hopfcyclic.cli import parse_input
-from hopfcyclic.errors import DegreeOutOfRange, HopfCyclicError, NotAYD, NotStable, ShapeMismatch
+from hopfcyclic.errors import (
+    DegreeOutOfRange,
+    HopfCyclicError,
+    IdentityViolation,
+    NotAYD,
+    NotStable,
+    ShapeMismatch,
+)
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import BialgebraDesc, group_algebra, sweedler_h4, trivial_hopf
 from hopfcyclic.equivariant import (
@@ -44,6 +51,7 @@ from hopfcyclic.linalg import (
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
+from hopfcyclic import theorems
 
 import oracles
 from groups import cyclic_table
@@ -201,8 +209,8 @@ class TestInducedComplex:
         mc = regular_module_coalgebra(z2_q)
         X = make_coefficient("r_ad", z2_q)
         T = twisted_ch(mc, regular_bicomodule(mc), X, 5)
-        ic = induced_complex(T, X)  # well-definedness + d^2 = 0 validated
-        assert len(ic.dims) == 6
+        ic = induced_complex(T, X)  # every coface descends
+        assert len(ic.complex.dims) == 6  # d^2 = 0 on the descended complex
 
     def test_trivial_b_reduces_to_plain_ch(self, k_q):
         mc = regular_module_coalgebra(k_q)
@@ -220,6 +228,45 @@ class TestInducedComplex:
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
         with pytest.raises(NotAYD):
             induced_complex(T, X)
+
+    def test_descended_differential_is_the_induced_one(self, direct_sum_ses_q, k_eps_z2):
+        # the Hochschild complex of the descended cofaces is T's differential
+        # induced on the coinvariant quotients, entry for entry
+        triples = [(mc, regular_bicomodule(mc), make_coefficient(kind, mc.over))
+                   for mc in fixture_module_coalgebras().values() for kind in ("eps", "r_ad")]
+        ses = direct_sum_ses_q
+        triples += [(ses.C, theorems._quotient_bicomodule(ses), k_eps_z2),  # CH(C, C/K)
+                    (ses.C, theorems._sub_bicomodule(ses), k_eps_z2)]  # CH(C, K)
+        checked = 0
+        for mc, M, X in triples:
+            if not X.ayd:
+                continue
+            T = twisted_ch(mc, M, X, 2)
+            cm = induced_complex(T, X)
+            q = cm.quotients
+            for n in range(T.top):
+                assert cm.complex.diffs[n] == q[n].induce(q[n + 1], T.differential(n))
+            checked += 1
+        assert checked >= 30
+
+    def test_last_coface_mutant_rejected(self, direct_sum_ses_q, k_eps_z2):
+        # add e_i e_j^T to the last coface of CH(C, C/K) at degree 1, with j in
+        # the support of a relation r and e_i outside the relations one degree
+        # up: the mutant sends r out of the relations
+        T = twisted_ch(direct_sum_ses_q.C, theorems._quotient_bicomodule(direct_sum_ses_q),
+                       k_eps_z2, 2)
+        q = induced_complex(T, k_eps_z2).quotients
+        n = 1
+        e = [Matrix.column(QQ, {j: QQ.one}, T.dims[n]) for j in range(T.dims[n])]
+        r = next(v.sub(q[n].section.mul(q[n].projection.mul(v))) for v in e
+                 if v != q[n].section.mul(q[n].projection.mul(v)))
+        j = min(r.col(0))
+        i = min(q[n + 1].projection.coldict())
+        last = T.cofaces[n][n + 1]
+        T.cofaces[n][n + 1] = last.add(Matrix.from_entries(QQ, last.rows, last.cols,
+                                                           [(i, j, QQ.one)]))
+        with pytest.raises(IdentityViolation, match="coface d_2 well-defined on the quotient"):
+            induced_complex(T, k_eps_z2)
 
     def test_truncation_equals_a_fresh_shallower_build(self, h4_q):
         mc = regular_module_coalgebra(h4_q)

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hopfcyclic.equivariant import make_coefficient
 from hopfcyclic.errors import AuditFailed, NotAGroup, NotInvertible
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import (
@@ -20,6 +23,8 @@ from hopfcyclic.hopf import (
 from hopfcyclic.linalg import Matrix
 
 from groups import cyclic_table, symmetric_table
+
+FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
 
 def perturb_comult(desc, i, j, k, delta):
@@ -112,6 +117,18 @@ class TestAntipodeInverse:
             b = group_algebra(cyclic_table(n), QQ)
             d = antipode_inverse(b)
             assert d.antipode_inv == b.antipode
+
+    def test_inverse_antipode_leaves_the_description_unchanged(self):
+        # solved once and kept, without writing antipode_inv into the desc
+        B = desc_from_json(json.loads((FIXTURES / "sweedler_h4.json").read_text()))
+        doc = B.to_json()
+        assert B.antipode_inv is None
+        make_coefficient("r_ad", B)
+        assert B.to_json() == doc
+        assert B.antipode_inv is None
+        S = B.antipode
+        assert B.inverse_antipode == S.mul(S).mul(S)
+        assert B.inverse_antipode is B.inverse_antipode
 
     def test_singular_antipode_rejected(self):
         b = group_algebra(cyclic_table(2), QQ)

@@ -15,7 +15,7 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic.linalg import GradedComplex, Matrix, complex_homology
+from hopfcyclic.linalg import GradedComplex, Matrix, QuotientSpace, complex_homology
 from hopfcyclic.theorems import (
     AlgebraSES,
     ChainMap,
@@ -169,6 +169,32 @@ class TestExcisionCoalgebra:
         rep = verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
         assert rep.all_pass
         assert sorted(depths) == [3, 3, 3, 3, 4]
+
+    def test_each_coface_and_map_induced_once(self, monkeypatch):
+        # every coface of the five complexes, every cyclic operator and every
+        # component of f1, f2, g1, g2, u and v is checked and induced exactly
+        # once: the cyclic-level u and v reuse the Hochschild-level components
+        induced, checked = [], []
+        real_induce, real_check = QuotientSpace.induce, complexes.map_well_defined
+
+        def induce(self, other, amb):
+            induced.append(amb)
+            return real_induce(self, other, amb)
+
+        def check(amb, src, dst):
+            checked.append(amb)
+            return real_check(amb, src, dst)
+
+        monkeypatch.setattr(QuotientSpace, "induce", induce)
+        monkeypatch.setattr(complexes, "map_well_defined", check)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        rep = verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
+        assert rep.all_pass
+        # CH(C, C/K), CH(C/K), CH(C, K) and CH(C) through degree 3, CH(K) through 4
+        cofaces = sum(n + 2 for top in (3, 3, 3, 3, 4) for n in range(top))
+        taus = 5 + 4 + 3  # cyclic modules of K, C and C/K through degrees 4, 3, 2
+        maps = 6 * 4  # six maps, components in degrees 0..3
+        assert len(induced) == len(checked) == cofaces + taus + maps
 
     def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q):
         # non-cocommutative base with the co-adjoint SaYD coefficient: the

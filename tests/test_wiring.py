@@ -29,7 +29,6 @@ from hopfcyclic.equivariant import (
     EquivariantBicomodule,
     ModuleCoalgebra,
     action_of_vector,
-    antipode_inv_of,
     make_coefficient,
     regular_bicomodule,
     regular_comodule_algebra,
@@ -113,7 +112,7 @@ def test_structure_maps_equal_reference_forms(bname, fname, monkeypatch):
     f = FIELDS[fname]
     B = BIALGEBRAS[bname](f)
     d = B.dim
-    sinv = antipode_inv_of(B)
+    sinv = B.inverse_antipode
     mc = regular_module_coalgebra(B)
     M = regular_bicomodule(mc)
     A = regular_comodule_algebra(B)
