@@ -53,23 +53,26 @@ def diagonal_action(B, factors, coefficient=None):
     matrices: b_(1) acts on the first factor and b_(2) diagonally on the
     rest, or b_(2) on the coefficient and b_(1) on the factors.
     """
+    acts = _diagonal_action(B, factors, coefficient, range(B.dim))
+    return [acts[b] for b in range(B.dim)]
+
+
+def _diagonal_action(B, factors, coefficient, wanted):
+    """{b: L_b} of :func:`diagonal_action` for each b in ``wanted``; one level
+    down, only the legs of their Delta(b) are built."""
     d = B.dim
     if coefficient is None and len(factors) <= 1:
-        return (factors[0][1] if factors else B.counit).column_blocks(d)
-    if coefficient is None:
-        head, rest = factors[0][1].column_blocks(d), diagonal_action(B, factors[1:])
-    else:
-        head, rest = coefficient[1].column_blocks(d), diagonal_action(B, factors)
-    out = []
-    for b in range(d):
-        terms = []
-        for r, v in B.comult.coldict()[b].items():
-            b1, b2 = divmod(r, d)
-            if coefficient is not None:
-                b1, b2 = b2, b1
-            terms.append(head[b1].scale(v).kron(rest[b2]))
-        out.append(functools.reduce(Matrix.add, terms))
-    return out
+        blocks = (factors[0][1] if factors else B.counit).column_blocks(d)
+        return {b: blocks[b] for b in wanted}
+    head = (coefficient or factors[0])[1].column_blocks(d)
+    terms = {}  # b -> [(head leg, rest leg, coefficient)]
+    for b in wanted:
+        legs = [(divmod(r, d), v) for r, v in B.comult.coldict()[b].items()]
+        terms[b] = [(b2, b1, v) if coefficient else (b1, b2, v) for (b1, b2), v in legs]
+    rest = _diagonal_action(B, factors if coefficient else factors[1:], None,
+                            {r for legs in terms.values() for _, r, _ in legs})
+    return {b: functools.reduce(Matrix.add, [head[h].scale(v).kron(rest[r]) for h, r, v in legs])
+            for b, legs in terms.items()}
 
 
 def right_coaction_of_modcomod(X):
@@ -108,8 +111,9 @@ class CosimplicialModule:
     """Degreewise spaces with cofaces V_n -> V_{n+1} and optional B-action.
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n. ``actions[n]``
-    (when present) lists one matrix L_b per basis element of B. The coface
-    identities are validated entry-exactly at construction.
+    (when present) gives L_b by basis index b: for every b on a bar
+    resolution, for the algebra generators on a twisted CH complex. The
+    coface identities are validated entry-exactly at construction.
     """
 
     def __init__(self, field, dims, cofaces, actions=None, over=None, check=True):
@@ -203,25 +207,16 @@ def bar_complex(desc, maxN):
 # ---------------------------------------------------------------------------
 
 
-def twisted_ch(C, M, X, maxdeg, check=True):
+def twisted_ch(C, M, X, maxdeg):
     """CH with coefficients in M twisted by X: degree n space X (x) M (x) C^n.
 
     Cofaces come from the smash comodule structure: the zeroth applies the
     right coaction of M, the middle ones comultiply a C slot, the last wraps
     the left legs around with the coefficient twist
     x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1)).
-    The graded B-action is attached (``actions[n][b]`` = L_b for every basis
-    element b) and the commutators [L_b, d_j] for j <= n are verified to
-    vanish for the algebra generators b = g_i of B.
-
-    The generators suffice. The diagonal action is multiplicative,
-    L_{bb'} = L_b L_{b'} and L_1 = id, because Delta is an algebra map (an
-    audited bialgebra) and every factor is an audited module: C and M by
-    their construction audits, the coefficient by its ``module_report``,
-    which is required here. So if L_b and L_{b'} commute with d, then
-    L_{bb'} d = L_b L_{b'} d = L_b d L_{b'} = d L_b L_{b'} = d L_{bb'}: the b
-    whose L_b commutes with d form a subalgebra of B, and a subalgebra that
-    contains every g_i is B.
+    The coface identities are validated. The graded B-action is attached
+    for the algebra generators g only, ``actions[n][g]`` = L_g: nothing
+    reads any other (see :func:`induced_complex`).
     """
     B = C.over
     f = B.field
@@ -240,20 +235,10 @@ def twisted_ch(C, M, X, maxdeg, check=True):
             faces.append(slotted(f, x * m * _pow(c, j - 1), C.base.comult, _pow(c, n - j)))
         faces.append(_wrap_coface(C, M, X, _pow(c, n)))
         cofaces.append(faces)
-    actions = [diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n,
-                               coefficient=(x, X.action))
+    actions = [_diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n, (x, X.action),
+                                B.algebra_generators)
                for n in range(maxdeg + 1)]
-    cs = CosimplicialModule(f, dims, cofaces, actions=actions, over=B, check=check)
-    if check:
-        for n in range(maxdeg):
-            for j in range(n + 1):  # the last coface is exempt
-                for g in B.algebra_generators:
-                    lhs = cs.actions[n + 1][g].mul(cs.cofaces[n][j])
-                    rhs = cs.cofaces[n][j].mul(cs.actions[n][g])
-                    if lhs != rhs:
-                        raise ShapeMismatch(
-                            f"[L_b, d_{j}] != 0 at degree {n} for b = {B.basis[g]}")
-    return cs
+    return CosimplicialModule(f, dims, cofaces, actions=actions, over=B)
 
 
 def _wrap_coface(C, M, X, cn):
@@ -271,8 +256,8 @@ def _wrap_coface(C, M, X, cn):
 def coinvariant_space_from_matrices(field, B, L_list, dim):
     """Quotient of a B-module V by B^+ V, where B^+ = ker eps.
 
-    ``L_list`` holds the action matrix L_b of every basis element b; only
-    those of the algebra generators g_i of B are read, since
+    ``L_list`` maps basis elements b to their action matrix L_b; only the
+    algebra generators g_i of B are read, since
     B^+ V = sum_i (g_i - eps(g_i)) V. Proof: B is spanned by words in the
     g_i, and for a word g w, g w - eps(g w) 1 = (g - eps(g)) w
     + eps(g) (w - eps(w) 1). By induction on length every b - eps(b) 1 lies
@@ -299,16 +284,34 @@ def induced_complex(T, X, check_flags=True):
     """Coinvariants of a twisted CH complex: its :class:`CocyclicModule`, no tau yet.
 
     Requires the coefficient to be anti-Yetter-Drinfeld (the hypothesis of
-    the descent) unless ``check_flags`` is off. Every coface must descend
-    (:func:`descend`). That is the same as the differential d descending:
-    the first n+1 cofaces commute with every L_g (checked by
-    :func:`twisted_ch`), so they send relations into relations, and the
-    last coface is +-(d - the others).
+    the descent) unless ``check_flags`` is off. [L_g, d_j] = 0 is verified
+    for j <= n and the algebra generators g of B. They suffice: the
+    diagonal action is multiplicative, L_{bb'} = L_b L_{b'} and L_1 = id,
+    as Delta is an algebra map and every factor an audited module (the
+    coefficient by the ``module_report`` that :func:`twisted_ch` requires),
+    so the b with L_b d = d L_b form a subalgebra, and one that contains
+    every g is B.
+
+    Only the last coface is checked for descent (:func:`map_well_defined`).
+    For j <= n, d_j (L_g - eps(g)) v = (L_g - eps(g)) d_j v by the verified
+    commutators, again a relation, and the (L_g - eps(g)) v span the
+    relations: d_0 ... d_n descend without a check.
     """
     if check_flags and not X.ayd:
         raise NotAYD("coefficient is not anti-Yetter-Drinfeld")
-    return descend(T, [coinvariant_space_from_matrices(T.field, T.over, T.actions[n], T.dims[n])
-                       for n in range(T.top + 1)])
+    B = T.over
+    for n in range(T.top):
+        for j, d in enumerate(T.cofaces[n][:-1]):
+            for g in B.algebra_generators:
+                if T.actions[n + 1][g].mul(d) != d.mul(T.actions[n][g]):
+                    raise ShapeMismatch(f"[L_b, d_{j}] != 0 at degree {n} for b = {B.basis[g]}")
+    q = [coinvariant_space_from_matrices(T.field, B, T.actions[n], T.dims[n])
+         for n in range(T.top + 1)]
+    cofaces = [[q[n].induce(q[n + 1], d) for d in faces[:-1]]
+               + [_induced(faces[-1], q[n], q[n + 1],
+                           IdentityViolation(n, f"coface d_{n + 1} well-defined on the quotient"))]
+               for n, faces in enumerate(T.cofaces)]
+    return CocyclicModule(T, q, cofaces)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +547,9 @@ def untwist(B, U, V):
         rels2.extend(col for col in R.columns() if col)
     q2 = QuotientSpace(f, amb, rels2)
     ident = Matrix.identity(f, amb)
-    if not (map_well_defined(ident, q2, q1) and map_well_defined(ident, q1, q2)):
+    phi, psi = map_well_defined(ident, q2, q1), map_well_defined(ident, q1, q2)
+    if phi is None or psi is None:
         raise IdentityViolation(0, "trivialization relation exchange")
-    phi = q1.projection.mul(q2.section)
-    psi = q2.projection.mul(q1.section)
     if phi.mul(psi) != Matrix.identity(f, q1.dim) or psi.mul(phi) != Matrix.identity(f, q2.dim):
         raise IdentityViolation(0, "trivialization mutual inverse")
     return phi, psi
@@ -573,17 +575,18 @@ def _induced(amb, src, dst, failure):
 
     Raises ``failure`` unless ``amb`` sends relations into relations, exactly.
     """
-    if not map_well_defined(amb, src, dst):
+    induced = map_well_defined(amb, src, dst)
+    if induced is None:
         raise failure
-    return src.induce(dst, amb)
+    return induced
 
 
 def descend(T, quotients):
     """The :class:`CocyclicModule`, no tau yet, that ``T``'s cofaces induce on ``quotients``.
 
-    ``T`` is any module with ``cofaces``: a twisted CH complex with its
-    coinvariant quotients, or a cocyclic module with the quotients of a
-    cokernel. Every coface must send relations into relations, exactly.
+    ``T`` is any module with ``cofaces``, such as a cocyclic module with the
+    quotients of a cokernel. Every coface must send relations into
+    relations, exactly (twisted CH complexes: :func:`induced_complex`).
     """
     cofaces = [[_induced(d, quotients[n], quotients[n + 1],
                          IdentityViolation(n, f"coface d_{j} well-defined on the quotient"))
@@ -894,7 +897,7 @@ def relative_bar(ses, maxdeg):
     (GradedComplex, actions) where actions[n] lists the diagonal L_b per
     basis element; [L_b, d] = 0 is verified for the algebra generators of
     B, which suffices because K, C and C/K are audited modules (see
-    :func:`twisted_ch`).
+    :func:`induced_complex`).
     """
     if ses.mode != "subcoalgebra":
         raise NotSubcoalgebra("relative bar complex needs a subcoalgebra")

@@ -315,9 +315,11 @@ def audit(desc, level=None):
 
 
 def _validate_group_table(table):
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise NotAGroup("table is not a list of rows")
     n = len(table)
     for row in table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
+        if len(row) != n or any(not isinstance(x, int) or not 0 <= x < n for x in row):
             raise NotAGroup("table is not square over element indices")
     identity = None
     for i in range(n):

@@ -483,7 +483,9 @@ class QuotientSpace:
     """k^n modulo a subspace, with projection and a coordinate section.
 
     Quotient coordinates are the non-pivot coordinates of the relation
-    echelon, so the section just re-embeds representative coordinates.
+    echelon, so the section just re-embeds representative coordinates and
+    projection . section is the identity. The kernel of the projection is
+    the relation span, so no echelon is kept.
     """
 
     def __init__(self, field, ambient_dim, relation_vectors):
@@ -492,47 +494,35 @@ class QuotientSpace:
         ech = Echelon(field)
         for v in relation_vectors:
             ech.insert(v)
-        self._relech = ech
         free, basis = _free_basis(field, ambient_dim, ech.reduced_rows())
         self.dim = len(free)
         self.projection = basis.transpose()
         sec = [(c, k, field.one) for k, c in enumerate(free)]
         self.section = Matrix.from_entries(field, ambient_dim, self.dim, sec)
 
-    def relations_contain(self, vec):
-        return self._relech.contains(vec)
-
     def induce(self, other, ambient_map):
-        """Induced matrix other_quotient <- self on representatives.
+        """Induced matrix other_quotient <- self on representatives, unchecked.
 
         ``ambient_map`` sends this ambient space to ``other``'s ambient space.
-        Well-definedness (relations map into relations) is the caller's
-        check; see :func:`map_well_defined`.
+        Use it only where a proof shows that relations map into relations;
+        :func:`map_well_defined` checks that and induces in one go.
         """
         # the section picks columns, so apply it first: the products stay small
         return other.projection.mul(ambient_map.mul(self.section))
 
 
 def map_well_defined(ambient_map, src_quot, dst_quot):
-    """True iff ``ambient_map`` sends src relations into dst relations."""
-    f = ambient_map.field
-    cd = ambient_map.coldict()
-    zero = f.zero
-    for row in src_quot._relech.pivrows.values():
-        img = {}
-        for c, v in row.items():
-            colv = cd.get(c)
-            if not colv:
-                continue
-            for i, w in colv.items():
-                s = f.add(img.get(i, zero), f.mul(v, w))
-                if s == zero:
-                    img.pop(i, None)
-                else:
-                    img[i] = s
-        if not dst_quot.relations_contain(img):
-            return False
-    return True
+    """The map ``ambient_map`` induces from ``src_quot`` to ``dst_quot``, or None.
+
+    With P the projections and S the section of ``src_quot``, the check is
+    one exact product identity, P_dst A == (P_dst A S) P_src. It holds
+    exactly when A sends the relations, ker P_src, into ker P_dst: it says
+    P_dst A (I - S P_src) = 0, and as P_src S = I, I - S P_src is a
+    projection onto ker P_src. Its middle factor is the induced map.
+    """
+    pa = dst_quot.projection.mul(ambient_map)
+    induced = pa.mul(src_quot.section)
+    return induced if induced.mul(src_quot.projection) == pa else None
 
 
 def quotient(ambient_dim, S):

@@ -12,6 +12,7 @@ conclusion is asserted only when every hypothesis is certified.
 """
 
 import json
+from types import SimpleNamespace
 
 from .complexes import (
     _alternating,
@@ -51,6 +52,8 @@ from .linalg import (
     QuotientSpace,
     SubSpace,
     block_matrix,
+    complex_homology,
+    map_well_defined,
     rank,
     rank_kernel,
     slotted,
@@ -190,6 +193,11 @@ def mapping_cone(f):
     d(a, b) = (-d a, f a + d b). In both cases the cone is acyclic through a
     window iff f is a homology isomorphism one degree below the window.
     """
+    return GradedComplex(f.source.field, f.orientation, *_cone_pieces(f))
+
+
+def _cone_pieces(f):
+    """(dims, diffs) of :func:`mapping_cone` ``f``, with d o d = 0 left unchecked."""
     A, B = f.source, f.target
     fld = A.field
     if f.orientation == +1:
@@ -204,7 +212,7 @@ def mapping_cone(f):
             diffs[m] = block_matrix(fld, grid,
                                     [A.dims[m + 1], B.dims[m]],
                                     [A.dims[m], b_dim])
-        return GradedComplex(fld, +1, dims, diffs)
+        return dims, diffs
     top = min(A.top + 1, B.top)
     dims = [(A.dims[m - 1] if m >= 1 else 0) + B.dims[m] for m in range(top + 1)]
     diffs = {}
@@ -217,7 +225,7 @@ def mapping_cone(f):
         diffs[m] = block_matrix(fld, grid,
                                 [a_tgt, B.dims[m - 1]],
                                 [a_dim, B.dims[m]])
-    return GradedComplex(fld, -1, dims, diffs)
+    return dims, diffs
 
 
 def cone_quasi_iso(f, maxdeg):
@@ -247,13 +255,19 @@ def _triple_complex(u, v):
     because u and v do and v u = 0, so it is built unchecked. The triple is a
     homotopy cofibration through a window exactly when D is acyclic there
     (with the window shifted by the cone bookkeeping).
+
+    Only D is checked for d o d = 0, not cone(u): D = [[d_A, 0], [w, +-d_Z']]
+    with A = cone(u), so the top-left block of D D = 0 is d_A d_A = 0 in
+    every degree of cone(u) that D reads. A u that is no chain map fails it.
     """
     Z = v.target
     fld = Z.field
     for n in u.components:
         if n in v.components and not v.components[n].mul(u.components[n]).is_zero():
             raise ShapeMismatch("cofibration check needs v u = 0")
-    A = mapping_cone(u)
+    dims, diffs = _cone_pieces(u)
+    A = SimpleNamespace(field=fld, orientation=u.orientation, dims=dims, top=len(dims) - 1,
+                        diffs=diffs)
     shift = 0
     if u.orientation == +1:
         shift = 1
@@ -284,27 +298,21 @@ def cofibration_verdicts(u, v, maxdeg):
     return [all(vanish[: n + shift + 1]) for n in range(maxdeg + 1)]
 
 
-def total_chain_map(src_cm, dst_cm, components, maxtot_src, maxtot_dst=None, check=True):
+def total_chain_map(src_tot, dst_tot, components, check=True):
     """Lift a (co)cyclic-module morphism to the cyclic total complexes.
 
-    The source total complex may be built deeper than the target (cone
-    bookkeeping needs one extra degree on the source side); components are
-    produced wherever both sides exist.
+    ``src_tot`` and ``dst_tot`` are the modules' :func:`cyclic_total_complex`.
+    The source may be built deeper than the target (cone bookkeeping needs
+    one extra degree on the source side); components are produced wherever
+    both sides exist, the degree-q component on each (p, q) block.
     """
-    if maxtot_dst is None:
-        maxtot_dst = maxtot_src
-    f = src_cm.field
-    src_tot = cyclic_total_complex(src_cm, maxtot_src)
-    dst_tot = cyclic_total_complex(dst_cm, maxtot_dst)
+    f = src_tot.field
     comps = {}
-    for m in range(min(maxtot_src, maxtot_dst) + 1):
-        pq = [(p, m - p) for p in range(m + 1)]
-        grid = [[None] * len(pq) for _ in range(len(pq))]
-        for i, (_, q) in enumerate(pq):
-            grid[i][i] = components[q]
-        comps[m] = block_matrix(f, grid,
-                                [dst_cm.dims[q] for _, q in pq],
-                                [src_cm.dims[q] for _, q in pq])
+    for m in range(min(src_tot.top, dst_tot.top) + 1):
+        blocks = [components[m - p] for p in range(m + 1)]
+        grid = [[blk if i == k else None for k, blk in enumerate(blocks)]
+                for i in range(len(blocks))]
+        comps[m] = block_matrix(f, grid, [b.rows for b in blocks], [b.cols for b in blocks])
     return ChainMap(src_tot, dst_tot, comps, check=check)
 
 
@@ -343,12 +351,15 @@ def _sub_bicomodule(ses):
     return EquivariantBicomodule(C, k, Kmc.action, left, right)
 
 
-def _antipode_verdict(B):
+def _add_hopf_hypotheses(add, B, X):
+    """The rows every excision and relative checklist opens with, through ``add``."""
     try:
         B.inverse_antipode
+        add("antipode invertible", PASS)
     except MissingAntipodeInverse:
-        return FAIL
-    return PASS
+        add("antipode invertible", FAIL)
+    add("coefficient stable", PASS if X.stable else FAIL)
+    add("coefficient anti-Yetter-Drinfeld", PASS if X.ayd else FAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +382,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     B = C.over
     window = f"0..{maxdeg}"
 
-    report.add_hypothesis("antipode invertible", _antipode_verdict(B))
-    report.add_hypothesis("coefficient stable", PASS if X.stable else FAIL)
-    report.add_hypothesis("coefficient anti-Yetter-Drinfeld", PASS if X.ayd else FAIL)
+    _add_hopf_hypotheses(report.add_hypothesis, B, X)
     report.add_hypothesis("C counital", PASS if C.base.counit is not None else FAIL)
     if ses.mode != "subcoalgebra":
         report.add_hypothesis("K is a subcoalgebra", FAIL)
@@ -465,17 +474,16 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
         {n: I_x.kron(proj).kron(_tensor_power(proj, n, f)) for n in range(depth_c + 1)})
     hoch_ok = cofibration_verdicts(u_h, v_h, maxdeg)
 
-    # cyclic-level cofibration on total complexes
-    cm_K = assemble("coalgebra", Kmc, X, depth_k, descended=T_K)
-    cm_C = assemble("coalgebra", C, X, depth_c, descended=T_C_C)
-    cm_Q = assemble("coalgebra", ses.quotient, X, depth_q, descended=T_q_q)
-    u_tot = total_chain_map(cm_K, cm_C, u_h.components, depth_k, depth_c)
-    v_tot = total_chain_map(cm_C, cm_Q, v_h.components, depth_c, depth_q)
+    # cyclic-level cofibration on total complexes, each built once for maps and homology
+    tot_K, tot_C, tot_Q = (
+        cyclic_total_complex(assemble("coalgebra", mc, X, depth, descended=T), depth)
+        for mc, depth, T in ((Kmc, depth_k, T_K), (C, depth_c, T_C_C),
+                             (ses.quotient, depth_q, T_q_q)))
+    u_tot = total_chain_map(tot_K, tot_C, u_h.components)
+    v_tot = total_chain_map(tot_C, tot_Q, v_h.components)
     cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)
 
-    dims_K = homology(cm_K, "cyclic", maxdeg)
-    dims_C = homology(cm_C, "cyclic", maxdeg)
-    dims_Q = homology(cm_Q, "cyclic", maxdeg)
+    dims_K, dims_C, dims_Q = (complex_homology(t, maxdeg) for t in (tot_K, tot_C, tot_Q))
     for n in range(maxdeg + 1):
         ok = hoch_ok[n] and cyc_ok[n]
         dims = {"K": dims_K[n], "C": dims_C[n], "C/K": dims_Q[n]}
@@ -556,9 +564,7 @@ def _verify_excision_algebra(ses, X, maxdeg):
     A = ses.A
     B = A.over
     window = f"0..{maxdeg}"
-    report.add_hypothesis("antipode invertible", _antipode_verdict(B))
-    report.add_hypothesis("coefficient stable", PASS if X.stable else FAIL)
-    report.add_hypothesis("coefficient anti-Yetter-Drinfeld", PASS if X.ayd else FAIL)
+    _add_hopf_hypotheses(report.add_hypothesis, B, X)
     report.add_hypothesis("A unital", PASS if A.base.unit is not None else FAIL)
     report.add_hypothesis("I is a B-subcomodule", PASS if ses.subcomodule else FAIL)
     hdims = h_unitality_probe(ses.ideal.base, maxdeg)
@@ -578,16 +584,13 @@ def _verify_excision_algebra(ses, X, maxdeg):
     cm_I = assemble("algebra", ses.ideal, X, depth_i)
     cm_A = assemble("algebra", A, X, depth_a)
     cm_Q = assemble("algebra", ses.quotient, X, depth_q)
-    f = B.field
-    I_x = Matrix.identity(f, X.dim)
+    tot_I, tot_A, tot_Q = (cyclic_total_complex(cm, cm.top) for cm in (cm_I, cm_A, cm_Q))
     u_comps = _cyclic_map_components(cm_I, cm_A, X, ses.I, min(depth_i, depth_a))
     v_comps = _cyclic_map_components(cm_A, cm_Q, X, ses.projection, min(depth_a, depth_q))
-    u_tot = total_chain_map(cm_I, cm_A, u_comps, depth_i, depth_a)
-    v_tot = total_chain_map(cm_A, cm_Q, v_comps, depth_a, depth_q)
+    u_tot = total_chain_map(tot_I, tot_A, u_comps)
+    v_tot = total_chain_map(tot_A, tot_Q, v_comps)
     cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)
-    dims_I = homology(cm_I, "cyclic", maxdeg)
-    dims_A = homology(cm_A, "cyclic", maxdeg)
-    dims_Q = homology(cm_Q, "cyclic", maxdeg)
+    dims_I, dims_A, dims_Q = (complex_homology(t, maxdeg) for t in (tot_I, tot_A, tot_Q))
     for n in range(maxdeg + 1):
         dims = {"I": dims_I[n], "A": dims_A[n], "A/I": dims_Q[n]}
         report.add_degree(n, dims, (PASS if cyc_ok[n] else FAIL) if certified else UNVERIFIED)
@@ -675,9 +678,7 @@ def _relative_hypotheses(ses, X, maxdeg, report):
         if verdict != PASS:
             ok = False
 
-    add("antipode invertible", _antipode_verdict(B))
-    add("coefficient stable", PASS if X.stable else FAIL)
-    add("coefficient anti-Yetter-Drinfeld", PASS if X.ayd else FAIL)
+    _add_hopf_hypotheses(add, B, X)
     if ses.mode == "subcoalgebra":
         add("K is a subcoalgebra", PASS)
         Kmc = ses.k_module_coalgebra()
@@ -849,11 +850,7 @@ def _quotient_bialgebra(B, J_basis):
     comult_q = proj.kron(proj).mul(B.comult).mul(sec)
     unit_q = proj.mul(B.unit)
     counit_q = B.counit.mul(sec)
-    antipode_q = None
-    if B.antipode is not None:
-        cand = proj.mul(B.antipode).mul(sec)
-        if proj.mul(B.antipode).sub(cand.mul(proj)).is_zero():
-            antipode_q = cand
+    antipode_q = map_well_defined(B.antipode, space, space) if B.antipode is not None else None
     level = "hopf" if antipode_q is not None else "bialgebra"
     names = [f"q{i}" for i in range(qd)]
     desc = BialgebraDesc(f, names, level, mult=mult_q, comult=comult_q, unit=unit_q,
@@ -1102,6 +1099,9 @@ def _check_group_example(params, maxdeg):
     f = field
     n = B.dim
     ident = _validate_group_table(table)
+    if not isinstance(subgroup, list) or any(not isinstance(h, int) or not 0 <= h < n
+                                             for h in subgroup):
+        raise NotAGroup(f"subgroup must be a list of element indices below {n}")
     gens_entries = []
     for col, h in enumerate(sorted(set(subgroup))):
         gens_entries.append((h, col, f.one))

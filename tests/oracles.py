@@ -3,8 +3,10 @@
 Textbook row reduction on dense lists, written without reference to the
 package internals so the two routes stay independent; the structure maps in
 their reference form, composed from Kronecker products, slot permutation
-matrices and matrix products; and the coinvariant quotient taken over every
-basis element of B.
+matrices and matrix products; the coinvariant quotient taken over every
+basis element of B; and the test that a map descends to quotients by one
+membership test per relation, the reference for the product form of
+``linalg.map_well_defined``.
 """
 
 from fractions import Fraction
@@ -110,6 +112,26 @@ def backsub_kernel(M):
                 x[p] = f.neg(s)  # the pivot entry is 1
         kernel.append(x)
     return len(piv), free, kernel
+
+
+def descends_by_membership(A, src_relations, dst_relations):
+    """True iff A sends every source relation into the span of the target ones.
+
+    One membership test per relation, by dense ranks: A r lies in the span
+    exactly when appending it leaves the rank unchanged.
+    """
+    f = A.field
+    dense = dense_of(A)
+    span = [[v.get(i, f.zero) for i in range(A.rows)] for v in dst_relations]
+    base = dense_rank(span, f)
+    for r in src_relations:
+        img = [f.zero] * A.rows
+        for i, row in enumerate(dense):
+            for c, v in r.items():
+                img[i] = f.add(img[i], f.mul(row[c], v))
+        if dense_rank(span + [img], f) != base:
+            return False
+    return True
 
 
 def coinvariant_space(field, B, L_list, dim):

@@ -234,6 +234,15 @@ class TestGroupExample:
         assert "--normal: 'a' is not a comma-separated list of integers" in err
         assert "Traceback" not in err
 
+    def test_badly_typed_table_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "letters.json"
+        doc.write_text(json.dumps({"table": [["a"]]}))
+        code, out, err = run(capsys, "group-example", "--group", str(doc), "--normal", "0")
+        assert code == 2
+        assert out == ""
+        assert "table is not square over element indices" in err
+        assert "Traceback" not in err
+
 
 class TestSpecial:
     def test_additivity(self, capsys):
@@ -260,6 +269,17 @@ class TestSpecial:
         assert code == 2
         assert out == ""
         assert "expected a --kind additivity parameters document (keys C1, C2)" in err
+
+    def test_badly_typed_subgroup_exit_2(self, capsys, tmp_path):
+        table = json.loads((FIXTURES / "z4_group.json").read_text())["table"]
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"table": table, "subgroup": "x"}))
+        code, out, err = run(capsys, "special", "--kind", "group-example",
+                             "--params", str(params))
+        assert code == 2
+        assert out == ""
+        assert "subgroup must be a list of element indices below 4" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

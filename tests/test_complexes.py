@@ -35,6 +35,7 @@ from hopfcyclic.complexes import (
     cotensor,
     cotor,
     cyclic_total_complex,
+    diagonal_action,
     doi_check,
     shear_map,
     homology,
@@ -48,6 +49,7 @@ from hopfcyclic.linalg import (
     Matrix,
     complex_homology,
     invert,
+    map_well_defined,
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
@@ -118,7 +120,7 @@ class TestTwistedCH:
     def test_commutators_vanish_below_last(self, z2_q):
         mc = regular_module_coalgebra(z2_q)
         X = make_coefficient("r_ad", z2_q)
-        twisted_ch(mc, regular_bicomodule(mc), X, 3)  # validates [L_b, d_j] = 0
+        induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3), X)  # [L_g, d_j] = 0
 
     def test_last_coface_commutator_nonzero_for_sweedler(self, h4_q):
         mc = regular_module_coalgebra(h4_q)
@@ -126,7 +128,7 @@ class TestTwistedCH:
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
         n = 1
         found = False
-        for b in range(4):
+        for b in T.actions[n]:  # the generators g and x
             last = T.cofaces[n][n + 1]
             comm = T.actions[n + 1][b].mul(last).sub(last.mul(T.actions[n][b]))
             if not comm.is_zero():
@@ -147,13 +149,12 @@ class TestTwistedCH:
         right_g = h4_q.mult.mul(Matrix.identity(QQ, 4).kron(Matrix.column(QQ, {g: 1}, 4)))
         rco = Matrix.identity(QQ, 4).kron(left[g].mul(right_g)).mul(h4_q.comult)
         M = EquivariantBicomodule(mc, 4, h4_q.mult, h4_q.comult, rco, check=False)
-        T = twisted_ch(mc, M, X, 2, check=False)
-        T.validate()
+        T = twisted_ch(mc, M, X, 2)  # validates the coface identities
         d0 = T.cofaces[0][0]
         assert T.actions[1][g].mul(d0) == d0.mul(T.actions[0][g])
         assert T.actions[1][x].mul(d0) != d0.mul(T.actions[0][x])
         with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0 for b = x"):
-            twisted_ch(mc, M, X, 2)
+            induced_complex(T, X)
 
     def test_coefficient_must_be_a_module(self, z2_q):
         # the generator-only checks rest on the coefficient's action being
@@ -172,8 +173,6 @@ class TestCoinvariants:
         assert q.projection.rows == 1
 
     def test_diagonal_square_has_dim_of_b(self, z2_q):
-        from hopfcyclic.complexes import diagonal_action
-
         diag = diagonal_action(z2_q, [(2, z2_q.mult), (2, z2_q.mult)])
         q = coinvariant_space_from_matrices(QQ, z2_q, diag, 4)
         assert q.dim == 2  # trivialization: free of rank dim B over one factor
@@ -196,12 +195,24 @@ class TestCoinvariants:
                 X = make_coefficient(kind, B)
                 T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
                 for n in range(T.top + 1):
-                    args = (B.field, B, T.actions[n], T.dims[n])
-                    fast = coinvariant_space_from_matrices(*args)
-                    full = oracles.coinvariant_space(*args)
+                    every = diagonal_action(B, [(mc.dim, mc.action)] * (n + 1),
+                                            coefficient=(X.dim, X.action))
+                    fast = coinvariant_space_from_matrices(B.field, B, T.actions[n], T.dims[n])
+                    full = oracles.coinvariant_space(B.field, B, every, T.dims[n])
                     assert fast.dim == full.dim, (name, kind, n)
                     assert fast.projection == full.projection, (name, kind, n)
                     assert fast.section == full.section, (name, kind, n)
+
+
+def _escaping(A, src, dst):
+    """A + e_i e_j^T, with j in the support of a relation r of ``src`` and e_i
+    outside the relations of ``dst``: the change sends r out of them."""
+    e = [Matrix.column(QQ, {j: QQ.one}, A.cols) for j in range(A.cols)]
+    r = next(v.sub(src.section.mul(src.projection.mul(v))) for v in e
+             if v != src.section.mul(src.projection.mul(v)))
+    j = min(r.col(0))
+    i = min(dst.projection.coldict())
+    return A.add(Matrix.from_entries(QQ, A.rows, A.cols, [(i, j, QQ.one)]))
 
 
 class TestInducedComplex:
@@ -250,23 +261,27 @@ class TestInducedComplex:
         assert checked >= 30
 
     def test_last_coface_mutant_rejected(self, direct_sum_ses_q, k_eps_z2):
-        # add e_i e_j^T to the last coface of CH(C, C/K) at degree 1, with j in
-        # the support of a relation r and e_i outside the relations one degree
-        # up: the mutant sends r out of the relations
+        # the last coface of CH(C, C/K) at degree 1, changed to send a relation
+        # out of the relations
         T = twisted_ch(direct_sum_ses_q.C, theorems._quotient_bicomodule(direct_sum_ses_q),
                        k_eps_z2, 2)
         q = induced_complex(T, k_eps_z2).quotients
         n = 1
-        e = [Matrix.column(QQ, {j: QQ.one}, T.dims[n]) for j in range(T.dims[n])]
-        r = next(v.sub(q[n].section.mul(q[n].projection.mul(v))) for v in e
-                 if v != q[n].section.mul(q[n].projection.mul(v)))
-        j = min(r.col(0))
-        i = min(q[n + 1].projection.coldict())
-        last = T.cofaces[n][n + 1]
-        T.cofaces[n][n + 1] = last.add(Matrix.from_entries(QQ, last.rows, last.cols,
-                                                           [(i, j, QQ.one)]))
+        T.cofaces[n][n + 1] = _escaping(T.cofaces[n][n + 1], q[n], q[n + 1])
         with pytest.raises(IdentityViolation, match="coface d_2 well-defined on the quotient"):
             induced_complex(T, k_eps_z2)
+
+    def test_first_coface_mutant_rejected(self, h4_q):
+        # d_0 is no longer checked for descent: a d_0 that sends a relation out
+        # of the relations must still be refused, by the commutator check
+        mc = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
+        q = induced_complex(T, X).quotients
+        T.cofaces[0][0] = _escaping(T.cofaces[0][0], q[0], q[1])
+        assert map_well_defined(T.cofaces[0][0], q[0], q[1]) is None
+        with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0"):
+            induced_complex(T, X)
 
     def test_truncation_equals_a_fresh_shallower_build(self, h4_q):
         mc = regular_module_coalgebra(h4_q)

@@ -16,13 +16,21 @@ from hopfcyclic.linalg import (
     block_matrix,
     complex_homology,
     invert,
+    map_well_defined,
     quotient,
     rank,
     rank_kernel,
     solve_columns,
 )
 
-from oracles import backsub_kernel, dense_of, dense_rank, dense_rank_of_matrix, sympy_rank
+from oracles import (
+    backsub_kernel,
+    dense_of,
+    dense_rank,
+    dense_rank_of_matrix,
+    descends_by_membership,
+    sympy_rank,
+)
 from randmat import random_invertible
 
 
@@ -181,6 +189,58 @@ def test_rank_equals_transpose_rank(dense):
     m = mat(QQ, dense)
     assert rank(m) == rank(m.transpose())
     assert rank(m) == dense_rank_of_matrix(m)
+
+
+@st.composite
+def quotient_maps(draw):
+    """(A, src, dst, src relations, dst relations) for a map A that is random,
+    built to descend, or built to send one relation out of the relations.
+
+    Relation sets may be empty, everything, or a few random vectors.
+    """
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)  # shrinks to 1, not 0
+
+    def relations(dim):
+        kind = draw(st.sampled_from(["some", "none", "all"]))
+        if kind == "all":
+            return [{i: field.one} for i in range(dim)]
+        count = draw(st.integers(1, 3)) if kind == "some" and dim else 0
+        vecs = [draw(st.lists(scalar, min_size=dim, max_size=dim)) for _ in range(count)]
+        return [{i: v for i, v in enumerate(vec) if v != field.zero} for vec in vecs]
+
+    def matrix(rows, cols):
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        return Matrix.from_entries(field, rows, cols,
+                                   [(k // cols, k % cols, v) for k, v in enumerate(vals)])
+
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    src_rels, dst_rels = relations(m), relations(n)
+    src, dst = QuotientSpace(field, m, src_rels), QuotientSpace(field, n, dst_rels)
+    kind = draw(st.sampled_from(["escapes", "descends", "random"]))
+    if kind == "random":
+        return matrix(n, m), src, dst, src_rels, dst_rels
+    # S_dst M P_src + R_dst N sends ker P_src into the span of R_dst
+    R = Matrix.from_entries(field, n, len(dst_rels),
+                            [(i, j, v) for j, r in enumerate(dst_rels) for i, v in r.items()])
+    A = dst.section.mul(matrix(dst.dim, src.dim)).mul(src.projection).add(
+        R.mul(matrix(len(dst_rels), m)))
+    r = next((r for r in src_rels if r), None)
+    if kind == "escapes" and r and dst.dim:
+        # a free coordinate i of dst: e_i is no relation, so A r + r_j e_i is none
+        i = min(dst.projection.coldict())
+        A = A.add(Matrix.from_entries(field, n, m, [(i, min(r), field.one)]))
+    return A, src, dst, src_rels, dst_rels
+
+
+@given(quotient_maps())
+@settings(max_examples=300, deadline=None)
+def test_product_form_matches_the_membership_oracle(case):
+    A, src, dst, src_rels, dst_rels = case
+    induced = map_well_defined(A, src, dst)
+    assert (induced is not None) == descends_by_membership(A, src_rels, dst_rels)
+    if induced is not None:
+        assert induced == src.induce(dst, A)
 
 
 class TestQuotient:

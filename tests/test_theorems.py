@@ -4,7 +4,13 @@ import pytest
 
 from hopfcyclic import complexes, equivariant, theorems
 from hopfcyclic.cli import parse_input
-from hopfcyclic.errors import DegreeOutOfRange, NotAGroup, NotBStable, OrientationMismatch
+from hopfcyclic.errors import (
+    DegreeOutOfRange,
+    NotAGroup,
+    NotBStable,
+    OrientationMismatch,
+    ShapeMismatch,
+)
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import BialgebraDesc, group_algebra
 from hopfcyclic.equivariant import (
@@ -75,6 +81,23 @@ class TestCones:
         down = GradedComplex(QQ, -1, [1, 1], {1: Matrix.zero(QQ, 1, 1)})
         with pytest.raises(OrientationMismatch):
             ChainMap(up, down, {})
+
+    @pytest.mark.parametrize("o", [+1, -1])
+    def test_triple_complex_refuses_a_u_that_is_not_a_chain_map(self, o):
+        # cone(u) is not validated on its own; the d o d check of the outer
+        # cone must still refuse a u that does not commute with d
+        one, zero = Matrix.identity(QQ, 1), Matrix.zero(QQ, 1, 1)
+        leave = [0, 1, 2] if o > 0 else [1, 2, 3]
+        X = GradedComplex(QQ, o, [1] * 4, dict(zip(leave, (one, zero, one))))
+        Y, Z = flat(QQ, [1] * 4), flat(QQ, [1] * 4)
+        if o < 0:
+            Y = Z = GradedComplex(QQ, -1, [1] * 4, {n: zero for n in leave})
+        v = ChainMap(Y, Z, {n: zero for n in range(4)})
+        fine = ChainMap(X, Y, {n: zero for n in range(4)})
+        assert len(cofibration_verdicts(fine, v, 0)) == 1
+        broken = ChainMap(X, Y, {n: one for n in range(4)}, check=False)
+        with pytest.raises(ShapeMismatch, match="d o d"):
+            cofibration_verdicts(broken, v, 0)
 
     def test_window_out_of_range(self):
         cx = flat(QQ, [1, 1, 1])
@@ -159,9 +182,9 @@ class TestExcisionCoalgebra:
         depths = []
         real = complexes.twisted_ch
 
-        def counted(C, M, X, maxdeg, check=True):
+        def counted(C, M, X, maxdeg):
             depths.append(maxdeg)
-            return real(C, M, X, maxdeg, check)
+            return real(C, M, X, maxdeg)
 
         monkeypatch.setattr(complexes, "twisted_ch", counted)
         monkeypatch.setattr(theorems, "twisted_ch", counted)
@@ -172,10 +195,13 @@ class TestExcisionCoalgebra:
 
     def test_each_coface_and_map_induced_once(self, monkeypatch):
         # every coface of the five complexes, every cyclic operator and every
-        # component of f1, f2, g1, g2, u and v is checked and induced exactly
-        # once: the cyclic-level u and v reuse the Hochschild-level components
-        induced, checked = [], []
+        # component of f1, f2, g1, g2, u and v is induced exactly once: the
+        # cyclic-level u and v reuse the Hochschild-level components. Only the
+        # last coface of each degree, each tau and each component is checked,
+        # in the product form; d_0 ... d_n descend by the commutator checks
+        induced, checked, totals = [], [], []
         real_induce, real_check = QuotientSpace.induce, complexes.map_well_defined
+        real_total = complexes.cyclic_total_complex
 
         def induce(self, other, amb):
             induced.append(amb)
@@ -185,16 +211,26 @@ class TestExcisionCoalgebra:
             checked.append(amb)
             return real_check(amb, src, dst)
 
+        def total(cm, maxtot):
+            totals.append(maxtot)
+            return real_total(cm, maxtot)
+
         monkeypatch.setattr(QuotientSpace, "induce", induce)
         monkeypatch.setattr(complexes, "map_well_defined", check)
+        monkeypatch.setattr(complexes, "cyclic_total_complex", total)
+        monkeypatch.setattr(theorems, "cyclic_total_complex", total)
         ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
         rep = verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
         assert rep.all_pass
         # CH(C, C/K), CH(C/K), CH(C, K) and CH(C) through degree 3, CH(K) through 4
-        cofaces = sum(n + 2 for top in (3, 3, 3, 3, 4) for n in range(top))
+        tops = (3, 3, 3, 3, 4)
+        last_cofaces = sum(tops)
+        first_cofaces = sum(n + 1 for top in tops for n in range(top))
         taus = 5 + 4 + 3  # cyclic modules of K, C and C/K through degrees 4, 3, 2
         maps = 6 * 4  # six maps, components in degrees 0..3
-        assert len(induced) == len(checked) == cofaces + taus + maps
+        assert len(checked) == last_cofaces + taus + maps
+        assert len(induced) == first_cofaces
+        assert sorted(totals) == [2, 3, 4]  # CM(C/K), CM(C), CM(K): one each
 
     def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q):
         # non-cocommutative base with the co-adjoint SaYD coefficient: the

@@ -132,9 +132,12 @@ def test_structure_maps_equal_reference_forms(bname, fname, monkeypatch):
         assert diagonal_action(B, mixed) == oracles.diagonal_action(B, mixed)
         rho_x = right_coaction_of_modcomod(X)
         assert rho_x == oracles.right_coaction_of_modcomod(X)
-        T = twisted_ch(mc, M, X, TOP, check=False)
+        T = twisted_ch(mc, M, X, TOP)
         for n in range(TOP + 1):
-            assert T.actions[n] == oracles.twisted_actions(B, M, mc, X, n), (kind, n)
+            full = oracles.twisted_actions(B, M, mc, X, n)
+            assert diagonal_action(B, [(d, M.action)] + [(d, mc.action)] * n,
+                                   coefficient=(x, X.action)) == full, (kind, n)
+            assert T.actions[n] == {g: full[g] for g in B.algebra_generators}, (kind, n)
             assert _wrap_coface(mc, M, X, d**n) == oracles.wrap_coface(mc, M, X, n)
             if n < TOP:
                 assert T.cofaces[n][0] == oracles.slotted(f, x, M.right_coaction, d**n)
@@ -218,12 +221,12 @@ def test_mutant_wrapped_leg_in_wrong_slot_rejected(monkeypatch):
 
 def test_mutant_coefficient_takes_first_leg_rejected(monkeypatch):
     """The graded action deals the coefficient the first coproduct leg, not the last."""
-    real = complexes.diagonal_action
+    real = complexes._diagonal_action
 
-    def miswired(B, factors, coefficient=None):
-        return real(B, ([coefficient] if coefficient else []) + list(factors))
+    def miswired(B, factors, coefficient, wanted):
+        return real(B, ([coefficient] if coefficient else []) + list(factors), None, wanted)
 
-    monkeypatch.setattr(complexes, "diagonal_action", miswired)
+    monkeypatch.setattr(complexes, "_diagonal_action", miswired)
     mc, X = _sweedler_triple()
     with pytest.raises(IdentityViolation, match="coface d_1 well-defined"):
         assemble("coalgebra", mc, X, 3)
