@@ -116,15 +116,14 @@ class CosimplicialModule:
     coface identities are validated entry-exactly at construction.
     """
 
-    def __init__(self, field, dims, cofaces, actions=None, over=None, check=True):
+    def __init__(self, field, dims, cofaces, actions=None, over=None):
         self.field = field
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
         self.actions = actions
         self.over = over
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for n in range(self.top):
@@ -311,7 +310,7 @@ def induced_complex(T, X, check_flags=True):
                + [_induced(faces[-1], q[n], q[n + 1],
                            IdentityViolation(n, f"coface d_{n + 1} well-defined on the quotient"))]
                for n, faces in enumerate(T.cofaces)]
-    return CocyclicModule(T, q, cofaces)
+    return CocyclicModule(T.field, B, q, cofaces)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +560,21 @@ def untwist(B, U, V):
 
 
 def _check_tau_order(cm):
-    """tau^{n+1} = id in every degree, entry-exactly."""
+    """tau^{n+1} = id in every degree, entry-exactly.
+
+    With k = floor((n+1)/2), tau^{n+1} is (tau^k)^2, times tau once more
+    when n+1 is odd: ceil((n+1)/2) products where powering one factor at a
+    time takes n+1, and never more than two powers alive at once.
+    """
     for n in range(cm.top + 1):
-        power = Matrix.identity(cm.field, cm.dims[n])
-        for _ in range(n + 1):
-            power = cm.tau[n].mul(power)
+        t = cm.tau[n]
+        power = t
+        for _ in range((n + 1) // 2 - 1):
+            power = t.mul(power)
+        if n:
+            power = power.mul(power)
+            if n % 2 == 0:
+                power = t.mul(power)
         if power != Matrix.identity(cm.field, cm.dims[n]):
             raise IdentityViolation(n, "tau^{n+1} = id")
 
@@ -584,35 +593,37 @@ def _induced(amb, src, dst, failure):
 def descend(T, quotients):
     """The :class:`CocyclicModule`, no tau yet, that ``T``'s cofaces induce on ``quotients``.
 
-    ``T`` is any module with ``cofaces``, such as a cocyclic module with the
-    quotients of a cokernel. Every coface must send relations into
-    relations, exactly (twisted CH complexes: :func:`induced_complex`).
+    ``T`` is any module with ``field``, ``over`` and ``cofaces``, such as a
+    cocyclic module with the quotients of a cokernel. Every coface must
+    send relations into relations, exactly (twisted CH complexes:
+    :func:`induced_complex`). The result keeps no reference to ``T``.
     """
     cofaces = [[_induced(d, quotients[n], quotients[n + 1],
                          IdentityViolation(n, f"coface d_{j} well-defined on the quotient"))
                 for j, d in enumerate(T.cofaces[n])]
                for n in range(len(quotients) - 1)]
-    return CocyclicModule(T, quotients, cofaces)
+    return CocyclicModule(T.field, T.over, quotients, cofaces)
 
 
 class CocyclicModule:
-    """Cocyclic module induced on quotients of an ambient ``T`` (coalgebra side).
+    """Cocyclic module induced on quotients of an ambient module (coalgebra side).
 
     ``quotients[n]`` is the quotient of degree n, ``cofaces[n]`` the n+2
     induced cofaces leaving it and ``tau[n]`` the induced cyclic operator,
-    None until :meth:`with_tau`. Built once per run at the deepest degree any
-    consumer needs; shallower consumers take a truncation, which shares every
-    matrix.
+    None until :meth:`with_tau`. Nothing of the ambient is kept but its
+    dimensions, ``ambient_dims``, so it is freed once descended. Built once
+    per run at the deepest degree any consumer needs; shallower consumers
+    take a truncation, which shares every matrix.
     """
 
     orientation = +1
 
-    def __init__(self, T, quotients, cofaces, tau=None):
-        self.T = T
-        self.field = T.field
-        self.over = T.over
+    def __init__(self, field, over, quotients, cofaces, tau=None):
+        self.field = field
+        self.over = over
         self.quotients = quotients
         self.dims = [q.dim for q in quotients]
+        self.ambient_dims = [q.ambient_dim for q in quotients]
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
         self.tau = tau
@@ -621,8 +632,8 @@ class CocyclicModule:
     def complex(self):
         """The Hochschild complex, d = sum_j (-1)^j d_j, built on first use.
 
-        It is the matrix that inducing ``T``'s differential gives, because
-        inducing is linear.
+        It is the matrix that inducing the ambient differential gives,
+        because inducing is linear.
         """
         return _hochschild_complex(self)
 
@@ -630,11 +641,9 @@ class CocyclicModule:
         """The same module through degree ``top``, nothing rebuilt."""
         if top > self.top:
             raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
-        T = self.T
-        head = CosimplicialModule(T.field, T.dims[:top + 1], T.cofaces[:top],
-                                  actions=T.actions[:top + 1], over=T.over, check=False)
         tau = self.tau[:top + 1] if self.tau is not None else None
-        return CocyclicModule(head, self.quotients[:top + 1], self.cofaces[:top], tau)
+        return CocyclicModule(self.field, self.over, self.quotients[:top + 1],
+                              self.cofaces[:top], tau)
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
@@ -644,7 +653,7 @@ class CocyclicModule:
         what = "cyclic operator well-defined on the quotient"
         tau = [_induced(t, q, q, IdentityViolation(n, what))
                for n, (t, q) in enumerate(zip(taus, self.quotients, strict=True))]
-        cm = CocyclicModule(self.T, self.quotients, self.cofaces, tau)
+        cm = CocyclicModule(self.field, self.over, self.quotients, self.cofaces, tau)
         cm.validate()
         return cm
 
@@ -733,7 +742,7 @@ def _assemble_coalgebra(C, X, maxdeg, descended=None):
     if descended is None:
         descended = induced_complex(twisted_ch(C, regular_bicomodule(C), X, maxdeg), X,
                                     check_flags=False)
-    elif descended.top < maxdeg or descended.T.dims[0] != X.dim * c:
+    elif descended.top < maxdeg or descended.ambient_dims[0] != X.dim * c:
         raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
     taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
     return descended.truncate(maxdeg).with_tau(taus)

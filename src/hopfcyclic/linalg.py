@@ -480,25 +480,114 @@ class SubSpace:
 
 
 class QuotientSpace:
-    """k^n modulo a subspace, with projection and a coordinate section.
+    """k^n modulo the span W of the relations, with projection and a coordinate section.
 
-    Quotient coordinates are the non-pivot coordinates of the relation
-    echelon, so the section just re-embeds representative coordinates and
-    projection . section is the identity. The kernel of the projection is
-    the relation span, so no echelon is kept.
+    Quotient coordinates are the free (non-pivot) columns of the RREF of the
+    relations with leftmost pivots, so the section re-embeds them and
+    projection . section is the identity. The projection has kernel W; no
+    echelon is kept.
+
+    Relations with one or two nonzeros are never eliminated. They fold into
+    a weighted union-find over the field (Tarjan, J. ACM 22, 1975): each
+    index keeps its ratio w_i to its root, e_i = w_i e_root modulo W, and the
+    root is the largest index of its class. A relation with one nonzero
+    kills its class; one with two merges the classes of its indices, and
+    kills the class when the ratios around a cycle disagree. Only the wider
+    relations reach an echelon, rewritten in the coordinates of the live
+    roots; dead classes drop out and zero results are skipped.
+
+    This gives the canonical RREF quotient entry for entry. The pivots of an
+    RREF are the numbers min supp(w) over the nonzero w in W, so the free
+    set depends on W only. The vectors e_i - w_i e_root (i a member of a
+    live class other than its root, so i < root), e_i (i in a dead class)
+    and the echelon rows of the rewritten wide relations lie in W, span it
+    (a wide relation differs from its rewrite by a combination of the first
+    two kinds) and have distinct minimal supports. A nonzero combination of
+    them has the least of those minima among its terms, so the minima are
+    the pivots and the free set is the live roots that are no echelon
+    pivot. As
+    k^n = W + span(e_free) is direct, only one projection onto the free
+    coordinates has kernel W: e_i goes to w_i times the image of its root,
+    which is its own coordinate for a free root and minus its RREF row for
+    an echelon pivot.
     """
 
     def __init__(self, field, ambient_dim, relation_vectors):
+        f = field
+        zero, one = f.zero, f.one
         self.field = field
         self.ambient_dim = ambient_dim
-        ech = Echelon(field)
-        for v in relation_vectors:
-            ech.insert(v)
-        free, basis = _free_basis(field, ambient_dim, ech.reduced_rows())
+        parent = list(range(ambient_dim))
+        ratio = [one] * ambient_dim  # e_i = ratio[i] e_parent[i] modulo the relations
+        dead = set()  # roots of killed classes
+
+        def find(i):
+            """(root of i, w) with e_i = w e_root; compresses the path."""
+            if parent[i] == i:
+                return i, one
+            path = []
+            while parent[i] != i:
+                path.append(i)
+                i = parent[i]
+            w = one
+            for j in reversed(path):
+                w = f.mul(ratio[j], w)
+                ratio[j], parent[j] = w, i
+            return i, w
+
+        wide = []
+        for rel in relation_vectors:
+            if len(rel) > 2:
+                wide.append(rel)
+                continue
+            terms = [(i, a) for i, a in rel.items() if a != zero]
+            if len(terms) == 1:
+                dead.add(find(terms[0][0])[0])
+            elif terms:
+                # a e_i + b e_j reads c_u e_u + c_v e_v = 0 on the roots u, v
+                (u, wu), (v, wv) = find(terms[0][0]), find(terms[1][0])
+                cu, cv = f.mul(terms[0][1], wu), f.mul(terms[1][1], wv)
+                if u == v:
+                    if f.add(cu, cv) != zero:
+                        dead.add(u)
+                    continue
+                if u > v:
+                    u, v, cu, cv = v, u, cv, cu
+                parent[u], ratio[u] = v, f.neg(f.mul(cv, f.inv(cu)))
+                if u in dead or v in dead:
+                    dead.discard(u)
+                    dead.add(v)
+        ech = Echelon(f)
+        for rel in wide:
+            vec = {}
+            for i, a in rel.items():
+                r, w = find(i)
+                if r not in dead:
+                    s = f.add(vec.get(r, zero), f.mul(a, w))
+                    if s == zero:
+                        vec.pop(r, None)
+                    else:
+                        vec[r] = s
+            if vec:
+                ech.insert(vec)
+
+        red = ech.reduced_rows()
+        free = [i for i in range(ambient_dim)
+                if parent[i] == i and i not in dead and i not in red]
+        image = {c: {k: one} for k, c in enumerate(free)}  # live root -> projected e_root
+        index = {c: k for k, c in enumerate(free)}
+        for p, row in red.items():
+            image[p] = {index[c]: f.neg(v) for c, v in row.items() if c != p}
+        rd = {}
+        for i in range(ambient_dim):
+            r, w = find(i)
+            if r not in dead:
+                for k, v in image[r].items():
+                    rd.setdefault(k, {})[i] = f.mul(w, v)
         self.dim = len(free)
-        self.projection = basis.transpose()
-        sec = [(c, k, field.one) for k, c in enumerate(free)]
-        self.section = Matrix.from_entries(field, ambient_dim, self.dim, sec)
+        self.projection = Matrix(f, self.dim, ambient_dim, rd)
+        sec = [(c, k, one) for k, c in enumerate(free)]
+        self.section = Matrix.from_entries(f, ambient_dim, self.dim, sec)
 
     def induce(self, other, ambient_map):
         """Induced matrix other_quotient <- self on representatives, unchecked.

@@ -4,14 +4,15 @@ Textbook row reduction on dense lists, written without reference to the
 package internals so the two routes stay independent; the structure maps in
 their reference form, composed from Kronecker products, slot permutation
 matrices and matrix products; the coinvariant quotient taken over every
-basis element of B; and the test that a map descends to quotients by one
-membership test per relation, the reference for the product form of
-``linalg.map_well_defined``.
+basis element of B; the quotient read off one RREF of all the relations,
+the reference for the orbit quotients of ``linalg.QuotientSpace``; and the
+test that a map descends to quotients by one membership test per relation,
+the reference for the product form of ``linalg.map_well_defined``.
 """
 
 from fractions import Fraction
 
-from hopfcyclic.linalg import Matrix, QuotientSpace
+from hopfcyclic.linalg import Echelon, Matrix, QuotientSpace, _free_basis
 
 
 def dense_of(M):
@@ -132,6 +133,21 @@ def descends_by_membership(A, src_relations, dst_relations):
         if dense_rank(span + [img], f) != base:
             return False
     return True
+
+
+def echelon_quotient(field, ambient_dim, relation_vectors):
+    """(dim, projection, section) of k^n modulo the relation span, by elimination only.
+
+    Every relation goes into one echelon; the quotient coordinates are the
+    free columns of its RREF and the projection is the transpose of the
+    canonical kernel basis of the RREF.
+    """
+    ech = Echelon(field)
+    for v in relation_vectors:
+        ech.insert(v)
+    free, basis = _free_basis(field, ambient_dim, ech.reduced_rows())
+    sec = [(c, k, field.one) for k, c in enumerate(free)]
+    return len(free), basis.transpose(), Matrix.from_entries(field, ambient_dim, len(free), sec)
 
 
 def coinvariant_space(field, B, L_list, dim):

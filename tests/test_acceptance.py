@@ -4,14 +4,19 @@ Each test prints a single pass/fail line with its runtime; the stated time
 budgets are asserted as hard bounds.
 """
 
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from hopfcyclic.cli import parse_input
+from hopfcyclic.cli import main, parse_input
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import (
     BialgebraDesc,
@@ -337,6 +342,43 @@ def test_criterion_14_basis_independence():
                 assert complex_homology(conj, cx.max_valid_degree) == base
 
 
+def relabel_coalgebra_ses(doc, p):
+    """A coalgebra SES document with basis vector i of C renamed p[i].
+
+    The basis names, comultiplication, counit and B-action of C and the
+    rows of K move together, so the document describes the same SES.
+    """
+    base = doc["C"]["base"]
+    basis, counit = list(base["basis"]), list(base["counit"])
+    for i in range(len(p)):
+        basis[p[i]], counit[p[i]] = base["basis"][i], base["counit"][i]
+    comult = [[p[i], p[j], p[k], v] for i, j, k, v in base["comult"]]
+    action = [[b, p[c], p[c2], v] for b, c, c2, v in doc["C"]["action"]]
+    K = dict(doc["K"], entries=[[p[i], j, v] for i, j, v in doc["K"]["entries"]])
+    C = dict(doc["C"], base=dict(base, basis=basis, counit=counit, comult=comult),
+             action=action)
+    return dict(doc, C=C, K=K)
+
+
+def test_criterion_14_basis_independence_of_excision(tmp_path, capsys):
+    with budget("criterion 14: basis independence of excision", 30):
+        fixture = FIXTURES / "direct_sum_ses.json"
+        doc = json.loads(fixture.read_text())
+
+        def report(path):
+            code = main(["excision", str(path), "--max-degree", "2", "--json"])
+            assert code == 0
+            return capsys.readouterr().out
+
+        base = report(fixture)
+        rng = random.Random(14)
+        perms = [p for p in itertools.permutations(range(4)) if p != (0, 1, 2, 3)]
+        for k, p in enumerate(rng.sample(perms, 3)):
+            path = tmp_path / f"relabelled_{k}.json"
+            path.write_text(json.dumps(relabel_coalgebra_ses(doc, p)))
+            assert report(path) == base, p
+
+
 def test_degree_ceiling_algebra_excision_f2():
     with budget("degree ceiling: algebra-side excision at degree 4 over F_2", 15):
         ses = parse_input(str(FIXTURES / "z2_product_algebra_ses.json"), "Fp:2")
@@ -348,12 +390,41 @@ def test_degree_ceiling_algebra_excision_f2():
             assert d.dims["A"] == d.dims["I"] + d.dims["A/I"], d.n
 
 
+# Run by a fresh interpreter, so that neither its time nor its peak RSS
+# depends on what ran before it. ru_maxrss is in KiB on Linux.
+CEILING_CHILD = """
+import json, resource, sys, time
+from hopfcyclic.cli import parse_input
+from hopfcyclic.equivariant import make_coefficient
+from hopfcyclic.theorems import verify_excision
+
+t0 = time.time()
+ses = parse_input(sys.argv[1])
+X = make_coefficient("eps", ses.C.over)
+rep = verify_excision(ses, X, "coalgebra", int(sys.argv[2]))
+seconds = time.time() - t0
+print(json.dumps({"seconds": seconds, "all_pass": rep.all_pass,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "dims": [d.dims for d in rep.degrees]}))
+"""
+
+
 def test_degree_ceiling_coalgebra_excision():
-    with budget("degree ceiling: coalgebra-side excision at degree 5 over Q", 16):
-        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
-        X = make_coefficient("eps", ses.C.over)
-        rep = verify_excision(ses, X, "coalgebra", 5)
-        assert rep.all_pass
-        assert [d.n for d in rep.degrees] == [0, 1, 2, 3, 4, 5]
-        for d in rep.degrees:
-            assert d.dims["C"] == d.dims["K"] + d.dims["C/K"], d.n
+    name, seconds, megabytes = "degree ceiling: coalgebra-side excision at degree 5 over Q", 16, 300
+    src = str(FIXTURES.parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", CEILING_CHILD, str(FIXTURES / "direct_sum_ses.json"), "5"]
+    child = subprocess.run(argv, capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    print(f"\n[{name}] PASS ({run['seconds']:.2f} s, budget {seconds} s; "
+          f"peak RSS {run['peak_rss_mb']:.0f} MB, bound {megabytes} MB)")
+    assert run["seconds"] < seconds, (
+        f"{name} exceeded its {seconds} s budget ({run['seconds']:.2f} s)")
+    assert run["peak_rss_mb"] < megabytes, (
+        f"{name} exceeded its {megabytes} MB bound ({run['peak_rss_mb']:.0f} MB)")
+    assert run["all_pass"]
+    assert len(run["dims"]) == 6
+    for n, dims in enumerate(run["dims"]):
+        assert dims["C"] == dims["K"] + dims["C/K"], n

@@ -1,5 +1,8 @@
+import copy
 import json
 import random
+import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -53,7 +56,7 @@ from hopfcyclic.linalg import (
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
-from hopfcyclic import theorems
+from hopfcyclic import complexes, theorems
 
 import oracles
 from groups import cyclic_table
@@ -283,6 +286,17 @@ class TestInducedComplex:
         with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0"):
             induced_complex(T, X)
 
+    def test_descent_keeps_nothing_of_the_ambient(self, h4_q):
+        mc = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
+        ambient = weakref.ref(T)
+        ic = induced_complex(T, X)
+        assert ic.ambient_dims == T.dims
+        del T  # reference counting frees it at once: nothing else refers to it
+        assert ambient() is None
+        assert ic.complex.dims == ic.dims
+
     def test_truncation_equals_a_fresh_shallower_build(self, h4_q):
         mc = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
@@ -292,9 +306,8 @@ class TestInducedComplex:
         assert cut.top == fresh.top == 2
         assert cut.dims == fresh.dims
         assert cut.complex.diffs == fresh.complex.diffs
-        assert cut.T.dims == fresh.T.dims
-        assert cut.T.cofaces == fresh.T.cofaces
-        assert cut.T.actions == fresh.T.actions
+        assert cut.ambient_dims == fresh.ambient_dims
+        assert cut.cofaces == fresh.cofaces
         for a, b in zip(cut.quotients, fresh.quotients, strict=True):
             assert (a.projection, a.section) == (b.projection, b.section)
         with pytest.raises(DegreeOutOfRange):
@@ -419,6 +432,37 @@ class TestAssemble:
         X = make_coefficient("eps", z2_q)
         cm = assemble("algebra", A, X, 4)
         assert cm.dims == [1, 2, 4, 8, 16]
+
+    @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
+    def test_tau_with_cube_minus_id_rejected(self, z2_q, k_eps_z2, side):
+        # over Q, -tau_2 has cube -id, so tau^{n+1} = id fails at n = 2,
+        # where the check squares tau and multiplies by tau once more
+        main = (regular_module_coalgebra(z2_q) if side == "coalgebra"
+                else ComoduleAlgebra(z2_q, z2_q, z2_q.comult))
+        cm = assemble(side, main, k_eps_z2, 3)
+        mutant = copy.copy(cm)
+        mutant.tau = [t.neg() if n == 2 else t for n, t in enumerate(cm.tau)]
+        with pytest.raises(IdentityViolation, match=r"'tau\^\{n\+1\} = id' fails in degree 2"):
+            mutant.validate()
+
+    def test_tau_order_passes_exactly_when_the_order_divides_n_plus_1(self):
+        # permutation matrices of every order 1..6 in each degree 0..5: the
+        # check passes exactly when the order divides n + 1
+        rng = random.Random(7)
+        for n in range(6):
+            for order in range(1, 7):
+                relabel = list(range(8))
+                rng.shuffle(relabel)
+                cycle = [(i + 1) % order if i < order else i for i in range(8)]
+                tau = Matrix.from_entries(QQ, 8, 8, [(relabel[cycle[i]], relabel[i], 1)
+                                                     for i in range(8)])
+                cm = types.SimpleNamespace(field=QQ, top=n, dims=[8] * (n + 1),
+                                           tau=[Matrix.identity(QQ, 8)] * n + [tau])
+                if (n + 1) % order == 0:
+                    complexes._check_tau_order(cm)
+                else:
+                    with pytest.raises(IdentityViolation, match=f"degree {n}"):
+                        complexes._check_tau_order(cm)
 
 
 class TestHomology:

@@ -29,6 +29,7 @@ from oracles import (
     dense_rank,
     dense_rank_of_matrix,
     descends_by_membership,
+    echelon_quotient,
     sympy_rank,
 )
 from randmat import random_invertible
@@ -241,6 +242,68 @@ def test_product_form_matches_the_membership_oracle(case):
     assert (induced is not None) == descends_by_membership(A, src_rels, dst_rels)
     if induced is not None:
         assert induced == src.induce(dst, A)
+
+
+@st.composite
+def relation_sets(draw):
+    """(field, n, relations) of one kind: binomial only; mixed widths;
+    binomial with single-entry kills; cycles of binomials whose ratios may
+    disagree; with zero and duplicate (rescaled) relations; empty; full rank.
+    """
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(
+        ["binomial", "mixed", "kills", "cycles", "zero and duplicate", "empty", "full"]))
+    scalar = st.sampled_from([1, -1, 2, 3, -3]).map(field.from_int).filter(
+        lambda v: v != field.zero)
+
+    def relation(width):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=width, max_size=width,
+                            unique=True))
+        return {i: draw(scalar) for i in idx}
+
+    def some(widths):
+        return [relation(w) for w in draw(st.lists(widths, max_size=8))]
+
+    if kind == "empty" or n == 0:
+        return field, n, [{}] * draw(st.integers(0, 2))
+    if kind == "full":
+        rels = some(st.integers(1, min(n, 4))) + [{i: draw(scalar)} for i in range(n)]
+        return field, n, draw(st.permutations(rels))
+    if kind == "binomial":
+        return field, n, some(st.just(min(n, 2)))
+    if kind == "mixed":
+        return field, n, some(st.integers(1, min(n, 5)))
+    if kind == "kills":
+        return field, n, draw(st.permutations(some(st.just(min(n, 2)))
+                                              + some(st.just(min(n, 1)))))
+    if kind == "cycles":
+        rels = []
+        for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+            cyc = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+            ratios = [draw(scalar) for _ in cyc]
+            if draw(st.booleans()):
+                # close the cycle consistently: the product of ratios is 1
+                prod = field.one
+                for r in ratios[:-1]:
+                    prod = field.mul(prod, r)
+                ratios[-1] = field.inv(prod)
+            # e_a = r e_b, i.e. e_a - r e_b, around a -> b
+            for a, b, r in zip(cyc, cyc[1:] + cyc[:1], ratios):
+                rels.append({a: field.one, b: field.neg(r)})
+        return field, n, draw(st.permutations(rels + some(st.just(min(n, 2)))))
+    rels = some(st.integers(1, min(n, 4)))
+    dups = [{i: field.mul(c, v) for i, v in r.items()}
+            for r, c in zip(rels, draw(st.lists(scalar, max_size=len(rels))))]
+    return field, n, draw(st.permutations(rels + dups + [{}] * draw(st.integers(1, 3))))
+
+
+@given(relation_sets())
+@settings(max_examples=300, deadline=None)
+def test_orbit_quotient_equals_the_echelon_oracle(case):
+    field, n, rels = case
+    q = QuotientSpace(field, n, rels)
+    assert (q.dim, q.projection, q.section) == echelon_quotient(field, n, rels)
 
 
 class TestQuotient:
