@@ -610,8 +610,8 @@ class CocyclicModule:
 
     ``quotients[n]`` is the quotient of degree n, ``cofaces[n]`` the n+2
     induced cofaces leaving it and ``tau[n]`` the induced cyclic operator,
-    None until :meth:`with_tau`. Nothing of the ambient is kept but its
-    dimensions, ``ambient_dims``, so it is freed once descended. Built once
+    None until :meth:`with_tau`. Nothing of the ambient is kept but the
+    dimensions each quotient records, so it is freed once descended. Built once
     per run at the deepest degree any consumer needs; shallower consumers
     take a truncation, which shares every matrix.
     """
@@ -623,7 +623,6 @@ class CocyclicModule:
         self.over = over
         self.quotients = quotients
         self.dims = [q.dim for q in quotients]
-        self.ambient_dims = [q.ambient_dim for q in quotients]
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
         self.tau = tau
@@ -742,7 +741,7 @@ def _assemble_coalgebra(C, X, maxdeg, descended=None):
     if descended is None:
         descended = induced_complex(twisted_ch(C, regular_bicomodule(C), X, maxdeg), X,
                                     check_flags=False)
-    elif descended.top < maxdeg or descended.ambient_dims[0] != X.dim * c:
+    elif descended.top < maxdeg or descended.quotients[0].ambient_dim != X.dim * c:
         raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
     taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
     return descended.truncate(maxdeg).with_tau(taus)
