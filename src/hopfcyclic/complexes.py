@@ -29,12 +29,11 @@ from .linalg import (
     GradedComplex,
     Matrix,
     QuotientSpace,
-    SubSpace,
     block_matrix,
     map_well_defined,
     rank_kernel,
+    restrict,
     slotted,
-    solve_columns,
     wire,
 )
 
@@ -360,7 +359,7 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
     res = bar(C_desc, "resolution", top)
     for n in range(top):
         d_amb = slotted(f, xd, res.differential(n), yd)
-        induced = solve_columns(inclusions[n + 1], d_amb.mul(inclusions[n]))
+        induced = restrict(inclusions[n + 1], d_amb.mul(inclusions[n]))
         if induced is None:
             raise WellDefinednessFailure(
                 f"bar differential does not preserve the cotensor subspace at degree {n}")
@@ -374,7 +373,7 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
     for n in range(top + 1):
         per_b = []
         for L in diagonal_action(B, [(xd, act_X)] + [(c, act_C)] * (n + 2) + [(yd, act_Y)]):
-            small = solve_columns(inclusions[n], L.mul(inclusions[n]))
+            small = restrict(inclusions[n], L.mul(inclusions[n]))
             if small is None:
                 raise WellDefinednessFailure("cotensor subspace is not B-stable")
             per_b.append(small)
@@ -419,7 +418,7 @@ def doi_check(C_desc, M, maxdeg):
         cn = _pow(c, n)
         phi = wire(f, dict(dims, t=cn), "m t -> m0 cr t cl", *coact)
         phis.append(phi)
-        if not SubSpace.from_columns(inclusions[n]).contains_columns(phi):
+        if restrict(inclusions[n], phi) is None:
             return False
         r, _ = rank_kernel(phi)
         if r != md * cn or inclusions[n].cols != md * cn:
@@ -772,20 +771,16 @@ def _assemble_algebra(A, X, maxdeg):
     f = B.field
     a = A.dim
     x = X.dim
-    rho_x = right_coaction_of_modcomod(X)
+    rho = right_coaction_of_modcomod(X)
     inclusions = []
-    dims = []
-    unit = B.unit
     for n in range(maxdeg + 1):
-        amb = _pow(a, n + 1) * x
-        rho = diagonal_right_coaction(B, [(a, A.coaction)] * (n + 1) + [(x, rho_x)])
-        triv = slotted(f, amb, unit, 1)
-        _, ker = rank_kernel(rho.sub(triv))
+        # the coaction on A (x) (A^n (x) X) wires one A slot to that of degree n - 1
+        rho = diagonal_right_coaction(B, [(a, A.coaction), (rho.cols, rho)])
+        _, ker = rank_kernel(rho.sub(slotted(f, rho.cols, B.unit, 1)))
         inclusions.append(ker)
-        dims.append(ker.cols)
 
-    def restrict(Mamb, n_src, n_dst):
-        small = solve_columns(inclusions[n_dst], Mamb.mul(inclusions[n_src]))
+    def onto(Mamb, n_src, n_dst):
+        small = restrict(inclusions[n_dst], Mamb.mul(inclusions[n_src]))
         if small is None:
             raise IdentityViolation(n_src, "operator preserves the cotensor subspace")
         return small
@@ -795,9 +790,9 @@ def _assemble_algebra(A, X, maxdeg):
     for n in range(1, maxdeg + 1):
         faces = [slotted(f, _pow(a, j), A.base.mult, _pow(a, n - 1 - j) * x) for j in range(n)]
         faces.append(faces[0].mul(taus_amb[n]))
-        faces_small.append([restrict(d, n, n - 1) for d in faces])
-    taus_small = [restrict(taus_amb[n], n, n) for n in range(maxdeg + 1)]
-    cm = CyclicModule(f, B, dims, faces_small, taus_small, inclusions)
+        faces_small.append([onto(d, n, n - 1) for d in faces])
+    taus_small = [onto(taus_amb[n], n, n) for n in range(maxdeg + 1)]
+    cm = CyclicModule(f, B, [K.cols for K in inclusions], faces_small, taus_small, inclusions)
     cm.validate()
     return cm
 

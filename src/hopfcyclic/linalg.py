@@ -412,7 +412,7 @@ def rank(M):
 
 
 def rank_kernel(M):
-    """Rank of M and a Matrix whose columns are a basis of ker M.
+    """Rank of M and a :class:`KernelBasis` whose columns are a basis of ker M.
 
     The kernel basis is canonical: one vector per free column, carrying 1 at
     its free column and 0 at every other free column. It is read off the
@@ -421,12 +421,25 @@ def rank_kernel(M):
     ech = Echelon(M.field)
     for row in M.rowdict.values():
         ech.insert(row)
-    _, kernel = _free_basis(M.field, M.cols, ech.reduced_rows())
-    return ech.rank, kernel
+    return ech.rank, _free_basis(M.field, M.cols, ech.reduced_rows())
+
+
+class KernelBasis(Matrix):
+    """A canonical kernel basis K with its free rows: the dual of :class:`QuotientSpace`.
+
+    ``free[k]`` is the free coordinate of column k, so the rows ``free`` of
+    K form the identity; :func:`restrict` reads coordinates off them.
+    """
+
+    __slots__ = ("free",)
+
+    def __init__(self, field, rows, free, rowdict):
+        super().__init__(field, rows, len(free), rowdict)
+        self.free = free
 
 
 def _free_basis(field, ncols, red):
-    """Free columns of the RREF ``red`` and the canonical basis of its kernel.
+    """The canonical basis of the kernel of the RREF ``red``, a :class:`KernelBasis`.
 
     Basis vector k has 1 at the k-th free column and -red[p][c] at each pivot
     p, so row p of the basis matrix is row p of ``red`` negated, without its
@@ -440,7 +453,25 @@ def _free_basis(field, ncols, red):
         row = {index[c]: field.neg(v) for c, v in red[p].items() if c != p}
         if row:
             rd[p] = row
-    return free, Matrix(field, ncols, len(free), rd)
+    return KernelBasis(field, ncols, free, rd)
+
+
+def restrict(K, Y):
+    """The X with K X == Y for a :class:`KernelBasis` K, or None when there is none.
+
+    This is ``solve_columns(K, Y)`` entry for entry, without elimination:
+    the rows ``free`` of K form the identity, so a solution X must equal the
+    rows ``free`` of Y. X is read off there and one exact product identity,
+    K X == Y, decides. As K has full column rank, a solution is unique, so X
+    is the one solve_columns expresses, and when the identity fails there is
+    none. The subspace dual of :func:`map_well_defined`.
+    """
+    if K.rows != Y.rows:
+        raise ShapeMismatch(f"{Y.rows} rows do not restrict onto a subspace of k^{K.rows}")
+    index = {c: k for k, c in enumerate(K.free)}
+    X = Matrix(K.field, K.cols, Y.cols,
+               {index[i]: dict(row) for i, row in Y.rowdict.items() if i in index})
+    return X if K.mul(X) == Y else None
 
 
 class SubSpace:

@@ -56,6 +56,7 @@ from .linalg import (
     map_well_defined,
     rank,
     rank_kernel,
+    restrict,
     slotted,
     solve_columns,
 )
@@ -607,7 +608,7 @@ def _cyclic_map_components(src_cm, dst_cm, X, slot_map, top):
     for n in range(top + 1):
         amb = _tensor_power(slot_map, n + 1, f).kron(I_x)
         img = amb.mul(src_cm.inclusions[n])
-        small = solve_columns(dst_cm.inclusions[n], img)
+        small = restrict(dst_cm.inclusions[n], img)
         if small is None:
             raise ShapeMismatch(f"cyclic morphism leaves the cotensor subspace at degree {n}")
         comps[n] = small
@@ -998,12 +999,13 @@ def _cocommutative_core(B, K_basis, X, maxdeg, report):
     cm = assemble("algebra", A_q, X_q, depth)
 
     # literal identity of the two cotensor conditions, degreewise
-    rho_x_q = right_coaction_of_modcomod(X_q)
+    rho_small = right_coaction_of_modcomod(X_q)
     same = True
     for n in range(depth + 1):
-        amb = qdesc.dim ** (n + 1) * X.dim
+        # one more B/K slot on the coaction of degree n - 1, as in assemble
         rho_small = diagonal_right_coaction(
-            qdesc, [(qdesc.dim, qdesc.comult)] * (n + 1) + [(X.dim, rho_x_q)])
+            qdesc, [(qdesc.dim, qdesc.comult), (rho_small.cols, rho_small)])
+        amb = rho_small.cols
         rho_big = Matrix.identity(f, amb).kron(s).mul(rho_small)
         cond_small = rho_small.sub(Matrix.identity(f, amb).kron(qdesc.unit))
         cond_big = rho_big.sub(Matrix.identity(f, amb).kron(B.unit))

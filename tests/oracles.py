@@ -145,7 +145,8 @@ def echelon_quotient(field, ambient_dim, relation_vectors):
     ech = Echelon(field)
     for v in relation_vectors:
         ech.insert(v)
-    free, basis = _free_basis(field, ambient_dim, ech.reduced_rows())
+    basis = _free_basis(field, ambient_dim, ech.reduced_rows())
+    free = basis.free
     sec = [(c, k, field.one) for k, c in enumerate(free)]
     return len(free), basis.transpose(), Matrix.from_entries(field, ambient_dim, len(free), sec)
 

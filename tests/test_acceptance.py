@@ -379,6 +379,48 @@ def test_criterion_14_basis_independence_of_excision(tmp_path, capsys):
             assert report(path) == base, p
 
 
+def relabel_algebra_ses(doc, p):
+    """An algebra SES document with basis vector i of A renamed p[i].
+
+    The basis names, multiplication, unit and B-coaction of A and the rows
+    of the ideal generators move together, so the document describes the
+    same SES. The free rows of every cotensor inclusion move with them.
+    """
+    a_doc = doc["A"]
+    base = a_doc["base"]
+    d = len(a_doc["over"]["basis"])
+    basis, unit = list(base["basis"]), list(base["unit"])
+    for i in range(len(p)):
+        basis[p[i]], unit[p[i]] = base["basis"][i], base["unit"][i]
+    mult = [[p[i], p[j], p[k], v] for i, j, k, v in base["mult"]]
+    coaction = dict(a_doc["coaction"], entries=[
+        [p[r // d] * d + r % d, p[c], v] for r, c, v in a_doc["coaction"]["entries"]])
+    ideal = dict(doc["ideal"], entries=[[p[i], j, v] for i, j, v in doc["ideal"]["entries"]])
+    A = dict(a_doc, base=dict(base, basis=basis, unit=unit, mult=mult), coaction=coaction)
+    return dict(doc, A=A, ideal=ideal)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:2"])
+def test_criterion_14_basis_independence_of_algebra_excision(tmp_path, capsys, field):
+    with budget(f"criterion 14: basis independence of algebra excision over {field}", 30):
+        fixture = FIXTURES / "z2_product_algebra_ses.json"
+        doc = json.loads(fixture.read_text())
+
+        def report(path):
+            code = main(["excision", str(path), "--side", "algebra", "--field", field,
+                         "--max-degree", "3", "--json"])
+            assert code == 0
+            return capsys.readouterr().out
+
+        base = report(fixture)
+        rng = random.Random(1414)
+        perms = [p for p in itertools.permutations(range(4)) if p != (0, 1, 2, 3)]
+        for k, p in enumerate(rng.sample(perms, 3)):
+            path = tmp_path / f"relabelled_{k}.json"
+            path.write_text(json.dumps(relabel_algebra_ses(doc, p)))
+            assert report(path) == base, p
+
+
 def test_degree_ceiling_algebra_excision_f2():
     with budget("degree ceiling: algebra-side excision at degree 4 over F_2", 15):
         ses = parse_input(str(FIXTURES / "z2_product_algebra_ses.json"), "Fp:2")

@@ -433,6 +433,17 @@ class TestAssemble:
         cm = assemble("algebra", A, X, 4)
         assert cm.dims == [1, 2, 4, 8, 16]
 
+    def test_algebra_face_leaving_the_cotensor_subspace_rejected(self, z2_q):
+        # g g = g instead of e: the face d_0 sends g (x) g, whose total
+        # coaction is trivial, to g, whose coaction is not
+        f = QQ
+        bump = Matrix.from_entries(f, 2, 4, [(0, 3, f.neg(f.one)), (1, 3, f.one)])
+        broken = BialgebraDesc(f, z2_q.basis, "algebra", mult=z2_q.mult.add(bump),
+                               unit=z2_q.unit, check=False)
+        A = ComoduleAlgebra(broken, z2_q, z2_q.comult, check=False)
+        with pytest.raises(IdentityViolation, match="operator preserves the cotensor subspace"):
+            assemble("algebra", A, make_coefficient("eps", z2_q), 2)
+
     @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
     def test_tau_with_cube_minus_id_rejected(self, z2_q, k_eps_z2, side):
         # over Q, -tau_2 has cube -id, so tau^{n+1} = id fails at n = 2,

@@ -20,6 +20,7 @@ from hopfcyclic.linalg import (
     quotient,
     rank,
     rank_kernel,
+    restrict,
     solve_columns,
 )
 
@@ -242,6 +243,68 @@ def test_product_form_matches_the_membership_oracle(case):
     assert (induced is not None) == descends_by_membership(A, src_rels, dst_rels)
     if induced is not None:
         assert induced == src.induce(dst, A)
+
+
+@st.composite
+def restriction_cases(draw):
+    """(K, Y, solvable): K the canonical kernel basis of a random wide M (K
+    has columns), of M = 0 (K = I) or of an injective M (K has no columns);
+    Y = K Z, K Z with one column pushed out of the span, or random. Y may
+    have no columns.
+    """
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+
+    def matrix(rows, cols):
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        return Matrix.from_entries(field, rows, cols,
+                                   [(k // cols, k % cols, v) for k, v in enumerate(vals)])
+
+    n = draw(st.integers(0, 6))
+    M = matrix(draw(st.integers(0, max(n - 1, 0))), n)  # fewer rows than columns
+    kind = draw(st.sampled_from(["random", "zero", "injective"]))
+    if kind == "zero":
+        M = Matrix.zero(field, M.rows, n)
+    elif kind == "injective":
+        M = M.vstack(Matrix.identity(field, n))
+    _, K = rank_kernel(M)
+    width = draw(st.integers(0, 3))
+    Y = K.mul(matrix(K.cols, width))
+    how = draw(st.sampled_from(["span", "escapes", "random"]))
+    pivots = [p for p in range(K.rows) if p not in K.free]
+    if how == "escapes" and pivots and width:
+        # column p of M is a pivot column, nonzero, so e_p is not in ker M
+        p, j = draw(st.sampled_from(pivots)), draw(st.integers(0, width - 1))
+        return K, Y.add(Matrix.from_entries(field, K.rows, width, [(p, j, field.one)])), False
+    if how == "random":
+        return K, matrix(K.rows, width), None
+    return K, Y, True
+
+
+@given(restriction_cases())
+@settings(max_examples=300, deadline=None)
+def test_restriction_equals_the_solve_oracle(case):
+    K, Y, solvable = case
+    X = restrict(K, Y)
+    assert X == solve_columns(K, Y)
+    if solvable is not None:
+        assert (X is not None) == solvable
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_restriction_edge_shapes(field):
+    one = field.one
+    _, injective = rank_kernel(Matrix.identity(field, 3))
+    assert injective.cols == 0 and injective.free == []
+    assert restrict(injective, Matrix.zero(field, 3, 2)) == Matrix.zero(field, 0, 2)
+    assert restrict(injective, Matrix.from_entries(field, 3, 1, [(1, 0, one)])) is None
+    _, everything = rank_kernel(Matrix.zero(field, 2, 3))
+    Y = Matrix.from_entries(field, 3, 2, [(0, 0, one), (2, 1, one)])
+    assert restrict(everything, Y) == Y
+    for K in (injective, everything):
+        assert restrict(K, Matrix.zero(field, 3, 0)) == Matrix.zero(field, K.cols, 0)
+    with pytest.raises(ShapeMismatch):
+        restrict(everything, Matrix.zero(field, 2, 1))
 
 
 @st.composite

@@ -290,6 +290,18 @@ class TestExcisionAlgebra:
         assert rep.all_pass
         assert rep.hypothesis("I and A co-projective over B").verdict == "PASS"
 
+    def test_slot_map_leaving_the_cotensor_subspace_rejected(self, z2_q):
+        A = ComoduleAlgebra(z2_q, z2_q, z2_q.comult)
+        X = make_coefficient("eps", z2_q)
+        cm = complexes.assemble("algebra", A, X, 2)
+        ident = theorems._cyclic_map_components(cm, cm, X, Matrix.identity(QQ, 2), 2)
+        assert all(ident[n] == Matrix.identity(QQ, cm.dims[n]) for n in range(3))
+        # the flip e <-> g is no comodule map: it sends e, whose coaction is
+        # trivial, to g, whose coaction is not
+        flip = Matrix.from_entries(QQ, 2, 2, [(0, 1, QQ.one), (1, 0, QQ.one)])
+        with pytest.raises(ShapeMismatch, match="leaves the cotensor subspace at degree 0"):
+            theorems._cyclic_map_components(cm, cm, X, flip, 2)
+
     def test_non_subcomodule_ideal_rejected(self, z4_q):
         # the ideal generated by g^2 - e in k[Z/4] is not a right subcomodule,
         # so the quotient coaction is representative-dependent
