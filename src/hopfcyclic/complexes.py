@@ -74,31 +74,83 @@ def _diagonal_action(B, factors, coefficient, wanted):
             for b, legs in terms.items()}
 
 
-def right_coaction_of_modcomod(X):
-    """Flip the left coaction of a coefficient into a right one.
+def coaction_blocks(coaction, count, left=False):
+    """The blocks C_p of a B-coaction rho, with rho(v) = sum_p C_p v (x) e_p.
 
-    x -> x_(0) (x) x_(-1); the leg order convention downstream multiplies
-    this leg last.
+    ``coaction`` is a right coaction V -> V (x) B, row v0 * count + p, or with
+    ``left`` a left one V -> B (x) V, row p * dim V + v0, read as the right
+    coaction v -> v_(0) (x) v_(-1). ``count`` is dim B.
     """
-    dims = {"x": X.dim, "x0": X.dim, "h": X.over.dim}
-    return wire(X.over.field, dims, "x -> x0 h", (X.coaction, "x -> h x0"))
+    dim = coaction.rows // count
+    rds = [{} for _ in range(count)]
+    for i, row in coaction.rowdict.items():
+        if left:
+            p, v0 = divmod(i, dim)
+        else:
+            v0, p = divmod(i, count)
+        rds[p][v0] = dict(row)
+    return [Matrix(coaction.field, dim, coaction.cols, rd) for rd in rds]
 
 
-def diagonal_right_coaction(B, factors):
-    """Diagonal right B-coaction on a product of right comodules.
+def diagonal_right_coaction(B, head, rest):
+    """The blocks of the diagonal right B-coaction on V (x) W.
 
-    ``factors`` is a list of (dim, coaction V -> V (x) B); legs multiply in
-    slot order, v0_(1) (v1_(1) (... vk_(1))). Each step wires the first
-    factor to the coaction of the rest.
+    ``head`` and ``rest`` are the blocks (:func:`coaction_blocks`) of V and
+    W. The legs multiply in slot order, v (x) w -> v_(0) (x) w_(0) (x)
+    v_(1) w_(1), so with m[p; h,k] the structure constants of B's
+    multiplication, block p is the Kronecker sum
+    C_p = sum_{h,k} m[p; h,k] H_h (x) R_k, the mirror of how
+    :func:`_diagonal_action` builds L_b. No sum is empty: 1 e_p = e_p.
     """
-    dim0, rho0 = factors[0]
-    if len(factors) == 1:
-        return rho0
-    rho_rest = diagonal_right_coaction(B, factors[1:])
-    rest = rho_rest.cols
-    dims = {"v": dim0, "v0": dim0, "w": rest, "w0": rest, "h": B.dim, "k": B.dim, "p": B.dim}
-    return wire(B.field, dims, "v w -> v0 w0 p", (rho0, "v -> v0 h"),
-                (rho_rest, "w -> w0 k"), (B.mult, "h k -> p"))
+    d = B.dim
+    terms = [[] for _ in range(d)]
+    for p, row in B.mult.rowdict.items():
+        for hk, v in row.items():
+            h, k = divmod(hk, d)
+            terms[p].append(head[h].scale(v).kron(rest[k]))
+    return [functools.reduce(Matrix.add, kron_terms) for kron_terms in terms]
+
+
+def total_coactions(A, X, maxdeg):
+    """The blocks of the total coaction on A^{(x) n+1} (x) X for n = 0 .. maxdeg.
+
+    a_0 (x) ... (x) a_n (x) x -> a_0(0) (x) ... (x) a_n(0) (x) x_(0)
+    (x) a_0(1) ... a_n(1) x_(-1). Degree n is one more A slot on degree
+    n - 1 (:func:`diagonal_right_coaction`); the degrees are yielded one at
+    a time, so a consumer keeps only the blocks it holds.
+    """
+    B = A.over
+    head = coaction_blocks(A.coaction, B.dim)
+    blocks = coaction_blocks(X.coaction, B.dim, left=True)
+    for _ in range(maxdeg + 1):
+        blocks = diagonal_right_coaction(B, head, blocks)
+        yield blocks
+
+
+def comodule_coinvariants(unit, blocks):
+    """The :class:`KernelBasis` of the coinvariants {v : rho(v) = v (x) 1}.
+
+    ``blocks`` are the blocks C_p of rho and ``unit`` the dim B x 1 unit u
+    of B. rho(v) = v (x) 1 says C_p v = u_p v for every p, so this is the
+    kernel of the C_p - u_p I stacked, read without assembling rho.
+    """
+    f = unit.field
+    dim = blocks[0].cols
+    u = unit.coldict().get(0, {})
+    rd = {}
+    for p, C in enumerate(blocks):
+        rows = C.rowdict
+        if p in u:  # rows of C_p - u_p I, the diagonal entry shifted
+            rows = {i: dict(rows.get(i, ())) for i in range(dim)}
+            for i, row in rows.items():
+                w = f.sub(row.get(i, f.zero), u[p])
+                if w == f.zero:
+                    row.pop(i, None)
+                else:
+                    row[i] = w
+        rd.update((p * dim + i, row) for i, row in rows.items() if row)
+    stacked = Matrix(f, len(blocks) * dim, dim, rd)
+    return rank_kernel(stacked)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -695,17 +747,29 @@ class CyclicModule:
         self.orientation = -1
 
     def validate(self):
+        """Check the cyclic identities at every degree n, entry-exactly.
+
+        Checked: tau^{n+1} = id, d_i tau = tau d_{i-1} for 1 <= i <= n,
+        d_0 tau = d_n, and d_0 d_j = d_{j-1} d_0 for 1 <= j <= n, which are
+        n of the n(n+1)/2 face identities d_i d_j = d_{j-1} d_i, i < j.
+        They imply the rest, as d_0 and tau generate every face (Connes'
+        cyclic category). tau is invertible, as tau^{n+1} = id, so
+        d_i tau = tau d_{i-1} gives d_i = tau d_{i-1} tau^{-1} in every
+        degree. For 1 <= i < j <= n then
+        d_i d_j = tau d_{i-1} d_{j-1} tau^{-1} and
+        d_{j-1} d_i = tau d_{j-2} d_{i-1} tau^{-1}: identity (i, j) is
+        identity (i-1, j-1) conjugated by tau, and down to i = 0 it is
+        identity (0, j-i), which is checked. The d_i used one degree down
+        have i <= n-1, where their tau identity is checked too.
+        """
         _check_tau_order(self)
         for n in range(1, self.top + 1):
             faces = self.faces[n]
-            lower = self.faces[n - 1] if n >= 1 else None
-            for j in range(1, n + 1):
-                for i in range(j):
-                    if n >= 2:
-                        lhs = lower[i].mul(faces[j])
-                        rhs = lower[j - 1].mul(faces[i])
-                        if lhs != rhs:
-                            raise IdentityViolation(n, f"d_{i} d_{j} = d_{j-1} d_{i}")
+            if n >= 2:
+                lower = self.faces[n - 1]
+                for j in range(1, n + 1):
+                    if lower[0].mul(faces[j]) != lower[j - 1].mul(faces[0]):
+                        raise IdentityViolation(n, f"d_0 d_{j} = d_{j-1} d_0")
             for i in range(1, n + 1):
                 if faces[i].mul(self.tau[n]) != self.tau[n - 1].mul(faces[i - 1]):
                     raise IdentityViolation(n, f"d_{i} tau = tau d_{i-1}")
@@ -771,13 +835,9 @@ def _assemble_algebra(A, X, maxdeg):
     f = B.field
     a = A.dim
     x = X.dim
-    rho = right_coaction_of_modcomod(X)
-    inclusions = []
-    for n in range(maxdeg + 1):
-        # the coaction on A (x) (A^n (x) X) wires one A slot to that of degree n - 1
-        rho = diagonal_right_coaction(B, [(a, A.coaction), (rho.cols, rho)])
-        _, ker = rank_kernel(rho.sub(slotted(f, rho.cols, B.unit, 1)))
-        inclusions.append(ker)
+    # no blocks outlive the generator, so none is alive past the last kernel
+    inclusions = [comodule_coinvariants(B.unit, blocks)
+                  for blocks in total_coactions(A, X, maxdeg)]
 
     def onto(Mamb, n_src, n_dst):
         small = restrict(inclusions[n_dst], Mamb.mul(inclusions[n_src]))

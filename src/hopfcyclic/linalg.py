@@ -135,13 +135,21 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
 
     def add(self, other):
+        return self._merge(other, self.field.add)
+
+    def sub(self, other):
+        """self - other in one pass, with no negated copy of ``other``."""
+        return self._merge(other, self.field.sub)
+
+    def _merge(self, other, op):
+        """The entries op(self[i, j], other[i, j]), zeros dropped."""
         self._check_same_shape(other)
         f = self.field
         rd = {i: dict(r) for i, r in self.rowdict.items()}
         for i, row in other.rowdict.items():
             tgt = rd.setdefault(i, {})
             for j, v in row.items():
-                w = f.add(tgt.get(j, f.zero), v)
+                w = op(tgt.get(j, f.zero), v)
                 if w == f.zero:
                     tgt.pop(j, None)
                 else:
@@ -149,9 +157,6 @@ class Matrix:
             if not tgt:
                 del rd[i]
         return Matrix(f, self.rows, self.cols, rd)
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def neg(self):
         f = self.field

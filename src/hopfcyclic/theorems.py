@@ -11,18 +11,19 @@ algebra within the certified degree window; anything else is UNVERIFIED. A
 conclusion is asserted only when every hypothesis is certified.
 """
 
+import functools
 import json
 from types import SimpleNamespace
 
 from .complexes import (
     _alternating,
     assemble,
+    comodule_coinvariants,
     cyclic_total_complex,
     descend,
-    diagonal_right_coaction,
     homology,
     induced_complex,
-    right_coaction_of_modcomod,
+    total_coactions,
     twisted_ch,
 )
 from .equivariant import (
@@ -998,21 +999,18 @@ def _cocommutative_core(B, K_basis, X, maxdeg, report):
     A_q = ComoduleAlgebra(qdesc, qdesc, qdesc.comult)
     cm = assemble("algebra", A_q, X_q, depth)
 
-    # literal identity of the two cotensor conditions, degreewise
-    rho_small = right_coaction_of_modcomod(X_q)
-    same = True
-    for n in range(depth + 1):
-        # one more B/K slot on the coaction of degree n - 1, as in assemble
-        rho_small = diagonal_right_coaction(
-            qdesc, [(qdesc.dim, qdesc.comult), (rho_small.cols, rho_small)])
-        amb = rho_small.cols
-        rho_big = Matrix.identity(f, amb).kron(s).mul(rho_small)
-        cond_small = rho_small.sub(Matrix.identity(f, amb).kron(qdesc.unit))
-        cond_big = rho_big.sub(Matrix.identity(f, amb).kron(B.unit))
-        _, ker_small = rank_kernel(cond_small)
-        _, ker_big = rank_kernel(cond_big)
-        if ker_small != ker_big:
-            same = False
+    def over_b(blocks):
+        """The blocks of (id (x) s) rho over B: block r is sum_p s[r, p] C_p."""
+        amb = blocks[0].cols
+        return [functools.reduce(Matrix.add, [blocks[p].scale(v) for p, v in row.items()],
+                                 Matrix.zero(f, amb, amb))
+                for row in (s.rowdict.get(r, {}) for r in range(B.dim))]
+
+    # literal identity of the two cotensor conditions, degreewise; the
+    # inclusions of cm are the kernels over B/K, read off these same blocks
+    coactions = total_coactions(A_q, X_q, depth)
+    same = all(K == comodule_coinvariants(B.unit, over_b(blocks))
+               for K, blocks in zip(cm.inclusions, coactions, strict=True))
     report.add_hypothesis("cotensor conditions over B and B/K literally coincide",
                           PASS if same else FAIL)
     hc = homology(cm, "cyclic", maxdeg)

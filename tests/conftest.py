@@ -13,9 +13,27 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
+from hopfcyclic import complexes
 from hopfcyclic.linalg import Matrix
 
+import oracles
 from groups import cyclic_table, symmetric_table
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_face_identity_holds():
+    """Each cyclic module that passes ``CyclicModule.validate`` in a test also
+    passes every face identity d_i d_j = d_{j-1} d_i, the full loop that the
+    reduced check proves implied (``oracles.all_face_identities``)."""
+    reduced = complexes.CyclicModule.validate
+
+    def validate(cm):
+        reduced(cm)
+        assert oracles.all_face_identities(cm), "a face identity fails that validate passed"
+
+    complexes.CyclicModule.validate = validate
+    yield
+    complexes.CyclicModule.validate = reduced
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,24 @@ package internals so the two routes stay independent; the structure maps in
 their reference form, composed from Kronecker products, slot permutation
 matrices and matrix products; the coinvariant quotient taken over every
 basis element of B; the quotient read off one RREF of all the relations,
-the reference for the orbit quotients of ``linalg.QuotientSpace``; and the
+the reference for the orbit quotients of ``linalg.QuotientSpace``; the
 test that a map descends to quotients by one membership test per relation,
-the reference for the product form of ``linalg.map_well_defined``.
+the reference for the product form of ``linalg.map_well_defined``; the
+total coaction of the algebra side wired one degree at a time, the
+reference for its Kronecker blocks; and every face identity of a cyclic
+module, the reference for the reduced check of ``CyclicModule.validate``.
 """
 
 from fractions import Fraction
 
-from hopfcyclic.linalg import Echelon, Matrix, QuotientSpace, _free_basis
+from hopfcyclic.linalg import (
+    Echelon,
+    Matrix,
+    QuotientSpace,
+    _free_basis,
+    rank_kernel,
+    wire,
+)
 
 
 def dense_of(M):
@@ -416,3 +426,50 @@ def shear_maps(n, B):
     for _ in range(n - 1):
         fold = fold.kron(B.mult.mul(B.antipode.kron(I)))
     return shear_rec(n), fold.mul(spread.kron(I))
+
+
+def wire_total_coactions(A, X, maxdeg):
+    """The total coaction V_n -> V_n (x) B on V_n = A^{(x) n+1} (x) X, n = 0 .. maxdeg.
+
+    Each degree wires one A slot to the coaction of the degree below, and
+    the coefficient's left coaction is flipped into a right one, by
+    ``linalg.wire``.
+    """
+    B = A.over
+    f, b, a = B.field, B.dim, A.dim
+    rho = wire(f, {"x": X.dim, "x0": X.dim, "h": b}, "x -> x0 h", (X.coaction, "x -> h x0"))
+    for _ in range(maxdeg + 1):
+        rest = rho.cols
+        dims = {"v": a, "v0": a, "w": rest, "w0": rest, "h": b, "k": b, "p": b}
+        rho = wire(f, dims, "v w -> v0 w0 p", (A.coaction, "v -> v0 h"),
+                   (rho, "w -> w0 k"), (B.mult, "h k -> p"))
+        yield rho
+
+
+def coinvariants_of(B, rho):
+    """The canonical kernel basis of rho - id (x) unit: the v with rho(v) = v (x) 1."""
+    return rank_kernel(rho.sub(slotted(B.field, rho.cols, B.unit, 1)))[1]
+
+
+def from_blocks(blocks):
+    """The coaction V -> V (x) B whose blocks are ``blocks``: row v0 * dim B + p."""
+    b = len(blocks)
+    rd = {}
+    for p, C in enumerate(blocks):
+        for i, row in C.rowdict.items():
+            rd[i * b + p] = dict(row)
+    return Matrix(blocks[0].field, blocks[0].rows * b, blocks[0].cols, rd)
+
+
+def all_face_identities(cm):
+    """True iff every face identity d_i d_j = d_{j-1} d_i, i < j, holds in every degree.
+
+    The full loop of n(n+1)/2 pairs per degree n of a cyclic module.
+    """
+    for n in range(2, cm.top + 1):
+        faces, lower = cm.faces[n], cm.faces[n - 1]
+        for j in range(1, n + 1):
+            for i in range(j):
+                if lower[i].mul(faces[j]) != lower[j - 1].mul(faces[i]):
+                    return False
+    return True

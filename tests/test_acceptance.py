@@ -379,6 +379,26 @@ def test_criterion_14_basis_independence_of_excision(tmp_path, capsys):
             assert report(path) == base, p
 
 
+def test_criterion_14_basis_independence_of_relative(tmp_path, capsys):
+    with budget("criterion 14: basis independence of relative cyclic homology", 30):
+        fixture = FIXTURES / "direct_sum_ses.json"
+        doc = json.loads(fixture.read_text())
+
+        def report(path):
+            code = main(["relative", str(path), "--mode", "cokernel", "--max-degree", "2",
+                         "--json"])
+            assert code == 0
+            return capsys.readouterr().out
+
+        base = report(fixture)
+        rng = random.Random(1415)
+        perms = [p for p in itertools.permutations(range(4)) if p != (0, 1, 2, 3)]
+        for k, p in enumerate(rng.sample(perms, 3)):
+            path = tmp_path / f"relabelled_{k}.json"
+            path.write_text(json.dumps(relabel_coalgebra_ses(doc, p)))
+            assert report(path) == base, p
+
+
 def relabel_algebra_ses(doc, p):
     """An algebra SES document with basis vector i of A renamed p[i].
 

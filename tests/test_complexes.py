@@ -53,6 +53,7 @@ from hopfcyclic.linalg import (
     complex_homology,
     invert,
     map_well_defined,
+    rank_kernel,
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
@@ -454,6 +455,26 @@ class TestAssemble:
         mutant = copy.copy(cm)
         mutant.tau = [t.neg() if n == 2 else t for n, t in enumerate(cm.tau)]
         with pytest.raises(IdentityViolation, match=r"'tau\^\{n\+1\} = id' fails in degree 2"):
+            mutant.validate()
+
+    def test_face_perturbed_where_only_a_tau_identity_sees_it_rejected(self):
+        # d_1 of the top degree n = 3 plus u v^T with d_0 u = 0 one degree
+        # down: every checked face identity d_0 d_j = d_{j-1} d_0 still holds
+        # (d_0 d_1 gains d_0 u v^T = 0, d_{j-1} d_0 is untouched) and so do
+        # d_0 tau = d_3 and tau^4 = id, so only d_1 tau = tau d_0 rejects it
+        ses = parse_input(str(FIXTURES / "z2_product_algebra_ses.json"), "Q")
+        n = 3
+        cm = assemble("algebra", ses.A, make_coefficient("eps", ses.A.over), n)
+        _, ker = rank_kernel(cm.faces[n - 1][0])
+        u = ker.col(0)
+        bump = Matrix.from_entries(QQ, cm.dims[n - 1], cm.dims[n],
+                                   [(i, cm.dims[n] - 1, v) for i, v in u.items()])
+        mutant = copy.copy(cm)
+        mutant.faces = list(cm.faces)
+        mutant.faces[n] = [d.add(bump) if i == 1 else d for i, d in enumerate(cm.faces[n])]
+        assert mutant.faces[n - 1][0].mul(bump).is_zero()
+        assert not oracles.all_face_identities(mutant)
+        with pytest.raises(IdentityViolation, match=r"'d_1 tau = tau d_0' fails in degree 3"):
             mutant.validate()
 
     def test_tau_order_passes_exactly_when_the_order_divides_n_plus_1(self):

@@ -179,6 +179,25 @@ def test_kernel_matches_backsubstitution_oracle(M):
     check_kernel(M)
 
 
+@given(sparse_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_pass_difference_equals_adding_the_negation(M, data):
+    # N keeps some entries of M, so entries and whole rows of M - N cancel
+    cells = [(i, j, v) for i, row in M.rowdict.items() for j, v in row.items()]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    extra = data.draw(st.lists(st.tuples(st.integers(0, max(M.rows - 1, 0)),
+                                         st.integers(0, max(M.cols - 1, 0)),
+                                         st.integers(-2, 2)), max_size=4)
+                      if M.rows and M.cols else st.just([]))
+    N = Matrix.from_entries(M.field, M.rows, M.cols,
+                            [c for c, k in zip(cells, keep) if k]
+                            + [(i, j, M.field.from_int(v)) for i, j, v in extra])
+    diff = M.sub(N)
+    assert diff == M.add(N.neg())
+    assert all(diff.rowdict.values())
+    assert M.sub(M).is_zero()
+
+
 @given(
     st.lists(
         st.lists(st.integers(-4, 4), min_size=3, max_size=3),

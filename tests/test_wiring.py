@@ -1,27 +1,32 @@
 """The tensor-wiring builder against the reference Kronecker/permutation forms.
 
-Every structure map the engine writes with ``linalg.wire`` or
-``complexes.diagonal_action`` must equal, entry for entry, the same map
+Every structure map the engine writes with ``linalg.wire``,
+``complexes.diagonal_action`` or as the Kronecker blocks of
+``complexes.total_coactions`` must equal, entry for entry, the same map
 composed from Kronecker products, slot permutation matrices and matrix
-products (``tests/oracles.py``). The mutation tests check that a
+products (``tests/oracles.py``); the blocks also equal the total coaction
+wired one degree at a time. The mutation tests check that a
 mis-wired builder does not get through construction.
 """
+
+from pathlib import Path
 
 import pytest
 
 from hopfcyclic import complexes, equivariant, hopf
+from hopfcyclic.cli import parse_input
 from hopfcyclic.complexes import (
     _algebra_rotation,
     _ch_cofaces,
     _coalgebra_rotation,
     _wrap_coface,
     assemble,
+    comodule_coinvariants,
     diagonal_action,
-    diagonal_right_coaction,
     doi_check,
     homology,
-    right_coaction_of_modcomod,
     shear_map,
+    total_coactions,
     twisted_ch,
 )
 from hopfcyclic.equivariant import (
@@ -130,8 +135,8 @@ def test_structure_maps_equal_reference_forms(bname, fname, monkeypatch):
         assert built.pop("b x -> q y") == [oracles.ayd_rhs(X, sinv)]
         mixed = [(x, X.action), (d, mc.action), (d, mc.action), (x, X.action)]
         assert diagonal_action(B, mixed) == oracles.diagonal_action(B, mixed)
-        rho_x = right_coaction_of_modcomod(X)
-        assert rho_x == oracles.right_coaction_of_modcomod(X)
+        rho_x = oracles.right_coaction_of_modcomod(X)
+        coactions = total_coactions(A, X, TOP)
         T = twisted_ch(mc, M, X, TOP)
         for n in range(TOP + 1):
             full = oracles.twisted_actions(B, M, mc, X, n)
@@ -148,7 +153,7 @@ def test_structure_maps_equal_reference_forms(bname, fname, monkeypatch):
             assert _coalgebra_rotation(mc, X, d**n) == oracles.coalgebra_rotation(mc, X, n)
             assert _algebra_rotation(A, X, d**n) == oracles.algebra_rotation(A, X, n)
             factors = [(d, A.coaction)] * (n + 1) + [(x, rho_x)]
-            assert diagonal_right_coaction(B, factors) == \
+            assert oracles.from_blocks(next(coactions)) == \
                 oracles.diagonal_right_coaction(B, factors)
         vec = sinv.col(d - 1)
         assert action_of_vector(B, X.action, x, vec) == \
@@ -197,6 +202,44 @@ def test_audit_and_comparison_maps_equal_reference_forms(bname, fname, monkeypat
 def _sweedler_triple():
     h4 = sweedler_h4(QQ)
     return regular_module_coalgebra(h4), make_coefficient("r_ad", h4)
+
+
+CLI_FIELDS = {"Q": "Q", "F2": "Fp:2", "F3": "Fp:3"}
+SES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures" / \
+    "z2_product_algebra_ses.json"
+COMODULES = {
+    "A": lambda f: parse_input(str(SES), CLI_FIELDS[f]).A,
+    "I": lambda f: parse_input(str(SES), CLI_FIELDS[f]).ideal,
+    "A/I": lambda f: parse_input(str(SES), CLI_FIELDS[f]).quotient,
+    # coactions that are not gradings: each column of Delta has several entries
+    "H4": lambda f: regular_comodule_algebra(sweedler_h4(FIELDS[f])),
+    "dual Z3": lambda f: regular_comodule_algebra(
+        dual_group_algebra(cyclic_table(3), FIELDS[f])),
+}
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+@pytest.mark.parametrize("cname", list(COMODULES))
+def test_block_coaction_and_its_coinvariants_equal_the_wire_form(cname, fname):
+    """Kronecker blocks of the total coaction against the wire built one degree at a time.
+
+    The comodules of the algebra-side excision of ``z2_product_algebra_ses``
+    and two regular comodule algebras whose coaction is no grading, with
+    the coefficients eps and r_ad, in degrees 0..3, entry for entry; the
+    coinvariant kernel read off the stacked blocks against the one of
+    rho - id (x) 1.
+    """
+    A = COMODULES[cname](fname)
+    B = A.over
+    for kind in ("eps", "r_ad"):
+        X = make_coefficient(kind, B)
+        wired = oracles.wire_total_coactions(A, X, TOP)
+        for n, blocks in enumerate(total_coactions(A, X, TOP)):
+            rho = next(wired)
+            assert rho.cols == A.dim ** (n + 1) * X.dim
+            assert oracles.from_blocks(blocks) == rho, (kind, n)
+            assert comodule_coinvariants(B.unit, blocks) == oracles.coinvariants_of(B, rho), \
+                (kind, n)
 
 
 def test_sweedler_construction_passes_unmutated():
