@@ -205,13 +205,11 @@ class CosimplicialModule:
 # ---------------------------------------------------------------------------
 
 
-def bar(C, variant, maxdeg):
-    """Bar resolution (degree n space C^{(x) n+2}) or bar complex of C.
+def bar(C, maxdeg):
+    """Bar resolution of C: degree n space C^{(x) n+2}.
 
-    For the resolution variant, C may be a plain coalgebra description or a
-    module coalgebra; in the latter case the diagonal B-action matrices are
-    attached degreewise. The complex variant returns the GradedComplex with
-    CB_0 = C and d_0 the comultiplication.
+    C may be a plain coalgebra description or a module coalgebra; in the
+    latter case the diagonal B-action matrices are attached degreewise.
     """
     if maxdeg < 0:
         raise DegreeOutOfRange("maxdeg must be nonnegative")
@@ -219,10 +217,6 @@ def bar(C, variant, maxdeg):
     desc = C
     if hasattr(C, "base"):
         mc, desc = C, C.base
-    if variant == "complex":
-        return bar_complex(desc, maxdeg)
-    if variant != "resolution":
-        raise ShapeMismatch(f"unknown bar variant {variant!r}")
     f = desc.field
     c = desc.dim
     dims = [_pow(c, n + 2) for n in range(maxdeg + 1)]
@@ -408,7 +402,7 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
         inclusions.append(ker)
         dims.append(ker.cols)
     diffs = {}
-    res = bar(C_desc, "resolution", top)
+    res = bar(C_desc, top)
     for n in range(top):
         d_amb = slotted(f, xd, res.differential(n), yd)
         induced = restrict(inclusions[n + 1], d_amb.mul(inclusions[n]))
@@ -445,7 +439,7 @@ def doi_check(C_desc, M, maxdeg):
     f = C_desc.field
     c = C_desc.dim
     md, lco, rco = M
-    res = bar(C_desc, "resolution", maxdeg + 1)
+    res = bar(C_desc, maxdeg + 1)
 
     dims = {"m": md, "m1": md, "m0": md, "cl": c, "cr": c, "w1": c, "wl": c, "u": c, "v": c}
     coact = ((lco, "m -> cl m1"), (rco, "m1 -> m0 cr"))

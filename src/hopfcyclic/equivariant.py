@@ -23,7 +23,7 @@ from .hopf import AxiomReport, BialgebraDesc, _compare, matrix_from_json
 from .linalg import (
     Matrix,
     QuotientSpace,
-    SubSpace,
+    column_basis,
     slotted,
     solve_columns,
     wire,
@@ -369,52 +369,51 @@ def coefficient_from_json(B, doc):
 
 
 class CoalgebraSES:
-    """0 -> K -> C -> C/K -> 0 data with the induced quotient structure."""
+    """0 -> K -> C -> C/K -> 0 data with the induced quotient structure.
 
-    def __init__(self, C, K_basis, quotient_mc, mode, quot_space, b_splitting):
+    ``action_k`` is the B-action restricted to K, in the coordinates of the
+    basis ``K``; ``comult_k`` is the comultiplication restricted to K in
+    subcoalgebra mode and None in coideal mode.
+    """
+
+    def __init__(self, C, K_basis, quotient_mc, mode, quot_space, b_splitting,
+                 action_k, comult_k):
         self.C = C
         self.K = K_basis  # Matrix: columns a basis of the subspace
         self.quotient = quotient_mc
         self.mode = mode
         self.space = quot_space  # QuotientSpace with projection/section
         self.b_splitting = b_splitting  # Matrix or None
+        self.action_k = action_k
+        self.comult_k = comult_k
+        self._k_mc = None
 
     @property
     def projection(self):
         return self.space.projection
 
     def k_module_coalgebra(self):
-        """K as a module coalgebra in its own right (subcoalgebra mode)."""
+        """K as a module coalgebra in its own right (subcoalgebra mode), built once."""
         if self.mode != "subcoalgebra":
             raise NotSubcoalgebra("K carries a coalgebra structure only in subcoalgebra mode")
-        return _restrict_module_coalgebra(self.C, self.K)
-
-
-def _restrict_module_coalgebra(C, K_basis):
-    """Module-coalgebra structure on a B-stable subcoalgebra span."""
-    f = C.base.field
-    kdim = K_basis.cols
-    # comult in K coordinates: solve K (x) K . X = comult . K
-    amb = C.base.comult.mul(K_basis)
-    kk = K_basis.kron(K_basis)
-    comult_k = solve_columns(kk, amb)
-    if comult_k is None:
-        raise NotSubcoalgebra("comultiplication does not restrict to the subspace")
-    act_amb = C.action.mul(Matrix.identity(f, C.over.dim).kron(K_basis))
-    action_k = solve_columns(K_basis, act_amb)
-    if action_k is None:
-        raise NotBStable("action does not restrict to the subspace")
-    counit_k = C.base.counit.mul(K_basis) if C.base.counit is not None else None
-    names = [f"k{i}" for i in range(kdim)]
-    desc = BialgebraDesc(f, names, "coalgebra", comult=comult_k, counit=counit_k)
-    return ModuleCoalgebra(desc, C.over, action_k)
+        if self._k_mc is None:
+            base = self.C.base
+            counit_k = base.counit.mul(self.K) if base.counit is not None else None
+            names = [f"k{i}" for i in range(self.K.cols)]
+            desc = BialgebraDesc(base.field, names, "coalgebra", comult=self.comult_k,
+                                 counit=counit_k)
+            self._k_mc = ModuleCoalgebra(desc, self.C.over, self.action_k)
+        return self._k_mc
 
 
 def quotient_ses(C, K_gens, mode):
     """Validate a B-stable subcoalgebra/coideal and build the quotient.
 
-    Searches for a B-linear splitting of C ->> C/K and records None when the
-    intertwiner system is inconsistent.
+    The B-stability check is the solve that restricts the action to K, and
+    in subcoalgebra mode the subcoalgebra check is the solve that restricts
+    the comultiplication; the sequence keeps both. Searches for a B-linear
+    splitting of C ->> C/K and records None when the intertwiner system is
+    inconsistent.
     """
     if mode not in ("subcoalgebra", "coideal"):
         raise ParseError(f"unknown SES mode {mode!r}")
@@ -423,25 +422,27 @@ def quotient_ses(C, K_gens, mode):
     n = Cdesc.dim
     if K_gens.rows != n:
         raise ShapeMismatch("K generators do not live in C")
-    ksub = SubSpace.from_columns(K_gens)
-    K_basis = ksub.basis_matrix()
-    kdim = K_basis.cols
+    K_basis = column_basis(K_gens)
 
     # B-stability
+    blocks = []
     for b, act_b in enumerate(C.action_matrices):
-        if not ksub.contains_columns(act_b.mul(K_basis)):
+        block = solve_columns(K_basis, act_b.mul(K_basis))
+        if block is None:
             raise NotBStable(f"action of basis element {B.basis[b]} leaves the subspace")
+        blocks.append(block)
+    action_k = functools.reduce(Matrix.hstack, blocks)
 
     # mode condition
     delta_K = Cdesc.comult.mul(K_basis)
+    comult_k = None
     if mode == "subcoalgebra":
-        kxk = SubSpace.from_columns(K_basis.kron(K_basis))
-        if not kxk.contains_columns(delta_K):
+        comult_k = solve_columns(K_basis.kron(K_basis), delta_K)
+        if comult_k is None:
             raise NotSubcoalgebra("comultiplication does not map K into K (x) K")
     else:
-        mixed = SubSpace.from_columns(
-            K_basis.kron(Matrix.identity(f, n)).hstack(Matrix.identity(f, n).kron(K_basis)))
-        if not mixed.contains_columns(delta_K):
+        mixed = K_basis.kron(Matrix.identity(f, n)).hstack(Matrix.identity(f, n).kron(K_basis))
+        if solve_columns(mixed, delta_K) is None:
             raise NotCoideal("comultiplication does not map K into K (x) C + C (x) K")
         if Cdesc.counit is not None and not Cdesc.counit.mul(K_basis).is_zero():
             raise NotCoideal("counit does not vanish on K")
@@ -466,7 +467,8 @@ def quotient_ses(C, K_gens, mode):
     quotient_mc = ModuleCoalgebra(qdesc, B, action_q)
 
     b_splitting = _find_b_linear_section(C, quotient_mc, proj)
-    return CoalgebraSES(C, K_basis, quotient_mc, mode, qspace, b_splitting)
+    return CoalgebraSES(C, K_basis, quotient_mc, mode, qspace, b_splitting, action_k,
+                        comult_k)
 
 
 def _find_b_linear_section(C, quotient_mc, proj):

@@ -12,7 +12,7 @@ import functools
 
 from .errors import AuditFailed, MissingAntipodeInverse, NotAGroup, ParseError, ShapeMismatch
 from .fields import field_by_name
-from .linalg import Matrix, SubSpace, invert, solve_columns, wire
+from .linalg import Echelon, Matrix, invert, solve_columns, wire
 
 LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf")
 
@@ -144,7 +144,7 @@ class BialgebraDesc:
         """
         f, d = self.field, self.dim
         left = self.mult.column_blocks(d)  # left[i]: a -> e_i a
-        span, words, gens = SubSpace(f, d), [], []
+        span, words, gens = Echelon(f), [], []
 
         def times(i, v):
             return left[i].mul(Matrix.column(f, v, d)).col(0)

@@ -6,6 +6,14 @@ immutable-by-convention sparse maps ``row -> col -> scalar`` over a
 with leftmost-pivot selection and monic pivot rows, which keeps Fraction
 entries small on the structured matrices this package produces. Floating
 point never appears.
+
+There is one elimination, :class:`Echelon`, and every answer is read off
+its result: a rank is its pivot count, a kernel the canonical basis of its
+RREF (:func:`rank_kernel`), a span basis its rows (:func:`column_basis`),
+and a solve of A X = B, membership included, the RREF of [A | B]
+(:func:`solve_columns`). Two paths need no elimination at all:
+:func:`restrict` onto a :class:`KernelBasis`, and :func:`map_well_defined`
+between quotients.
 """
 
 import itertools
@@ -297,29 +305,18 @@ def block_matrix(field, grid, row_dims, col_dims):
 
 
 class Echelon:
-    """Incremental row echelon form with monic leftmost pivots.
+    """Incremental row echelon form with monic leftmost pivots."""
 
-    Optionally tracks, for every stored row, its expression as a combination
-    of the inserted generators, which turns membership tests into solvers.
-    """
-
-    def __init__(self, field, track=False):
+    def __init__(self, field):
         self.field = field
         self.pivrows = {}  # pivot col -> row dict (row[pivot] == 1)
-        self.combos = {} if track else None  # pivot col -> {gen index: coeff}
-        self.ngens = 0
 
     @property
     def rank(self):
         return len(self.pivrows)
 
-    def _reduce(self, vec, combo=None, combo_sign=+1):
-        """Reduce ``vec`` against stored pivot rows.
-
-        With ``combo_sign=-1`` the invariant ``vec == sum(combo[g] * gen_g)``
-        is maintained (used on insertion); with ``+1`` the accumulated combo
-        expresses the eliminated part (used by :meth:`express`).
-        """
+    def _reduce(self, vec):
+        """Reduce ``vec`` in place against the stored pivot rows and return it."""
         f = self.field
         zero = f.zero
         piv = self.pivrows
@@ -330,34 +327,19 @@ class Echelon:
                     if hit is None or c < hit:
                         hit = c
             if hit is None:
-                return vec, combo
+                return vec
             coeff = vec[hit]
-            prow = piv[hit]
-            for j, v in prow.items():
+            for j, v in piv[hit].items():
                 w = f.sub(vec.get(j, zero), f.mul(coeff, v))
                 if w == zero:
                     vec.pop(j, None)
                 else:
                     vec[j] = w
-            if combo is not None:
-                pc = self.combos[hit]
-                for g, v in pc.items():
-                    delta = f.mul(coeff, v)
-                    if combo_sign < 0:
-                        delta = f.neg(delta)
-                    w = f.add(combo.get(g, zero), delta)
-                    if w == zero:
-                        combo.pop(g, None)
-                    else:
-                        combo[g] = w
 
     def insert(self, vec):
         """Insert a copy of ``vec`` (``{coord: scalar}``). True if rank grew."""
         f = self.field
-        combo = {self.ngens: f.one} if self.combos is not None else None
-        self.ngens += 1
-        vec = dict(vec)
-        vec, combo = self._reduce(vec, combo, combo_sign=-1)
+        vec = self._reduce(dict(vec))
         if not vec:
             return False
         p = min(vec)
@@ -365,28 +347,17 @@ class Echelon:
         if lead != f.one:
             inv = f.inv(lead)
             vec = {j: f.mul(inv, v) for j, v in vec.items()}
-            if combo is not None:
-                combo = {g: f.mul(inv, v) for g, v in combo.items()}
         self.pivrows[p] = vec
-        if combo is not None:
-            self.combos[p] = combo
         return True
 
     def contains(self, vec):
-        vec, _ = self._reduce(dict(vec))
-        return not vec
+        return not self._reduce(dict(vec))
 
-    def express(self, vec):
-        """Coefficients writing ``vec`` over the inserted generators, or None.
-
-        Requires ``track=True``. Exact: no least-squares fallback.
-        """
-        if self.combos is None:
-            raise ValueError("echelon built without tracking")
-        vec, combo = self._reduce(dict(vec), {}, combo_sign=+1)
-        if vec:
-            return None
-        return combo
+    def basis(self, dim):
+        """The stored rows as the columns of a dim x rank matrix, in pivot order."""
+        piv = self.pivrows
+        ents = [(coord, k, v) for k, p in enumerate(sorted(piv)) for coord, v in piv[p].items()]
+        return Matrix.from_entries(self.field, dim, self.rank, ents)
 
     def reduced_rows(self):
         """Fully back-eliminated (RREF) rows, keyed by pivot column."""
@@ -477,42 +448,6 @@ def restrict(K, Y):
     X = Matrix(K.field, K.cols, Y.cols,
                {index[i]: dict(row) for i, row in Y.rowdict.items() if i in index})
     return X if K.mul(X) == Y else None
-
-
-class SubSpace:
-    """Span of a list of vectors in k^n, with membership and quotient data."""
-
-    def __init__(self, field, dim, vectors=(), track=False):
-        self.field = field
-        self.dim = dim
-        self.ech = Echelon(field, track=track)
-        for v in vectors:
-            self.ech.insert(v)
-
-    @classmethod
-    def from_columns(cls, M, track=False):
-        return cls(M.field, M.rows, M.columns(), track=track)
-
-    def insert(self, vec):
-        return self.ech.insert(vec)
-
-    @property
-    def rank(self):
-        return self.ech.rank
-
-    def contains(self, vec):
-        return self.ech.contains(vec)
-
-    def contains_columns(self, M):
-        return all(self.ech.contains(c) for c in M.columns() if c)
-
-    def basis_matrix(self):
-        piv = self.ech.pivrows
-        ents = []
-        for k, p in enumerate(sorted(piv)):
-            for coord, v in piv[p].items():
-                ents.append((coord, k, v))
-        return Matrix.from_entries(self.field, self.dim, self.ech.rank, ents)
 
 
 class QuotientSpace:
@@ -650,34 +585,47 @@ def map_well_defined(ambient_map, src_quot, dst_quot):
     return induced if induced.mul(src_quot.projection) == pa else None
 
 
-def quotient(ambient_dim, S):
-    """Quotient of k^ambient_dim by the column span of S.
-
-    Returns ``(quot_dim, projection)`` where the projection is surjective and
-    annihilates the column space of S exactly.
-    """
-    if S.rows != ambient_dim:
-        raise ShapeMismatch(f"subspace generators live in k^{S.rows}, not k^{ambient_dim}")
-    q = QuotientSpace(S.field, ambient_dim, S.columns())
-    return q.dim, q.projection
+def column_basis(M):
+    """A basis of the column span of M: its echelon rows, in pivot order."""
+    ech = Echelon(M.field)
+    for c in M.columns():
+        ech.insert(c)
+    return ech.basis(M.rows)
 
 
 def solve_columns(A, B):
-    """X with A @ X == B, or None when inconsistent. Exact, sparse."""
+    """X with A @ X == B, or None when inconsistent. Exact, sparse.
+
+    The rows of [A | B] go into one echelon and X is read off its RREF.
+    There is a solution exactly when no column of B is a pivot: such a
+    pivot row is a combination y of the rows with y A = 0 and y B != 0, and
+    without one [A | B] reduces to [R | Z] plus zero rows, with R the RREF
+    of A. X is then Z on A's pivot columns and zero on its free columns:
+    pivot row p reads x_p + (terms in free x) = Z_p.
+
+    This is the unique solution supported on A's pivot columns, as A is
+    injective on them. Those are the columns of A that are independent of
+    the ones before them, which are exactly the generators that inserting
+    the columns of A in order into a tracking echelon keeps; expressing B
+    over the kept generators gives the same X entry for entry.
+    """
     f = A.field
     if A.rows != B.rows:
         raise ShapeMismatch("solve dimension mismatch")
-    ech = Echelon(f, track=True)
-    for c in A.columns():
-        ech.insert(c)
-    ents = []
-    for j, b in enumerate(B.columns()):
-        combo = ech.express(b)
-        if combo is None:
-            return None
-        for g, v in combo.items():
-            ents.append((g, j, v))
-    return Matrix.from_entries(f, A.cols, B.cols, ents)
+    n = A.cols
+    ech = Echelon(f)
+    for i in sorted(A.rowdict.keys() | B.rowdict.keys()):
+        row = dict(A.rowdict.get(i, ()))
+        row.update((n + j, v) for j, v in B.rowdict.get(i, {}).items())
+        ech.insert(row)
+    if any(p >= n for p in ech.pivrows):
+        return None
+    rd = {}
+    for p, row in ech.reduced_rows().items():
+        x = {j - n: v for j, v in row.items() if j >= n}
+        if x:
+            rd[p] = x
+    return Matrix(f, n, B.cols, rd)
 
 
 def invert(M):

@@ -8,6 +8,8 @@ basis element of B; the quotient read off one RREF of all the relations,
 the reference for the orbit quotients of ``linalg.QuotientSpace``; the
 test that a map descends to quotients by one membership test per relation,
 the reference for the product form of ``linalg.map_well_defined``; the
+solve that expresses each column over the generators a tracking echelon
+keeps, the reference for ``linalg.solve_columns``; the
 total coaction of the algebra side wired one degree at a time, the
 reference for its Kronecker blocks; and every face identity of a cyclic
 module, the reference for the reduced check of ``CyclicModule.validate``.
@@ -15,6 +17,7 @@ module, the reference for the reduced check of ``CyclicModule.validate``.
 
 from fractions import Fraction
 
+from hopfcyclic.errors import ShapeMismatch
 from hopfcyclic.linalg import (
     Echelon,
     Matrix,
@@ -159,6 +162,103 @@ def echelon_quotient(field, ambient_dim, relation_vectors):
     free = basis.free
     sec = [(c, k, field.one) for k, c in enumerate(free)]
     return len(free), basis.transpose(), Matrix.from_entries(field, ambient_dim, len(free), sec)
+
+
+class TrackingEchelon:
+    """Row echelon form that tracks, for every stored row, its expression as a
+    combination of the inserted generators, which turns membership tests
+    into solvers.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivrows = {}  # pivot col -> row dict (row[pivot] == 1)
+        self.combos = {}  # pivot col -> {gen index: coeff}
+        self.ngens = 0
+
+    def _reduce(self, vec, combo, combo_sign):
+        """Reduce ``vec`` against stored pivot rows.
+
+        With ``combo_sign=-1`` the invariant ``vec == sum(combo[g] * gen_g)``
+        is maintained (used on insertion); with ``+1`` the accumulated combo
+        expresses the eliminated part (used by :meth:`express`).
+        """
+        f = self.field
+        zero = f.zero
+        piv = self.pivrows
+        while True:
+            hit = None
+            for c in vec:
+                if c in piv:
+                    if hit is None or c < hit:
+                        hit = c
+            if hit is None:
+                return vec, combo
+            coeff = vec[hit]
+            prow = piv[hit]
+            for j, v in prow.items():
+                w = f.sub(vec.get(j, zero), f.mul(coeff, v))
+                if w == zero:
+                    vec.pop(j, None)
+                else:
+                    vec[j] = w
+            pc = self.combos[hit]
+            for g, v in pc.items():
+                delta = f.mul(coeff, v)
+                if combo_sign < 0:
+                    delta = f.neg(delta)
+                w = f.add(combo.get(g, zero), delta)
+                if w == zero:
+                    combo.pop(g, None)
+                else:
+                    combo[g] = w
+
+    def insert(self, vec):
+        """Insert a copy of ``vec`` (``{coord: scalar}``). True if rank grew."""
+        f = self.field
+        combo = {self.ngens: f.one}
+        self.ngens += 1
+        vec = dict(vec)
+        vec, combo = self._reduce(vec, combo, combo_sign=-1)
+        if not vec:
+            return False
+        p = min(vec)
+        lead = vec[p]
+        if lead != f.one:
+            inv = f.inv(lead)
+            vec = {j: f.mul(inv, v) for j, v in vec.items()}
+            combo = {g: f.mul(inv, v) for g, v in combo.items()}
+        self.pivrows[p] = vec
+        self.combos[p] = combo
+        return True
+
+    def express(self, vec):
+        """Coefficients writing ``vec`` over the inserted generators, or None."""
+        vec, combo = self._reduce(dict(vec), {}, combo_sign=+1)
+        if vec:
+            return None
+        return combo
+
+
+def tracked_solve(A, B):
+    """X with A @ X == B, or None: each column of B expressed over the columns
+    of A inserted in order into a :class:`TrackingEchelon`. The reference for
+    ``linalg.solve_columns``, which reads X off the RREF of [A | B] instead.
+    """
+    f = A.field
+    if A.rows != B.rows:
+        raise ShapeMismatch("solve dimension mismatch")
+    ech = TrackingEchelon(f)
+    for c in A.columns():
+        ech.insert(c)
+    ents = []
+    for j, b in enumerate(B.columns()):
+        combo = ech.express(b)
+        if combo is None:
+            return None
+        for g, v in combo.items():
+            ents.append((g, j, v))
+    return Matrix.from_entries(f, A.cols, B.cols, ents)
 
 
 def coinvariant_space(field, B, L_list, dim):

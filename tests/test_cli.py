@@ -169,6 +169,25 @@ class TestExcision:
         assert {h.get("window") for h in at0["hypotheses"]} <= {None, "0..0"}
 
 
+class TestSESBadInput:
+    @pytest.mark.parametrize("fixture, change, message", [
+        ("z4_coideal_ses.json", {"mode": "subcoalgebra"},
+         "comultiplication does not map K into K (x) K"),
+        ("direct_sum_ses.json", {"K": {"rows": 4, "cols": 1, "entries": [[0, 0, "1"]]}},
+         "action of basis element g1 leaves the subspace"),
+    ])
+    def test_refused_sequence_exit_2(self, capsys, tmp_path, fixture, change, message):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        doc.update(change)
+        bad = tmp_path / fixture
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "excision", str(bad), "--max-degree", "1")
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestRelative:
     def test_quotient_mode(self, capsys):
         code, out, _ = run(capsys, "relative", str(FIXTURES / "direct_sum_ses.json"),

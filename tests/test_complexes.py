@@ -94,11 +94,11 @@ def fixture_module_coalgebras():
 
 class TestBar:
     def test_resolution_dims(self, z2_q):
-        res = bar(z2_q, "resolution", 3)
+        res = bar(z2_q, 3)
         assert res.dims == [4, 8, 16, 32]
 
     def test_coface_identities_validated(self, z4_q):
-        bar(z4_q, "resolution", 3)  # constructor validates, no raise
+        bar(z4_q, 3)  # constructor validates, no raise
 
     def test_bar_complex_acyclic_for_counital(self, z2_q):
         cx = bar_complex(z2_q, 5)
@@ -109,7 +109,7 @@ class TestBar:
         # coface into degree 2; equivariance is the commutation with the
         # diagonal action
         mc = regular_module_coalgebra(z2_q)
-        res = bar(mc, "resolution", 2)
+        res = bar(mc, 2)
         rho_l = res.cofaces[1][0]
         for b in range(2):
             assert res.actions[2][b].mul(rho_l) == rho_l.mul(res.actions[1][b])

@@ -141,10 +141,38 @@ class TestQuotientSES:
             quotient_ses(C, K, "subcoalgebra")
 
     def test_counit_violation_rejected_in_coideal_mode(self, z2_q):
+        # K = C is a coideal on which the counit does not vanish
+        C = regular_module_coalgebra(z2_q)
+        K = Matrix.identity(QQ, 2)
+        with pytest.raises(NotCoideal, match="counit does not vanish on K"):
+            quotient_ses(C, K, "coideal")
+
+    def test_non_coideal_rejected_in_coideal_mode(self, z2_q):
+        # K = span{e + g} is B-stable, but Delta(e + g) = e (x) e + g (x) g
+        # is 2 e (x) e, not 0, in C/K (x) C/K
         C = regular_module_coalgebra(z2_q)
         K = Matrix.from_entries(QQ, 2, 1, [(0, 0, QQ.one), (1, 0, QQ.one)])
-        with pytest.raises(NotCoideal):
+        with pytest.raises(NotCoideal, match=r"does not map K into K \(x\) C \+ C \(x\) K"):
             quotient_ses(C, K, "coideal")
+
+    def test_k_module_coalgebra_built_once(self, direct_sum_ses_q):
+        ses = direct_sum_ses_q
+        Kmc = ses.k_module_coalgebra()
+        assert ses.k_module_coalgebra() is Kmc
+        assert Kmc.base.comult == ses.comult_k and Kmc.action == ses.action_k
+        assert ses.K.mul(ses.action_k) == ses.C.action.mul(
+            Matrix.identity(QQ, ses.C.over.dim).kron(ses.K))
+
+    def test_k_module_coalgebra_refused_in_coideal_mode(self, z4_q):
+        C = regular_module_coalgebra(z4_q)
+        K = Matrix.from_entries(
+            QQ, 4, 2,
+            [(0, 0, QQ.one), (2, 0, QQ.from_int(-1)),
+             (1, 1, QQ.one), (3, 1, QQ.from_int(-1))])
+        ses = quotient_ses(C, K, "coideal")
+        assert ses.comult_k is None
+        with pytest.raises(NotSubcoalgebra, match="only in subcoalgebra mode"):
+            ses.k_module_coalgebra()
 
 
 class TestHCounitality:

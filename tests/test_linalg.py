@@ -12,12 +12,11 @@ from hopfcyclic.linalg import (
     GradedComplex,
     Matrix,
     QuotientSpace,
-    SubSpace,
     block_matrix,
+    column_basis,
     complex_homology,
     invert,
     map_well_defined,
-    quotient,
     rank,
     rank_kernel,
     restrict,
@@ -32,6 +31,7 @@ from oracles import (
     descends_by_membership,
     echelon_quotient,
     sympy_rank,
+    tracked_solve,
 )
 from randmat import random_invertible
 
@@ -391,21 +391,21 @@ def test_orbit_quotient_equals_the_echelon_oracle(case):
 class TestQuotient:
     def test_one_relation(self):
         s = mat(QQ, [[1], [1]])
-        dim, proj = quotient(2, s)
-        assert dim == 1
-        assert proj.rows == 1 and proj.cols == 2
-        assert proj.mul(s).is_zero()
+        q = QuotientSpace(QQ, 2, s.columns())
+        assert q.dim == 1
+        assert q.projection.rows == 1 and q.projection.cols == 2
+        assert q.projection.mul(s).is_zero()
 
     def test_no_relations(self):
         s = Matrix.zero(QQ, 3, 0)
-        dim, proj = quotient(3, s)
-        assert dim == 3
-        assert invert(proj) is not None
+        q = QuotientSpace(QQ, 3, s.columns())
+        assert q.dim == 3
+        assert invert(q.projection) is not None
 
     def test_full_subspace(self):
         s = Matrix.identity(QQ, 3)
-        dim, proj = quotient(3, s)
-        assert dim == 0
+        q = QuotientSpace(QQ, 3, s.columns())
+        assert q.dim == 0
 
     def test_projection_surjective_and_annihilating(self):
         rng = random.Random(5)
@@ -414,10 +414,10 @@ class TestQuotient:
             k = rng.randint(0, n)
             dense = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
             s = mat(QQ, dense) if k else Matrix.zero(QQ, n, 0)
-            dim, proj = quotient(n, s)
-            assert dim == n - rank(s)
-            assert rank(proj) == dim
-            assert proj.mul(s).is_zero()
+            q = QuotientSpace(QQ, n, s.columns())
+            assert q.dim == n - rank(s)
+            assert rank(q.projection) == q.dim
+            assert q.projection.mul(s).is_zero()
 
     def test_section_roundtrip(self):
         q = QuotientSpace(QQ, 3, [{0: Fraction(1), 1: Fraction(-1)}])
@@ -446,17 +446,84 @@ class TestSolve:
         assert invert(mat(QQ, [[1, 1], [1, 1]])) is None
 
 
-class TestSubSpace:
+class TestSpan:
     def test_membership(self):
-        s = SubSpace(QQ, 3, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}])
-        assert s.contains({0: Fraction(2), 1: Fraction(2), 2: Fraction(-1)})
-        assert not s.contains({0: Fraction(1)})
+        span = Matrix.from_entries(QQ, 3, 2, [(0, 0, QQ.one), (1, 0, QQ.one), (2, 1, QQ.one)])
+        inside = Matrix.column(QQ, {0: Fraction(2), 1: Fraction(2), 2: Fraction(-1)}, 3)
+        assert solve_columns(span, inside) is not None
+        assert solve_columns(span, Matrix.column(QQ, {0: Fraction(1)}, 3)) is None
 
-    def test_basis_matrix_spans(self):
-        vecs = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}, {1: Fraction(1)}]
-        s = SubSpace(QQ, 2, vecs)
-        assert s.rank == 2
-        assert s.basis_matrix().cols == 2
+    def test_column_basis_spans(self):
+        vecs = mat(QQ, [[1, 2, 0], [2, 4, 1]])
+        basis = column_basis(vecs)
+        assert basis.cols == 2 == rank(vecs)
+        assert solve_columns(basis, vecs) is not None
+
+
+@st.composite
+def solve_cases(draw):
+    """(A, B, solvable): A random, with no rows, with no columns, or with a
+    column repeated; B = A Z, A Z with one column pushed out of the span of
+    A, or random. B may have no columns.
+    """
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+
+    def matrix(rows, cols):
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        return Matrix.from_entries(field, rows, cols,
+                                   [(k // cols, k % cols, v) for k, v in enumerate(vals)])
+
+    shape = draw(st.sampled_from(["random", "no rows", "no columns", "repeated column"]))
+    rows = 0 if shape == "no rows" else draw(st.integers(1, 6))
+    A = matrix(rows, 0 if shape == "no columns" else draw(st.integers(1, 5)))
+    if shape == "repeated column":
+        A = A.hstack(Matrix.column(field, A.col(draw(st.integers(0, A.cols - 1))), rows))
+    width = draw(st.integers(0, 3))
+    B = A.mul(matrix(A.cols, width))
+    how = draw(st.sampled_from(["span", "escapes", "random"]))
+    if how == "random":
+        return A, matrix(rows, width), None
+    base = dense_rank_of_matrix(A)
+    escapes = [i for i in range(rows)
+               if dense_rank_of_matrix(A.hstack(Matrix.column(field, {i: field.one}, rows)))
+               > base]
+    if how == "escapes" and escapes and width:
+        i, j = draw(st.sampled_from(escapes)), draw(st.integers(0, width - 1))
+        return A, B.add(Matrix.from_entries(field, rows, width, [(i, j, field.one)])), False
+    return A, B, True
+
+
+@given(solve_cases())
+@settings(max_examples=300, deadline=None)
+def test_solve_equals_the_tracked_oracle(case):
+    A, B, solvable = case
+    X = solve_columns(A, B)
+    assert X == tracked_solve(A, B)
+    if solvable is not None:
+        assert (X is not None) == solvable
+    if X is not None:
+        assert A.mul(X) == B
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 5),
+       st.sampled_from(["invertible", "random", "repeated column"]), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_invert_equals_the_tracked_oracle(field, n, kind, rng):
+    if kind == "invertible":
+        M = random_invertible(field, n, rng)
+    else:
+        M = Matrix.from_dense(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if kind == "repeated column" and n >= 2:
+            # column 1 := column 0
+            shift = [(0, 1, field.one), (1, 1, field.neg(field.one))]
+            M = M.mul(Matrix.identity(field, n).add(Matrix.from_entries(field, n, n, shift)))
+    inv = invert(M)
+    assert inv == tracked_solve(M, Matrix.identity(field, n))
+    if kind == "invertible":
+        assert inv is not None and M.mul(inv) == Matrix.identity(field, n)
+    elif kind == "repeated column" and n >= 2:
+        assert inv is None
 
 
 class TestGradedComplex:

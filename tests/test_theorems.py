@@ -385,6 +385,46 @@ class TestSpecialChecks:
         rep = special_checks("cocommutative_hopf", {"B": z4_q, "K": K, "X": X}, 4)
         assert rep.all_pass
 
+    @staticmethod
+    def ideal_verdicts(B, J, want_antipode_stable=False):
+        report = TheoremReport("bialgebra ideal")
+        ok = theorems._bialgebra_ideal_checks(B, J, report, want_antipode_stable)
+        return ok, {h.name: h.verdict for h in report.hypotheses}
+
+    def test_ideal_checks_refuse_a_non_ideal(self, z2_q):
+        # span{e}: g e = g leaves it; it is a coideal, Delta e = e (x) e
+        ok, verdicts = self.ideal_verdicts(z2_q, Matrix.from_entries(QQ, 2, 1, [(0, 0, QQ.one)]))
+        assert not ok
+        assert verdicts == {"J is a two-sided ideal": "FAIL",
+                            "J is a two-sided coideal": "PASS",
+                            "counit vanishes on J": "FAIL"}
+
+    def test_ideal_checks_refuse_a_non_coideal(self, z4_q):
+        # x = (e - g)(e + g^2) spans an ideal (g x = -x) killed by the counit,
+        # but no Hopf ideal of k[Z/4] has dimension 1
+        x = [(0, 0, QQ.one), (1, 0, -QQ.one), (2, 0, QQ.one), (3, 0, -QQ.one)]
+        ok, verdicts = self.ideal_verdicts(z4_q, Matrix.from_entries(QQ, 4, 1, x))
+        assert not ok
+        assert verdicts == {"J is a two-sided ideal": "PASS",
+                            "J is a two-sided coideal": "FAIL",
+                            "counit vanishes on J": "PASS"}
+
+    def test_ideal_checks_refuse_an_antipode_unstable_span(self, z4_q):
+        # span{g - e} is a coideal killed by the counit; S(g - e) = g^3 - e
+        J = Matrix.from_entries(QQ, 4, 1, [(1, 0, QQ.one), (0, 0, -QQ.one)])
+        ok, verdicts = self.ideal_verdicts(z4_q, J, want_antipode_stable=True)
+        assert not ok
+        assert verdicts == {"J is a two-sided ideal": "FAIL",
+                            "J is a two-sided coideal": "PASS",
+                            "counit vanishes on J": "PASS",
+                            "antipode preserves J": "FAIL"}
+
+    def test_ideal_checks_pass_a_hopf_ideal(self, z4_q):
+        J = _two_sided_ideal_closure(
+            z4_q, Matrix.from_entries(QQ, 4, 1, [(2, 0, QQ.one), (0, 0, -QQ.one)]))
+        ok, verdicts = self.ideal_verdicts(z4_q, J, want_antipode_stable=True)
+        assert ok and set(verdicts.values()) == {"PASS"} and len(verdicts) == 4
+
     def test_group_example_z4_f2(self):
         rep = special_checks(
             "group_example",
