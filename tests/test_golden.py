@@ -20,6 +20,9 @@ EXAMPLES = {
     "check_sweedler_h4": (["check", f"{F}/sweedler_h4.json"], 0),
     "homology_trivial_triple": (
         ["homology", f"{F}/trivial_triple.json", "--theory", "cyclic", "--max-degree", "4"], 0),
+    "homology_sweedler_r_ad": (
+        ["homology", f"{F}/sweedler_h4_regular_module_coalgebra.json", "--coefficient", "r_ad",
+         "--theory", "cyclic", "--max-degree", "3"], 0),
     "excision_direct_sum": (["excision", f"{F}/direct_sum_ses.json", "--max-degree", "3"], 0),
     "excision_direct_sum_f2": (
         ["excision", f"{F}/direct_sum_ses.json", "--max-degree", "3", "--field", "Fp:2"], 1),
