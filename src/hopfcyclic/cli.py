@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .complexes import assemble, homology
+from .complexes import assemble_for_homology, homology
 from .equivariant import (
     CoalgebraSES,
     ComoduleAlgebra,
@@ -168,7 +168,7 @@ def cmd_homology(args):
     X = _coefficient(args.coefficient, B)
     side = args.side
     main = ComoduleAlgebra(obj.base, B, obj.base.comult) if side == "algebra" else obj
-    cm = assemble(side, main, X, args.max_degree + 1)
+    cm = assemble_for_homology(side, main, X, args.max_degree + 1)
     dims = homology(cm, args.theory, args.max_degree)
     rows = [(n, dims[n], "-") for n in range(args.max_degree + 1)]
     doc = {"theory": args.theory, "side": side, "dims": dims}

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from .complexes import (
     _alternating,
     assemble,
+    assemble_for_homology,
     comodule_coinvariants,
     cyclic_total_complex,
     descend,
@@ -645,15 +646,16 @@ def relative_hc(C, K_gens, X, mode, maxdeg):
             "of cocyclic modules need not be injective")
     depth = maxdeg + 1
     if mode == "quotient":
-        cm_Q = assemble("coalgebra", ses.quotient, X, depth)
-        dims = homology(cm_Q, "cyclic", maxdeg)
+        dims = homology(assemble_for_homology("coalgebra", ses.quotient, X, depth), "cyclic",
+                        maxdeg)
     else:
         dims = _cokernel_cyclic_dims(ses, X, maxdeg)
 
     hyps_ok = _relative_hypotheses(ses, X, maxdeg, report)
     if hyps_ok and ses.mode == "subcoalgebra":
         other = (_cokernel_cyclic_dims(ses, X, maxdeg) if mode == "quotient"
-                 else homology(assemble("coalgebra", ses.quotient, X, depth), "cyclic", maxdeg))
+                 else homology(assemble_for_homology("coalgebra", ses.quotient, X, depth),
+                               "cyclic", maxdeg))
         for n in range(maxdeg + 1):
             agree = dims[n] == other[n]
             report.add_degree(n, {"this": dims[n], "other": other[n]},
@@ -804,9 +806,8 @@ def _check_additivity(params, maxdeg):
     certified = report.hypotheses_certified
     depth = maxdeg + 1
     Csum = direct_sum_module_coalgebras(C1, C2)
-    d1 = homology(assemble("coalgebra", C1, X, depth), "cyclic", maxdeg)
-    d2 = homology(assemble("coalgebra", C2, X, depth), "cyclic", maxdeg)
-    ds = homology(assemble("coalgebra", Csum, X, depth), "cyclic", maxdeg)
+    d1, d2, ds = (homology(assemble_for_homology("coalgebra", mc, X, depth), "cyclic", maxdeg)
+                  for mc in (C1, C2, Csum))
     for n in range(maxdeg + 1):
         ok = ds[n] == d1[n] + d2[n]
         report.add_degree(n, {"sum": ds[n], "parts": [d1[n], d2[n]]},

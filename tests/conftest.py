@@ -36,6 +36,30 @@ def every_face_identity_holds():
     complexes.CyclicModule.validate = reduced
 
 
+@pytest.fixture(scope="session", autouse=True)
+def every_regular_model_is_the_descended_module():
+    """Each cocyclic module that ``regular_cocyclic_module`` builds in a test
+    passes every coface identity (``oracles.all_coface_identities``) and is
+    isomorphic to the descended module of the same triple by the class of
+    x (x) v -> x (x) c0 (x) v (``oracles.regular_isomorphism``): the map is
+    invertible and intertwines every coface and tau, exactly."""
+    direct = complexes.regular_cocyclic_module
+
+    def build(C, X, maxdeg):
+        cm = direct(C, X, maxdeg)
+        assert oracles.all_coface_identities(cm), "a coface identity fails that validate passed"
+        descended = complexes.assemble("coalgebra", C, X, maxdeg)
+        iso = oracles.regular_isomorphism(C, complexes.regular_grouplike(C), X,
+                                          descended.quotients)
+        assert oracles.is_cocyclic_isomorphism(iso, cm, descended), \
+            "the model is not the descended module"
+        return cm
+
+    complexes.regular_cocyclic_module = build
+    yield
+    complexes.regular_cocyclic_module = direct
+
+
 @pytest.fixture(scope="session")
 def z2_q():
     return group_algebra(cyclic_table(2), QQ)

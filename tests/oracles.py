@@ -11,8 +11,11 @@ the reference for the product form of ``linalg.map_well_defined``; the
 solve that expresses each column over the generators a tracking echelon
 keeps, the reference for ``linalg.solve_columns``; the
 total coaction of the algebra side wired one degree at a time, the
-reference for its Kronecker blocks; and every face identity of a cyclic
-module, the reference for the reduced check of ``CyclicModule.validate``.
+reference for its Kronecker blocks; every face identity of a cyclic
+module and every coface identity of a cocyclic module, the references for
+the reduced checks of ``CyclicModule.validate`` and
+``CocyclicModule.validate``; and the isomorphism from the model of a regular
+module coalgebra onto its descended cocyclic module.
 """
 
 from fractions import Fraction
@@ -572,4 +575,52 @@ def all_face_identities(cm):
             for i in range(j):
                 if lower[i].mul(faces[j]) != lower[j - 1].mul(faces[i]):
                     return False
+    return True
+
+
+def all_coface_identities(cm):
+    """True iff every coface identity d_j d_i = d_i d_{j-1}, i < j, holds in every degree.
+
+    The full loop of (m+3)(m+2)/2 pairs out of each degree m of a cocyclic module.
+    """
+    for m in range(cm.top - 1):
+        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
+        for j in range(m + 3):
+            for i in range(j):
+                if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
+                    return False
+    return True
+
+
+def regular_isomorphism(C, c0, X, quotients):
+    """Degree n -> the class of x (x) b_1 (x) ... (x) b_n -> x (x) c0 (x) b_1 c0 (x) ... (x) b_n c0.
+
+    The map from the model on X (x) B^{(x) n} of a regular module coalgebra
+    C to the coinvariant quotients of X (x) C^{(x) n+1}, as a Kronecker
+    product followed by the quotient projection.
+    """
+    f = C.base.field
+    e0 = Matrix.column(f, {c0: f.one}, C.dim)
+    orbit = C.action.mul(Matrix.identity(f, C.over.dim).kron(e0))  # b -> b c0
+    J = Matrix.identity(f, X.dim).kron(e0)
+    out = []
+    for q in quotients:
+        out.append(q.projection.mul(J))
+        J = J.kron(orbit)
+    return out
+
+
+def is_cocyclic_isomorphism(iso, src, dst):
+    """True iff each iso[n] is invertible and iso intertwines every coface and tau, exactly."""
+    if len(iso) != src.top + 1 or src.dims != dst.dims:
+        return False
+    for n, m in enumerate(iso):
+        if (m.rows, m.cols) != (dst.dims[n], src.dims[n]) or rank_kernel(m)[0] != m.rows:
+            return False
+        if dst.tau[n].mul(m) != m.mul(src.tau[n]):
+            return False
+    for n in range(src.top):
+        for d_src, d_dst in zip(src.cofaces[n], dst.cofaces[n], strict=True):
+            if d_dst.mul(iso[n]) != iso[n + 1].mul(d_src):
+                return False
     return True

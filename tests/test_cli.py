@@ -5,9 +5,15 @@ import pytest
 
 from hopfcyclic import cli
 from hopfcyclic.cli import main, parse_input
-from hopfcyclic.complexes import assemble, homology
+from hopfcyclic.complexes import (
+    assemble,
+    cyclic_total_complex,
+    homology,
+    regular_cocyclic_module,
+)
 from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
 from hopfcyclic.errors import ParseError
+from hopfcyclic.serialize import complex_dump, dumps
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
@@ -79,6 +85,32 @@ class TestHomology:
         doc = json.loads(dump.read_text())
         assert "cyclic_total" in doc
         assert doc["cyclic_total"]["certificate"]["d_squared_zero"] is True
+
+    def test_dump_of_a_regular_module_coalgebra_is_the_model(self, capsys, tmp_path):
+        # an SAYD coefficient on B acting on itself dumps the total complex
+        # of the model on X (x) B^{(x) n}: the descended dims, its own basis
+        path = str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json")
+        dump = tmp_path / "dump.json"
+        code, _, _ = run(capsys, "homology", path, "--coefficient", "r_ad", "--max-degree", "1",
+                         "--dump", str(dump))
+        assert code == 0
+        mc = parse_input(path)
+        X = make_coefficient("r_ad", mc.over)
+        model = cyclic_total_complex(regular_cocyclic_module(mc, X, 2), 2)
+        assert json.loads(dump.read_text()) == json.loads(
+            dumps(complex_dump({"cyclic_total": model})))
+        assert model.dims == cyclic_total_complex(assemble("coalgebra", mc, X, 2), 2).dims
+
+    @pytest.mark.parametrize("coefficient", ["eps", "unit"])
+    def test_sweedler_regular_with_a_coefficient_not_ayd_exit_2(self, capsys, coefficient):
+        code, out, err = run(capsys, "homology",
+                             str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
+                             "--coefficient", coefficient)
+        assert code == 2
+        assert out == ""
+        assert ("(co)cyclic identity 'coface d_1 well-defined on the quotient' fails in degree 0"
+                in err)
+        assert "Traceback" not in err
 
     def test_algebra_side_of_a_module_coalgebra(self, capsys):
         # B over itself read as a comodule algebra through its comultiplication

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 import types
@@ -26,12 +27,15 @@ from hopfcyclic.equivariant import (
     ModuleCoalgebra,
     counit_action,
     make_coefficient,
+    direct_sum_module_coalgebras,
+    eps_module_coalgebra,
     regular_bicomodule,
     regular_module_coalgebra,
     unit_coaction,
 )
 from hopfcyclic.complexes import (
     assemble,
+    assemble_for_homology,
     bar,
     bar_complex,
     coinvariant_space_from_matrices,
@@ -43,6 +47,7 @@ from hopfcyclic.complexes import (
     shear_map,
     homology,
     induced_complex,
+    regular_grouplike,
     relative_bar,
     twisted_ch,
     untwist,
@@ -553,3 +558,146 @@ class TestBasisIndependence:
                 diffs[n] = gs[n + 1].mul(d).mul(invert(gs[n]))
             conj = GradedComplex(QQ, +1, tot.dims, diffs)
             assert [conj.homology(n) for n in range(4)] == base
+
+
+# the Hopf algebras of the model tests, by name and field, with the depth
+# each is built through: every model built in a test also builds the
+# descended module and checks the isomorphism between them (conftest)
+REGULAR_CASES = {
+    "trivial": (trivial_hopf, 4),
+    "Z/2": (lambda f: group_algebra(cyclic_table(2), f), 3),
+    "Z/4": (lambda f: group_algebra(cyclic_table(4), f), 2),
+}
+REGULAR_FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
+
+
+def _relabelled(mc, perm):
+    """``mc`` with its basis vector i renamed perm[i]: comultiplication, counit, action."""
+    f = mc.base.field
+    n = mc.dim
+    P = Matrix.from_entries(f, n, n, [(perm[i], i, f.one) for i in range(n)])
+    Pinv = P.transpose()
+    desc = BialgebraDesc(f, [mc.base.basis[perm.index(i)] for i in range(n)], "coalgebra",
+                         comult=P.kron(P).mul(mc.base.comult).mul(Pinv),
+                         counit=mc.base.counit.mul(Pinv))
+    action = P.mul(mc.action).mul(Matrix.identity(f, mc.over.dim).kron(Pinv))
+    return ModuleCoalgebra(desc, mc.over, action)
+
+
+def _bump(M, i=0, j=0):
+    """M plus one at entry (i, j)."""
+    return M.add(Matrix.from_entries(M.field, M.rows, M.cols, [(i, j, M.field.one)]))
+
+
+class TestRegularModel:
+    """The model on X (x) B^{(x) n} of a regular module coalgebra."""
+
+    @pytest.mark.parametrize("coefficient", ["r_ad", "ad_r"])
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    @pytest.mark.parametrize("name", list(REGULAR_CASES))
+    def test_model_taken_and_homology_kept(self, name, fname, coefficient):
+        build, depth = REGULAR_CASES[name]
+        B = build(REGULAR_FIELDS[fname])
+        C = regular_module_coalgebra(B)
+        X = make_coefficient(coefficient, B)
+        cm = assemble_for_homology("coalgebra", C, X, depth)
+        assert cm.quotients is None
+        assert cm.dims == [X.dim * B.dim ** n for n in range(depth + 1)]
+        for theory in ("hochschild", "cyclic", "bar"):
+            assert homology(cm, theory, depth - 1) == homology(
+                assemble("coalgebra", C, X, depth), theory, depth - 1), theory
+
+    @pytest.mark.parametrize("coefficient", ["r_ad", "ad_r"])
+    def test_sweedler_f3_model(self, coefficient):
+        B = sweedler_h4(GF(3))
+        cm = assemble_for_homology("coalgebra", regular_module_coalgebra(B),
+                                   make_coefficient(coefficient, B), 3)
+        assert cm.quotients is None
+        assert homology(cm, "cyclic", 2) == ([2, 1, 2] if coefficient == "r_ad" else [1, 0, 1])
+
+    def test_every_relabelling_of_sweedler_found_regular(self):
+        # the benchmark relabels C's basis and not B's: the model must be
+        # found for all 24, with c0 the image of 1 or of g
+        B = sweedler_h4(GF(3))
+        C = regular_module_coalgebra(B)
+        X = make_coefficient("r_ad", B)
+        for perm in itertools.permutations(range(4)):
+            mc = _relabelled(C, list(perm))
+            assert regular_grouplike(mc) in (perm[0], perm[1]), perm
+            cm = assemble_for_homology("coalgebra", mc, X, 2)
+            assert cm.quotients is None and homology(cm, "cyclic", 1) == [2, 1]
+
+    def test_without_a_suitable_c0_the_descended_path_is_taken(self, z2_q, k_eps_z2):
+        # C (+) C has no c0 at all (dim 4 over dim 2); the counit action on
+        # Q[Z/2] has c0 = e grouplike, but b -> eps(b) e is not bijective
+        C1 = regular_module_coalgebra(z2_q)
+        for mc in (direct_sum_module_coalgebras(C1, C1), eps_module_coalgebra(z2_q, z2_q)):
+            assert regular_grouplike(mc) is None
+            cm = assemble_for_homology("coalgebra", mc, k_eps_z2, 2)
+            assert cm.quotients is not None
+            with pytest.raises(ShapeMismatch, match="no grouplike c0"):
+                complexes.regular_cocyclic_module(mc, k_eps_z2, 2)
+
+    def test_coefficient_not_ayd_takes_the_descended_path(self, h4_q):
+        # eps and unit are stable but not anti-Yetter-Drinfeld on Sweedler's
+        # H4, whose antipode is not involutive: the descent check refuses
+        C = regular_module_coalgebra(h4_q)
+        for kind in ("eps", "unit"):
+            X = make_coefficient(kind, h4_q)
+            assert X.stable and not X.ayd
+            with pytest.raises(IdentityViolation, match="coface d_1 well-defined on the quotient"):
+                assemble_for_homology("coalgebra", C, X, 2)
+
+    def test_perturbed_tau_rejected(self, monkeypatch, h4_q):
+        real = complexes._regular_rotation
+        monkeypatch.setattr(complexes, "_regular_rotation",
+                            lambda B, X, n: _bump(real(B, X, n)) if n == 2 else real(B, X, n))
+        with pytest.raises(IdentityViolation):
+            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+                                              make_coefficient("r_ad", h4_q), 3)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_perturbed_coface_rejected(self, monkeypatch, h4_q, j):
+        # each coface out of degree 2: d_0, the middle d_1 and d_2, the last d_3
+        real = complexes._regular_cofaces
+        monkeypatch.setattr(complexes, "_regular_cofaces", lambda B, X, n: [
+            _bump(d) if (n, i) == (2, j) else d for i, d in enumerate(real(B, X, n))])
+        with pytest.raises(IdentityViolation):
+            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+                                              make_coefficient("r_ad", h4_q), 3)
+
+    def test_coface_mutant_that_only_the_coface_check_sees_rejected(self, monkeypatch, h4_q):
+        # d_0 out of degree 1 perturbed and the other cofaces out of degree 1
+        # rebuilt from it as d_j = tau^{-1} d_{j-1} tau, so every tau
+        # identity holds and only d_k d_0 = d_0 d_{k-1} can fail
+        real = complexes._regular_cofaces
+
+        def mutant(B, X, n):
+            if n != 1:
+                return real(B, X, n)
+            tau1, tau2 = (complexes._regular_rotation(B, X, k) for k in (1, 2))
+            faces = [_bump(real(B, X, 1)[0], 5, 3)]
+            for _ in range(2):
+                faces.append(tau2.mul(tau2).mul(faces[-1]).mul(tau1))  # tau^3 = id in degree 2
+            return faces
+
+        monkeypatch.setattr(complexes, "_regular_cofaces", mutant)
+        with pytest.raises(IdentityViolation, match=r"'d_\d d_0 = d_0 d_\d'"):
+            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+                                              make_coefficient("r_ad", h4_q), 3)
+
+    def test_perturbed_isomorphism_rejected(self, h4_q):
+        C = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        cm = complexes.regular_cocyclic_module(C, X, 3)
+        descended = assemble("coalgebra", C, X, 3)
+        iso = oracles.regular_isomorphism(C, 0, X, descended.quotients)
+        assert oracles.is_cocyclic_isomorphism(iso, cm, descended)
+        for n in range(4):
+            bumped = [_bump(m) if k == n else m for k, m in enumerate(iso)]
+            assert not oracles.is_cocyclic_isomorphism(bumped, cm, descended), n
+        # invertible, but two basis vectors swapped in degree 1
+        swap = Matrix.from_entries(QQ, 16, 16, [({0: 1, 1: 0}.get(i, i), i, QQ.one)
+                                                for i in range(16)])
+        swapped = [m.mul(swap) if k == 1 else m for k, m in enumerate(iso)]
+        assert not oracles.is_cocyclic_isomorphism(swapped, cm, descended)

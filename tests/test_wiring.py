@@ -242,6 +242,38 @@ def test_block_coaction_and_its_coinvariants_equal_the_wire_form(cname, fname):
                 (kind, n)
 
 
+@pytest.mark.parametrize("fname", ["Q", "F2"])
+@pytest.mark.parametrize("cname", list(COMODULES))
+def test_coinvariant_rows_handed_to_elimination_are_pairwise_independent(cname, fname,
+                                                                         monkeypatch):
+    """No row of the stacked C_p - u_p I reaches the elimination twice, up to a scalar.
+
+    The kernel stays the one of rho - id (x) 1, entry for entry, so no row
+    space is lost. The comodules of ``z2_product_algebra_ses`` are graded:
+    every row comes twice up to sign, and every row that is kept raises the
+    rank.
+    """
+    A = COMODULES[cname](fname)
+    B = A.over
+    f = B.field
+    stacked = []
+    real = complexes.rank_kernel
+    monkeypatch.setattr(complexes, "rank_kernel", lambda M: stacked.append(M) or real(M))
+    for kind in ("eps", "r_ad"):
+        X = make_coefficient(kind, B)
+        wired = oracles.wire_total_coactions(A, X, TOP)
+        for n, blocks in enumerate(total_coactions(A, X, TOP)):
+            rho = next(wired)
+            kernel = comodule_coinvariants(B.unit, blocks)
+            assert kernel == oracles.coinvariants_of(B, rho), (kind, n)
+            rows = list(stacked.pop().rowdict.values())
+            scaled = {frozenset((c, f.mul(f.inv(row[min(row)]), v)) for c, v in row.items())
+                      for row in rows}
+            assert len(scaled) == len(rows), (kind, n)
+            if cname in ("A", "I", "A/I"):  # the rank of rho - id (x) 1, by the kernel
+                assert len(rows) == rho.cols - kernel.cols, (kind, n)
+
+
 def test_sweedler_construction_passes_unmutated():
     mc, X = _sweedler_triple()
     assert homology(assemble("coalgebra", mc, X, 3), "cyclic", 2) == [2, 1, 2]
