@@ -31,7 +31,6 @@ from .linalg import (
     QuotientSpace,
     block_matrix,
     map_well_defined,
-    rank,
     rank_kernel,
     restrict,
     slotted,
@@ -147,7 +146,7 @@ def comodule_coinvariants(unit, blocks):
     dim = blocks[0].cols
     u = unit.coldict().get(0, {})
     rd = {}
-    seen = set()  # the kept rows, each scaled to leading entry 1
+    seen = set()  # kept rows: the column of a one-entry row, else the row scaled to lead 1
     for p, C in enumerate(blocks):
         rows = C.rowdict
         if p in u:  # rows of C_p - u_p I, the diagonal entry shifted
@@ -678,8 +677,8 @@ class CocyclicModule:
     quotients of an ambient module keeps them as ``quotients[n]``, the
     quotient of degree n; nothing of the ambient is kept but the dimensions
     each quotient records, so it is freed once descended. The model of
-    :func:`regular_cocyclic_module` has no quotients. Built once per run at
-    the deepest degree any consumer needs; shallower consumers take a
+    :func:`regular.regular_cocyclic_module` has no quotients. Built once per
+    run at the deepest degree any consumer needs; shallower consumers take a
     truncation, which shares every matrix.
     """
 
@@ -746,7 +745,8 @@ class CocyclicModule:
         tau d_0 = d_n, for the cofaces d_j into degree n. The coface
         identities hold on a module descended from a validated ambient
         (:func:`induced_complex`), because inducing is multiplicative; a
-        module built without one checks them too (:func:`_check_cofaces`).
+        module built without one checks them too
+        (:func:`regular.regular_cocyclic_module`).
         """
         _check_tau_order(self)
         for n in range(1, self.top + 1):
@@ -756,27 +756,6 @@ class CocyclicModule:
                     raise IdentityViolation(n, f"tau d_{j} = d_{j-1} tau")
             if self.tau[n].mul(faces_in[0]) != faces_in[n]:
                 raise IdentityViolation(n, "tau d_0 = d_n")
-
-
-def _check_cofaces(cm):
-    """The coface identities of a validated cocyclic module, entry-exactly.
-
-    Checked: d_k d_0 = d_0 d_{k-1} for 1 <= k <= m+2 out of each degree m,
-    m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j. They
-    imply the rest once :meth:`CocyclicModule.validate` has passed, the dual
-    of the proof in :meth:`CyclicModule.validate`. tau is invertible, as
-    tau^{n+1} = id, so tau d_j = d_{j-1} tau gives d_j = tau^{-1} d_{j-1} tau
-    for the cofaces d_1 ... d_n into degree n. For 1 <= i < j <= m+2 then
-    d_j d_i = tau^{-1} d_{j-1} d_{i-1} tau and
-    d_i d_{j-1} = tau^{-1} d_{i-1} d_{j-2} tau: identity (i, j) is identity
-    (i-1, j-1) conjugated by tau, and down to i = 0 it is identity (0, j-i),
-    which is checked.
-    """
-    for m in range(cm.top - 1):
-        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
-        for k in range(1, m + 3):
-            if upper[k].mul(lower[0]) != upper[0].mul(lower[k - 1]):
-                raise IdentityViolation(m, f"d_{k} d_0 = d_0 d_{k-1}")
 
 
 class CyclicModule:
@@ -850,8 +829,7 @@ def _assemble_coalgebra(C, X, maxdeg, descended=None):
     if descended is None:
         descended = induced_complex(twisted_ch(C, regular_bicomodule(C), X, maxdeg), X,
                                     check_flags=False)
-    elif (descended.top < maxdeg or descended.quotients is None
-          or descended.quotients[0].ambient_dim != X.dim * c):
+    elif descended.top < maxdeg or descended.quotients[0].ambient_dim != X.dim * c:
         raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
     taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
     return descended.truncate(maxdeg).with_tau(taus)
@@ -904,132 +882,21 @@ def _assemble_algebra(A, X, maxdeg):
     return cm
 
 
-# ---------------------------------------------------------------------------
-# Regular module coalgebras: the model on X (x) B^{(x) n}
-# ---------------------------------------------------------------------------
-
-
-def regular_grouplike(C):
-    """A basis index c0 of C with Delta(c0) = c0 (x) c0 and b -> b c0 bijective, or None.
-
-    Such a c0 makes phi(b) = b c0 an isomorphism B -> C of module
-    coalgebras, from the module-coalgebra axioms that the construction of C
-    audits. phi is B-linear, phi(a b) = (a b) c0 = a (b c0), by the audited
-    associativity, and phi(1) = c0 by unitality. It preserves the
-    comultiplication: by the audited compatibility and Delta(c0) =
-    c0 (x) c0, Delta(b c0) = b_(1) c0 (x) b_(2) c0 = (phi (x) phi) Delta(b).
-    It is bijective by the rank test. (Where C has a counit, eps_C phi is a
-    counit of B, so it is eps_B.) So phi carries B acting on itself to C,
-    and with it the regular bicomodule and everything the twisted complex
-    CH(C; X) and its coinvariants read of C, its comultiplication and its
-    action: CH(C; X) is CH(B; X) relabelled, cofaces, tau and L_b alike.
-    """
-    f = C.base.field
-    n = C.dim
-    if n != C.over.dim:
-        return None
-    columns = C.base.comult.coldict()
-    for c0 in range(n):
-        if columns.get(c0) == {c0 * n + c0: f.one}:
-            e0 = Matrix.column(f, {c0: f.one}, n)
-            if rank(C.action.mul(Matrix.identity(f, n).kron(e0))) == n:  # b -> b c0
-                return c0
-    return None
-
-
-def regular_cocyclic_module(C, X, maxdeg):
-    """The cocyclic module of (C, B, X) for C regular, built on X (x) B^{(x) n}.
-
-    C must have a c0 of :func:`regular_grouplike`, so it is B acting on
-    itself up to relabelling, and only B's structure is read. For B acting
-    on itself the diagonal action on X (x) B^{(x) n+1} is free and its
-    coinvariants are X (x) B^{(x) n} (Connes-Moscovici, Comm. Math. Phys.
-    198, 1998; Hajac-Khalkhali-Rangipour-Sommerhaeuser, C. R. Acad. Sci.
-    Paris 338, 2004). b acts on x (x) a_0 (x) ... (x) a_n as
-    b_(n+2) x (x) b_(1) a_0 (x) ... (x) b_(n+1) a_n (:func:`_diagonal_action`).
-    Phi(x (x) a) = [x (x) 1 (x) a] is an isomorphism onto the coinvariants
-    with inverse Psi[x (x) a_0 (x) a] = S(a_0) (a (x) x), S(a_0) acting
-    diagonally with x last. Psi is well defined: on b v it gives
-    S(a_0) S(b_(1)) b_(2) (a (x) x) = eps(b) Psi(v), as Delta is an algebra
-    map, S is antimultiplicative and X is an audited module. Psi Phi = id
-    as S(1) = 1. And v = a_0(1) w(a_0(2)), the diagonal action on
-    w(c) = 1 (x) S(c) (a (x) x), by a_(1) S(a_(2)) = eps(a); on the
-    coinvariants a_0(1) acts by eps(a_0(1)), so [v] = [w(a_0)] = Phi Psi [v].
-
-    The cofaces and tau here are those of :func:`twisted_ch` and
-    :func:`_coalgebra_rotation`, moved across: Psi d Phi. With a_0 = 1 only
-    tau needs Psi:
-      d_0:      x (x) a -> x (x) 1 (x) a;
-      d_j:      Delta on a_j, for 1 <= j <= n;
-      d_{n+1}:  x (x) a -> x_(0) (x) a (x) x_(-1);
-      tau:      x (x) a_1 (x) ... (x) a_n -> s_(n+1) x_(0) (x) s_(1) a_2 (x) ...
-                (x) s_(n-1) a_n (x) s_(n) x_(-1), with s = S(a_1); in degree 0,
-                x -> S(x_(-1)) x_(0).
-    They descend only for an anti-Yetter-Drinfeld X, which this builder
-    does not test (:func:`assemble_for_homology` does). No ambient is
-    built, so every cocyclic identity is checked here, the coface
-    identities included (:func:`_check_cofaces`).
-    """
-    if regular_grouplike(C) is None:
-        raise ShapeMismatch("module coalgebra has no grouplike c0 with b -> b c0 bijective")
-    if not X.module_report.ok:
-        raise AuditFailed(X.module_report)
-    B = C.over
-    cofaces = [_regular_cofaces(B, X, n) for n in range(maxdeg)]
-    tau = [_regular_rotation(B, X, n) for n in range(maxdeg + 1)]
-    cm = CocyclicModule(B.field, B, [X.dim * _pow(B.dim, n) for n in range(maxdeg + 1)],
-                        cofaces, tau)
-    cm.validate()
-    _check_cofaces(cm)
-    return cm
-
-
-def _regular_cofaces(B, X, n):
-    """The n+2 cofaces of :func:`regular_cocyclic_module` out of X (x) B^{(x) n}."""
-    f = B.field
-    d = B.dim
-    x = X.dim
-    t = _pow(d, n)
-    return ([wire(f, {"x": x, "u": d, "t": t}, "x t -> x u t", (B.unit, "-> u"))]
-            + [slotted(f, x * _pow(d, j - 1), B.comult, _pow(d, n - j))
-               for j in range(1, n + 1)]
-            + [wire(f, {"x": x, "x0": x, "h": d, "t": t}, "x t -> x0 t h",
-                    (X.coaction, "x -> h x0"))])
-
-
-def _regular_rotation(B, X, n):
-    """tau of :func:`regular_cocyclic_module` on X (x) B^{(x) n}.
-
-    x (x) a_1 (x) a -> S(a_1) (x_(0) (x) a (x) x_(-1)), S(a_1) acting by
-    the diagonal action of :func:`_diagonal_action`, which deals the last
-    leg s_(n+1) to the coefficient slot: the hstacked L_b applied after a
-    front map that takes S of a_1 to the front and x_(-1) to the end. In
-    degree 0, a_1 is x_(-1) itself.
-    """
-    f = B.field
-    d = B.dim
-    acts = _diagonal_action(B, [(d, B.mult)] * n, (X.dim, X.action), range(d))
-    dims = {"x": X.dim, "x0": X.dim, "h": d, "a": d, "s": d, "t": _pow(d, n - 1)}
-    if n == 0:
-        front = wire(f, dims, "x -> s x0", (X.coaction, "x -> h x0"), (B.antipode, "h -> s"))
-    else:
-        front = wire(f, dims, "x a t -> s x0 t h", (X.coaction, "x -> h x0"),
-                     (B.antipode, "a -> s"))
-    return functools.reduce(Matrix.hstack, [acts[b] for b in range(d)]).mul(front)
-
-
 def assemble_for_homology(side, main, X, maxdeg):
     """:func:`assemble` for a caller that reads nothing but the (co)cyclic module.
 
-    The result may be the model of :func:`regular_cocyclic_module`, which
-    has the same homology in another basis and no quotients to induce
+    The result may be the model of :func:`regular.regular_cocyclic_module`,
+    which has the same homology in another basis and no quotients to induce
     ambient maps through. It is taken on the coalgebra side exactly when C
-    has a c0 of :func:`regular_grouplike` and X is stable and
+    has a c0 of :func:`regular.regular_grouplike` and X is stable and
     anti-Yetter-Drinfeld; ``X.ayd`` holds only where B has an inverse
     antipode. Otherwise this is :func:`assemble`.
     """
-    if side == "coalgebra" and X.stable and X.ayd and regular_grouplike(main) is not None:
-        return regular_cocyclic_module(main, X, maxdeg)
+    if side == "coalgebra" and X.stable and X.ayd:
+        from . import regular  # imported here: it adds to every start-up otherwise
+
+        if regular.regular_grouplike(main) is not None:
+            return regular.regular_cocyclic_module(main, X, maxdeg)
     return assemble(side, main, X, maxdeg)
 
 

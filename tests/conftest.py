@@ -13,7 +13,7 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic import complexes
+from hopfcyclic import complexes, regular
 from hopfcyclic.linalg import Matrix
 
 import oracles
@@ -43,21 +43,21 @@ def every_regular_model_is_the_descended_module():
     isomorphic to the descended module of the same triple by the class of
     x (x) v -> x (x) c0 (x) v (``oracles.regular_isomorphism``): the map is
     invertible and intertwines every coface and tau, exactly."""
-    direct = complexes.regular_cocyclic_module
+    direct = regular.regular_cocyclic_module
 
     def build(C, X, maxdeg):
         cm = direct(C, X, maxdeg)
         assert oracles.all_coface_identities(cm), "a coface identity fails that validate passed"
         descended = complexes.assemble("coalgebra", C, X, maxdeg)
-        iso = oracles.regular_isomorphism(C, complexes.regular_grouplike(C), X,
+        iso = oracles.regular_isomorphism(C, regular.regular_grouplike(C), X,
                                           descended.quotients)
         assert oracles.is_cocyclic_isomorphism(iso, cm, descended), \
             "the model is not the descended module"
         return cm
 
-    complexes.regular_cocyclic_module = build
+    regular.regular_cocyclic_module = build
     yield
-    complexes.regular_cocyclic_module = direct
+    regular.regular_cocyclic_module = direct
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,10 @@ import pytest
 
 from hopfcyclic import cli
 from hopfcyclic.cli import main, parse_input
-from hopfcyclic.complexes import (
-    assemble,
-    cyclic_total_complex,
-    homology,
-    regular_cocyclic_module,
-)
+from hopfcyclic.complexes import assemble, cyclic_total_complex, homology
 from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
 from hopfcyclic.errors import ParseError
+from hopfcyclic.regular import regular_cocyclic_module
 from hopfcyclic.serialize import complex_dump, dumps
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"

@@ -47,7 +47,6 @@ from hopfcyclic.complexes import (
     shear_map,
     homology,
     induced_complex,
-    regular_grouplike,
     relative_bar,
     twisted_ch,
     untwist,
@@ -62,7 +61,8 @@ from hopfcyclic.linalg import (
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
-from hopfcyclic import complexes, theorems
+from hopfcyclic import complexes, regular, theorems
+from hopfcyclic.regular import regular_grouplike
 
 import oracles
 from groups import cyclic_table
@@ -636,7 +636,7 @@ class TestRegularModel:
             cm = assemble_for_homology("coalgebra", mc, k_eps_z2, 2)
             assert cm.quotients is not None
             with pytest.raises(ShapeMismatch, match="no grouplike c0"):
-                complexes.regular_cocyclic_module(mc, k_eps_z2, 2)
+                regular.regular_cocyclic_module(mc, k_eps_z2, 2)
 
     def test_coefficient_not_ayd_takes_the_descended_path(self, h4_q):
         # eps and unit are stable but not anti-Yetter-Drinfeld on Sweedler's
@@ -649,47 +649,47 @@ class TestRegularModel:
                 assemble_for_homology("coalgebra", C, X, 2)
 
     def test_perturbed_tau_rejected(self, monkeypatch, h4_q):
-        real = complexes._regular_rotation
-        monkeypatch.setattr(complexes, "_regular_rotation",
+        real = regular._regular_rotation
+        monkeypatch.setattr(regular, "_regular_rotation",
                             lambda B, X, n: _bump(real(B, X, n)) if n == 2 else real(B, X, n))
         with pytest.raises(IdentityViolation):
-            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_perturbed_coface_rejected(self, monkeypatch, h4_q, j):
         # each coface out of degree 2: d_0, the middle d_1 and d_2, the last d_3
-        real = complexes._regular_cofaces
-        monkeypatch.setattr(complexes, "_regular_cofaces", lambda B, X, n: [
+        real = regular._regular_cofaces
+        monkeypatch.setattr(regular, "_regular_cofaces", lambda B, X, n: [
             _bump(d) if (n, i) == (2, j) else d for i, d in enumerate(real(B, X, n))])
         with pytest.raises(IdentityViolation):
-            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
 
     def test_coface_mutant_that_only_the_coface_check_sees_rejected(self, monkeypatch, h4_q):
         # d_0 out of degree 1 perturbed and the other cofaces out of degree 1
         # rebuilt from it as d_j = tau^{-1} d_{j-1} tau, so every tau
         # identity holds and only d_k d_0 = d_0 d_{k-1} can fail
-        real = complexes._regular_cofaces
+        real = regular._regular_cofaces
 
         def mutant(B, X, n):
             if n != 1:
                 return real(B, X, n)
-            tau1, tau2 = (complexes._regular_rotation(B, X, k) for k in (1, 2))
+            tau1, tau2 = (regular._regular_rotation(B, X, k) for k in (1, 2))
             faces = [_bump(real(B, X, 1)[0], 5, 3)]
             for _ in range(2):
                 faces.append(tau2.mul(tau2).mul(faces[-1]).mul(tau1))  # tau^3 = id in degree 2
             return faces
 
-        monkeypatch.setattr(complexes, "_regular_cofaces", mutant)
+        monkeypatch.setattr(regular, "_regular_cofaces", mutant)
         with pytest.raises(IdentityViolation, match=r"'d_\d d_0 = d_0 d_\d'"):
-            complexes.regular_cocyclic_module(regular_module_coalgebra(h4_q),
+            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
 
     def test_perturbed_isomorphism_rejected(self, h4_q):
         C = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
-        cm = complexes.regular_cocyclic_module(C, X, 3)
+        cm = regular.regular_cocyclic_module(C, X, 3)
         descended = assemble("coalgebra", C, X, 3)
         iso = oracles.regular_isomorphism(C, 0, X, descended.quotients)
         assert oracles.is_cocyclic_isomorphism(iso, cm, descended)
