@@ -50,6 +50,14 @@ def _load_json(path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load_object(path):
+    """_load_json, refusing a document that is not a JSON object."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {json.dumps(doc)[:40]}")
+    return doc
+
+
 def _override_field(doc, field_name):
     if field_name is None:
         return doc
@@ -65,7 +73,7 @@ def _override_field(doc, field_name):
 
 def parse_input(path, field=None):
     """Parse and fully audit a description file; audit failures abort."""
-    doc = _override_field(_load_json(path), field)
+    doc = _override_field(_load_object(path), field)
     if "mode" in doc and "C" in doc:
         return ses_from_json(doc)
     if "ideal" in doc and ("A" in doc or "B" in doc):
@@ -123,11 +131,14 @@ def _algebra_ses_from_json(doc):
 
 
 def _coefficient(arg, B):
+    """The coefficient ``arg`` names: a kind, a JSON file path or an inline document."""
     if arg is None:
         return make_coefficient("eps", B)
     if arg in ("eps", "unit", "r_ad", "ad_r"):
         return make_coefficient(arg, B)
-    return coefficient_from_json(B, _load_json(arg))
+    if isinstance(arg, str):
+        return coefficient_from_json(B, _load_object(arg))
+    return coefficient_from_json(B, arg)
 
 
 def _emit(args, table_rows, report_doc, dump_doc=None):
@@ -227,9 +238,7 @@ def cmd_special(args):
     if kind == "additivity":
         C1 = module_coalgebra_from_json(params_doc["C1"])
         C2 = module_coalgebra_from_json(params_doc["C2"])
-        X = _coefficient(params_doc.get("coefficient"), C1.over) if isinstance(
-            params_doc.get("coefficient"), (str, type(None))) else coefficient_from_json(
-                C1.over, params_doc["coefficient"])
+        X = _coefficient(params_doc.get("coefficient"), C1.over)
         params = {"C1": C1, "C2": C2, "X": X}
     elif kind in ("commutative_hopf", "cocommutative_hopf"):
         B = desc_from_json(params_doc["B"])

@@ -723,7 +723,7 @@ class CocyclicModule:
         cm.validate()
         return cm
 
-    def induce_map(self, other, ambient_components, check=True):
+    def induce_map(self, other, ambient_components):
         """The ChainMap of Hochschild complexes induced by degreewise ambient maps.
 
         Components above either top degree are dropped; each kept one must
@@ -736,7 +736,7 @@ class CocyclicModule:
             if n <= min(self.top, other.top):
                 failure = WellDefinednessFailure(f"comparison map does not descend at degree {n}")
                 comps[n] = _induced(amb, self.quotients[n], other.quotients[n], failure)
-        return ChainMap(self.complex, other.complex, comps, check=check)
+        return ChainMap(self.complex, other.complex, comps)
 
     def validate(self):
         """Check the cocyclic identities at every degree n, entry-exactly.

@@ -23,6 +23,7 @@ from .hopf import AxiomReport, BialgebraDesc, _compare, matrix_from_json
 from .linalg import (
     Matrix,
     QuotientSpace,
+    block_matrix,
     column_basis,
     slotted,
     solve_columns,
@@ -294,23 +295,12 @@ def _audit_equivariant_bicomodule(m):
 
 def counit_action(B, dim):
     """b . x = eps(b) x as a B (x) X -> X tensor."""
-    f = B.field
-    eps = B.counit.rowdict.get(0, {})
-    ents = []
-    for b, v in eps.items():
-        for x in range(dim):
-            ents.append((x, b * dim + x, v))
-    return Matrix.from_entries(f, dim, B.dim * dim, ents)
+    return slotted(B.field, 1, B.counit, dim)
 
 
 def unit_coaction(B, dim):
     """x -> unit (x) x as an X -> B (x) X tensor."""
-    f = B.field
-    ents = []
-    for b, v in B.unit.col(0).items():
-        for x in range(dim):
-            ents.append((b * dim + x, x, v))
-    return Matrix.from_entries(f, B.dim * dim, dim, ents)
+    return slotted(B.field, 1, B.unit, dim)
 
 
 def make_coefficient(kind, B, payload=None):
@@ -352,6 +342,8 @@ def make_coefficient(kind, B, payload=None):
 
 
 def coefficient_from_json(B, doc):
+    if not isinstance(doc, dict):
+        raise ParseError(f"a coefficient document must be a JSON object, got {doc!r:.40}")
     if "kind" in doc:
         return make_coefficient(doc["kind"], B)
     try:
@@ -489,49 +481,25 @@ def solve_matrix_system(field, m, n, constraints):
 
     Each constraint is ``(terms, R)`` with ``terms`` a list of (A, B) pairs.
     Returns U as a Matrix, or None when inconsistent. Unknowns are vectorized
-    row-major: U[i, j] -> i * n + j.
+    row-major, U[i, j] -> i * n + j, so A U B = (A (x) B^T) vec U with R
+    vectorized row-major too; every constraint's operator is stacked into
+    one solve.
     """
     f = field
-    rows = []
-    rhs_entries = []
-    rowcount = 0
+    ops, rhs = [], []
     for terms, R in constraints:
-        out_rows = R.rows
-        out_cols = R.cols
-        # coefficient of U[i,j] in constraint entry (r, c): sum_k A_k[r,i] B_k[j,c]
-        coeff = {}
         for A, Bm in terms:
-            if A.rows != out_rows or A.cols != m or Bm.rows != n or Bm.cols != out_cols:
+            if A.rows != R.rows or A.cols != m or Bm.rows != n or Bm.cols != R.cols:
                 raise ShapeMismatch("constraint term shapes do not match")
-            for r, arow in A.rowdict.items():
-                for i, av in arow.items():
-                    for j, brow in Bm.rowdict.items():
-                        for c, bv in brow.items():
-                            key = (r, c)
-                            slot = coeff.setdefault(key, {})
-                            w = f.add(slot.get(i * n + j, f.zero), f.mul(av, bv))
-                            if w == f.zero:
-                                slot.pop(i * n + j, None)
-                            else:
-                                slot[i * n + j] = w
-        for (r, c), slot in sorted(coeff.items()):
-            rows.append((rowcount, slot))
-            v = R.rowdict.get(r, {}).get(c, f.zero)
-            if v != f.zero:
-                rhs_entries.append((rowcount, 0, v))
-            rowcount += 1
-        # rows of R with no unknown coefficients must be zero for consistency
-        for r, rrow in R.rowdict.items():
-            for c, v in rrow.items():
-                if (r, c) not in coeff and v != f.zero:
-                    return None
-    A_big = Matrix(f, rowcount, m * n, {i: dict(s) for i, s in rows if s})
-    rhs = Matrix.from_entries(f, rowcount, 1, rhs_entries)
-    x = solve_columns(A_big, rhs)
+        ops.append([functools.reduce(Matrix.add, [A.kron(Bm.transpose()) for A, Bm in terms])])
+        rhs.append([Matrix(f, R.rows * R.cols, 1, {r * R.cols + c: {0: v}
+                                                   for r, row in R.rowdict.items()
+                                                   for c, v in row.items()})])
+    heights = [op.rows for op, in ops]
+    x = solve_columns(block_matrix(f, ops, heights, [m * n]), block_matrix(f, rhs, heights, [1]))
     if x is None:
         return None
-    col = x.col(0)
-    return Matrix.from_entries(f, m, n, [(k // n, k % n, v) for k, v in col.items()])
+    return Matrix.from_entries(f, m, n, [(k // n, k % n, v) for k, v in x.col(0).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -580,26 +548,29 @@ def is_projective(B, action, dim):
 # ---------------------------------------------------------------------------
 
 
+def _summand_inclusions(field, na, nb):
+    """The inclusions of k^na and k^nb as the first and second summand of k^(na+nb)."""
+    one = field.one
+    return (Matrix(field, na + nb, na, {i: {i: one} for i in range(na)}),
+            Matrix(field, na + nb, nb, {na + i: {i: one} for i in range(nb)}))
+
+
+def _componentwise(maps, outs, ins):
+    """sum over the summands s of outs[s] . maps[s] . ins[s]^T."""
+    return functools.reduce(Matrix.add, [o.mul(M).mul(i.transpose())
+                                         for M, o, i in zip(maps, outs, ins)])
+
+
 def direct_sum_coalgebras(a, b):
     """Componentwise direct sum of two coalgebra descriptions."""
     f = a.field
     if f != b.field:
         raise ShapeMismatch("direct sum needs a common field")
-    na, nb = a.dim, b.dim
-    n = na + nb
-    ents = []
-    for jk, i, v in a.comult.entries():
-        j, k = divmod(jk, na)
-        ents.append((j * n + k, i, v))
-    for jk, i, v in b.comult.entries():
-        j, k = divmod(jk, nb)
-        ents.append(((j + na) * n + (k + na), i + na, v))
-    comult = Matrix.from_entries(f, n * n, n, ents)
+    incl = _summand_inclusions(f, a.dim, b.dim)
+    comult = _componentwise((a.comult, b.comult), [i.kron(i) for i in incl], incl)
     counit = None
     if a.counit is not None and b.counit is not None:
-        ents = [(0, i, v) for _, i, v in a.counit.entries()]
-        ents += [(0, i + na, v) for _, i, v in b.counit.entries()]
-        counit = Matrix.from_entries(f, 1, n, ents)
+        counit = _componentwise((a.counit, b.counit), [Matrix.identity(f, 1)] * 2, incl)
     names = [f"l.{x}" for x in a.basis] + [f"r.{x}" for x in b.basis]
     return BialgebraDesc(f, names, "coalgebra", comult=comult, counit=counit)
 
@@ -610,17 +581,10 @@ def direct_sum_module_coalgebras(a, b):
         raise ShapeMismatch("direct sum needs a common acting bialgebra")
     B = a.over
     f = B.field
-    na, nb = a.dim, b.dim
-    n = na + nb
     base = direct_sum_coalgebras(a.base, b.base)
-    ents = []
-    for i, col, v in a.action.entries():
-        bb, c = divmod(col, na)
-        ents.append((i, bb * n + c, v))
-    for i, col, v in b.action.entries():
-        bb, c = divmod(col, nb)
-        ents.append((i + na, bb * n + (c + na), v))
-    action = Matrix.from_entries(f, n, B.dim * n, ents)
+    incl = _summand_inclusions(f, a.dim, b.dim)
+    action = _componentwise((a.action, b.action), incl,
+                            [slotted(f, B.dim, i, 1) for i in incl])
     return ModuleCoalgebra(base, B, action)
 
 
@@ -628,32 +592,15 @@ def direct_sum_comodule_algebras(a, b):
     """Product algebra A_1 x A_2 with the componentwise coaction."""
     B = a.over
     f = B.field
-    na, nb = a.dim, b.dim
-    n = na + nb
-    ents = []
-    for i, col, v in a.base.mult.entries():
-        x, y = divmod(col, na)
-        ents.append((i, x * n + y, v))
-    for i, col, v in b.base.mult.entries():
-        x, y = divmod(col, nb)
-        ents.append((i + na, (x + na) * n + (y + na), v))
-    mult = Matrix.from_entries(f, n, n * n, ents)
+    incl = _summand_inclusions(f, a.dim, b.dim)
+    mult = _componentwise((a.base.mult, b.base.mult), incl, [i.kron(i) for i in incl])
     unit = None
     if a.base.unit is not None and b.base.unit is not None:
-        ents = [(i, 0, v) for i, _, v in a.base.unit.entries()]
-        ents += [(i + na, 0, v) for i, _, v in b.base.unit.entries()]
-        unit = Matrix.from_entries(f, n, 1, ents)
+        unit = _componentwise((a.base.unit, b.base.unit), incl, [Matrix.identity(f, 1)] * 2)
     names = [f"l.{x}" for x in a.base.basis] + [f"r.{x}" for x in b.base.basis]
     desc = BialgebraDesc(f, names, "algebra", mult=mult, unit=unit)
-    d = B.dim
-    ents = []
-    for row, i, v in a.coaction.entries():
-        x, leg = divmod(row, d)
-        ents.append((x * d + leg, i, v))
-    for row, i, v in b.coaction.entries():
-        x, leg = divmod(row, d)
-        ents.append(((x + na) * d + leg, i + na, v))
-    coaction = Matrix.from_entries(f, n * d, n, ents)
+    coaction = _componentwise((a.coaction, b.coaction),
+                              [slotted(f, 1, i, B.dim) for i in incl], incl)
     return ComoduleAlgebra(desc, B, coaction)
 
 

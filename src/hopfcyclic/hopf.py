@@ -12,7 +12,7 @@ import functools
 
 from .errors import AuditFailed, MissingAntipodeInverse, NotAGroup, ParseError, ShapeMismatch
 from .fields import field_by_name
-from .linalg import Echelon, Matrix, invert, solve_columns, wire
+from .linalg import Echelon, Matrix, block_matrix, invert, solve_columns, wire
 
 LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf")
 
@@ -80,9 +80,10 @@ class BialgebraDesc:
     are present as the level demands (unit and counit may be absent below
     bialgebra level, matching non-unital algebras and non-counital
     coalgebras). ``antipode_inv`` is an optional given inverse of the
-    antipode, audited and serialized; ``inverse_antipode`` and
-    ``algebra_generators`` are derived on first use and kept, leaving every
-    given field and :meth:`to_json` as they were.
+    antipode, audited and serialized; ``inverse_antipode``,
+    ``multiplication_operators`` and ``algebra_generators`` are derived on
+    first use and kept, leaving every given field and :meth:`to_json` as
+    they were.
     """
 
     def __init__(self, field, basis, level, mult=None, comult=None, unit=None,
@@ -134,6 +135,17 @@ class BialgebraDesc:
         return Matrix.identity(self.field, self.dim)
 
     @functools.cached_property
+    def multiplication_operators(self):
+        """(left, right): left[i] is a -> e_i a and right[i] is a -> a e_i.
+
+        The column blocks of ``mult``, and of ``mult`` with its two input
+        legs swapped. Computed on first use and kept.
+        """
+        d = self.dim
+        swapped = wire(self.field, {"a": d, "b": d, "p": d}, "a b -> p", (self.mult, "b a -> p"))
+        return self.mult.column_blocks(d), swapped.column_blocks(d)
+
+    @functools.cached_property
     def algebra_generators(self):
         """Basis indices g_i that generate this unital algebra.
 
@@ -143,7 +155,7 @@ class BialgebraDesc:
         multiplication by every generator. Computed on first use and kept.
         """
         f, d = self.field, self.dim
-        left = self.mult.column_blocks(d)  # left[i]: a -> e_i a
+        left, _ = self.multiplication_operators
         span, words, gens = Echelon(f), [], []
 
         def times(i, v):
@@ -454,69 +466,27 @@ def find_integral(desc, side):
 
     side="cointegral": element s with s b = eps(b) s and eps(s) = 1.
     side="integral": functional n with b_(1) n(b_(2)) = n(b) unit, n(unit) = 1.
+
+    Both are one solve of the blocks R_j - c_j I stacked over the
+    normalization row: for the cointegral R_j is right multiplication by
+    e_j and c = eps; for the integral R_j[k, l] is the coefficient of
+    e_j (x) e_l in Delta(e_k) and c = unit.
     """
-    f = desc.field
-    d = desc.dim
+    f, d = desc.field, desc.dim
     if desc.counit is None or desc.unit is None:
         raise ShapeMismatch("integrals need a unital and counital description")
-    rows = []
-    rhs = []
     if side == "cointegral":
-        # unknowns: coordinates of sigma
-        eps = desc.counit.rowdict.get(0, {})
-        for j in range(d):
-            # sigma * e_j - eps(e_j) sigma = 0, componentwise in e_k
-            epsj = eps.get(j, f.zero)
-            for k in range(d):
-                row = {}
-                for i in range(d):
-                    c = desc.mult.col(i * d + j).get(k, f.zero)
-                    if i == k:
-                        c = f.sub(c, epsj)
-                    if c != f.zero:
-                        row[i] = c
-                if row:
-                    rows.append(row)
-                    rhs.append(f.zero)
-        rows.append({i: v for i, v in eps.items()})
-        rhs.append(f.one)
-        sol = _solve_affine(f, rows, rhs, d)
-        if sol is None:
-            return None
-        return Matrix.from_entries(f, d, 1, [(i, 0, v) for i, v in sol.items()])
-    if side == "integral":
-        # unknowns: coordinates of eta
-        unit = desc.unit.col(0)
-        for k in range(d):
-            dcol = desc.comult.col(k)  # Delta(e_k) entries at j*d+l
-            for j in range(d):
-                row = {}
-                for l in range(d):
-                    c = dcol.get(j * d + l, f.zero)
-                    if c != f.zero:
-                        row[l] = f.add(row.get(l, f.zero), c)
-                uj = unit.get(j, f.zero)
-                if uj != f.zero:
-                    row[k] = f.sub(row.get(k, f.zero), uj)
-                row = {i: v for i, v in row.items() if v != f.zero}
-                if row:
-                    rows.append(row)
-                    rhs.append(f.zero)
-        rows.append(dict(unit))
-        rhs.append(f.one)
-        sol = _solve_affine(f, rows, rhs, d)
-        if sol is None:
-            return None
-        return Matrix.from_entries(f, 1, d, [(0, i, v) for i, v in sol.items()])
-    raise ParseError(f"unknown integral side {side!r}")
-
-
-def _solve_affine(field, rows, rhs, nunknowns):
-    A = Matrix(field, len(rows), nunknowns,
-               {i: dict(r) for i, r in enumerate(rows) if r})
-    b = Matrix.from_entries(field, len(rows), 1,
-                            [(i, 0, v) for i, v in enumerate(rhs) if v != field.zero])
-    x = solve_columns(A, b)
-    if x is None:
-        return None
-    return x.col(0)
+        blocks = desc.multiplication_operators[1]
+        scalars, norm = desc.counit.rowdict.get(0, {}), desc.counit
+    elif side == "integral":
+        blocks = desc.comult.transpose().column_blocks(d)
+        scalars, norm = desc.unit.col(0), desc.unit.transpose()
+    else:
+        raise ParseError(f"unknown integral side {side!r}")
+    I = Matrix.identity(f, d)
+    grid = [[R.sub(I.scale(scalars.get(j, f.zero)))] for j, R in enumerate(blocks)] + [[norm]]
+    A = block_matrix(f, grid, [d] * d + [1], [d])
+    x = solve_columns(A, Matrix.column(f, {d * d: f.one}, d * d + 1))
+    if x is None or side == "cointegral":
+        return x
+    return x.transpose()

@@ -33,11 +33,10 @@ from .equivariant import (
     ModComod,
     ModuleCoalgebra,
     action_of_vector,
-    counit_action,
     h_counitality_probe,
     is_projective,
+    make_coefficient,
     regular_bicomodule,
-    unit_coaction,
 )
 from .errors import (
     DegreeOutOfRange,
@@ -302,7 +301,7 @@ def cofibration_verdicts(u, v, maxdeg):
     return [all(vanish[: n + shift + 1]) for n in range(maxdeg + 1)]
 
 
-def total_chain_map(src_tot, dst_tot, components, check=True):
+def total_chain_map(src_tot, dst_tot, components):
     """Lift a (co)cyclic-module morphism to the cyclic total complexes.
 
     ``src_tot`` and ``dst_tot`` are the modules' :func:`cyclic_total_complex`.
@@ -317,7 +316,7 @@ def total_chain_map(src_tot, dst_tot, components, check=True):
         grid = [[blk if i == k else None for k, blk in enumerate(blocks)]
                 for i in range(len(blocks))]
         comps[m] = block_matrix(f, grid, [b.rows for b in blocks], [b.cols for b in blocks])
-    return ChainMap(src_tot, dst_tot, comps, check=check)
+    return ChainMap(src_tot, dst_tot, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -819,14 +818,8 @@ def _bialgebra_ideal_checks(B, J_basis, report, want_antipode_stable=False):
     """Two-sided ideal, two-sided coideal, counit kills J; optionally S J = J."""
     f = B.field
     n = B.dim
-    ideal_ok = True
-    for idx in range(n):
-        e = Matrix.from_entries(f, n, 1, [(idx, 0, f.one)])
-        L = B.mult.mul(e.kron(Matrix.identity(f, n)))
-        R = B.mult.mul(Matrix.identity(f, n).kron(e))
-        if solve_columns(J_basis, L.mul(J_basis).hstack(R.mul(J_basis))) is None:
-            ideal_ok = False
-            break
+    ideal_ok = all(solve_columns(J_basis, L.mul(J_basis).hstack(R.mul(J_basis))) is not None
+                   for L, R in zip(*B.multiplication_operators))
     report.add_hypothesis("J is a two-sided ideal", PASS if ideal_ok else FAIL)
     mixed = J_basis.kron(Matrix.identity(f, n)).hstack(Matrix.identity(f, n).kron(J_basis))
     coideal_ok = solve_columns(mixed, B.comult.mul(J_basis)) is not None
@@ -1034,19 +1027,17 @@ def _check_cocommutative_hopf(params, maxdeg):
 
 def _two_sided_ideal_closure(B, gens):
     """Span closure of generator columns under left/right multiplication."""
-    f = B.field
     n = B.dim
-    ech = Echelon(f)
+    left, right = B.multiplication_operators
+    ech = Echelon(B.field)
     for col in gens.columns():
         ech.insert(col)
     grew = True
     while grew:
         grew = False
         basis = ech.basis(n)
-        for idx in range(n):
-            e = Matrix.from_entries(f, n, 1, [(idx, 0, f.one)])
-            for M in (B.mult.mul(e.kron(Matrix.identity(f, n))),
-                      B.mult.mul(Matrix.identity(f, n).kron(e))):
+        for L, R in zip(left, right):
+            for M in (L, R):  # this order fixes the echelon rows, hence the basis
                 for col in M.mul(basis).columns():
                     if col and ech.insert(col):
                         grew = True
@@ -1107,7 +1098,7 @@ def _check_group_example(params, maxdeg):
     gens = Matrix.from_entries(f, n, len(set(subgroup)), gens_entries)
     K_basis = _two_sided_ideal_closure(B, gens)
     _bialgebra_ideal_checks(B, K_basis, report, want_antipode_stable=True)
-    X = ModComod(B, 1, counit_action(B, 1), unit_coaction(B, 1))
+    X = make_coefficient("eps", B)
     out = _cocommutative_core(B, K_basis, X, maxdeg, report)
     if out is None:
         report.notes.append("pipeline aborted: hypotheses failed")

@@ -14,19 +14,26 @@ total coaction of the algebra side wired one degree at a time, the
 reference for its Kronecker blocks; every face identity of a cyclic
 module and every coface identity of a cocyclic module, the references for
 the reduced checks of ``CyclicModule.validate`` and
-``CocyclicModule.validate``; and the isomorphism from the model of a regular
-module coalgebra onto its descended cocyclic module.
+``CocyclicModule.validate``; the isomorphism from the model of a regular
+module coalgebra onto its descended cocyclic module; and the hypothesis
+systems, integrals, counit action, unit coaction, ideal closure and direct
+sums written as hand-indexed coefficient loops, the references for their
+forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
+``solve_columns`` call.
 """
 
 from fractions import Fraction
 
-from hopfcyclic.errors import ShapeMismatch
+from hopfcyclic.equivariant import ComoduleAlgebra, ModuleCoalgebra
+from hopfcyclic.errors import ParseError, ShapeMismatch
+from hopfcyclic.hopf import BialgebraDesc
 from hopfcyclic.linalg import (
     Echelon,
     Matrix,
     QuotientSpace,
     _free_basis,
     rank_kernel,
+    solve_columns,
     wire,
 )
 
@@ -624,3 +631,245 @@ def is_cocyclic_isomorphism(iso, src, dst):
             if d_dst.mul(iso[n]) != iso[n + 1].mul(d_src):
                 return False
     return True
+
+
+def counit_action(B, dim):
+    """b . x = eps(b) x as a B (x) X -> X tensor."""
+    f = B.field
+    eps = B.counit.rowdict.get(0, {})
+    ents = []
+    for b, v in eps.items():
+        for x in range(dim):
+            ents.append((x, b * dim + x, v))
+    return Matrix.from_entries(f, dim, B.dim * dim, ents)
+
+
+def unit_coaction(B, dim):
+    """x -> unit (x) x as an X -> B (x) X tensor."""
+    f = B.field
+    ents = []
+    for b, v in B.unit.col(0).items():
+        for x in range(dim):
+            ents.append((b * dim + x, x, v))
+    return Matrix.from_entries(f, B.dim * dim, dim, ents)
+
+
+def solve_matrix_system(field, m, n, constraints):
+    """Solve sum_k A_k U B_k = R (several constraints) for an m x n unknown U.
+
+    Each constraint is ``(terms, R)`` with ``terms`` a list of (A, B) pairs.
+    Returns U as a Matrix, or None when inconsistent. Unknowns are vectorized
+    row-major: U[i, j] -> i * n + j.
+    """
+    f = field
+    rows = []
+    rhs_entries = []
+    rowcount = 0
+    for terms, R in constraints:
+        out_rows = R.rows
+        out_cols = R.cols
+        # coefficient of U[i,j] in constraint entry (r, c): sum_k A_k[r,i] B_k[j,c]
+        coeff = {}
+        for A, Bm in terms:
+            if A.rows != out_rows or A.cols != m or Bm.rows != n or Bm.cols != out_cols:
+                raise ShapeMismatch("constraint term shapes do not match")
+            for r, arow in A.rowdict.items():
+                for i, av in arow.items():
+                    for j, brow in Bm.rowdict.items():
+                        for c, bv in brow.items():
+                            key = (r, c)
+                            slot = coeff.setdefault(key, {})
+                            w = f.add(slot.get(i * n + j, f.zero), f.mul(av, bv))
+                            if w == f.zero:
+                                slot.pop(i * n + j, None)
+                            else:
+                                slot[i * n + j] = w
+        for (r, c), slot in sorted(coeff.items()):
+            rows.append((rowcount, slot))
+            v = R.rowdict.get(r, {}).get(c, f.zero)
+            if v != f.zero:
+                rhs_entries.append((rowcount, 0, v))
+            rowcount += 1
+        # rows of R with no unknown coefficients must be zero for consistency
+        for r, rrow in R.rowdict.items():
+            for c, v in rrow.items():
+                if (r, c) not in coeff and v != f.zero:
+                    return None
+    A_big = Matrix(f, rowcount, m * n, {i: dict(s) for i, s in rows if s})
+    rhs = Matrix.from_entries(f, rowcount, 1, rhs_entries)
+    x = solve_columns(A_big, rhs)
+    if x is None:
+        return None
+    col = x.col(0)
+    return Matrix.from_entries(f, m, n, [(k // n, k % n, v) for k, v in col.items()])
+
+
+def find_integral(desc, side):
+    """Normalized (co)integral, or None when the affine system is inconsistent.
+
+    side="cointegral": element s with s b = eps(b) s and eps(s) = 1.
+    side="integral": functional n with b_(1) n(b_(2)) = n(b) unit, n(unit) = 1.
+    """
+    f = desc.field
+    d = desc.dim
+    if desc.counit is None or desc.unit is None:
+        raise ShapeMismatch("integrals need a unital and counital description")
+    rows = []
+    rhs = []
+    if side == "cointegral":
+        # unknowns: coordinates of sigma
+        eps = desc.counit.rowdict.get(0, {})
+        for j in range(d):
+            # sigma * e_j - eps(e_j) sigma = 0, componentwise in e_k
+            epsj = eps.get(j, f.zero)
+            for k in range(d):
+                row = {}
+                for i in range(d):
+                    c = desc.mult.col(i * d + j).get(k, f.zero)
+                    if i == k:
+                        c = f.sub(c, epsj)
+                    if c != f.zero:
+                        row[i] = c
+                if row:
+                    rows.append(row)
+                    rhs.append(f.zero)
+        rows.append({i: v for i, v in eps.items()})
+        rhs.append(f.one)
+        sol = _solve_affine(f, rows, rhs, d)
+        if sol is None:
+            return None
+        return Matrix.from_entries(f, d, 1, [(i, 0, v) for i, v in sol.items()])
+    if side == "integral":
+        # unknowns: coordinates of eta
+        unit = desc.unit.col(0)
+        for k in range(d):
+            dcol = desc.comult.col(k)  # Delta(e_k) entries at j*d+l
+            for j in range(d):
+                row = {}
+                for l in range(d):
+                    c = dcol.get(j * d + l, f.zero)
+                    if c != f.zero:
+                        row[l] = f.add(row.get(l, f.zero), c)
+                uj = unit.get(j, f.zero)
+                if uj != f.zero:
+                    row[k] = f.sub(row.get(k, f.zero), uj)
+                row = {i: v for i, v in row.items() if v != f.zero}
+                if row:
+                    rows.append(row)
+                    rhs.append(f.zero)
+        rows.append(dict(unit))
+        rhs.append(f.one)
+        sol = _solve_affine(f, rows, rhs, d)
+        if sol is None:
+            return None
+        return Matrix.from_entries(f, 1, d, [(0, i, v) for i, v in sol.items()])
+    raise ParseError(f"unknown integral side {side!r}")
+
+
+def _solve_affine(field, rows, rhs, nunknowns):
+    A = Matrix(field, len(rows), nunknowns,
+               {i: dict(r) for i, r in enumerate(rows) if r})
+    b = Matrix.from_entries(field, len(rows), 1,
+                            [(i, 0, v) for i, v in enumerate(rhs) if v != field.zero])
+    x = solve_columns(A, b)
+    if x is None:
+        return None
+    return x.col(0)
+
+
+def two_sided_ideal_closure(B, gens):
+    """Span closure of generator columns under left/right multiplication."""
+    f = B.field
+    n = B.dim
+    ech = Echelon(f)
+    for col in gens.columns():
+        ech.insert(col)
+    grew = True
+    while grew:
+        grew = False
+        basis = ech.basis(n)
+        for idx in range(n):
+            e = Matrix.from_entries(f, n, 1, [(idx, 0, f.one)])
+            for M in (B.mult.mul(e.kron(Matrix.identity(f, n))),
+                      B.mult.mul(Matrix.identity(f, n).kron(e))):
+                for col in M.mul(basis).columns():
+                    if col and ech.insert(col):
+                        grew = True
+    return ech.basis(n)
+
+
+def direct_sum_coalgebras(a, b):
+    """Componentwise direct sum of two coalgebra descriptions."""
+    f = a.field
+    if f != b.field:
+        raise ShapeMismatch("direct sum needs a common field")
+    na, nb = a.dim, b.dim
+    n = na + nb
+    ents = []
+    for jk, i, v in a.comult.entries():
+        j, k = divmod(jk, na)
+        ents.append((j * n + k, i, v))
+    for jk, i, v in b.comult.entries():
+        j, k = divmod(jk, nb)
+        ents.append(((j + na) * n + (k + na), i + na, v))
+    comult = Matrix.from_entries(f, n * n, n, ents)
+    counit = None
+    if a.counit is not None and b.counit is not None:
+        ents = [(0, i, v) for _, i, v in a.counit.entries()]
+        ents += [(0, i + na, v) for _, i, v in b.counit.entries()]
+        counit = Matrix.from_entries(f, 1, n, ents)
+    names = [f"l.{x}" for x in a.basis] + [f"r.{x}" for x in b.basis]
+    return BialgebraDesc(f, names, "coalgebra", comult=comult, counit=counit)
+
+
+def direct_sum_module_coalgebras(a, b):
+    """Direct sum of module coalgebras over the same B, componentwise action."""
+    if a.over is not b.over and a.over.mult != b.over.mult:
+        raise ShapeMismatch("direct sum needs a common acting bialgebra")
+    B = a.over
+    f = B.field
+    na, nb = a.dim, b.dim
+    n = na + nb
+    base = direct_sum_coalgebras(a.base, b.base)
+    ents = []
+    for i, col, v in a.action.entries():
+        bb, c = divmod(col, na)
+        ents.append((i, bb * n + c, v))
+    for i, col, v in b.action.entries():
+        bb, c = divmod(col, nb)
+        ents.append((i + na, bb * n + (c + na), v))
+    action = Matrix.from_entries(f, n, B.dim * n, ents)
+    return ModuleCoalgebra(base, B, action)
+
+
+def direct_sum_comodule_algebras(a, b):
+    """Product algebra A_1 x A_2 with the componentwise coaction."""
+    B = a.over
+    f = B.field
+    na, nb = a.dim, b.dim
+    n = na + nb
+    ents = []
+    for i, col, v in a.base.mult.entries():
+        x, y = divmod(col, na)
+        ents.append((i, x * n + y, v))
+    for i, col, v in b.base.mult.entries():
+        x, y = divmod(col, nb)
+        ents.append((i + na, (x + na) * n + (y + na), v))
+    mult = Matrix.from_entries(f, n, n * n, ents)
+    unit = None
+    if a.base.unit is not None and b.base.unit is not None:
+        ents = [(i, 0, v) for i, _, v in a.base.unit.entries()]
+        ents += [(i + na, 0, v) for i, _, v in b.base.unit.entries()]
+        unit = Matrix.from_entries(f, n, 1, ents)
+    names = [f"l.{x}" for x in a.base.basis] + [f"r.{x}" for x in b.base.basis]
+    desc = BialgebraDesc(f, names, "algebra", mult=mult, unit=unit)
+    d = B.dim
+    ents = []
+    for row, i, v in a.coaction.entries():
+        x, leg = divmod(row, d)
+        ents.append((x * d + leg, i, v))
+    for row, i, v in b.coaction.entries():
+        x, leg = divmod(row, d)
+        ents.append(((x + na) * d + leg, i + na, v))
+    coaction = Matrix.from_entries(f, n * d, n, ents)
+    return ComoduleAlgebra(desc, B, coaction)

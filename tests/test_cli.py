@@ -381,6 +381,41 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert err.rstrip().endswith("internal error")
 
 
+@pytest.mark.parametrize("where, value", [
+    ("input", "5"), ("input", "null"), ("coefficient", "5"), ("coefficient", "null"),
+    ("inline coefficient", "5"),  # an inline null is an absent coefficient: eps
+])
+def test_document_not_an_object_exit_2(capsys, tmp_path, where, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(value)
+    if where == "input":
+        argvs = [["homology", str(bad)], ["excision", str(bad)]]
+    elif where == "coefficient":
+        argvs = [["homology", str(FIXTURES / "trivial_triple.json"), "--coefficient", str(bad)]]
+    else:
+        params = json.loads((FIXTURES / "additivity_params.json").read_text())
+        params["coefficient"] = json.loads(value)
+        bad.write_text(json.dumps(params))
+        argvs = [["special", "--kind", "additivity", "--params", str(bad)]]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "a JSON object" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["additivity", "commutative-hopf", "cocommutative-hopf"])
+def test_special_reads_an_inline_coefficient_document(capsys, tmp_path, kind):
+    path = FIXTURES / f"{kind.replace('-', '_')}_params.json"
+    params = json.loads(path.read_text())
+    params["coefficient"] = {"kind": params["coefficient"]}
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(params))
+    argv = ["special", "--kind", kind, "--max-degree", "2", "--params"]
+    assert run(capsys, *argv, str(inline)) == run(capsys, *argv, str(path))
+
+
 class TestParseInput:
     def test_dispatch_by_shape(self):
         desc = parse_input(str(FIXTURES / "sweedler_h4.json"))
