@@ -180,9 +180,10 @@ class CosimplicialModule:
     """Degreewise spaces with cofaces V_n -> V_{n+1} and optional B-action.
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n. ``actions[n]``
-    (when present) gives L_b by basis index b: for every b on a bar
-    resolution, for the algebra generators on a twisted CH complex. The
-    coface identities are validated entry-exactly at construction.
+    (when present) gives L_g on a twisted CH complex for the algebra
+    generators g. The shapes and the coface identities that can fail
+    (:func:`_check_coface_identities`) are validated entry-exactly at
+    construction.
     """
 
     def __init__(self, field, dims, cofaces, actions=None, over=None):
@@ -202,20 +203,45 @@ class CosimplicialModule:
             for d in faces:
                 if d.cols != self.dims[n] or d.rows != self.dims[n + 1]:
                     raise ShapeMismatch(f"coface at degree {n} has wrong shape")
-        for n in range(self.top - 1):
-            lower = self.cofaces[n]
-            upper = self.cofaces[n + 1]
-            for j in range(n + 3):
-                for i in range(j):
-                    lhs = upper[j].mul(lower[i])
-                    rhs = upper[i].mul(lower[j - 1])
-                    if lhs != rhs:
-                        raise ShapeMismatch(
-                            f"coface identity d_{j} d_{i} = d_{i} d_{j-1} fails at degree {n}")
+        _check_coface_identities(self)
 
     def differential(self, n):
         """Alternating coface sum out of degree n."""
         return _alternating(self.field, self.cofaces[n])
+
+
+def _check_coface_identities(cm):
+    """The coface identities with the last coface, entry-exactly.
+
+    Checked: d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1 out of each degree
+    m, the m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j,
+    that involve a last coface. ``cm`` is a twisted CH complex
+    (:func:`twisted_ch`), a bar resolution (:func:`bar`) or the model of
+    :func:`regular.regular_cocyclic_module`. The identities with j <= m+1
+    involve only d_0 and the middle cofaces, each written with ``slotted``
+    or with ``wire`` and identity slots: the middle d_k is Delta on the k-th
+    C slot (B slot for the model), and d_0 is the right coaction of M, the
+    unit 1 inserted after the coefficient, or Delta on the first slot. They
+    follow from audits that have run:
+      - j >= i+2: both sides apply the same two maps on disjoint slots, and
+        maps on disjoint slots commute, (A (x) I)(I (x) B') = A (x) B' =
+        (I (x) B')(A (x) I) (the slotted lemma).
+      - j = i+1 >= 2: (Delta (x) id) Delta = (id (x) Delta) Delta on one
+        slot, the coassociativity of C or B that ``hopf.audit`` checks.
+      - (i, j) = (0, 1): on the twisted complex, (rho (x) id) rho =
+        (id (x) Delta) rho for M's right coaction rho, which the
+        ``EquivariantBicomodule`` audit checks; on the model,
+        Delta(1) = 1 (x) 1, the "comultiplication unital" audit; on the bar
+        resolution, coassociativity again.
+    Only the last coface reads X's coaction, and no audit relates that
+    coaction to the rest, so the identities with j = m+2 are the ones that
+    can fail. ``tests/oracles.py`` keeps the full loop.
+    """
+    for m in range(cm.top - 1):
+        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
+        for i in range(m + 2):
+            if upper[m + 2].mul(lower[i]) != upper[i].mul(lower[m + 1]):
+                raise IdentityViolation(m, f"d_{m + 2} d_{i} = d_{i} d_{m + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,33 +249,16 @@ class CosimplicialModule:
 # ---------------------------------------------------------------------------
 
 
-def bar(C, maxdeg):
-    """Bar resolution of C: degree n space C^{(x) n+2}.
-
-    C may be a plain coalgebra description or a module coalgebra; in the
-    latter case the diagonal B-action matrices are attached degreewise.
-    """
+def bar(desc, maxdeg):
+    """Bar resolution of a coalgebra: degree n space C^{(x) n+2}, d_j Delta on slot j."""
     if maxdeg < 0:
         raise DegreeOutOfRange("maxdeg must be nonnegative")
-    mc = None
-    desc = C
-    if hasattr(C, "base"):
-        mc, desc = C, C.base
     f = desc.field
     c = desc.dim
     dims = [_pow(c, n + 2) for n in range(maxdeg + 1)]
-    cofaces = []
-    for n in range(maxdeg):
-        faces = []
-        for j in range(n + 2):
-            faces.append(slotted(f, _pow(c, j), desc.comult, _pow(c, n + 1 - j)))
-        cofaces.append(faces)
-    actions = None
-    over = None
-    if mc is not None:
-        over = mc.over
-        actions = [diagonal_action(over, [(c, mc.action)] * (n + 2)) for n in range(maxdeg + 1)]
-    return CosimplicialModule(f, dims, cofaces, actions=actions, over=over)
+    cofaces = [[slotted(f, _pow(c, j), desc.comult, _pow(c, n + 1 - j)) for j in range(n + 2)]
+               for n in range(maxdeg)]
+    return CosimplicialModule(f, dims, cofaces)
 
 
 def bar_complex(desc, maxN):

@@ -525,8 +525,6 @@ def is_projective(B, action, dim):
     When B carries a normalized co-integral the Maschke-style shortcut says
     yes; the direct intertwiner solve runs regardless and the two must agree.
     """
-    from .hopf import find_integral
-
     f = B.field
     I_P = Matrix.identity(f, dim)
     constraints = [([(action, I_P)], I_P)]
@@ -538,7 +536,7 @@ def is_projective(B, action, dim):
     section = solve_matrix_system(f, big, dim, constraints)
     direct = section is not None
     if B.unit is not None and B.counit is not None and B.level in ("bialgebra", "hopf"):
-        if find_integral(B, "cointegral") is not None and not direct:
+        if B.cointegral is not None and not direct:
             raise ShapeMismatch("co-integral shortcut disagrees with the direct section solve")
     return direct
 

@@ -80,7 +80,7 @@ class BialgebraDesc:
     are present as the level demands (unit and counit may be absent below
     bialgebra level, matching non-unital algebras and non-counital
     coalgebras). ``antipode_inv`` is an optional given inverse of the
-    antipode, audited and serialized; ``inverse_antipode``,
+    antipode, audited and serialized; ``inverse_antipode``, ``cointegral``,
     ``multiplication_operators`` and ``algebra_generators`` are derived on
     first use and kept, leaving every given field and :meth:`to_json` as
     they were.
@@ -189,6 +189,11 @@ class BialgebraDesc:
         if sinv is None:
             raise MissingAntipodeInverse("antipode is not invertible")
         return sinv
+
+    @functools.cached_property
+    def cointegral(self):
+        """The normalized co-integral of :func:`find_integral`, or None, solved on first use."""
+        return find_integral(self, "cointegral")
 
     def to_json(self):
         f = self.field
@@ -399,8 +404,9 @@ def sweedler_h4(field):
     """The 4-dimensional Hopf algebra with a non-involutive antipode.
 
     Basis {1, g, x, gx} with g^2 = 1, x^2 = 0, xg = -gx, Dg = g (x) g,
-    Dx = x (x) 1 + g (x) x, S(g) = g, S(x) = -gx. Degenerates in
-    characteristic 2, so audits reject F_2 input upstream of any use.
+    Dx = x (x) 1 + g (x) x, S(g) = g, S(x) = -gx. In characteristic 2,
+    -1 = 1: then xg = gx and S^2 = id, so over F_2 this is a Hopf algebra
+    that passes every audit but has an involutive antipode.
     """
     f = field
     one, neg = f.one, f.neg(f.one)

@@ -5,14 +5,15 @@ and its coinvariants are X (x) B^{(x) n} (Connes-Moscovici, Comm. Math.
 Phys. 198, 1998; Hajac-Khalkhali-Rangipour-Sommerhaeuser, C. R. Acad. Sci.
 Paris 338, 2004). This module writes the cofaces and the cyclic operator
 of that model from B's structure maps and X's action and coaction, with no
-ambient complex and no quotient, and checks every cocyclic identity on it.
+ambient complex and no quotient, and checks on it every cocyclic identity
+that the audits do not imply.
 ``complexes.assemble_for_homology`` takes it where only the module is read.
 """
 
 import functools
 
-from .complexes import CocyclicModule, _diagonal_action, _pow
-from .errors import AuditFailed, IdentityViolation, ShapeMismatch
+from .complexes import CocyclicModule, _check_coface_identities, _diagonal_action, _pow
+from .errors import AuditFailed, ShapeMismatch
 from .linalg import Matrix, rank, slotted, wire
 
 
@@ -71,8 +72,8 @@ def regular_cocyclic_module(C, X, maxdeg):
                 x -> S(x_(-1)) x_(0).
     They descend only for an anti-Yetter-Drinfeld X, which this builder
     does not test (``complexes.assemble_for_homology`` does). No ambient is
-    built, so every cocyclic identity is checked here, the coface
-    identities included (:func:`_check_cofaces`).
+    built, so the cocyclic identities are checked here, and the coface
+    identities that can fail (``complexes._check_coface_identities``).
     """
     if regular_grouplike(C) is None:
         raise ShapeMismatch("module coalgebra has no grouplike c0 with b -> b c0 bijective")
@@ -84,7 +85,7 @@ def regular_cocyclic_module(C, X, maxdeg):
     cm = CocyclicModule(B.field, B, [X.dim * _pow(B.dim, n) for n in range(maxdeg + 1)],
                         cofaces, tau)
     cm.validate()
-    _check_cofaces(cm)
+    _check_coface_identities(cm)
     return cm
 
 
@@ -121,23 +122,3 @@ def _regular_rotation(B, X, n):
                      (B.antipode, "a -> s"))
     return functools.reduce(Matrix.hstack, [acts[b] for b in range(d)]).mul(front)
 
-
-def _check_cofaces(cm):
-    """The coface identities of a validated cocyclic module, entry-exactly.
-
-    Checked: d_k d_0 = d_0 d_{k-1} for 1 <= k <= m+2 out of each degree m,
-    m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j. They
-    imply the rest once ``CocyclicModule.validate`` has passed, the dual of
-    the proof in ``CyclicModule.validate``. tau is invertible, as
-    tau^{n+1} = id, so tau d_j = d_{j-1} tau gives d_j = tau^{-1} d_{j-1} tau
-    for the cofaces d_1 ... d_n into degree n. For 1 <= i < j <= m+2 then
-    d_j d_i = tau^{-1} d_{j-1} d_{i-1} tau and
-    d_i d_{j-1} = tau^{-1} d_{i-1} d_{j-2} tau: identity (i, j) is identity
-    (i-1, j-1) conjugated by tau, and down to i = 0 it is identity (0, j-i),
-    which is checked.
-    """
-    for m in range(cm.top - 1):
-        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
-        for k in range(1, m + 3):
-            if upper[k].mul(lower[0]) != upper[0].mul(lower[k - 1]):
-                raise IdentityViolation(m, f"d_{k} d_0 = d_0 d_{k-1}")

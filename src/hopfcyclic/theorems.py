@@ -404,7 +404,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
                           PASS if is_projective(B, ses.quotient.action, ses.quotient.dim) else FAIL)
     x_proj = is_projective(B, X.action, X.dim)
     report.add_hypothesis("coefficient projective over B", PASS if x_proj else FAIL)
-    if find_integral(B, "cointegral") is not None or x_proj:
+    if B.cointegral is not None or x_proj:
         report.add_hypothesis("coefficient has finite projective dimension", PASS,
                               detail="projective, dimension 0")
     else:
@@ -693,7 +693,7 @@ def _relative_hypotheses(ses, X, maxdeg, report):
     add("C projective over B", PASS if is_projective(B, ses.C.action, ses.C.dim) else FAIL)
     add("C/K projective over B",
         PASS if is_projective(B, ses.quotient.action, ses.quotient.dim) else FAIL)
-    if find_integral(B, "cointegral") is not None or is_projective(B, X.action, X.dim):
+    if B.cointegral is not None or is_projective(B, X.action, X.dim):
         add("coefficient has finite projective dimension", PASS)
     else:
         add("coefficient has finite projective dimension", UNVERIFIED)

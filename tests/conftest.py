@@ -37,6 +37,25 @@ def every_face_identity_holds():
 
 
 @pytest.fixture(scope="session", autouse=True)
+def every_coface_identity_holds():
+    """Each cosimplicial module that passes ``CosimplicialModule.validate`` in a
+    test (every twisted CH complex and bar resolution) also passes every
+    coface identity d_j d_i = d_i d_{j-1}, the full loop of which the reduced
+    check proves the rest implied (``oracles.all_coface_identities``).
+
+    Yields the reduced ``validate``, for a test of what it alone rejects."""
+    reduced = complexes.CosimplicialModule.validate
+
+    def validate(cm):
+        reduced(cm)
+        assert oracles.all_coface_identities(cm), "a coface identity fails that validate passed"
+
+    complexes.CosimplicialModule.validate = validate
+    yield reduced
+    complexes.CosimplicialModule.validate = reduced
+
+
+@pytest.fixture(scope="session", autouse=True)
 def every_regular_model_is_the_descended_module():
     """Each cocyclic module that ``regular_cocyclic_module`` builds in a test
     passes every coface identity (``oracles.all_coface_identities``) and is

@@ -12,9 +12,9 @@ solve that expresses each column over the generators a tracking echelon
 keeps, the reference for ``linalg.solve_columns``; the
 total coaction of the algebra side wired one degree at a time, the
 reference for its Kronecker blocks; every face identity of a cyclic
-module and every coface identity of a cocyclic module, the references for
-the reduced checks of ``CyclicModule.validate`` and
-``CocyclicModule.validate``; the isomorphism from the model of a regular
+module and every coface identity of a cosimplicial or cocyclic module, the
+references for the reduced checks of ``CyclicModule.validate`` and
+``complexes._check_coface_identities``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
@@ -588,7 +588,8 @@ def all_face_identities(cm):
 def all_coface_identities(cm):
     """True iff every coface identity d_j d_i = d_i d_{j-1}, i < j, holds in every degree.
 
-    The full loop of (m+3)(m+2)/2 pairs out of each degree m of a cocyclic module.
+    The full loop of (m+3)(m+2)/2 pairs out of each degree m of a
+    cosimplicial or cocyclic module.
     """
     for m in range(cm.top - 1):
         lower, upper = cm.cofaces[m], cm.cofaces[m + 1]

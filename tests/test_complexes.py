@@ -114,10 +114,10 @@ class TestBar:
         # coface into degree 2; equivariance is the commutation with the
         # diagonal action
         mc = regular_module_coalgebra(z2_q)
-        res = bar(mc, 2)
-        rho_l = res.cofaces[1][0]
+        rho_l = bar(mc.base, 2).cofaces[1][0]
+        L1, L2 = (diagonal_action(z2_q, [(2, mc.action)] * (n + 2)) for n in (1, 2))
         for b in range(2):
-            assert res.actions[2][b].mul(rho_l) == rho_l.mul(res.actions[1][b])
+            assert L2[b].mul(rho_l) == rho_l.mul(L1[b])
 
 
 class TestTwistedCH:
@@ -318,6 +318,43 @@ class TestInducedComplex:
             assert (a.projection, a.section) == (b.projection, b.section)
         with pytest.raises(DegreeOutOfRange):
             deep.truncate(4)
+
+
+@pytest.fixture(scope="module")
+def ambient_complexes(direct_sum_ses_q, k_eps_z2, h4_q):
+    """name -> (T, X): CH(C), CH(C, K), CH(C, C/K) and CH(K) of the direct sum,
+    and Sweedler H4 over itself with r_ad, each through degree 3."""
+    ses = direct_sum_ses_q
+    Kmc = ses.k_module_coalgebra()
+    mh = regular_module_coalgebra(h4_q)
+    triples = {
+        "CH(C)": (ses.C, regular_bicomodule(ses.C), k_eps_z2),
+        "CH(C, K)": (ses.C, theorems._sub_bicomodule(ses), k_eps_z2),
+        "CH(C, C/K)": (ses.C, theorems._quotient_bicomodule(ses), k_eps_z2),
+        "CH(K)": (Kmc, regular_bicomodule(Kmc), k_eps_z2),
+        "H4 r_ad": (mh, regular_bicomodule(mh), make_coefficient("r_ad", h4_q)),
+    }
+    return {name: (twisted_ch(mc, M, X, 3), X) for name, (mc, M, X) in triples.items()}
+
+
+@pytest.mark.parametrize("n, j", [(n, j) for n in range(3) for j in range(n + 2)])
+@pytest.mark.parametrize("name", ["CH(C)", "CH(C, K)", "CH(C, C/K)", "CH(K)", "H4 r_ad"])
+def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identity_holds,
+                              monkeypatch):
+    """d_j out of degree n plus e_0 e_0^T breaks a coface identity, and the
+    checks that run outside the test session's full loop reject it: the
+    identities with the last coface at construction, else the [L_g, d_j]
+    commutators or the descent of the last coface in ``induced_complex``."""
+    T, X = ambient_complexes[name]
+    bumped = [list(faces) for faces in T.cofaces]
+    d = bumped[n][j]
+    bumped[n][j] = d.add(Matrix.from_entries(T.field, d.rows, d.cols, [(0, 0, T.field.one)]))
+    assert not oracles.all_coface_identities(types.SimpleNamespace(top=T.top, cofaces=bumped))
+    # the fixture yields the reduced validate: run it without the full loop
+    monkeypatch.setattr(complexes.CosimplicialModule, "validate", every_coface_identity_holds)
+    with pytest.raises(HopfCyclicError):
+        induced_complex(complexes.CosimplicialModule(T.field, T.dims, bumped, actions=T.actions,
+                                                     over=T.over), X)
 
 
 class TestCotensor:

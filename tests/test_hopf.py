@@ -103,6 +103,14 @@ class TestSweedler:
         assert S2 != Matrix.identity(QQ, 4)
         assert S2.mul(S2) == Matrix.identity(QQ, 4)
 
+    def test_f2_passes_every_audit_with_an_involutive_antipode(self):
+        # -1 = 1 in characteristic 2: xg = gx and S^2 = id, a Hopf algebra still
+        for field, involutive in ((GF(2), True), (QQ, False)):
+            h4 = sweedler_h4(field)
+            assert audit(h4).ok
+            S = h4.antipode
+            assert (S.mul(S) == Matrix.identity(field, 4)) == involutive
+
     def test_antipode_inverse_is_s_cubed(self):
         h4 = sweedler_h4(QQ)
         d = antipode_inverse(h4)
@@ -170,6 +178,12 @@ class TestIntegrals:
 
     def test_sweedler_has_no_normalized_cointegral(self):
         assert find_integral(sweedler_h4(QQ), "cointegral") is None
+
+    def test_cointegral_is_kept(self):
+        b = group_algebra(cyclic_table(2), QQ)
+        assert b.cointegral == find_integral(b, "cointegral")
+        assert b.cointegral is b.cointegral
+        assert sweedler_h4(QQ).cointegral is None
 
 
 class TestJsonRoundTrip:

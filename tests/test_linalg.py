@@ -20,7 +20,9 @@ from hopfcyclic.linalg import (
     rank,
     rank_kernel,
     restrict,
+    slotted,
     solve_columns,
+    wire,
 )
 
 from oracles import (
@@ -171,6 +173,45 @@ def sparse_matrices(draw):
         v = Fraction(a, b) if field == QQ else field.from_int(a)
         ents.append((i, j, v))
     return Matrix.from_entries(field, rows, cols, ents)
+
+
+@st.composite
+def slot_maps(draw):
+    """A field, dims p, q, r of three identity slots, and maps F: a -> a2, G: b -> b2."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    dim = st.integers(1, 3)
+    p, q, r = draw(dim), draw(dim), draw(dim)
+
+    def block():
+        rows, cols = draw(dim), draw(dim)
+        entries = st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows)
+        return Matrix(field, rows, cols, {
+            i: {j: field.from_int(v) for j, v in enumerate(row) if v}
+            for i, row in enumerate(draw(entries))})
+
+    return field, p, q, r, block(), block()
+
+
+@given(slot_maps())
+@settings(max_examples=100, deadline=None)
+def test_maps_on_disjoint_slots_commute(case):
+    """The slotted lemma that ``complexes._check_coface_identities`` rests on:
+    F on one slot and G on a later one, of P (x) A (x) Q (x) B (x) R, commute,
+    whether F is ``slotted`` or a ``wire`` step next to identity slots.
+    Over Q, F_2 and F_3."""
+    f, p, q, r, F, G = case
+    a, a2, b, b2 = F.cols, F.rows, G.cols, G.rows
+    f_first = slotted(f, p * a2 * q, G, r).mul(slotted(f, p, F, q * b * r))
+    g_first = slotted(f, p, F, q * b2 * r).mul(slotted(f, p * a * q, G, r))
+    assert f_first == g_first
+    dims = {"p": p, "a": a, "a2": a2, "t": q * b * r, "t2": q * b2 * r}
+    wired = wire(f, dims, "p a t -> p a2 t", (F, "a -> a2"))
+    wired2 = wire(f, dims, "p a t2 -> p a2 t2", (F, "a -> a2"))
+    assert wired == slotted(f, p, F, q * b * r)
+    if a == 1:  # F inserts a vector, as the unit step of the model's d_0 does
+        assert wire(f, dims, "p t -> p a2 t", (F, "-> a2")) == wired
+    assert slotted(f, p * a2 * q, G, r).mul(wired) == wired2.mul(slotted(f, p * a * q, G, r))
 
 
 @given(sparse_matrices())

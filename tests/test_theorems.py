@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcyclic import complexes, equivariant, theorems
+from hopfcyclic import complexes, equivariant, hopf, theorems
 from hopfcyclic.cli import parse_input
 from hopfcyclic.errors import (
     DegreeOutOfRange,
@@ -192,6 +192,23 @@ class TestExcisionCoalgebra:
         rep = verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
         assert rep.all_pass
         assert sorted(depths) == [3, 3, 3, 3, 4]
+
+    def test_cointegral_solved_once(self, monkeypatch):
+        # is_projective and both hypothesis checklists read the one B's
+        # cached co-integral
+        sides = []
+        real = hopf.find_integral
+
+        def counted(desc, side):
+            sides.append(side)
+            return real(desc, side)
+
+        monkeypatch.setattr(hopf, "find_integral", counted)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        assert verify_excision(ses, X, "coalgebra", 1).all_pass
+        relative_hc(ses.C, ses.K, X, "cokernel", 1)
+        assert sides == ["cointegral"]
 
     def test_each_coface_and_map_induced_once(self, monkeypatch):
         # every coface of the five complexes, every cyclic operator and every

@@ -290,7 +290,7 @@ def test_mutant_wrapped_leg_in_wrong_slot_rejected(monkeypatch):
 
     monkeypatch.setattr(complexes, "_wrap_coface", miswired)
     mc, X = _sweedler_triple()
-    with pytest.raises(ShapeMismatch, match="coface identity"):
+    with pytest.raises(IdentityViolation, match=r"d_\d d_\d = d_\d d_\d"):
         assemble("coalgebra", mc, X, 3)
 
 
