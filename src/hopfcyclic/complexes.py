@@ -367,21 +367,26 @@ def induced_complex(T, X, check_flags=True):
     For j <= n, d_j (L_g - eps(g)) v = (L_g - eps(g)) d_j v by the verified
     commutators, again a relation, and the (L_g - eps(g)) v span the
     relations: d_0 ... d_n descend without a check.
+
+    The work goes degree by degree: the commutators out of degree n, then
+    the quotient of degree n+1, then the cofaces out of n induced. A
+    coface that does not descend is refused before any higher quotient is
+    built.
     """
     if check_flags and not X.ayd:
         raise NotAYD("coefficient is not anti-Yetter-Drinfeld")
     B = T.over
-    for n in range(T.top):
-        for j, d in enumerate(T.cofaces[n][:-1]):
+    q = [coinvariant_space_from_matrices(T.field, B, T.actions[0], T.dims[0])]
+    cofaces = []
+    for n, faces in enumerate(T.cofaces):
+        for j, d in enumerate(faces[:-1]):
             for g in B.algebra_generators:
                 if T.actions[n + 1][g].mul(d) != d.mul(T.actions[n][g]):
                     raise ShapeMismatch(f"[L_b, d_{j}] != 0 at degree {n} for b = {B.basis[g]}")
-    q = [coinvariant_space_from_matrices(T.field, B, T.actions[n], T.dims[n])
-         for n in range(T.top + 1)]
-    cofaces = [[q[n].induce(q[n + 1], d) for d in faces[:-1]]
-               + [_induced(faces[-1], q[n], q[n + 1],
-                           IdentityViolation(n, f"coface d_{n + 1} well-defined on the quotient"))]
-               for n, faces in enumerate(T.cofaces)]
+        q.append(coinvariant_space_from_matrices(T.field, B, T.actions[n + 1], T.dims[n + 1]))
+        failure = IdentityViolation(n, f"coface d_{n + 1} well-defined on the quotient")
+        cofaces.append([q[n].induce(q[n + 1], d) for d in faces[:-1]]
+                       + [_induced(faces[-1], q[n], q[n + 1], failure)])
     return CocyclicModule(T.field, B, [qn.dim for qn in q], cofaces, quotients=q)
 
 
@@ -854,41 +859,62 @@ def _coalgebra_rotation(C, X, cn):
                 (X.coaction, "x -> h x0"), (C.action, "h c0 -> c"))
 
 
-def _algebra_rotation(A, X, an):
+def _algebra_rotation(A, X, an, on=None):
     """The cyclic operator r (x) a (x) x -> a_(0) (x) r (x) a_(1) x.
 
-    ``r`` is the A^n head of dimension ``an``, an identity slot.
+    ``r`` is the A^n head of dimension ``an``, an identity slot. With
+    ``on``, its product with ``on`` (see :func:`wire`).
     """
     dims = {"r": an, "a": A.dim, "a0": A.dim, "x": X.dim, "y": X.dim, "h": A.over.dim}
     return wire(A.over.field, dims, "r a x -> a0 r y",
-                (A.coaction, "a -> a0 h"), (X.action, "h x -> y"))
+                (A.coaction, "a -> a0 h"), (X.action, "h x -> y"), on=on)
 
 
 def _assemble_algebra(A, X, maxdeg):
     B = A.over
-    f = B.field
-    a = A.dim
-    x = X.dim
     # no blocks outlive the generator, so none is alive past the last kernel
     inclusions = [comodule_coinvariants(B.unit, blocks)
                   for blocks in total_coactions(A, X, maxdeg)]
-
-    def onto(Mamb, n_src, n_dst):
-        small = restrict(inclusions[n_dst], Mamb.mul(inclusions[n_src]))
-        if small is None:
-            raise IdentityViolation(n_src, "operator preserves the cotensor subspace")
-        return small
-
-    taus_amb = [_algebra_rotation(A, X, _pow(a, n)) for n in range(maxdeg + 1)]
-    faces_small = [[]]  # degree 0 has no faces
-    for n in range(1, maxdeg + 1):
-        faces = [slotted(f, _pow(a, j), A.base.mult, _pow(a, n - 1 - j) * x) for j in range(n)]
-        faces.append(faces[0].mul(taus_amb[n]))
-        faces_small.append([onto(d, n, n - 1) for d in faces])
-    taus_small = [onto(taus_amb[n], n, n) for n in range(maxdeg + 1)]
-    cm = CyclicModule(f, B, [K.cols for K in inclusions], faces_small, taus_small, inclusions)
+    faces, taus = zip(*(_algebra_degree(A, X, inclusions, n) for n in range(maxdeg + 1)))
+    cm = CyclicModule(B.field, B, [K.cols for K in inclusions], list(faces), list(taus),
+                      inclusions)
     cm.validate()
     return cm
+
+
+def _algebra_degree(A, X, inclusions, n):
+    """The faces out of degree n and tau_n on the cotensor subspaces, as (faces, tau).
+
+    Each operator is applied only where the kernel basis K_n has rows
+    (``on=`` of :func:`wire`), and no ambient operator or product is built.
+    The images are tau K_n, d_j K_n for j < n, and d_n K_n = d_0 (tau K_n):
+    the last face is defined as d_n = d_0 tau, and the product is
+    associative, so (d_0 tau) K_n = d_0 (tau K_n) is the same matrix. Every
+    image, d_n's included, goes through :func:`restrict`, whose identity
+    check says that it lies in the subspace; each is the same matrix as
+    the ambient operator times K_n, so it restricts to the same map. No
+    image outlives this call.
+    """
+    f = A.over.field
+    a, x = A.dim, X.dim
+
+    def onto(K, image):
+        small = restrict(K, image)
+        if small is None:
+            raise IdentityViolation(n, "operator preserves the cotensor subspace")
+        return small
+
+    K = inclusions[n]
+    tau_image = _algebra_rotation(A, X, _pow(a, n), on=K)
+    tau = onto(K, tau_image)
+    if n == 0:
+        return [], tau  # degree 0 has no faces
+
+    def face(j, on):  # d_j, the multiplication of slots j and j+1, times ``on``
+        return onto(inclusions[n - 1],
+                    slotted(f, _pow(a, j), A.base.mult, _pow(a, n - 1 - j) * x, on=on))
+
+    return [face(j, K) for j in range(n)] + [face(0, tau_image)], tau
 
 
 def assemble_for_homology(side, main, X, maxdeg):

@@ -437,17 +437,38 @@ def restrict(K, Y):
 
     This is ``solve_columns(K, Y)`` entry for entry, without elimination:
     the rows ``free`` of K form the identity, so a solution X must equal the
-    rows ``free`` of Y. X is read off there and one exact product identity,
-    K X == Y, decides. As K has full column rank, a solution is unique, so X
-    is the one solve_columns expresses, and when the identity fails there is
-    none. The subspace dual of :func:`map_well_defined`.
+    rows ``free`` of Y. X is read off there and one exact identity, K X ==
+    Y, decides. As K has full column rank, a solution is unique, so X is the
+    one solve_columns expresses, and when the identity fails there is none.
+    The subspace dual of :func:`map_well_defined`.
+
+    The identity is checked row by row, and K X is never formed. The rows
+    ``free`` agree by construction: row free[k] of K is e_k, so row free[k]
+    of K X is row k of X, which is row free[k] of Y. Every other row of K
+    takes one row product, and a row where K has none must be empty in Y.
     """
     if K.rows != Y.rows:
         raise ShapeMismatch(f"{Y.rows} rows do not restrict onto a subspace of k^{K.rows}")
+    if any(i not in K.rowdict for i in Y.rowdict):
+        return None
+    f = K.field
+    zero = f.zero
     index = {c: k for k, c in enumerate(K.free)}
-    X = Matrix(K.field, K.cols, Y.cols,
-               {index[i]: dict(row) for i, row in Y.rowdict.items() if i in index})
-    return X if K.mul(X) == Y else None
+    xrows = {index[i]: dict(row) for i, row in Y.rowdict.items() if i in index}
+    for i, krow in K.rowdict.items():
+        if i in index:
+            continue
+        acc = {}
+        for k, a in krow.items():
+            for j, b in xrows.get(k, {}).items():
+                w = f.add(acc.get(j, zero), f.mul(a, b))
+                if w == zero:
+                    acc.pop(j, None)
+                else:
+                    acc[j] = w
+        if acc != Y.rowdict.get(i, {}):
+            return None
+    return Matrix(f, K.cols, Y.cols, xrows)
 
 
 class QuotientSpace:
@@ -728,7 +749,7 @@ def _picker(positions):
     return lambda st: ()
 
 
-def wire(field, dims, spec, *steps):
+def wire(field, dims, spec, *steps, on=None):
     """The operator of a wiring of structure tensors, entries written directly.
 
     ``spec`` reads ``"in legs -> out legs"``: the tensor slots of source and
@@ -741,6 +762,11 @@ def wire(field, dims, spec, *steps):
     Source legs that no step consumes are identity slots. The coefficient
     table is computed once on the other legs, one basis tuple at a time, and
     copied across the identity slots by stride arithmetic.
+
+    With ``on`` a matrix M, the result is the product operator @ M, and
+    only the operator columns at which M has a row are written. The
+    product reads no other column: (operator M)_{rc} is the sum over j of
+    operator_{rj} M_{jc}, and M_{jc} = 0 wherever M has no row j.
     """
     f = field
     zero = f.zero
@@ -806,14 +832,26 @@ def wire(field, dims, spec, *steps):
     for leg in ident:
         so, si = dst_strides[leg], src_strides[leg]
         offsets = [(ro + t * so, co + t * si) for ro, co in offsets for t in range(dims[leg])]
+    nrows, ncols = math.prod(dims[leg] for leg in dst), math.prod(dims[leg] for leg in src)
     rd = {}
+    if on is None:
+        for row, cols in table.items():
+            for ro, co in offsets:
+                rd[row + ro] = {col + co: v for col, v in cols.items()}
+        return Matrix(f, nrows, ncols, rd)
+    if on.rows != ncols:
+        raise ShapeMismatch(f"a {nrows}x{ncols} wiring does not apply to {on.rows} rows")
+    written = on.rowdict
     for row, cols in table.items():
         for ro, co in offsets:
-            rd[row + ro] = {col + co: v for col, v in cols.items()}
-    return Matrix(f, math.prod(dims[leg] for leg in dst), math.prod(dims[leg] for leg in src), rd)
+            entries = {col + co: v for col, v in cols.items() if col + co in written}
+            if entries:
+                rd[row + ro] = entries
+    return Matrix(f, nrows, ncols, rd).mul(on)
 
 
-def slotted(field, pre_dim, M, post_dim):
-    """id_{pre} (x) M (x) id_{post}, written by stride arithmetic."""
+def slotted(field, pre_dim, M, post_dim, on=None):
+    """id_{pre} (x) M (x) id_{post}, written by stride arithmetic; with ``on``,
+    its product with ``on`` (see :func:`wire`)."""
     dims = {"p": pre_dim, "q": post_dim, "i": M.cols, "o": M.rows}
-    return wire(field, dims, "p i q -> p o q", (M, "i -> o"))
+    return wire(field, dims, "p i q -> p o q", (M, "i -> o"), on=on)

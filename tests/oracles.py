@@ -11,7 +11,9 @@ the reference for the product form of ``linalg.map_well_defined``; the
 solve that expresses each column over the generators a tracking echelon
 keeps, the reference for ``linalg.solve_columns``; the
 total coaction of the algebra side wired one degree at a time, the
-reference for its Kronecker blocks; every face identity of a cyclic
+reference for its Kronecker blocks; the algebra-side cyclic module
+assembled from ambient faces and tau times the kernel basis, the reference
+for the assembly that applies them on the kernel basis; every face identity of a cyclic
 module and every coface identity of a cosimplicial or cocyclic module, the
 references for the reduced checks of ``CyclicModule.validate`` and
 ``complexes._check_coface_identities``; the isomorphism from the model of a regular
@@ -24,8 +26,9 @@ forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
 
 from fractions import Fraction
 
+from hopfcyclic.complexes import CyclicModule, comodule_coinvariants, total_coactions
 from hopfcyclic.equivariant import ComoduleAlgebra, ModuleCoalgebra
-from hopfcyclic.errors import ParseError, ShapeMismatch
+from hopfcyclic.errors import IdentityViolation, ParseError, ShapeMismatch
 from hopfcyclic.hopf import BialgebraDesc
 from hopfcyclic.linalg import (
     Echelon,
@@ -33,6 +36,7 @@ from hopfcyclic.linalg import (
     QuotientSpace,
     _free_basis,
     rank_kernel,
+    restrict,
     solve_columns,
     wire,
 )
@@ -569,6 +573,42 @@ def from_blocks(blocks):
         for i, row in C.rowdict.items():
             rd[i * b + p] = dict(row)
     return Matrix(blocks[0].field, blocks[0].rows * b, blocks[0].cols, rd)
+
+
+def ambient_assemble_algebra(A, X, maxdeg):
+    """The validated cyclic module of the algebra side, from ambient operators.
+
+    Every face and tau is built on all of A^{(x) n+1} (x) X, d_n as the
+    ambient product d_0 tau, and each is multiplied by the kernel basis
+    before ``restrict`` reads it off. The reference for
+    ``complexes._assemble_algebra``, which applies each operator on the
+    kernel basis only; the operators here are the Kronecker forms of
+    ``slotted`` and of the rotation.
+    """
+    B = A.over
+    f = B.field
+    a = A.dim
+    x = X.dim
+    # no blocks outlive the generator, so none is alive past the last kernel
+    inclusions = [comodule_coinvariants(B.unit, blocks)
+                  for blocks in total_coactions(A, X, maxdeg)]
+
+    def onto(Mamb, n_src, n_dst):
+        small = restrict(inclusions[n_dst], Mamb.mul(inclusions[n_src]))
+        if small is None:
+            raise IdentityViolation(n_src, "operator preserves the cotensor subspace")
+        return small
+
+    taus_amb = [algebra_rotation(A, X, n) for n in range(maxdeg + 1)]
+    faces_small = [[]]  # degree 0 has no faces
+    for n in range(1, maxdeg + 1):
+        faces = [slotted(f, a**j, A.base.mult, a**(n - 1 - j) * x) for j in range(n)]
+        faces.append(faces[0].mul(taus_amb[n]))
+        faces_small.append([onto(d, n, n - 1) for d in faces])
+    taus_small = [onto(taus_amb[n], n, n) for n in range(maxdeg + 1)]
+    cm = CyclicModule(f, B, [K.cols for K in inclusions], faces_small, taus_small, inclusions)
+    cm.validate()
+    return cm
 
 
 def all_face_identities(cm):

@@ -460,10 +460,11 @@ from hopfcyclic.cli import parse_input
 from hopfcyclic.equivariant import make_coefficient
 from hopfcyclic.theorems import verify_excision
 
+path, side, field, degree = sys.argv[1:]
 t0 = time.time()
-ses = parse_input(sys.argv[1])
-X = make_coefficient("eps", ses.C.over)
-rep = verify_excision(ses, X, "coalgebra", int(sys.argv[2]))
+ses = parse_input(path, field)
+X = make_coefficient("eps", (ses.C if side == "coalgebra" else ses.A).over)
+rep = verify_excision(ses, X, side, int(degree))
 seconds = time.time() - t0
 print(json.dumps({"seconds": seconds, "all_pass": rep.all_pass,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -471,11 +472,12 @@ print(json.dumps({"seconds": seconds, "all_pass": rep.all_pass,
 """
 
 
-def test_degree_ceiling_coalgebra_excision():
-    name, seconds, megabytes = "degree ceiling: coalgebra-side excision at degree 5 over Q", 16, 300
+def ceiling_run(name, seconds, megabytes, fixture, side, field, degree):
+    """Excision of ``fixture`` at ``degree`` in a child process, within its budgets."""
     src = str(FIXTURES.parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", CEILING_CHILD, str(FIXTURES / "direct_sum_ses.json"), "5"]
+    argv = [sys.executable, "-c", CEILING_CHILD, str(FIXTURES / fixture), side, field,
+            str(degree)]
     child = subprocess.run(argv, capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert child.returncode == 0, child.stderr
@@ -487,6 +489,19 @@ def test_degree_ceiling_coalgebra_excision():
     assert run["peak_rss_mb"] < megabytes, (
         f"{name} exceeded its {megabytes} MB bound ({run['peak_rss_mb']:.0f} MB)")
     assert run["all_pass"]
-    assert run["degrees"] == list(range(6))
-    for n, dims in enumerate(run["dims"]):
-        assert dims["C"] == dims["K"] + dims["C/K"], n
+    assert run["degrees"] == list(range(degree + 1))
+    return run["dims"]
+
+
+def test_degree_ceiling_coalgebra_excision():
+    dims = ceiling_run("degree ceiling: coalgebra-side excision at degree 5 over Q", 16, 300,
+                       "direct_sum_ses.json", "coalgebra", "Q", 5)
+    for n, d in enumerate(dims):
+        assert d["C"] == d["K"] + d["C/K"], n
+
+
+def test_degree_ceiling_algebra_excision():
+    dims = ceiling_run("degree ceiling: algebra-side excision at degree 5 over F_2", 10, 130,
+                       "z2_product_algebra_ses.json", "algebra", "Fp:2", 5)
+    for n, d in enumerate(dims):
+        assert d["A"] == d["I"] + d["A/I"], n

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcyclic import cli
+from hopfcyclic import cli, complexes
 from hopfcyclic.cli import main, parse_input
 from hopfcyclic.complexes import assemble, cyclic_total_complex, homology
 from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
@@ -107,6 +107,23 @@ class TestHomology:
         assert ("(co)cyclic identity 'coface d_1 well-defined on the quotient' fails in degree 0"
                 in err)
         assert "Traceback" not in err
+
+    def test_not_ayd_refusal_stops_at_the_first_quotient_it_fails_on(self, capsys,
+                                                                      monkeypatch):
+        # descent goes degree by degree: the coface out of degree 0 is
+        # refused once the quotients of degrees 0 and 1 exist
+        built = []
+        real = complexes.QuotientSpace
+        monkeypatch.setattr(complexes, "QuotientSpace",
+                            lambda *args: built.append(args[1]) or real(*args))
+        code, out, err = run(capsys, "homology",
+                             str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
+                             "--coefficient", "eps", "--max-degree", "4")
+        assert code == 2
+        assert out == ""
+        assert ("(co)cyclic identity 'coface d_1 well-defined on the quotient' fails in degree 0"
+                in err)
+        assert len(built) <= 2
 
     def test_algebra_side_of_a_module_coalgebra(self, capsys):
         # B over itself read as a comodule algebra through its comultiplication

@@ -487,6 +487,25 @@ class TestAssemble:
         with pytest.raises(IdentityViolation, match="operator preserves the cotensor subspace"):
             assemble("algebra", A, make_coefficient("eps", z2_q), 2)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_algebra_tau_image_off_the_subspace_rejected(self, monkeypatch, n):
+        # tau K_n plus e_p in a row p outside the free rows of K_n: restrict
+        # reads the free rows only and its row check must see the bump
+        ses = parse_input(str(FIXTURES / "z2_product_algebra_ses.json"), "Q")
+        real = complexes._algebra_rotation
+
+        def perturbed(A, X, an, on=None):
+            image = real(A, X, an, on=on)
+            if an != ses.A.dim ** n:
+                return image
+            p = min(i for i in range(on.rows) if i not in on.free)
+            return image.add(Matrix.from_entries(QQ, image.rows, image.cols, [(p, 0, QQ.one)]))
+
+        monkeypatch.setattr(complexes, "_algebra_rotation", perturbed)
+        with pytest.raises(IdentityViolation, match=f"'operator preserves the cotensor "
+                                                    f"subspace' fails in degree {n}"):
+            assemble("algebra", ses.A, make_coefficient("eps", ses.A.over), 3)
+
     @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
     def test_tau_with_cube_minus_id_rejected(self, z2_q, k_eps_z2, side):
         # over Q, -tau_2 has cube -id, so tau^{n+1} = id fails at n = 2,

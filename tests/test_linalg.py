@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfcyclic import linalg
@@ -214,6 +215,54 @@ def test_maps_on_disjoint_slots_commute(case):
     assert slotted(f, p * a2 * q, G, r).mul(wired) == wired2.mul(slotted(f, p * a * q, G, r))
 
 
+WIRINGS = {  # name -> (spec, the legs of each step)
+    "identity slots": ("p i q -> p o q", ["i -> o"]),
+    "vector step": ("p q -> p o q", ["-> o"]),
+    "covector step and a reorder": ("i p q -> q p", ["i ->"]),
+    "two steps around an identity slot": ("r a x -> a0 r y", ["a -> a0 h", "h x -> y"]),
+    "no step": ("p q -> q p", []),
+}
+
+
+@st.composite
+def wirings_on(draw):
+    """(field, dims, spec, steps, M): a wiring of ``WIRINGS`` with leg dims 1..3
+    and random tensors, and an M with as many rows as it has columns, some
+    rows empty and 0..3 columns."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    spec, texts = WIRINGS[draw(st.sampled_from(sorted(WIRINGS)))]
+    legs = sorted({leg for text in [spec] + texts for leg in text.replace("->", " ").split()})
+    dims = {leg: draw(st.integers(1, 3)) for leg in legs}
+    scalar = st.sampled_from([0, 1, -1, 2]).map(field.from_int)
+
+    def matrix(rows, cols):
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        return Matrix.from_entries(field, rows, cols,
+                                   [(k // cols, k % cols, v) for k, v in enumerate(vals)])
+
+    def size(legs):
+        return math.prod(dims[leg] for leg in legs.split())
+
+    steps = [(matrix(size(text.split("->")[1]), size(text.split("->")[0])), text)
+             for text in texts]
+    M = matrix(size(spec.split("->")[0]), draw(st.integers(0, 3)))
+    empty = draw(st.sets(st.integers(0, M.rows - 1)))
+    M = Matrix(field, M.rows, M.cols, {i: r for i, r in M.rowdict.items() if i not in empty})
+    return field, dims, spec, steps, M
+
+
+@given(wirings_on())
+@settings(max_examples=200, deadline=None)
+def test_wire_on_a_matrix_is_the_product(case):
+    """``wire(..., on=M)`` writes only the columns at which M has rows and
+    equals the operator times M, entry for entry, over Q, F_2 and F_3."""
+    field, dims, spec, steps, M = case
+    full = wire(field, dims, spec, *steps)
+    assert wire(field, dims, spec, *steps, on=M) == full.mul(M)
+    with pytest.raises(ShapeMismatch):
+        wire(field, dims, spec, *steps, on=Matrix.zero(field, M.rows + 1, 1))
+
+
 @given(sparse_matrices())
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_backsubstitution_oracle(M):
@@ -349,6 +398,51 @@ def test_restriction_equals_the_solve_oracle(case):
     assert X == solve_columns(K, Y)
     if solvable is not None:
         assert (X is not None) == solvable
+
+
+@st.composite
+def restriction_mutants(draw):
+    """(K, Y, mutant, where): K the canonical kernel basis of a random wide M
+    stacked on e_z^T, so row z of K is empty; Y = K Z; the mutant Y plus e_i
+    in column j, at a row i outside ``free`` where K has a row ("outside
+    free"), or at z ("no row of K")."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+
+    def matrix(rows, cols):
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        return Matrix.from_entries(field, rows, cols,
+                                   [(k // cols, k % cols, v) for k, v in enumerate(vals)])
+
+    n = draw(st.integers(2, 7))
+    z = draw(st.integers(0, n - 1))
+    M = matrix(draw(st.integers(1, n - 2)) if n > 2 else 1, n)
+    _, K = rank_kernel(M.vstack(Matrix.from_entries(field, 1, n, [(0, z, field.one)])))
+    width = draw(st.integers(1, 3))
+    Y = K.mul(matrix(K.cols, width))
+    where = draw(st.sampled_from(["outside free", "no row of K"]))
+    if where == "outside free":
+        rows = [i for i in K.rowdict if i not in K.free]
+        assume(rows)  # K is no coordinate inclusion
+        i = draw(st.sampled_from(rows))
+    else:
+        assert z not in K.rowdict
+        i = z
+    j = draw(st.integers(0, width - 1))
+    bump = Matrix.from_entries(field, K.rows, width, [(i, j, draw(scalar.filter(bool)))])
+    return K, Y, Y.add(bump), where
+
+
+@given(restriction_mutants())
+@settings(max_examples=300, deadline=None)
+def test_restriction_rejects_a_perturbed_row(case):
+    """The rows ``free`` of K X agree with Y by construction, so restrict
+    checks only the other rows: a Y perturbed in one of them, or in a row
+    where K has none, has no restriction."""
+    K, Y, mutant, _ = case
+    assert restrict(K, Y) is not None
+    assert restrict(K, mutant) is None
+    assert solve_columns(K, mutant) is None
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)

@@ -274,6 +274,22 @@ def test_coinvariant_rows_handed_to_elimination_are_pairwise_independent(cname, 
                 assert len(rows) == rho.cols - kernel.cols, (kind, n)
 
 
+@pytest.mark.parametrize("fname", list(FIELDS))
+@pytest.mark.parametrize("cname", ["A", "I", "A/I"])
+def test_algebra_assembly_equals_the_ambient_form(cname, fname):
+    """Faces, tau and inclusions applied on the kernel basis against the
+    ambient operators times the kernel basis (``oracles.ambient_assemble_algebra``),
+    entry for entry, for the comodules of the algebra-side excision of
+    ``z2_product_algebra_ses`` with the coefficients eps and r_ad, at depth 4."""
+    A = COMODULES[cname](fname)
+    for kind in ("eps", "r_ad"):
+        X = make_coefficient(kind, A.over)
+        got, want = assemble("algebra", A, X, 4), oracles.ambient_assemble_algebra(A, X, 4)
+        assert got.inclusions == want.inclusions, kind
+        assert got.faces == want.faces, kind
+        assert got.tau == want.tau, kind
+
+
 def test_sweedler_construction_passes_unmutated():
     mc, X = _sweedler_triple()
     assert homology(assemble("coalgebra", mc, X, 3), "cyclic", 2) == [2, 1, 2]
