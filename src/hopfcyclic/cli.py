@@ -26,6 +26,8 @@ from .hopf import BialgebraDesc, audit, desc_from_json, matrix_from_json
 from .serialize import (
     complex_dump,
     dumps,
+    load_json,
+    load_object,
     module_coalgebra_from_json,
     ses_from_json,
 )
@@ -38,24 +40,6 @@ DOCUMENT_KINDS = {
     ModuleCoalgebra: "module coalgebra",
     BialgebraDesc: "bialgebra description",
 }
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_object(path):
-    """_load_json, refusing a document that is not a JSON object."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {json.dumps(doc)[:40]}")
-    return doc
 
 
 def _override_field(doc, field_name):
@@ -73,7 +57,7 @@ def _override_field(doc, field_name):
 
 def parse_input(path, field=None):
     """Parse and fully audit a description file; audit failures abort."""
-    doc = _override_field(_load_object(path), field)
+    doc = _override_field(load_object(path), field)
     if "mode" in doc and "C" in doc:
         return ses_from_json(doc)
     if "ideal" in doc and ("A" in doc or "B" in doc):
@@ -119,6 +103,7 @@ def _algebra_ses_from_json(doc):
     """
     if "A" in doc:
         a_doc = doc["A"]
+        _require_keys('"A"', a_doc, ("base", "over", "coaction"), "comodule algebra")
         base = desc_from_json(a_doc["base"])
         over = desc_from_json(a_doc["over"])
         coaction = matrix_from_json(base.field, a_doc["coaction"])
@@ -137,7 +122,7 @@ def _coefficient(arg, B):
     if arg in ("eps", "unit", "r_ad", "ad_r"):
         return make_coefficient(arg, B)
     if isinstance(arg, str):
-        return coefficient_from_json(B, _load_object(arg))
+        return coefficient_from_json(B, load_object(arg))
     return coefficient_from_json(B, arg)
 
 
@@ -160,7 +145,7 @@ def _emit_report(args, report):
 
 
 def cmd_check(args):
-    doc = _override_field(_load_json(args.input), args.field)
+    doc = _override_field(load_json(args.input), args.field)
     try:
         desc = desc_from_json(doc)
         report = audit(desc, args.level or desc.level)
@@ -205,7 +190,7 @@ def cmd_excision(args):
 
 
 def cmd_relative(args):
-    ses_doc = _override_field(_load_json(args.input), args.field)
+    ses_doc = _override_field(load_json(args.input), args.field)
     _require_keys(args.input, ses_doc, ("C", "K"), DOCUMENT_KINDS[CoalgebraSES])
     mc = module_coalgebra_from_json(ses_doc["C"])
     K = matrix_from_json(mc.base.field, ses_doc["K"])
@@ -217,7 +202,7 @@ def cmd_relative(args):
 
 
 def cmd_group_example(args):
-    doc = _load_json(args.group)
+    doc = load_json(args.group)
     if not isinstance(doc, list):
         _require_keys(args.group, doc, ("table",), "group table")
         doc = doc["table"]
@@ -230,7 +215,7 @@ def cmd_group_example(args):
 
 def cmd_special(args):
     kind = args.kind.replace("-", "_")
-    params_doc = _override_field(_load_json(args.params), args.field)
+    params_doc = _override_field(load_json(args.params), args.field)
     if kind in SPECIAL_KEYS:
         _require_keys(args.params, params_doc, SPECIAL_KEYS[kind],
                       f"--kind {args.kind} parameters")

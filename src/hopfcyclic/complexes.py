@@ -1,10 +1,11 @@
 """Complex builders and the (co)cyclic homology engines.
 
-Bar resolutions and bar complexes, the twisted coalgebra Hochschild complex
-with its graded action, coinvariants, cotensor products and their derived
-dimensions, the comparison isomorphism onto the cotensor model, the tensor
-trivialization maps, and assembly of validated (co)cyclic modules together
-with Hochschild/bar/cyclic dimension computations.
+The bar complex (shifted by one degree, the bar resolution), the twisted
+coalgebra Hochschild complex with its graded action, coinvariants, cotensor
+products and their derived dimensions, the comparison isomorphism onto the
+cotensor model, the tensor trivialization maps, and assembly of validated
+(co)cyclic modules together with Hochschild/bar/cyclic dimension
+computations.
 
 Degree bookkeeping: every constructed object records the top internal degree
 it was built through; consumers asking beyond the certified window get a
@@ -171,58 +172,20 @@ def comodule_coinvariants(unit, blocks):
     return rank_kernel(stacked)[1]
 
 
-# ---------------------------------------------------------------------------
-# Cosimplicial modules
-# ---------------------------------------------------------------------------
-
-
-class CosimplicialModule:
-    """Degreewise spaces with cofaces V_n -> V_{n+1} and optional B-action.
-
-    ``cofaces[n]`` lists the n+2 cofaces leaving degree n. ``actions[n]``
-    (when present) gives L_g on a twisted CH complex for the algebra
-    generators g. The shapes and the coface identities that can fail
-    (:func:`_check_coface_identities`) are validated entry-exactly at
-    construction.
-    """
-
-    def __init__(self, field, dims, cofaces, actions=None, over=None):
-        self.field = field
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.cofaces = cofaces
-        self.actions = actions
-        self.over = over
-        self.validate()
-
-    def validate(self):
-        for n in range(self.top):
-            faces = self.cofaces[n]
-            if len(faces) != n + 2:
-                raise ShapeMismatch(f"degree {n} must carry {n + 2} cofaces")
-            for d in faces:
-                if d.cols != self.dims[n] or d.rows != self.dims[n + 1]:
-                    raise ShapeMismatch(f"coface at degree {n} has wrong shape")
-        _check_coface_identities(self)
-
-    def differential(self, n):
-        """Alternating coface sum out of degree n."""
-        return _alternating(self.field, self.cofaces[n])
-
-
 def _check_coface_identities(cm):
-    """The coface identities with the last coface, entry-exactly.
+    """The coface counts and shapes, and the coface identities with the last coface.
 
-    Checked: d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1 out of each degree
-    m, the m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j,
-    that involve a last coface. ``cm`` is a twisted CH complex
-    (:func:`twisted_ch`), a bar resolution (:func:`bar`) or the model of
-    :func:`regular.regular_cocyclic_module`. The identities with j <= m+1
-    involve only d_0 and the middle cofaces, each written with ``slotted``
-    or with ``wire`` and identity slots: the middle d_k is Delta on the k-th
-    C slot (B slot for the model), and d_0 is the right coaction of M, the
-    unit 1 inserted after the coefficient, or Delta on the first slot. They
-    follow from audits that have run:
+    Checked, entry-exactly: n+2 cofaces leave each degree n, each of shape
+    dims[n+1] x dims[n]; and d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1
+    out of each degree m, the m+2 of the (m+3)(m+2)/2 identities
+    d_j d_i = d_i d_{j-1}, i < j, that involve a last coface. ``cm`` is a
+    :class:`CocyclicModule`: a twisted CH complex (:func:`twisted_ch`) or
+    the model of :func:`regular.regular_cocyclic_module`. The identities
+    with j <= m+1 involve only d_0 and the middle cofaces, each written with
+    ``slotted`` or with ``wire`` and identity slots: the middle d_k is Delta
+    on the k-th C slot (B slot for the model), and d_0 is the right coaction
+    of M or the unit 1 inserted after the coefficient. They follow from
+    audits that have run:
       - j >= i+2: both sides apply the same two maps on disjoint slots, and
         maps on disjoint slots commute, (A (x) I)(I (x) B') = A (x) B' =
         (I (x) B')(A (x) I) (the slotted lemma).
@@ -231,12 +194,18 @@ def _check_coface_identities(cm):
       - (i, j) = (0, 1): on the twisted complex, (rho (x) id) rho =
         (id (x) Delta) rho for M's right coaction rho, which the
         ``EquivariantBicomodule`` audit checks; on the model,
-        Delta(1) = 1 (x) 1, the "comultiplication unital" audit; on the bar
-        resolution, coassociativity again.
+        Delta(1) = 1 (x) 1, the "comultiplication unital" audit.
     Only the last coface reads X's coaction, and no audit relates that
     coaction to the rest, so the identities with j = m+2 are the ones that
     can fail. ``tests/oracles.py`` keeps the full loop.
     """
+    for n in range(cm.top):
+        faces = cm.cofaces[n]
+        if len(faces) != n + 2:
+            raise ShapeMismatch(f"degree {n} must carry {n + 2} cofaces")
+        for d in faces:
+            if d.cols != cm.dims[n] or d.rows != cm.dims[n + 1]:
+                raise ShapeMismatch(f"coface at degree {n} has wrong shape")
     for m in range(cm.top - 1):
         lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
         for i in range(m + 2):
@@ -245,31 +214,24 @@ def _check_coface_identities(cm):
 
 
 # ---------------------------------------------------------------------------
-# Bar resolution and bar complex
+# Bar complex
 # ---------------------------------------------------------------------------
 
 
-def bar(desc, maxdeg):
-    """Bar resolution of a coalgebra: degree n space C^{(x) n+2}, d_j Delta on slot j."""
-    if maxdeg < 0:
-        raise DegreeOutOfRange("maxdeg must be nonnegative")
-    f = desc.field
-    c = desc.dim
-    dims = [_pow(c, n + 2) for n in range(maxdeg + 1)]
-    cofaces = [[slotted(f, _pow(c, j), desc.comult, _pow(c, n + 1 - j)) for j in range(n + 2)]
-               for n in range(maxdeg)]
-    return CosimplicialModule(f, dims, cofaces)
-
-
 def bar_complex(desc, maxN):
-    """CB_* with CB_0 = C, CB_n = C^{(x) n+1}, d_0 = comultiplication."""
+    """CB_* with CB_n = C^{(x) n+1}, d = sum_j (-1)^j Delta on slot j.
+
+    d_0 is Delta itself. Shifted by one degree it is the bar resolution:
+    ``diffs[n + 1]`` leaves C^{(x) n+2}, degree n of the resolution.
+    """
+    if maxN < 0:
+        raise DegreeOutOfRange("maxN must be nonnegative")
     f = desc.field
     c = desc.dim
-    dims = [c] + [_pow(c, n + 1) for n in range(1, maxN + 1)]
-    diffs = {0: desc.comult}
-    for n in range(1, maxN):
-        diffs[n] = _alternating(f, [slotted(f, _pow(c, j), desc.comult, _pow(c, n - j))
-                                    for j in range(n + 1)])
+    dims = [_pow(c, n + 1) for n in range(maxN + 1)]
+    diffs = {n: _alternating(f, [slotted(f, _pow(c, j), desc.comult, _pow(c, n - j))
+                                 for j in range(n + 1)])
+             for n in range(maxN)}
     return GradedComplex(f, +1, dims, diffs)
 
 
@@ -285,9 +247,11 @@ def twisted_ch(C, M, X, maxdeg):
     right coaction of M, the middle ones comultiply a C slot, the last wraps
     the left legs around with the coefficient twist
     x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1)).
-    The coface identities are validated. The graded B-action is attached
-    for the algebra generators g only, ``actions[n][g]`` = L_g: nothing
-    reads any other (see :func:`induced_complex`).
+    The result is a :class:`CocyclicModule` with no tau, its coface counts,
+    shapes and identities checked (:func:`_check_coface_identities`). The
+    graded B-action is attached for the algebra generators g only,
+    ``actions[n][g]`` = L_g: nothing reads any other (see
+    :func:`induced_complex`).
     """
     B = C.over
     f = B.field
@@ -309,7 +273,9 @@ def twisted_ch(C, M, X, maxdeg):
     actions = [_diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n, (x, X.action),
                                 B.algebra_generators)
                for n in range(maxdeg + 1)]
-    return CosimplicialModule(f, dims, cofaces, actions=actions, over=B)
+    cm = CocyclicModule(f, B, dims, cofaces, actions=actions)
+    _check_coface_identities(cm)
+    return cm
 
 
 def _wrap_coface(C, M, X, cn):
@@ -434,9 +400,9 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
         inclusions.append(ker)
         dims.append(ker.cols)
     diffs = {}
-    res = bar(C_desc, top)
+    res = bar_complex(C_desc, top + 1)
     for n in range(top):
-        d_amb = slotted(f, xd, res.differential(n), yd)
+        d_amb = slotted(f, xd, res.diffs[n + 1], yd)
         induced = restrict(inclusions[n + 1], d_amb.mul(inclusions[n]))
         if induced is None:
             raise WellDefinednessFailure(
@@ -471,7 +437,7 @@ def doi_check(C_desc, M, maxdeg):
     f = C_desc.field
     c = C_desc.dim
     md, lco, rco = M
-    res = bar(C_desc, maxdeg + 1)
+    res = bar_complex(C_desc, maxdeg + 1)
 
     dims = {"m": md, "m1": md, "m0": md, "cl": c, "cr": c, "w1": c, "wl": c, "u": c, "v": c}
     coact = ((lco, "m -> cl m1"), (rco, "m1 -> m0 cr"))
@@ -503,7 +469,7 @@ def doi_check(C_desc, M, maxdeg):
             return False
     for n in range(maxdeg):
         d_ch = _alternating(f, ch_faces[n])
-        d_bar = slotted(f, md, res.differential(n), 1)
+        d_bar = slotted(f, md, res.diffs[n + 1], 1)
         if d_bar.mul(phis[n]) != phis[n + 1].mul(d_ch):
             return False
     return True
@@ -687,21 +653,25 @@ class CocyclicModule:
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
-    the cyclic operator, None until :meth:`with_tau`. A module induced on
-    quotients of an ambient module keeps them as ``quotients[n]``, the
-    quotient of degree n; nothing of the ambient is kept but the dimensions
-    each quotient records, so it is freed once descended. The model of
-    :func:`regular.regular_cocyclic_module` has no quotients. Built once per
-    run at the deepest degree any consumer needs; shallower consumers take a
+    the cyclic operator, None until :meth:`with_tau`. An ambient twisted CH
+    complex (:func:`twisted_ch`) has no tau and carries ``actions[n][g]``,
+    L_g on degree n for the algebra generators g of B, by which
+    :func:`induced_complex` descends it. A module induced on quotients of an
+    ambient module keeps them as ``quotients[n]``, the quotient of degree n;
+    nothing of the ambient is kept but the dimensions each quotient records,
+    so it is freed once descended. The model of
+    :func:`regular.regular_cocyclic_module` has neither. Built once per run
+    at the deepest degree any consumer needs; shallower consumers take a
     truncation, which shares every matrix.
     """
 
     orientation = +1
 
-    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None):
+    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None):
         self.field = field
         self.over = over
         self.quotients = quotients
+        self.actions = actions
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
@@ -722,8 +692,9 @@ class CocyclicModule:
             raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
         tau = self.tau[:top + 1] if self.tau is not None else None
         quotients = self.quotients[:top + 1] if self.quotients is not None else None
+        actions = self.actions[:top + 1] if self.actions is not None else None
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], self.cofaces[:top],
-                              tau, quotients)
+                              tau, quotients, actions)
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.

@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .hopf import AxiomReport, BialgebraDesc, _compare, matrix_from_json
+from .hopf import AxiomReport, BialgebraDesc, _compare, matrix_from_json, parse_index
 from .linalg import (
     Matrix,
     QuotientSpace,
@@ -349,7 +349,7 @@ def coefficient_from_json(B, doc):
     try:
         action = matrix_from_json(B.field, doc["action"])
         coaction = matrix_from_json(B.field, doc["coaction"])
-        dim = int(doc.get("dim", action.rows))
+        dim = parse_index(doc.get("dim", action.rows))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed coefficient document: {exc}") from exc
     return ModComod(B, dim, action, coaction)

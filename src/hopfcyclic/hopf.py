@@ -225,10 +225,23 @@ def matrix_to_json(M):
             "entries": [[i, j, M.field.fmt(v)] for i, j, v in M.entries()]}
 
 
+def parse_index(v, bound=None):
+    """``v`` as a JSON index or size: an int, not a bool, at least 0 and below ``bound``.
+
+    A float or a string is refused, not truncated or converted. Without
+    ``bound`` any nonnegative int is taken.
+    """
+    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v and (bound is None or v < bound):
+        return v
+    expected = "a nonnegative integer" if bound is None else f"an integer in [0, {bound})"
+    raise ParseError(f"bad index {v!r:.40}: expected {expected}")
+
+
 def matrix_from_json(field, doc):
     try:
-        entries = [(int(i), int(j), field.parse(v)) for i, j, v in doc["entries"]]
-        return Matrix.from_entries(field, int(doc["rows"]), int(doc["cols"]), entries)
+        entries = [(parse_index(i), parse_index(j), field.parse(v)) for i, j, v in doc["entries"]]
+        return Matrix.from_entries(field, parse_index(doc["rows"]), parse_index(doc["cols"]),
+                                   entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix document: {exc}") from exc
 
@@ -237,28 +250,39 @@ def desc_from_json(doc):
     """Parse the JSON description format (the CLI ingestion unit)."""
     try:
         field = field_by_name(doc["field"])
-        basis = list(doc["basis"])
+        basis = doc["basis"]
         level = doc["level"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field in description: {exc}") from exc
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise ParseError(f"basis must be a list of strings, got {basis!r:.40}")
     dim = len(basis)
+
+    def ix(v):
+        return parse_index(v, dim)
+
+    def vector(key):
+        values = doc[key]
+        if not isinstance(values, list) or len(values) != dim:
+            raise ParseError(f"{key} must be a list of {dim} scalars, got {values!r:.40}")
+        return enumerate(field.parse(v) for v in values)
+
     mult = comult = unit = counit = antipode = antipode_inv = None
-    if "mult" in doc:
-        mult = Matrix.from_entries(
-            field, dim, dim * dim,
-            [(int(k), int(i) * dim + int(j), field.parse(c)) for i, j, k, c in doc["mult"]])
-    if "comult" in doc:
-        comult = Matrix.from_entries(
-            field, dim * dim, dim,
-            [(int(j) * dim + int(k), int(i), field.parse(c)) for i, j, k, c in doc["comult"]])
+    try:
+        if "mult" in doc:
+            mult = Matrix.from_entries(
+                field, dim, dim * dim,
+                [(ix(k), ix(i) * dim + ix(j), field.parse(c)) for i, j, k, c in doc["mult"]])
+        if "comult" in doc:
+            comult = Matrix.from_entries(
+                field, dim * dim, dim,
+                [(ix(j) * dim + ix(k), ix(i), field.parse(c)) for i, j, k, c in doc["comult"]])
+    except (TypeError, ValueError) as exc:  # a row that is no list of four
+        raise ParseError(f"malformed structure tensor: {exc}") from exc
     if "unit" in doc:
-        unit = Matrix.from_entries(
-            field, dim, 1,
-            [(i, 0, field.parse(v)) for i, v in enumerate(doc["unit"])])
+        unit = Matrix.from_entries(field, dim, 1, [(i, 0, v) for i, v in vector("unit")])
     if "counit" in doc:
-        counit = Matrix.from_entries(
-            field, 1, dim,
-            [(0, i, field.parse(v)) for i, v in enumerate(doc["counit"])])
+        counit = Matrix.from_entries(field, 1, dim, [(0, i, v) for i, v in vector("counit")])
     if "antipode" in doc:
         antipode = matrix_from_json(field, doc["antipode"])
     if "antipode_inv" in doc:

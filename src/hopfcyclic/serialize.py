@@ -10,15 +10,31 @@ import json
 
 from .equivariant import ModuleCoalgebra
 from .errors import ParseError
-from .hopf import desc_from_json, matrix_from_json, matrix_to_json
+from .hopf import desc_from_json, matrix_from_json, matrix_to_json, parse_index
+
+
+def load_json(path):
+    """The JSON document in the file ``path``; a file unread or not JSON raises ParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or text that does not decode
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_object(path):
+    """:func:`load_json`, refusing a document that is not a JSON object."""
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {json.dumps(doc)[:40]}")
+    return doc
 
 
 def _desc_inline_or_file(value):
     """Bialgebra descriptions may be inline documents or file paths."""
-    if isinstance(value, str):
-        with open(value) as fh:
-            value = json.load(fh)
-    return desc_from_json(value)
+    return desc_from_json(load_object(value) if isinstance(value, str) else value)
 
 
 def module_coalgebra_from_json(doc):
@@ -28,7 +44,8 @@ def module_coalgebra_from_json(doc):
         f = over.field
         n = base.dim
         action_entries = [
-            (int(cp), int(b) * n + int(c), f.parse(v)) for b, c, cp, v in doc["action"]
+            (parse_index(cp, n), parse_index(b, over.dim) * n + parse_index(c, n), f.parse(v))
+            for b, c, cp, v in doc["action"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed module-coalgebra document: {exc}") from exc

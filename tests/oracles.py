@@ -14,9 +14,11 @@ total coaction of the algebra side wired one degree at a time, the
 reference for its Kronecker blocks; the algebra-side cyclic module
 assembled from ambient faces and tau times the kernel basis, the reference
 for the assembly that applies them on the kernel basis; every face identity of a cyclic
-module and every coface identity of a cosimplicial or cocyclic module, the
-references for the reduced checks of ``CyclicModule.validate`` and
-``complexes._check_coface_identities``; the isomorphism from the model of a regular
+module and every coface identity of a cocyclic module, with or without tau,
+the references for the reduced checks of ``CyclicModule.validate`` and
+``complexes._check_coface_identities``; the differential of the bar
+resolution as a sum of Kronecker products, the reference for the shifted
+``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
@@ -629,7 +631,7 @@ def all_coface_identities(cm):
     """True iff every coface identity d_j d_i = d_i d_{j-1}, i < j, holds in every degree.
 
     The full loop of (m+3)(m+2)/2 pairs out of each degree m of a
-    cosimplicial or cocyclic module.
+    cocyclic module, with or without tau.
     """
     for m in range(cm.top - 1):
         lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
@@ -638,6 +640,20 @@ def all_coface_identities(cm):
                 if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
                     return False
     return True
+
+
+def bar_resolution_differential(desc, n):
+    """The bar resolution's differential C^{(x) n+2} -> C^{(x) n+3} out of degree n.
+
+    sum_j (-1)^j id^{(x) j} (x) Delta (x) id^{(x) n+1-j}, each term a
+    Kronecker product with identities.
+    """
+    f, c = desc.field, desc.dim
+    out = Matrix.zero(f, c**(n + 3), c**(n + 2))
+    for j in range(n + 2):
+        term = slotted(f, c**j, desc.comult, c**(n + 1 - j))
+        out = out.add(term.neg() if j % 2 else term)
+    return out
 
 
 def regular_isomorphism(C, c0, X, quotients):

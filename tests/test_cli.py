@@ -233,6 +233,63 @@ class TestSESBadInput:
         assert "Traceback" not in err
 
 
+def _set(*path_and_value):
+    """A mutation that sets the entry at ``path`` of a document to ``value``;
+    "MISSING" stands for a file that does not exist."""
+    *path, value = path_and_value
+
+    def mutate(doc, missing):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = missing if value == "MISSING" else value
+    return mutate
+
+
+class TestMalformedInput:
+    """Each malformed document, a fixture with one entry changed, exits 2 with
+    a message and no traceback: it is neither a crash nor silently misread."""
+
+    @pytest.mark.parametrize("verb, fixture, mutate, message, extra", [
+        pytest.param("check", "sweedler_h4.json", _set("mult", 0, [0, 0, 0]),
+                     "malformed structure tensor", (), id="mult row of 3"),
+        pytest.param("check", "sweedler_h4.json", _set("mult", [5]),
+                     "malformed structure tensor", (), id="mult row not a list"),
+        pytest.param("check", "sweedler_h4.json", _set("comult", 0, [0, 0, 0]),
+                     "malformed structure tensor", (), id="comult row of 3"),
+        pytest.param("check", "sweedler_h4.json", _set("unit", 5),
+                     "unit must be a list of 4 scalars", (), id="unit not a list"),
+        pytest.param("check", "sweedler_h4.json", _set("counit", 5),
+                     "counit must be a list of 4 scalars", (), id="counit not a list"),
+        pytest.param("check", "z2_group_algebra.json", _set("basis", "ab"),
+                     "basis must be a list of strings", (), id="basis a string"),
+        pytest.param("check", "z2_group_algebra.json", _set("mult", 0, 0, 0.5),
+                     "bad index 0.5", (), id="mult index 0.5"),
+        pytest.param("check", "z2_group_algebra.json", _set("mult", 0, 1, 2),
+                     "bad index 2: expected an integer in [0, 2)", (), id="mult index 2 of 2"),
+        pytest.param("check", "z2_group_algebra.json", _set("antipode", "entries", 0, 0, 0.5),
+                     "bad index 0.5", (), id="matrix index 0.5"),
+        pytest.param("homology", "trivial_triple.json", _set("over", "MISSING"),
+                     "cannot read", (), id="over a missing file"),
+        pytest.param("homology", "trivial_triple.json", _set("base", "MISSING"),
+                     "cannot read", (), id="base a missing file"),
+        pytest.param("homology", "z2_regular_module_coalgebra.json", _set("action", 0, 0, 0.5),
+                     "bad index 0.5", (), id="action index 0.5"),
+        pytest.param("excision", "z2_product_algebra_ses.json", _set("A", []),
+                     "expected a comodule algebra document", ("--side", "algebra"),
+                     id="algebra A not an object"),
+    ])
+    def test_exit_2(self, capsys, tmp_path, verb, fixture, mutate, message, extra):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        mutate(doc, str(tmp_path / "missing.json"))
+        bad = tmp_path / fixture
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, verb, str(bad), "--max-degree", "1", *extra)
+        assert code == 2, err
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestRelative:
     def test_quotient_mode(self, capsys):
         code, out, _ = run(capsys, "relative", str(FIXTURES / "direct_sum_ses.json"),

@@ -34,9 +34,9 @@ from hopfcyclic.equivariant import (
     unit_coaction,
 )
 from hopfcyclic.complexes import (
+    CocyclicModule,
     assemble,
     assemble_for_homology,
-    bar,
     bar_complex,
     coinvariant_space_from_matrices,
     cotensor,
@@ -58,6 +58,7 @@ from hopfcyclic.linalg import (
     invert,
     map_well_defined,
     rank_kernel,
+    slotted,
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
@@ -99,22 +100,41 @@ def fixture_module_coalgebras():
 
 class TestBar:
     def test_resolution_dims(self, z2_q):
-        res = bar(z2_q, 3)
-        assert res.dims == [4, 8, 16, 32]
+        # degree n of the bar resolution, C^{(x) n+2}, is degree n + 1 of the bar complex
+        cx = bar_complex(z2_q, 4)
+        assert cx.dims == [2, 4, 8, 16, 32]
+        assert sorted(cx.diffs) == [0, 1, 2, 3]
+        with pytest.raises(DegreeOutOfRange):
+            bar_complex(z2_q, -1)
 
-    def test_coface_identities_validated(self, z4_q):
-        bar(z4_q, 3)  # constructor validates, no raise
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    def test_shifted_bar_complex_is_the_resolution(self, field):
+        # diffs[n + 1] of the bar complex is the bar resolution's
+        # differential out of degree n, entry for entry, on every Hopf fixture
+        checked = 0
+        for path in sorted(FIXTURES.glob("*.json")):
+            try:
+                desc = parse_input(str(path), field)
+            except HopfCyclicError:
+                continue
+            if isinstance(desc, BialgebraDesc) and desc.level == "hopf":
+                cx = bar_complex(desc, 5)
+                for n in range(4):
+                    assert cx.diffs[n + 1] == oracles.bar_resolution_differential(desc, n), \
+                        (path.stem, n)
+                checked += 1
+        assert checked >= 5
 
     def test_bar_complex_acyclic_for_counital(self, z2_q):
         cx = bar_complex(z2_q, 5)
         assert complex_homology(cx, 4) == [0] * 5
 
     def test_diagonal_action_commutes_with_left_coaction(self, z2_q):
-        # the left coaction on degree 1 of the bar resolution is the first
-        # coface into degree 2; equivariance is the commutation with the
+        # the left coaction on degree 1 of the bar resolution, C^{(x) 3}, is
+        # Delta on its first slot; equivariance is the commutation with the
         # diagonal action
         mc = regular_module_coalgebra(z2_q)
-        rho_l = bar(mc.base, 2).cofaces[1][0]
+        rho_l = slotted(QQ, 1, mc.base.comult, 4)
         L1, L2 = (diagonal_action(z2_q, [(2, mc.action)] * (n + 2)) for n in (1, 2))
         for b in range(2):
             assert L2[b].mul(rho_l) == rho_l.mul(L1[b])
@@ -265,7 +285,7 @@ class TestInducedComplex:
             cm = induced_complex(T, X)
             q = cm.quotients
             for n in range(T.top):
-                assert cm.complex.diffs[n] == q[n].induce(q[n + 1], T.differential(n))
+                assert cm.complex.diffs[n] == q[n].induce(q[n + 1], T.complex.diffs[n])
             checked += 1
         assert checked >= 30
 
@@ -319,6 +339,16 @@ class TestInducedComplex:
         with pytest.raises(DegreeOutOfRange):
             deep.truncate(4)
 
+    def test_truncated_ambient_keeps_its_actions(self, h4_q):
+        # truncation slices the L_g of a twisted CH complex like its cofaces,
+        # so the truncation descends as a fresh shallower build does
+        mc = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        cut = twisted_ch(mc, regular_bicomodule(mc), X, 3).truncate(2)
+        fresh = twisted_ch(mc, regular_bicomodule(mc), X, 2)
+        assert cut.actions == fresh.actions
+        assert induced_complex(cut, X).cofaces == induced_complex(fresh, X).cofaces
+
 
 @pytest.fixture(scope="module")
 def ambient_complexes(direct_sum_ses_q, k_eps_z2, h4_q):
@@ -339,8 +369,7 @@ def ambient_complexes(direct_sum_ses_q, k_eps_z2, h4_q):
 
 @pytest.mark.parametrize("n, j", [(n, j) for n in range(3) for j in range(n + 2)])
 @pytest.mark.parametrize("name", ["CH(C)", "CH(C, K)", "CH(C, C/K)", "CH(K)", "H4 r_ad"])
-def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identity_holds,
-                              monkeypatch):
+def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identity_holds):
     """d_j out of degree n plus e_0 e_0^T breaks a coface identity, and the
     checks that run outside the test session's full loop reject it: the
     identities with the last coface at construction, else the [L_g, d_j]
@@ -349,12 +378,33 @@ def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identi
     bumped = [list(faces) for faces in T.cofaces]
     d = bumped[n][j]
     bumped[n][j] = d.add(Matrix.from_entries(T.field, d.rows, d.cols, [(0, 0, T.field.one)]))
-    assert not oracles.all_coface_identities(types.SimpleNamespace(top=T.top, cofaces=bumped))
-    # the fixture yields the reduced validate: run it without the full loop
-    monkeypatch.setattr(complexes.CosimplicialModule, "validate", every_coface_identity_holds)
+    mutant = CocyclicModule(T.field, T.over, T.dims, bumped, actions=T.actions)
+    assert not oracles.all_coface_identities(mutant)
     with pytest.raises(HopfCyclicError):
-        induced_complex(complexes.CosimplicialModule(T.field, T.dims, bumped, actions=T.actions,
-                                                     over=T.over), X)
+        every_coface_identity_holds(mutant)  # the reduced check, as twisted_ch runs it
+        induced_complex(mutant, X)
+
+
+@pytest.mark.parametrize("mutation", ["n+1 cofaces", "wrong shape"])
+@pytest.mark.parametrize("kind", ["twisted CH", "regular model"])
+def test_coface_shape_mutant_rejected(kind, mutation, h4_q, every_coface_identity_holds):
+    """A degree n with n+1 cofaces, or a coface of the wrong shape, is refused
+    by the count and shape checks of ``_check_coface_identities``."""
+    mc = regular_module_coalgebra(h4_q)
+    X = make_coefficient("r_ad", h4_q)
+    cm = (twisted_ch(mc, regular_bicomodule(mc), X, 2) if kind == "twisted CH"
+          else regular.regular_cocyclic_module(mc, X, 2))
+    cofaces = [list(faces) for faces in cm.cofaces]
+    if mutation == "n+1 cofaces":
+        del cofaces[1][-1]
+        message = "degree 1 must carry 3 cofaces"
+    else:
+        d = cofaces[1][0]
+        cofaces[1][0] = Matrix.zero(cm.field, d.rows, d.cols + 1)
+        message = "coface at degree 1 has wrong shape"
+    mutant = CocyclicModule(cm.field, cm.over, cm.dims, cofaces, cm.tau, actions=cm.actions)
+    with pytest.raises(ShapeMismatch, match=message):
+        every_coface_identity_holds(mutant)
 
 
 class TestCotensor:
