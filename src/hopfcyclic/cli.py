@@ -19,11 +19,13 @@ from .equivariant import (
     ModuleCoalgebra,
     coefficient_from_json,
     make_coefficient,
+    regular_comodule_algebra,
 )
 from .errors import AuditFailed, HopfCyclicError, ParseError
 from .fields import field_by_name
 from .hopf import BialgebraDesc, audit, desc_from_json, matrix_from_json
 from .serialize import (
+    _desc_inline_or_file,
     complex_dump,
     dumps,
     load_json,
@@ -98,19 +100,19 @@ def _algebra_ses_from_json(doc):
 
     Either {"B": <desc>, "ideal": <matrix>} (B coacting on itself) or
     {"A": {"base": <algebra desc>, "over": <desc>, "coaction": <matrix>},
-    "ideal": <matrix>}. The ideal generators are closed under two-sided
-    multiplication.
+    "ideal": <matrix>}, where each desc may also be the path of a file
+    holding it, as in a module coalgebra. The ideal generators are closed
+    under two-sided multiplication.
     """
     if "A" in doc:
         a_doc = doc["A"]
         _require_keys('"A"', a_doc, ("base", "over", "coaction"), "comodule algebra")
-        base = desc_from_json(a_doc["base"])
-        over = desc_from_json(a_doc["over"])
+        base = _desc_inline_or_file(a_doc["base"])
+        over = _desc_inline_or_file(a_doc["over"])
         coaction = matrix_from_json(base.field, a_doc["coaction"])
         A = ComoduleAlgebra(base, over, coaction)
     else:
-        B = desc_from_json(doc["B"])
-        A = ComoduleAlgebra(B, B, B.comult)
+        A = regular_comodule_algebra(_desc_inline_or_file(doc["B"]))
     gens = matrix_from_json(A.base.field, doc["ideal"])
     return AlgebraSES(A, gens)
 

@@ -1,11 +1,10 @@
 """Complex builders and the (co)cyclic homology engines.
 
 The bar complex (shifted by one degree, the bar resolution), the twisted
-coalgebra Hochschild complex with its graded action, coinvariants, cotensor
-products and their derived dimensions, the comparison isomorphism onto the
-cotensor model, the tensor trivialization maps, and assembly of validated
-(co)cyclic modules together with Hochschild/bar/cyclic dimension
-computations.
+coalgebra Hochschild complex with its graded action, its coinvariants, and
+assembly of validated (co)cyclic modules together with
+Hochschild/bar/cyclic dimension computations. The models that need no
+coinvariant quotient are in ``regular``.
 
 Degree bookkeeping: every constructed object records the top internal degree
 it was built through; consumers asking beyond the certified window get a
@@ -19,13 +18,11 @@ from .errors import (
     DegreeOutOfRange,
     IdentityViolation,
     NotAYD,
-    NotCounital,
     NotStable,
-    NotSubcoalgebra,
     ShapeMismatch,
     WellDefinednessFailure,
 )
-from .equivariant import action_of_vector, module_audit, regular_bicomodule
+from .equivariant import regular_bicomodule
 from .linalg import (
     GradedComplex,
     Matrix,
@@ -43,23 +40,20 @@ def _pow(n, k):
     return n**k if k >= 0 else 0
 
 
-def diagonal_action(B, factors, coefficient=None):
-    """Diagonal B-action on a product of B-modules: L_b for every basis b.
-
-    ``factors`` is a list of (dim, action) pairs in slot order; Sweedler legs
-    are dealt left to right. A ``coefficient`` (dim, action) pair occupies
-    the first slot and receives the last leg. Each L_b is the sum over
-    Delta(b) = b_(1) (x) b_(2) of the tensor product of the per-leg
-    matrices: b_(1) acts on the first factor and b_(2) diagonally on the
-    rest, or b_(2) on the coefficient and b_(1) on the factors.
-    """
-    acts = _diagonal_action(B, factors, coefficient, range(B.dim))
-    return [acts[b] for b in range(B.dim)]
-
-
 def _diagonal_action(B, factors, coefficient, wanted):
-    """{b: L_b} of :func:`diagonal_action` for each b in ``wanted``; one level
-    down, only the legs of their Delta(b) are built."""
+    """Diagonal B-action on a product of B-modules: {b: L_b} for each b in ``wanted``.
+
+    ``factors`` is a list of (dim, action) pairs in slot order (the dims
+    are not read); Sweedler legs are dealt left to right. A ``coefficient``
+    (dim, action) pair occupies the first slot and receives the last leg.
+    Each L_b is the sum over Delta(b) = b_(1) (x) b_(2) of the tensor
+    product of the per-leg matrices: b_(1) acts on the first factor and
+    b_(2) diagonally on the rest, or b_(2) on the coefficient and b_(1) on
+    the factors. One level down, only the legs of their Delta(b) are built.
+    An action may be a B (x) V -> V' tensor, the action of V' after a map
+    V -> V': L_b is then those maps, slot by slot, followed by the diagonal
+    action on the V'.
+    """
     d = B.dim
     if coefficient is None and len(factors) <= 1:
         blocks = (factors[0][1] if factors else B.counit).column_blocks(d)
@@ -172,7 +166,7 @@ def comodule_coinvariants(unit, blocks):
     return rank_kernel(stacked)[1]
 
 
-def _check_coface_identities(cm):
+def _check_coface_identities(cm, slotted_d0=True):
     """The coface counts and shapes, and the coface identities with the last coface.
 
     Checked, entry-exactly: n+2 cofaces leave each degree n, each of shape
@@ -180,37 +174,45 @@ def _check_coface_identities(cm):
     out of each degree m, the m+2 of the (m+3)(m+2)/2 identities
     d_j d_i = d_i d_{j-1}, i < j, that involve a last coface. ``cm`` is a
     :class:`CocyclicModule`: a twisted CH complex (:func:`twisted_ch`) or
-    the model of :func:`regular.regular_cocyclic_module`. The identities
+    a model of :func:`regular.free_model`. The identities
     with j <= m+1 involve only d_0 and the middle cofaces, each written with
     ``slotted`` or with ``wire`` and identity slots: the middle d_k is Delta
-    on the k-th C slot (B slot for the model), and d_0 is the right coaction
-    of M or the unit 1 inserted after the coefficient. They follow from
+    on the k-th C slot, and d_0 is the right coaction of M (on the model,
+    restricted to W) inserted after the coefficient. They follow from
     audits that have run:
       - j >= i+2: both sides apply the same two maps on disjoint slots, and
         maps on disjoint slots commute, (A (x) I)(I (x) B') = A (x) B' =
         (I (x) B')(A (x) I) (the slotted lemma).
       - j = i+1 >= 2: (Delta (x) id) Delta = (id (x) Delta) Delta on one
-        slot, the coassociativity of C or B that ``hopf.audit`` checks.
-      - (i, j) = (0, 1): on the twisted complex, (rho (x) id) rho =
-        (id (x) Delta) rho for M's right coaction rho, which the
-        ``EquivariantBicomodule`` audit checks; on the model,
-        Delta(1) = 1 (x) 1, the "comultiplication unital" audit.
-    Only the last coface reads X's coaction, and no audit relates that
-    coaction to the rest, so the identities with j = m+2 are the ones that
-    can fail. ``tests/oracles.py`` keeps the full loop.
+        slot, the coassociativity of C that ``hopf.audit`` checks.
+      - (i, j) = (0, 1): (rho (x) id) rho = (id (x) Delta) rho for M's
+        right coaction rho, which the ``EquivariantBicomodule`` audit (for
+        M = C, the coassociativity of C) checks; on the model, for rho
+        restricted to W, into span(W) (x) C.
+    Where d_0 is not slotted (``slotted_d0`` False: on a model whose d_0
+    reads M's coaction through Psi), the identities d_j d_0 = d_0 d_{j-1}
+    for 1 <= j <= m+1 are checked too. Only the last coface reads X's
+    coaction, and no audit relates that coaction to the rest, so the
+    identities with j = m+2 are the ones that can fail.
+    ``tests/oracles.py`` keeps the full loop.
     """
+    lower = None  # the cofaces out of degree n - 1: each degree is read once
     for n in range(cm.top):
-        faces = cm.cofaces[n]
-        if len(faces) != n + 2:
+        upper = cm.cofaces[n]
+        if len(upper) != n + 2:
             raise ShapeMismatch(f"degree {n} must carry {n + 2} cofaces")
-        for d in faces:
+        for d in upper:
             if d.cols != cm.dims[n] or d.rows != cm.dims[n + 1]:
                 raise ShapeMismatch(f"coface at degree {n} has wrong shape")
-    for m in range(cm.top - 1):
-        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
-        for i in range(m + 2):
-            if upper[m + 2].mul(lower[i]) != upper[i].mul(lower[m + 1]):
-                raise IdentityViolation(m, f"d_{m + 2} d_{i} = d_{i} d_{m + 1}")
+        if lower is not None:
+            m = n - 1
+            pairs = [(m + 2, i) for i in range(m + 2)]
+            if not slotted_d0:
+                pairs += [(j, 0) for j in range(1, m + 2)]
+            for j, i in pairs:
+                if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
+                    raise IdentityViolation(m, f"d_{j} d_{i} = d_{i} d_{j - 1}")
+        lower = upper
 
 
 # ---------------------------------------------------------------------------
@@ -361,136 +363,6 @@ def induced_complex(T, X, check_flags=True):
 # ---------------------------------------------------------------------------
 
 
-def cotensor(X_dim, rho_X, C_desc, Y_dim, rho_Y):
-    """X box_C Y: kernel of rho_X (x) id - id (x) rho_Y inside X (x) Y.
-
-    ``rho_X``: X -> X (x) C (right), ``rho_Y``: Y -> C (x) Y (left).
-    Returns (dim, inclusion).
-    """
-    f = C_desc.field
-    a = slotted(f, 1, rho_X, Y_dim)
-    bmat = slotted(f, X_dim, rho_Y, 1)
-    _, ker = rank_kernel(a.sub(bmat))
-    return ker.cols, ker
-
-
-def cotor(C_desc, X, Y, maxdeg, equivariant=None):
-    """Dims of the derived cotensor: homology of X box CBbar_*(C) box Y.
-
-    ``X = (dim, right coaction)``, ``Y = (dim, left coaction)``. With
-    ``equivariant=(B, action_X, action_C, action_Y)`` the induced B-action
-    matrices on degreewise representatives are returned as well.
-    """
-    if C_desc.counit is None:
-        raise NotCounital("derived cotensor needs a counital coalgebra")
-    f = C_desc.field
-    c = C_desc.dim
-    xd, rho_X = X
-    yd, rho_Y = Y
-    top = maxdeg + 1
-    inclusions = []
-    dims = []
-    for n in range(top + 1):
-        w = _pow(c, n + 2)
-        lam = slotted(f, 1, C_desc.comult, _pow(c, n + 1))  # W -> C (x) W
-        rho = slotted(f, _pow(c, n + 1), C_desc.comult, 1)  # W -> W (x) C
-        left_eq = slotted(f, 1, rho_X, w * yd).sub(slotted(f, xd, lam, yd))
-        right_eq = slotted(f, xd, rho, yd).sub(slotted(f, xd * w, rho_Y, 1))
-        _, ker = rank_kernel(left_eq.vstack(right_eq))
-        inclusions.append(ker)
-        dims.append(ker.cols)
-    diffs = {}
-    res = bar_complex(C_desc, top + 1)
-    for n in range(top):
-        d_amb = slotted(f, xd, res.diffs[n + 1], yd)
-        induced = restrict(inclusions[n + 1], d_amb.mul(inclusions[n]))
-        if induced is None:
-            raise WellDefinednessFailure(
-                f"bar differential does not preserve the cotensor subspace at degree {n}")
-        diffs[n] = induced
-    cx = GradedComplex(f, +1, dims, diffs)
-    out_dims = [cx.homology(n) for n in range(maxdeg + 1)]
-    if equivariant is None:
-        return out_dims
-    B, act_X, act_C, act_Y = equivariant
-    actions = []
-    for n in range(top + 1):
-        per_b = []
-        for L in diagonal_action(B, [(xd, act_X)] + [(c, act_C)] * (n + 2) + [(yd, act_Y)]):
-            small = restrict(inclusions[n], L.mul(inclusions[n]))
-            if small is None:
-                raise WellDefinednessFailure("cotensor subspace is not B-stable")
-            per_b.append(small)
-        actions.append(per_b)
-    return out_dims, actions
-
-
-def doi_check(C_desc, M, maxdeg):
-    """Verify the comparison map CH_*(C, M) -> M box_{C^e} CBbar_*(C).
-
-    ``M = (dim, left coaction, right coaction)``. True iff the canonical map
-    is a degreewise isomorphism onto the cotensor subspace and commutes with
-    the differentials through maxdeg.
-    """
-    if C_desc.counit is None:
-        raise NotCounital("the comparison needs a counital coalgebra")
-    f = C_desc.field
-    c = C_desc.dim
-    md, lco, rco = M
-    res = bar_complex(C_desc, maxdeg + 1)
-
-    dims = {"m": md, "m1": md, "m0": md, "cl": c, "cr": c, "w1": c, "wl": c, "u": c, "v": c}
-    coact = ((lco, "m -> cl m1"), (rco, "m1 -> m0 cr"))
-
-    def lambda_e_W(n):
-        # w1 (x) t (x) wl -> w1_(1) (x) wl_(2) (x) w1_(2) (x) t (x) wl_(1)
-        return wire(f, dict(dims, t=_pow(c, n)), "w1 t wl -> cl cr u t v",
-                    (C_desc.comult, "w1 -> cl u"), (C_desc.comult, "wl -> v cr"))
-
-    rho_m = wire(f, dims, "m -> m0 cr cl", *coact)  # m -> m_(0) (x) m_(1) (x) m_(-1)
-    inclusions = []
-    for n in range(maxdeg + 1):
-        w = _pow(c, n + 2)
-        eq = slotted(f, 1, rho_m, w).sub(slotted(f, md, lambda_e_W(n), 1))
-        _, ker = rank_kernel(eq)
-        inclusions.append(ker)
-
-    # comparison: m (x) cvec -> m_(0) (x) m_(1) (x) cvec (x) m_(-1)
-    phis = []
-    ch_faces = _ch_cofaces(C_desc, M, maxdeg)
-    for n in range(maxdeg + 1):
-        cn = _pow(c, n)
-        phi = wire(f, dict(dims, t=cn), "m t -> m0 cr t cl", *coact)
-        phis.append(phi)
-        if restrict(inclusions[n], phi) is None:
-            return False
-        r, _ = rank_kernel(phi)
-        if r != md * cn or inclusions[n].cols != md * cn:
-            return False
-    for n in range(maxdeg):
-        d_ch = _alternating(f, ch_faces[n])
-        d_bar = slotted(f, md, res.diffs[n + 1], 1)
-        if d_bar.mul(phis[n]) != phis[n + 1].mul(d_ch):
-            return False
-    return True
-
-
-def _ch_cofaces(C_desc, M, maxdeg):
-    """Plain (untwisted) Cartier-Hochschild cofaces for a bicomodule."""
-    f = C_desc.field
-    c = C_desc.dim
-    md, lco, rco = M
-    out = []
-    for n in range(maxdeg):
-        faces = [slotted(f, 1, rco, _pow(c, n))]
-        for j in range(1, n + 1):
-            faces.append(slotted(f, md * _pow(c, j - 1), C_desc.comult, _pow(c, n - j)))
-        dims = {"m": md, "m0": md, "t": _pow(c, n), "c": c}
-        faces.append(wire(f, dims, "m t -> m0 t c", (lco, "m -> c m0")))
-        out.append(faces)
-    return out
-
-
 def _alternating(field, faces):
     """sum_j (-1)^j faces[j], accumulated in one pass."""
     zero = field.zero
@@ -512,91 +384,6 @@ def _alternating(field, faces):
 # ---------------------------------------------------------------------------
 
 
-def shear_map(n, B):
-    """The shear isomorphism on B^{(x) n} and its inverse.
-
-    Gamma(b1 (x) ... (x) bn) = b1_(1) (x) b1_(2) b2_(1) (x) ... ; the inverse
-    interleaves the antipode. Both the mutual-inverse identities and the
-    intertwining of the diagonal action with first-slot multiplication are
-    verified before returning.
-    """
-    f = B.field
-    d = B.dim
-    I = Matrix.identity(f, d)
-    if n < 1:
-        raise ShapeMismatch("shear map needs n >= 1")
-
-    def diag_tensor(k):
-        """The diagonal action on B^{(x) k} as one B (x) B^{(x) k} -> B^{(x) k} tensor."""
-        return functools.reduce(Matrix.hstack, diagonal_action(B, [(d, B.mult)] * k))
-
-    def shear_rec(k):
-        if k == 1:
-            return I
-        r = _pow(d, k - 1)
-        dims = {"b": d, "b1": d, "b2": d, "r": r, "s": r, "t": r}
-        return wire(f, dims, "b r -> b1 t", (B.comult, "b -> b1 b2"),
-                    (shear_rec(k - 1), "r -> s"), (diag_tensor(k - 1), "b2 s -> t"))
-
-    g = shear_rec(n)
-    # inverse: b_1 (x) ... (x) b_n -> b_1(1) (x) S(b_1(2)) b_2(1) (x) ... (x) S(b_{n-1}(2)) b_n
-    dims = {}
-    steps = []
-    outs = []
-    for i in range(n):
-        dims.update({f"{leg}{i}": d for leg in "bpqso"})
-        leg = f"b{i}"
-        if i < n - 1:
-            steps += [(B.comult, f"b{i} -> p{i} q{i}"), (B.antipode, f"q{i} -> s{i}")]
-            leg = f"p{i}"
-        if i > 0:
-            steps.append((B.mult, f"s{i - 1} {leg} -> o{i}"))
-            leg = f"o{i}"
-        outs.append(leg)
-    ginv = wire(f, dims, " ".join(f"b{i}" for i in range(n)) + " -> " + " ".join(outs), *steps)
-    big = Matrix.identity(f, _pow(d, n))
-    if g.mul(ginv) != big or ginv.mul(g) != big:
-        raise IdentityViolation(n, "shear inverse")
-    first_mult = slotted(f, 1, B.mult, _pow(d, n - 1))
-    if g.mul(first_mult) != diag_tensor(n).mul(slotted(f, d, g, 1)):
-        raise IdentityViolation(n, "shear intertwining")
-    return g, ginv
-
-
-def untwist(B, U, V):
-    """Mutually inverse maps between k (x)_B (U (x) V) and U^op (x)_B V.
-
-    ``U``/``V`` are (dim, action) pairs of left B-modules, audited as such.
-    Returns (phi, psi) on the two quotient spaces, verified mutual inverses;
-    the two relation subspaces are checked to coincide, which is the content
-    of the trivialization.
-    """
-    for dim, action in (U, V):
-        report = module_audit(B, dim, action)
-        if not report.ok:
-            raise AuditFailed(report)
-    sinv = B.inverse_antipode
-    f = B.field
-    ud, act_u = U
-    vd, act_v = V
-    amb = ud * vd
-    diag = diagonal_action(B, [(ud, act_u), (vd, act_v)])
-    q1 = coinvariant_space_from_matrices(f, B, diag, amb)
-    rels2 = []
-    for bb, L_vb in enumerate(act_v.column_blocks(B.dim)):
-        L_s = action_of_vector(B, act_u, ud, sinv.col(bb))  # S^{-1}(e_b) acting on U
-        R = slotted(f, 1, L_s, vd).sub(slotted(f, ud, L_vb, 1))
-        rels2.extend(col for col in R.columns() if col)
-    q2 = QuotientSpace(f, amb, rels2)
-    ident = Matrix.identity(f, amb)
-    phi, psi = map_well_defined(ident, q2, q1), map_well_defined(ident, q1, q2)
-    if phi is None or psi is None:
-        raise IdentityViolation(0, "trivialization relation exchange")
-    if phi.mul(psi) != Matrix.identity(f, q1.dim) or psi.mul(phi) != Matrix.identity(f, q2.dim):
-        raise IdentityViolation(0, "trivialization mutual inverse")
-    return phi, psi
-
-
 # ---------------------------------------------------------------------------
 # Cocyclic and cyclic modules
 # ---------------------------------------------------------------------------
@@ -607,8 +394,10 @@ def _check_tau_order(cm):
 
     With k = floor((n+1)/2), tau^{n+1} is (tau^k)^2, times tau once more
     when n+1 is odd: ceil((n+1)/2) products where powering one factor at a
-    time takes n+1, and never more than two powers alive at once.
+    time takes n+1, and never more than two powers alive at once. The power
+    is compared with the identity row by row, without building it.
     """
+    one = cm.field.one
     for n in range(cm.top + 1):
         t = cm.tau[n]
         power = t
@@ -618,7 +407,8 @@ def _check_tau_order(cm):
             power = power.mul(power)
             if n % 2 == 0:
                 power = t.mul(power)
-        if power != Matrix.identity(cm.field, cm.dims[n]):
+        if len(power.rowdict) != cm.dims[n] or any(
+                row != {i: one} for i, row in power.rowdict.items()):
             raise IdentityViolation(n, "tau^{n+1} = id")
 
 
@@ -652,26 +442,31 @@ def descend(T, quotients):
 class CocyclicModule:
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
-    ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
+    ``cofaces[n]`` lists the n+2 cofaces leaving degree n (a model builds
+    them each time they are read: every consumer reads one degree at a
+    time, in order) and ``tau[n]`` is
     the cyclic operator, None until :meth:`with_tau`. An ambient twisted CH
     complex (:func:`twisted_ch`) has no tau and carries ``actions[n][g]``,
     L_g on degree n for the algebra generators g of B, by which
     :func:`induced_complex` descends it. A module induced on quotients of an
     ambient module keeps them as ``quotients[n]``, the quotient of degree n;
     nothing of the ambient is kept but the dimensions each quotient records,
-    so it is freed once descended. The model of
-    :func:`regular.regular_cocyclic_module` has neither. Built once per run
+    so it is freed once descended. A model of :func:`regular.free_model`
+    has neither, and keeps the ``untwist`` (``regular.Untwist``) by which
+    maps between models are written. Built once per run
     at the deepest degree any consumer needs; shallower consumers take a
     truncation, which shares every matrix.
     """
 
     orientation = +1
 
-    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None):
+    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None,
+                 untwist=None):
         self.field = field
         self.over = over
         self.quotients = quotients
         self.actions = actions
+        self.untwist = untwist
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
@@ -694,7 +489,7 @@ class CocyclicModule:
         quotients = self.quotients[:top + 1] if self.quotients is not None else None
         actions = self.actions[:top + 1] if self.actions is not None else None
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], self.cofaces[:top],
-                              tau, quotients, actions)
+                              tau, quotients, actions, self.untwist)
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
@@ -731,7 +526,7 @@ class CocyclicModule:
         identities hold on a module descended from a validated ambient
         (:func:`induced_complex`), because inducing is multiplicative; a
         module built without one checks them too
-        (:func:`regular.regular_cocyclic_module`).
+        (:func:`regular.free_model`).
         """
         _check_tau_order(self)
         for n in range(1, self.top + 1):
@@ -912,15 +707,15 @@ def assemble_for_homology(side, main, X, maxdeg):
 
 
 def _face_maps(cm):
-    """Degree -> its (co)faces, for every degree a (co)face leaves."""
+    """(degree, its (co)faces) for every degree a (co)face leaves, one degree at a time."""
     if cm.orientation > 0:
-        return {n: cm.cofaces[n] for n in range(cm.top)}
-    return {n: cm.faces[n] for n in range(1, cm.top + 1)}
+        return ((n, cm.cofaces[n]) for n in range(cm.top))
+    return ((n, cm.faces[n]) for n in range(1, cm.top + 1))
 
 
 def _hochschild_complex(cm, drop_last=False):
     diffs = {n: _alternating(cm.field, faces[:len(faces) - drop_last])
-             for n, faces in _face_maps(cm).items()}
+             for n, faces in _face_maps(cm)}
     return GradedComplex(cm.field, cm.orientation, cm.dims, diffs)
 
 
@@ -951,8 +746,11 @@ def cyclic_total_complex(cm, maxtot):
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
     o = cm.orientation
-    b_full = {n: _alternating(f, faces) for n, faces in _face_maps(cm).items()}
-    b_prime = {n: _alternating(f, faces[:-1]) for n, faces in _face_maps(cm).items()}
+    built = vars(cm).get("complex")  # b, where the module's Hochschild complex exists
+    b_full, b_prime = {}, {}
+    for n, faces in _face_maps(cm):
+        b_full[n] = built.diffs[n] if built is not None else _alternating(f, faces)
+        b_prime[n] = _alternating(f, faces[:-1])
     tot_dims = []
     blocks = []  # per total degree: list of (p, q)
     for m in range(maxtot + 1):
@@ -1001,44 +799,3 @@ def homology(obj, theory, maxdeg):
 # Relative bar complex
 # ---------------------------------------------------------------------------
 
-
-def relative_bar(ses, maxdeg):
-    """The two-sided complex K (x) C^{(x) n} (x) C/K with its B-action.
-
-    Needs subcoalgebra mode so K carries its own comultiplication. Returns
-    (GradedComplex, actions) where actions[n] lists the diagonal L_b per
-    basis element; [L_b, d] = 0 is verified for the algebra generators of
-    B, which suffices because K, C and C/K are audited modules (see
-    :func:`induced_complex`).
-    """
-    if ses.mode != "subcoalgebra":
-        raise NotSubcoalgebra("relative bar complex needs a subcoalgebra")
-    C = ses.C
-    B = C.over
-    f = B.field
-    c = C.dim
-    Kmc = ses.k_module_coalgebra()
-    k = Kmc.dim
-    Q = ses.quotient
-    q = Q.dim
-    K_incl = ses.K
-    proj = ses.projection
-    sec = ses.space.section
-    rho_q = slotted(f, c, proj, 1).mul(C.base.comult).mul(sec)  # C/K -> C (x) C/K
-    delta_k_into_c = slotted(f, k, K_incl, 1).mul(Kmc.base.comult)  # K -> K (x) C
-    dims = [k * _pow(c, n) * q for n in range(maxdeg + 2)]
-    diffs = {}
-    for n in range(maxdeg + 1):
-        faces = [slotted(f, 1, delta_k_into_c, _pow(c, n) * q)]
-        for j in range(1, n + 1):
-            faces.append(slotted(f, k * _pow(c, j - 1), C.base.comult, _pow(c, n - j) * q))
-        faces.append(slotted(f, k * _pow(c, n), rho_q, 1))
-        diffs[n] = _alternating(f, faces)
-    cx = GradedComplex(f, +1, dims, diffs)
-    actions = [diagonal_action(B, [(k, Kmc.action)] + [(c, C.action)] * n + [(q, Q.action)])
-               for n in range(maxdeg + 2)]
-    for n in range(maxdeg + 1):
-        for g in B.algebra_generators:
-            if actions[n + 1][g].mul(diffs[n]) != diffs[n].mul(actions[n][g]):
-                raise ShapeMismatch(f"relative bar differential is not B-linear at degree {n}")
-    return cx, actions

@@ -586,22 +586,6 @@ def direct_sum_module_coalgebras(a, b):
     return ModuleCoalgebra(base, B, action)
 
 
-def direct_sum_comodule_algebras(a, b):
-    """Product algebra A_1 x A_2 with the componentwise coaction."""
-    B = a.over
-    f = B.field
-    incl = _summand_inclusions(f, a.dim, b.dim)
-    mult = _componentwise((a.base.mult, b.base.mult), incl, [i.kron(i) for i in incl])
-    unit = None
-    if a.base.unit is not None and b.base.unit is not None:
-        unit = _componentwise((a.base.unit, b.base.unit), incl, [Matrix.identity(f, 1)] * 2)
-    names = [f"l.{x}" for x in a.base.basis] + [f"r.{x}" for x in b.base.basis]
-    desc = BialgebraDesc(f, names, "algebra", mult=mult, unit=unit)
-    coaction = _componentwise((a.coaction, b.coaction),
-                              [slotted(f, 1, i, B.dim) for i in incl], incl)
-    return ComoduleAlgebra(desc, B, coaction)
-
-
 def regular_comodule_algebra(B):
     """B over itself with the comultiplication as the right coaction."""
     return ComoduleAlgebra(B, B, B.comult)
@@ -610,10 +594,3 @@ def regular_comodule_algebra(B):
 def regular_module_coalgebra(B):
     """B over itself by left multiplication."""
     return ModuleCoalgebra(B, B, B.mult)
-
-
-def eps_module_coalgebra(C_desc, B):
-    """Any coalgebra as a B-module coalgebra through the counit action."""
-    return ModuleCoalgebra(C_desc, B, counit_action(B, C_desc.dim))
-
-

@@ -403,27 +403,6 @@ def group_algebra(table, field, names=None):
                          counit=counit, antipode=antipode, antipode_inv=sinv)
 
 
-def dual_desc(desc):
-    """Linear dual: multiplication and comultiplication tensors transpose."""
-    return BialgebraDesc(
-        desc.field,
-        [f"{b}^" for b in desc.basis],
-        desc.level,
-        mult=desc.comult.transpose() if desc.comult is not None else None,
-        comult=desc.mult.transpose() if desc.mult is not None else None,
-        unit=desc.counit.transpose() if desc.counit is not None else None,
-        counit=desc.unit.transpose() if desc.unit is not None else None,
-        antipode=desc.antipode.transpose() if desc.antipode is not None else None,
-        antipode_inv=desc.antipode_inv.transpose() if desc.antipode_inv is not None else None,
-    )
-
-
-def dual_group_algebra(table, field, names=None):
-    """Functions on a finite group with pointwise product."""
-    base = group_algebra(table, field, names)
-    return dual_desc(base)
-
-
 def sweedler_h4(field):
     """The 4-dimensional Hopf algebra with a non-involutive antipode.
 
@@ -459,36 +438,9 @@ def sweedler_h4(field):
                          unit=unit, counit=counit, antipode=antipode, antipode_inv=sinv)
 
 
-def trivial_hopf(field):
-    """The ground field as a one-dimensional Hopf algebra."""
-    one = Matrix.identity(field, 1)
-    return BialgebraDesc(field, ["1"], "hopf", mult=one, comult=one, unit=one,
-                         counit=one, antipode=one, antipode_inv=one)
-
-
-def make_builtin(kind, params, field):
-    if kind == "group_algebra":
-        return group_algebra(params["table"], field, params.get("names"))
-    if kind == "dual_group_algebra":
-        return dual_group_algebra(params["table"], field, params.get("names"))
-    if kind == "sweedler_h4":
-        return sweedler_h4(field)
-    if kind == "trivial":
-        return trivial_hopf(field)
-    raise ParseError(f"unknown builtin kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
-# Antipode inverse and integrals
+# Integrals
 # ---------------------------------------------------------------------------
-
-
-def antipode_inverse(desc):
-    """Desc copy carrying :attr:`BialgebraDesc.inverse_antipode` as ``antipode_inv``."""
-    return BialgebraDesc(desc.field, desc.basis, desc.level, mult=desc.mult,
-                         comult=desc.comult, unit=desc.unit, counit=desc.counit,
-                         antipode=desc.antipode, antipode_inv=desc.inverse_antipode,
-                         check=False)
 
 
 def find_integral(desc, side):

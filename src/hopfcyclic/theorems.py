@@ -37,6 +37,8 @@ from .equivariant import (
     is_projective,
     make_coefficient,
     regular_bicomodule,
+    regular_comodule_algebra,
+    regular_module_coalgebra,
 )
 from .errors import (
     DegreeOutOfRange,
@@ -354,6 +356,53 @@ def _sub_bicomodule(ses):
     return EquivariantBicomodule(C, k, Kmc.action, left, right)
 
 
+def _free_bases(X, *pieces):
+    """``regular.free_bases``: a free basis W of every piece, or None."""
+    from . import regular  # imported here: it adds to every start-up otherwise
+
+    return regular.free_bases(X, *pieces)
+
+
+def _coinvariant_ch(mc, X, depth, W, M=None):
+    """CH(C, M; X) on coinvariants through ``depth``, M = C where None.
+
+    With a free basis W of M, the model on X (x) W (x) C^{(x) n}
+    (``regular.free_model``, with tau for M = C); otherwise the twisted
+    complex descended by :func:`induced_complex`, no tau.
+    """
+    if W is not None:
+        from . import regular
+
+        return regular.free_model(mc, X, W, depth, M)
+    return induced_complex(twisted_ch(mc, M or regular_bicomodule(mc), X, depth), X,
+                           check_flags=False)
+
+
+def _with_tau(mc, X, T, depth):
+    """The cocyclic module of :func:`_coinvariant_ch` ``T`` through ``depth``, with tau."""
+    if T.tau is None:
+        return assemble("coalgebra", mc, X, depth, descended=T)
+    return T if depth == T.top else T.truncate(depth)
+
+
+def _comparison(src, dst, X, m_map, c_map):
+    """The ChainMap of id_X (x) m_map (x) c_map^{(x) n} between :func:`_coinvariant_ch` complexes.
+
+    Between models it is written in model bases (``regular.Untwist.map_to``);
+    between descended complexes it is induced from the ambient, each
+    component checked to descend.
+    """
+    top = min(src.top, dst.top)
+    if src.untwist is not None:
+        return ChainMap(src.complex, dst.complex,
+                        {n: src.untwist.map_to(dst.untwist, m_map, c_map, n)
+                         for n in range(top + 1)})
+    f = src.field
+    I_x = Matrix.identity(f, X.dim)
+    return src.induce_map(dst, {n: I_x.kron(m_map).kron(_tensor_power(c_map, n, f))
+                                for n in range(top + 1)})
+
+
 def _add_hopf_hypotheses(add, B, X):
     """The rows every excision and relative checklist opens with, through ``add``."""
     try:
@@ -416,45 +465,31 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
 
     f = B.field
     c, q, k = C.dim, ses.quotient.dim, Kmc.dim
-    I_x = Matrix.identity(f, X.dim)
+    I_c, I_k, I_q = (Matrix.identity(f, n) for n in (c, k, q))
     depth_k, depth_c, depth_q = maxdeg + 3, maxdeg + 2, maxdeg + 1
     proj, incl = ses.projection, ses.K
+    W_K, W_C, W_Q = _free_bases(X, Kmc, C, ses.quotient) or (None,) * 3
 
-    # each distinct complex is built and descended once, at the deepest depth
-    # any consumer needs
-    def coinvariant_ch(mc, bicomodule, depth):
-        return induced_complex(twisted_ch(mc, bicomodule, X, depth), X, check_flags=False)
-
-    T_C_q = coinvariant_ch(C, _quotient_bicomodule(ses), depth_c)  # CH(C, C/K)
-    T_q_q = coinvariant_ch(ses.quotient, regular_bicomodule(ses.quotient), depth_c)  # CH(C/K)
-    T_K = coinvariant_ch(Kmc, regular_bicomodule(Kmc), depth_k)  # CH(K)
-    T_C_k = coinvariant_ch(C, _sub_bicomodule(ses), depth_c)  # CH(C, K)
-    T_C_C = coinvariant_ch(C, regular_bicomodule(C), depth_c)  # CH(C)
-    T_K_K = T_K.truncate(depth_c)
+    # each distinct complex is built once, at the deepest depth any consumer needs
+    T_C_q = _coinvariant_ch(C, X, depth_c, W_Q, _quotient_bicomodule(ses))  # CH(C, C/K)
+    T_q_q = _coinvariant_ch(ses.quotient, X, depth_c, W_Q)  # CH(C/K)
+    T_K = _coinvariant_ch(Kmc, X, depth_k, W_K)  # CH(K)
+    T_C_k = _coinvariant_ch(C, X, depth_c, W_K, _sub_bicomodule(ses))  # CH(C, K)
+    T_C_C = _coinvariant_ch(C, X, depth_c, W_C)  # CH(C)
 
     # intermediate weak equivalence: CH(C, C/K) -> CH(C/K)
-    f1 = T_C_q.induce_map(
-        T_q_q,
-        {n: I_x.kron(Matrix.identity(f, q)).kron(_tensor_power(proj, n, f))
-         for n in range(depth_c + 1)})
-    _, h1_ok = cone_quasi_iso(f1, maxdeg)
+    _, h1_ok = cone_quasi_iso(_comparison(T_C_q, T_q_q, X, I_q, proj), maxdeg)
     report.add_hypothesis("weak equivalence CH(C, C/K; X) -> CH(C/K; X)",
                           PASS if all(h1_ok) else FAIL, window=window)
 
     # intermediate weak equivalence: CH(K) -> CH(C, K)
-    f2 = T_K_K.induce_map(
-        T_C_k,
-        {n: I_x.kron(Matrix.identity(f, k)).kron(_tensor_power(incl, n, f))
-         for n in range(depth_c + 1)})
-    _, h2_ok = cone_quasi_iso(f2, maxdeg)
+    _, h2_ok = cone_quasi_iso(_comparison(T_K.truncate(depth_c), T_C_k, X, I_k, incl), maxdeg)
     report.add_hypothesis("weak equivalence CH(K; X) -> CH(C, K; X)",
                           PASS if all(h2_ok) else FAIL, window=window)
 
     # Hochschild-level short exact sequence of coefficient complexes
-    g1 = T_C_k.induce_map(
-        T_C_C, {n: I_x.kron(incl).kron(Matrix.identity(f, c**n)) for n in range(depth_c + 1)})
-    g2 = T_C_C.induce_map(
-        T_C_q, {n: I_x.kron(proj).kron(Matrix.identity(f, c**n)) for n in range(depth_c + 1)})
+    g1 = _comparison(T_C_k, T_C_C, X, incl, I_c)
+    g2 = _comparison(T_C_C, T_C_q, X, proj, I_c)
     ses_exact = True
     for n in range(maxdeg + 1):
         dk = T_C_k.dims[n]
@@ -467,23 +502,22 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
             ses_exact = False
     report.add_hypothesis("coefficient sequence exact after coinvariants",
                           PASS if ses_exact else FAIL, window=window)
+    # each step below reads less than the one before; what none reads is dropped
+    del T_C_q, T_C_k, g1, g2
 
     # Hochschild-level cofibration CH(K) -> CH(C) -> CH(C/K)
-    u_h = T_K.induce_map(
-        T_C_C,
-        {n: I_x.kron(incl).kron(_tensor_power(incl, n, f)) for n in range(depth_c + 1)})
-    v_h = T_C_C.induce_map(
-        T_q_q,
-        {n: I_x.kron(proj).kron(_tensor_power(proj, n, f)) for n in range(depth_c + 1)})
+    u_h = _comparison(T_K, T_C_C, X, incl, incl)
+    v_h = _comparison(T_C_C, T_q_q, X, proj, proj)
     hoch_ok = cofibration_verdicts(u_h, v_h, maxdeg)
 
     # cyclic-level cofibration on total complexes, each built once for maps and homology
-    tot_K, tot_C, tot_Q = (
-        cyclic_total_complex(assemble("coalgebra", mc, X, depth, descended=T), depth)
-        for mc, depth, T in ((Kmc, depth_k, T_K), (C, depth_c, T_C_C),
-                             (ses.quotient, depth_q, T_q_q)))
+    tot_K, tot_C, tot_Q = (cyclic_total_complex(_with_tau(mc, X, T, depth), depth)
+                           for mc, depth, T in ((Kmc, depth_k, T_K), (C, depth_c, T_C_C),
+                                                (ses.quotient, depth_q, T_q_q)))
+    del T_K, T_C_C, T_q_q
     u_tot = total_chain_map(tot_K, tot_C, u_h.components)
     v_tot = total_chain_map(tot_C, tot_Q, v_h.components)
+    del u_h, v_h
     cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)
 
     dims_K, dims_C, dims_Q = (complex_homology(t, maxdeg) for t in (tot_K, tot_C, tot_Q))
@@ -703,12 +737,13 @@ def _relative_hypotheses(ses, X, maxdeg, report):
 def _cokernel_cyclic_dims(ses, X, maxdeg):
     """Cyclic dims of the degreewise cokernel of CM(K) -> CM(C)."""
     depth = maxdeg + 1
-    cm_K = assemble("coalgebra", ses.k_module_coalgebra(), X, depth)
-    cm_C = assemble("coalgebra", ses.C, X, depth)
+    Kmc = ses.k_module_coalgebra()
+    W_K, W_C = _free_bases(X, Kmc, ses.C) or (None, None)
+    cm_K, cm_C = (_coinvariant_ch(mc, X, depth, W) if W is not None
+                  else assemble("coalgebra", mc, X, depth)
+                  for mc, W in ((Kmc, W_K), (ses.C, W_C)))
     f = cm_C.field
-    I_x = Matrix.identity(f, X.dim)
-    u = cm_K.induce_map(cm_C, {n: I_x.kron(_tensor_power(ses.K, n + 1, f))
-                               for n in range(depth + 1)})
+    u = _comparison(cm_K, cm_C, X, ses.K, ses.K)
     coker = [QuotientSpace(f, cm_C.dims[n], u.components[n].columns())
              for n in range(depth + 1)]
     return homology(descend(cm_C, coker).with_tau(cm_C.tau), "cyclic", maxdeg)
@@ -882,7 +917,7 @@ def _check_commutative_hopf(params, maxdeg):
     coact_x_q = proj.kron(Matrix.identity(f, X.dim)).mul(X.coaction)
     X_q = ModComod(qdesc, X.dim, act_x_q, coact_x_q)
     report.add_hypothesis("transported coefficient stable", PASS if X_q.stable else FAIL)
-    C_over_Q = ModuleCoalgebra(qdesc, qdesc, qdesc.mult)
+    C_over_Q = regular_module_coalgebra(qdesc)
     cm_Q = assemble("coalgebra", C_over_Q, X_q, depth)
 
     same_spaces = cm_B.dims == cm_Q.dims
@@ -986,7 +1021,7 @@ def _cocommutative_core(B, K_basis, X, maxdeg, report):
         return None
 
     depth = maxdeg + 1
-    A_q = ComoduleAlgebra(qdesc, qdesc, qdesc.comult)
+    A_q = regular_comodule_algebra(qdesc)
     cm = assemble("algebra", A_q, X_q, depth)
 
     def over_b(blocks):

@@ -656,32 +656,46 @@ def bar_resolution_differential(desc, n):
     return out
 
 
-def regular_isomorphism(C, c0, X, quotients):
-    """Degree n -> the class of x (x) b_1 (x) ... (x) b_n -> x (x) c0 (x) b_1 c0 (x) ... (x) b_n c0.
+def free_isomorphism(X, embed, c, quotients):
+    """Degree n -> the class of x (x) w (x) t -> x (x) w (x) t, w a basis vector of W.
 
-    The map from the model on X (x) B^{(x) n} of a regular module coalgebra
-    C to the coinvariant quotients of X (x) C^{(x) n+1}, as a Kronecker
-    product followed by the quotient projection.
+    The map Phi from the model on X (x) W (x) C^{(x) n} of a module
+    coalgebra free on W to the coinvariant quotients of X (x) M (x)
+    C^{(x) n}, as a Kronecker product followed by the quotient projection.
+    ``embed`` is the dim M x |W| matrix of the basis vectors W and ``c``
+    is dim C.
     """
-    f = C.base.field
-    e0 = Matrix.column(f, {c0: f.one}, C.dim)
-    orbit = C.action.mul(Matrix.identity(f, C.over.dim).kron(e0))  # b -> b c0
-    J = Matrix.identity(f, X.dim).kron(e0)
+    f = embed.field
+    J = Matrix.identity(f, X.dim).kron(embed)
     out = []
     for q in quotients:
         out.append(q.projection.mul(J))
-        J = J.kron(orbit)
+        J = J.kron(Matrix.identity(f, c))
+    return out
+
+
+def comparison_ambient(x, m_map, c_map, n):
+    """id_X (x) m_map (x) c_map^{(x) n} on the ambient twisted complexes, as Kronecker products."""
+    out = Matrix.identity(m_map.field, x).kron(m_map)
+    for _ in range(n):
+        out = out.kron(c_map)
     return out
 
 
 def is_cocyclic_isomorphism(iso, src, dst):
-    """True iff each iso[n] is invertible and iso intertwines every coface and tau, exactly."""
+    """True iff each iso[n] is invertible and iso intertwines every coface and tau, exactly.
+
+    tau is compared where both modules carry it; a module with tau is no
+    isomorph of one without.
+    """
     if len(iso) != src.top + 1 or src.dims != dst.dims:
+        return False
+    if (src.tau is None) != (dst.tau is None):
         return False
     for n, m in enumerate(iso):
         if (m.rows, m.cols) != (dst.dims[n], src.dims[n]) or rank_kernel(m)[0] != m.rows:
             return False
-        if dst.tau[n].mul(m) != m.mul(src.tau[n]):
+        if src.tau is not None and dst.tau[n].mul(m) != m.mul(src.tau[n]):
             return False
     for n in range(src.top):
         for d_src, d_dst in zip(src.cofaces[n], dst.cofaces[n], strict=True):

@@ -290,6 +290,40 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+class TestAlgebraSESFiles:
+    """The descriptions of an algebra SES, like those of a module coalgebra,
+    may be given as file paths: read, or refused by name with exit 2."""
+
+    def test_base_and_over_read_from_files(self, capsys, tmp_path):
+        fixture = FIXTURES / "z2_product_algebra_ses.json"
+        argv = ("excision", "--side", "algebra", "--max-degree", "2", "--json")
+        code, inline, _ = run(capsys, argv[0], str(fixture), *argv[1:])
+        doc = json.loads(fixture.read_text())
+        for key in ("base", "over"):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc["A"][key]))
+            doc["A"][key] = str(path)
+        ses = tmp_path / "ses.json"
+        ses.write_text(json.dumps(doc))
+        assert run(capsys, argv[0], str(ses), *argv[1:]) == (code, inline, "")
+        assert code == 0
+
+    @pytest.mark.parametrize("key", [("A", "base"), ("A", "over"), ("B",)])
+    def test_missing_file_exit_2(self, capsys, tmp_path, key):
+        doc = json.loads((FIXTURES / "z2_product_algebra_ses.json").read_text())
+        if key == ("B",):
+            doc = {"B": None, "ideal": doc["ideal"]}
+        missing = str(tmp_path / "missing.json")
+        _set(*key, "MISSING")(doc, missing)
+        ses = tmp_path / "ses.json"
+        ses.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "excision", str(ses), "--side", "algebra")
+        assert code == 2
+        assert out == ""
+        assert f"cannot read {missing}" in err
+        assert "Traceback" not in err
+
+
 class TestRelative:
     def test_quotient_mode(self, capsys):
         code, out, _ = run(capsys, "relative", str(FIXTURES / "direct_sum_ses.json"),

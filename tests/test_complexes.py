@@ -18,7 +18,7 @@ from hopfcyclic.errors import (
     ShapeMismatch,
 )
 from hopfcyclic.fields import GF, QQ
-from hopfcyclic.hopf import BialgebraDesc, group_algebra, sweedler_h4, trivial_hopf
+from hopfcyclic.hopf import BialgebraDesc, group_algebra, sweedler_h4
 from hopfcyclic.equivariant import (
     CoalgebraSES,
     ComoduleAlgebra,
@@ -28,7 +28,6 @@ from hopfcyclic.equivariant import (
     counit_action,
     make_coefficient,
     direct_sum_module_coalgebras,
-    eps_module_coalgebra,
     regular_bicomodule,
     regular_module_coalgebra,
     unit_coaction,
@@ -39,17 +38,10 @@ from hopfcyclic.complexes import (
     assemble_for_homology,
     bar_complex,
     coinvariant_space_from_matrices,
-    cotensor,
-    cotor,
     cyclic_total_complex,
-    diagonal_action,
-    doi_check,
-    shear_map,
     homology,
     induced_complex,
-    relative_bar,
     twisted_ch,
-    untwist,
 )
 from hopfcyclic.linalg import (
     GradedComplex,
@@ -65,6 +57,17 @@ from hopfcyclic.serialize import module_coalgebra_from_json
 from hopfcyclic import complexes, regular, theorems
 from hopfcyclic.regular import regular_grouplike
 
+from lemmas import (
+    cotensor,
+    cotor,
+    diagonal_action,
+    doi_check,
+    eps_module_coalgebra,
+    relative_bar,
+    shear_map,
+    trivial_hopf,
+    untwist,
+)
 import oracles
 from groups import cyclic_table
 from oracles import dense_rank_of_matrix
@@ -624,7 +627,7 @@ class TestHomology:
 
     def test_bar_vanishes_for_counital_over_trivial_b(self, k_q, z2_q):
         # B = k, C = Q[Z/2] through the counit action of the trivial Hopf algebra
-        from hopfcyclic.equivariant import eps_module_coalgebra
+        from lemmas import eps_module_coalgebra
 
         mc = eps_module_coalgebra(z2_q, k_q)
         X = make_coefficient("eps", k_q)
@@ -682,9 +685,14 @@ def _relabelled(mc, perm):
     f = mc.base.field
     n = mc.dim
     P = Matrix.from_entries(f, n, n, [(perm[i], i, f.one) for i in range(n)])
-    Pinv = P.transpose()
-    desc = BialgebraDesc(f, [mc.base.basis[perm.index(i)] for i in range(n)], "coalgebra",
-                         comult=P.kron(P).mul(mc.base.comult).mul(Pinv),
+    return _rebased(mc, P, [mc.base.basis[perm.index(i)] for i in range(n)])
+
+
+def _rebased(mc, P, names):
+    """``mc`` in the coordinates x' = P x, with its basis renamed ``names``."""
+    f = mc.base.field
+    Pinv = invert(P)
+    desc = BialgebraDesc(f, names, "coalgebra", comult=P.kron(P).mul(mc.base.comult).mul(Pinv),
                          counit=mc.base.counit.mul(Pinv))
     action = P.mul(mc.action).mul(Matrix.identity(f, mc.over.dim).kron(Pinv))
     return ModuleCoalgebra(desc, mc.over, action)
@@ -695,8 +703,47 @@ def _bump(M, i=0, j=0):
     return M.add(Matrix.from_entries(M.field, M.rows, M.cols, [(i, j, M.field.one)]))
 
 
+class TestFreeModel:
+    """The model on X (x) W (x) C^{(x) n} where W holds no grouplike vector."""
+
+    @staticmethod
+    def _unit_plus_x(h4):
+        """Sweedler's H4 on itself in the basis 1 + x, g, x, gx: 1 + x is free, not grouplike."""
+        f = h4.field
+        P = Matrix.from_entries(f, 4, 4, [(0, 0, f.one), (2, 0, f.neg(f.one)), (1, 1, f.one),
+                                          (2, 2, f.one), (3, 3, f.one)])  # e_0 = 1 + x
+        return _rebased(regular_module_coalgebra(h4), P, ["1+x", "g", "x", "gx"])
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_d0_and_the_last_coface_untwisted(self, fname):
+        h4 = sweedler_h4(REGULAR_FIELDS[fname])
+        C = self._unit_plus_x(h4)
+        X = make_coefficient("r_ad", h4)
+        assert regular_grouplike(C) == 1  # g: the regular model keeps it
+        W = regular.free_basis(h4, C.dim, C.action)
+        assert W == [0] and not regular.Untwist(C, X, W).slotted_d0
+        # the session fixture checks both against the descended modules
+        for M in (None, regular_bicomodule(C)):
+            cm = regular.free_model(C, X, W, 3, M)
+            assert (cm.tau is None) == (M is not None)
+        assert homology(cm, "hochschild", 2) == homology(
+            assemble("coalgebra", C, X, 3), "hochschild", 2)
+
+    def test_d0_mutant_that_only_the_d0_identities_see_rejected(self, monkeypatch, h4_q):
+        # with no tau and d_0 not slotted, d_0 out of degree 2 bumped at
+        # (0, 1) passes every identity with the last coface; d_1 d_0 = d_0 d_0
+        # rejects it
+        C = self._unit_plus_x(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        real = regular._model_cofaces
+        monkeypatch.setattr(regular, "_model_cofaces", lambda u, n: [
+            _bump(d, 0, 1) if (n, i) == (2, 0) else d for i, d in enumerate(real(u, n))])
+        with pytest.raises(IdentityViolation, match="'d_1 d_0 = d_0 d_0' fails in degree 1"):
+            regular.free_model(C, X, [0], 3, regular_bicomodule(C))
+
+
 class TestRegularModel:
-    """The model on X (x) B^{(x) n} of a regular module coalgebra."""
+    """The model on X (x) W (x) C^{(x) n}, W = {c0}, of a regular module coalgebra."""
 
     @pytest.mark.parametrize("coefficient", ["r_ad", "ad_r"])
     @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
@@ -755,9 +802,9 @@ class TestRegularModel:
                 assemble_for_homology("coalgebra", C, X, 2)
 
     def test_perturbed_tau_rejected(self, monkeypatch, h4_q):
-        real = regular._regular_rotation
-        monkeypatch.setattr(regular, "_regular_rotation",
-                            lambda B, X, n: _bump(real(B, X, n)) if n == 2 else real(B, X, n))
+        real = regular._model_rotation
+        monkeypatch.setattr(regular, "_model_rotation",
+                            lambda u, n: _bump(real(u, n)) if n == 2 else real(u, n))
         with pytest.raises(IdentityViolation):
             regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
@@ -765,9 +812,9 @@ class TestRegularModel:
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_perturbed_coface_rejected(self, monkeypatch, h4_q, j):
         # each coface out of degree 2: d_0, the middle d_1 and d_2, the last d_3
-        real = regular._regular_cofaces
-        monkeypatch.setattr(regular, "_regular_cofaces", lambda B, X, n: [
-            _bump(d) if (n, i) == (2, j) else d for i, d in enumerate(real(B, X, n))])
+        real = regular._model_cofaces
+        monkeypatch.setattr(regular, "_model_cofaces", lambda u, n: [
+            _bump(d) if (n, i) == (2, j) else d for i, d in enumerate(real(u, n))])
         with pytest.raises(IdentityViolation):
             regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
@@ -776,18 +823,18 @@ class TestRegularModel:
         # d_0 out of degree 1 perturbed and the other cofaces out of degree 1
         # rebuilt from it as d_j = tau^{-1} d_{j-1} tau, so every tau
         # identity holds and only d_k d_0 = d_0 d_{k-1} can fail
-        real = regular._regular_cofaces
+        real = regular._model_cofaces
 
-        def mutant(B, X, n):
+        def mutant(u, n):
             if n != 1:
-                return real(B, X, n)
-            tau1, tau2 = (regular._regular_rotation(B, X, k) for k in (1, 2))
-            faces = [_bump(real(B, X, 1)[0], 5, 3)]
+                return real(u, n)
+            tau1, tau2 = (regular._model_rotation(u, k) for k in (1, 2))
+            faces = [_bump(real(u, 1)[0], 5, 3)]
             for _ in range(2):
                 faces.append(tau2.mul(tau2).mul(faces[-1]).mul(tau1))  # tau^3 = id in degree 2
             return faces
 
-        monkeypatch.setattr(regular, "_regular_cofaces", mutant)
+        monkeypatch.setattr(regular, "_model_cofaces", mutant)
         with pytest.raises(IdentityViolation, match=r"'d_\d d_0 = d_0 d_\d'"):
             regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
                                               make_coefficient("r_ad", h4_q), 3)
@@ -797,7 +844,7 @@ class TestRegularModel:
         X = make_coefficient("r_ad", h4_q)
         cm = regular.regular_cocyclic_module(C, X, 3)
         descended = assemble("coalgebra", C, X, 3)
-        iso = oracles.regular_isomorphism(C, 0, X, descended.quotients)
+        iso = oracles.free_isomorphism(X, cm.untwist.embed, C.dim, descended.quotients)
         assert oracles.is_cocyclic_isomorphism(iso, cm, descended)
         for n in range(4):
             bumped = [_bump(m) if k == n else m for k, m in enumerate(iso)]

@@ -19,7 +19,6 @@ from hopfcyclic.equivariant import (
     counit_action,
     direct_sum_coalgebras,
     direct_sum_module_coalgebras,
-    eps_module_coalgebra,
     h_counitality_probe,
     is_projective,
     make_coefficient,
@@ -31,6 +30,7 @@ from hopfcyclic.equivariant import (
 from hopfcyclic.linalg import Matrix
 
 from groups import cyclic_table, symmetric_table
+from lemmas import eps_module_coalgebra
 
 
 class TestStructureAudits:

@@ -29,8 +29,13 @@ EXAMPLES = {
     "excision_algebra_z2_product": (
         ["excision", f"{F}/z2_product_algebra_ses.json", "--side", "algebra",
          "--max-degree", "3"], 0),
+    "excision_grouplike_counit": (
+        ["excision", f"{F}/grouplike_counit_ses.json", "--max-degree", "3"], 0),
     "relative_cokernel": (
         ["relative", f"{F}/direct_sum_ses.json", "--mode", "cokernel", "--max-degree", "3"], 0),
+    "relative_cokernel_grouplike_counit": (
+        ["relative", f"{F}/grouplike_counit_ses.json", "--mode", "cokernel",
+         "--max-degree", "3"], 0),
     "relative_quotient": (
         ["relative", f"{F}/z4_coideal_ses.json", "--mode", "quotient", "--max-degree", "3"], 1),
     "group_example_z4": (

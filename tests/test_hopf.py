@@ -9,20 +9,16 @@ from hopfcyclic.errors import AuditFailed, NotAGroup, NotInvertible
 from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import (
     BialgebraDesc,
-    antipode_inverse,
     audit,
     desc_from_json,
-    dual_desc,
-    dual_group_algebra,
     find_integral,
     group_algebra,
-    make_builtin,
     sweedler_h4,
-    trivial_hopf,
 )
 from hopfcyclic.linalg import Matrix
 
 from groups import cyclic_table, symmetric_table
+from lemmas import antipode_inverse, dual_desc, dual_group_algebra, make_builtin, trivial_hopf
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 

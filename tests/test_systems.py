@@ -22,7 +22,6 @@ from hopfcyclic.equivariant import (
     ComoduleAlgebra,
     ModuleCoalgebra,
     counit_action,
-    direct_sum_comodule_algebras,
     direct_sum_coalgebras,
     direct_sum_module_coalgebras,
     regular_comodule_algebra,
@@ -35,6 +34,7 @@ from hopfcyclic.hopf import BialgebraDesc, find_integral, group_algebra, sweedle
 from hopfcyclic.linalg import Matrix
 from hopfcyclic.theorems import AlgebraSES, _two_sided_ideal_closure
 
+from lemmas import direct_sum_comodule_algebras
 import oracles
 from groups import cyclic_table
 

@@ -2,10 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from hopfcyclic import complexes, equivariant, hopf, theorems
-from hopfcyclic.cli import parse_input
+from hopfcyclic import complexes, equivariant, hopf, regular, theorems
+from hopfcyclic.cli import main, parse_input
+from hopfcyclic.complexes import CocyclicModule
 from hopfcyclic.errors import (
     DegreeOutOfRange,
+    IdentityViolation,
     NotAGroup,
     NotBStable,
     OrientationMismatch,
@@ -15,6 +17,7 @@ from hopfcyclic.fields import GF, QQ
 from hopfcyclic.hopf import BialgebraDesc, group_algebra
 from hopfcyclic.equivariant import (
     ComoduleAlgebra,
+    ModComod,
     counit_action,
     direct_sum_module_coalgebras,
     make_coefficient,
@@ -41,6 +44,11 @@ from hopfcyclic.theorems import (
 from groups import cyclic_table, dihedral_table, symmetric_table
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
+
+
+def _bump(M, i=0, j=0):
+    """M plus one at entry (i, j)."""
+    return M.add(Matrix.from_entries(M.field, M.rows, M.cols, [(i, j, M.field.one)]))
 
 
 def flat(field, dims):
@@ -211,11 +219,13 @@ class TestExcisionCoalgebra:
         assert sides == ["cointegral"]
 
     def test_each_coface_and_map_induced_once(self, monkeypatch):
-        # every coface of the five complexes, every cyclic operator and every
-        # component of f1, f2, g1, g2, u and v is induced exactly once: the
-        # cyclic-level u and v reuse the Hochschild-level components. Only the
-        # last coface of each degree, each tau and each component is checked,
-        # in the product form; d_0 ... d_n descend by the commutator checks
+        # on the descended path (no free bases), every coface of the five
+        # complexes, every cyclic operator and every component of f1, f2,
+        # g1, g2, u and v is induced exactly once: the cyclic-level u and v
+        # reuse the Hochschild-level components. Only the last coface of
+        # each degree, each tau and each component is checked, in the
+        # product form; d_0 ... d_n descend by the commutator checks
+        monkeypatch.setattr(theorems, "_free_bases", lambda X, *pieces: None)
         induced, checked, totals = [], [], []
         real_induce, real_check = QuotientSpace.induce, complexes.map_well_defined
         real_total = complexes.cyclic_total_complex
@@ -263,7 +273,7 @@ class TestExcisionCoalgebra:
 
     def test_classical_coalgebra_excision_b_trivial(self, k_q):
         # B = k: the theorem reduces to coalgebra excision
-        from hopfcyclic.equivariant import eps_module_coalgebra
+        from lemmas import eps_module_coalgebra
 
         z2 = group_algebra(cyclic_table(2), QQ)
         C1 = eps_module_coalgebra(z2, k_q)
@@ -273,6 +283,166 @@ class TestExcisionCoalgebra:
         X = make_coefficient("eps", k_q)
         rep = verify_excision(ses, X, "coalgebra", 2)
         assert rep.all_pass
+
+
+class TestFreeModels:
+    """Coalgebra excision and the cokernel construction on free pieces: the model path."""
+
+    @staticmethod
+    def _paths(monkeypatch):
+        """Counts of model builds and of twisted complexes built to be descended."""
+        counts = {"model": 0, "descended": 0}
+        build, twisted = regular.free_model, complexes.twisted_ch
+
+        def counting_build(*args, **kwargs):
+            counts["model"] += 1
+            return build(*args, **kwargs)
+
+        def counting_twisted(*args, **kwargs):
+            counts["descended"] += 1
+            return twisted(*args, **kwargs)
+
+        monkeypatch.setattr(regular, "free_model", counting_build)
+        monkeypatch.setattr(complexes, "twisted_ch", counting_twisted)
+        monkeypatch.setattr(theorems, "twisted_ch", counting_twisted)
+        return counts
+
+    @pytest.mark.parametrize("verb", ["excision", "relative"])
+    @pytest.mark.parametrize("fixture, field, path, certified", [
+        ("direct_sum_ses.json", "Q", "model", True),
+        ("direct_sum_ses.json", "Fp:2", "model", False),  # X not projective over F_2[Z/2]
+        ("direct_sum_ses.json", "Fp:3", "model", True),
+        ("grouplike_counit_ses.json", "Q", "descended", True),
+    ])
+    def test_each_fixture_takes_its_path(self, monkeypatch, capsys,
+                                         every_model_is_the_descended_module,
+                                         verb, fixture, field, path, certified):
+        # every piece of direct_sum_ses is free over B (|W| = 2, 1, 1); the
+        # counit action on k{e, g} makes no piece free
+        self._unchecked(monkeypatch, every_model_is_the_descended_module)
+        counts = self._paths(monkeypatch)
+        argv = [verb, str(FIXTURES / fixture), "--max-degree", "2", "--field", field]
+        code = main(argv + (["--mode", "cokernel"] if verb == "relative" else []))
+        assert code == (0 if certified else 1)
+        # the five CH complexes; CM(K) and CM(C), and CM(C/K) for the quotient
+        # construction that a certified comparison computes too
+        built = 5 if verb == "excision" else 2 + certified
+        assert counts == {path: built, ({"model", "descended"} - {path}).pop(): 0}
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+    def test_model_and_descended_reports_agree(self, monkeypatch, field):
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"), field.name)
+        X = make_coefficient("eps", ses.C.over)
+        model = verify_excision(ses, X, "coalgebra", 2).json_str()
+        dims = relative_hc(ses.C, ses.K, X, "cokernel", 2)[0]
+        monkeypatch.setattr(theorems, "_free_bases", lambda X, *pieces: None)
+        assert verify_excision(ses, X, "coalgebra", 2).json_str() == model
+        assert relative_hc(ses.C, ses.K, X, "cokernel", 2)[0] == dims
+
+    def test_free_bases_found_exactly(self):
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        W_K, W_C, W_Q = regular.free_bases(X, ses.k_module_coalgebra(), ses.C, ses.quotient)
+        assert (len(W_K), len(W_C), len(W_Q)) == (1, 2, 1)
+        plain = parse_input(str(FIXTURES / "grouplike_counit_ses.json"))
+        assert regular.free_basis(plain.C.over, plain.C.dim, plain.C.action) is None
+        unstable = ModComod(ses.C.over, 1, counit_action(ses.C.over, 1),
+                            Matrix.zero(QQ, 2, 1))  # not stable: the coaction is zero
+        assert regular.free_bases(unstable, ses.C) is None
+
+    @pytest.mark.parametrize("W", [[0], [0, 1]])
+    def test_w_not_a_basis_rejected(self, W):
+        # one vector cannot span a 4-dimensional module over a 2-dimensional
+        # B; l.e and l.g1 span only the summand B l.e
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        match = "cannot make" if len(W) == 1 else "do not make the bicomodule free"
+        with pytest.raises(ShapeMismatch, match=match):
+            regular.free_model(ses.C, X, W, 2)
+
+    @staticmethod
+    def _unchecked(monkeypatch, every_model_is_the_descended_module):
+        """The package's builder and map writer, without the session's oracle."""
+        build, map_to = every_model_is_the_descended_module
+        monkeypatch.setattr(regular, "free_model", build)
+        monkeypatch.setattr(regular.Untwist, "map_to", map_to)
+
+    @pytest.mark.parametrize("piece, check", [
+        ("sub", "chain map does not commute"),  # CH(C, K), no tau: the squares of f2 and g1
+        ("quotient", "chain map does not commute"),  # CH(C, C/K), no tau: f1 and g2
+        ("regular", "tau"),  # CH(C): a tau identity
+    ])
+    def test_top_coface_bump_rejected(self, monkeypatch, every_model_is_the_descended_module,
+                                      every_coface_identity_holds, piece, check):
+        # the last coface into the top degree bumped at an entry that every
+        # coface identity misses; the named check rejects it
+        self._unchecked(monkeypatch, every_model_is_the_descended_module)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        W_K, W_C, W_Q = regular.free_bases(X, ses.k_module_coalgebra(), ses.C, ses.quotient)
+        M, W = {"sub": (theorems._sub_bicomodule(ses), W_K),
+                "quotient": (theorems._quotient_bicomodule(ses), W_Q),
+                "regular": (None, W_C)}[piece]
+        target = regular.Untwist(ses.C, X, W, M).left
+        real = regular._model_cofaces
+        top = 3  # maxdeg 1: CH(C), CH(C, K) and CH(C, C/K) through degree 3
+        clean = real(regular.Untwist(ses.C, X, W, M), top - 1)
+        bump = next((r, c) for r in range(clean[-1].rows) for c in range(clean[-1].cols)
+                    if self._unseen(every_coface_identity_holds, ses.C, X, W, M, top, (r, c)))
+
+        def bumped(u, n):
+            faces = real(u, n)
+            if n == top - 1 and u.C is ses.C and u.left == target:
+                faces[-1] = _bump(faces[-1], *bump)
+            return faces
+
+        monkeypatch.setattr(regular, "_model_cofaces", bumped)
+        error = ShapeMismatch if piece != "regular" else IdentityViolation
+        with pytest.raises(error, match=check):
+            verify_excision(ses, X, "coalgebra", 1)
+
+    @staticmethod
+    def _unseen(reduced_check, C, X, W, M, top, entry):
+        """True iff the last coface into ``top``, bumped at ``entry``, passes the coface check."""
+        u = regular.Untwist(C, X, W, M)
+        cofaces = [regular._model_cofaces(u, n) for n in range(top)]
+        cofaces[-1][-1] = _bump(cofaces[-1][-1], *entry)
+        dims = [X.dim * len(W) * C.dim ** n for n in range(top + 1)]
+        try:
+            reduced_check(CocyclicModule(C.over.field, C.over, dims, cofaces), u.slotted_d0)
+        except IdentityViolation:
+            return False
+        return True
+
+    def test_perturbed_tau_rejected(self, monkeypatch, every_model_is_the_descended_module):
+        self._unchecked(monkeypatch, every_model_is_the_descended_module)
+        real = regular._model_rotation
+        monkeypatch.setattr(regular, "_model_rotation",
+                            lambda u, n: _bump(real(u, n)) if n == 2 else real(u, n))
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        with pytest.raises(IdentityViolation, match="tau"):
+            verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3, 4, 5])
+    def test_perturbed_comparison_map_rejected(self, monkeypatch,
+                                               every_model_is_the_descended_module, which):
+        # f1, f2, g1, g2, u and v in the order excision writes them, each
+        # bumped in degree 1: its own ChainMap squares reject it
+        self._unchecked(monkeypatch, every_model_is_the_descended_module)
+        real = regular.Untwist.map_to
+        calls = []
+
+        def bumped(src, dst, m_map, c_map, n):
+            comp = real(src, dst, m_map, c_map, n)
+            if n == 0:
+                calls.append(None)
+            return _bump(comp) if n == 1 and len(calls) == which + 1 else comp
+
+        monkeypatch.setattr(regular.Untwist, "map_to", bumped)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        with pytest.raises(ShapeMismatch, match="chain map does not commute"):
+            verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
 
 
 class TestExcisionAlgebra:
@@ -293,10 +463,8 @@ class TestExcisionAlgebra:
         assert d0 == {"I": 1, "A": 2, "A/I": 1}
 
     def test_product_algebra_over_group_algebra(self, z2_q):
-        from hopfcyclic.equivariant import (
-            direct_sum_comodule_algebras,
-            regular_comodule_algebra,
-        )
+        from hopfcyclic.equivariant import regular_comodule_algebra
+        from lemmas import direct_sum_comodule_algebras
 
         A1 = regular_comodule_algebra(z2_q)
         A = direct_sum_comodule_algebras(A1, A1)
