@@ -18,13 +18,14 @@ from hopfcyclic.hopf import BialgebraDesc, group_algebra
 from hopfcyclic.equivariant import (
     ComoduleAlgebra,
     ModComod,
+    ModuleCoalgebra,
     counit_action,
     direct_sum_module_coalgebras,
     make_coefficient,
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic.linalg import GradedComplex, Matrix, QuotientSpace, complex_homology
+from hopfcyclic.linalg import GradedComplex, Matrix, QuotientSpace, complex_homology, invert
 from hopfcyclic.theorems import (
     AlgebraSES,
     ChainMap,
@@ -259,14 +260,29 @@ class TestExcisionCoalgebra:
         assert len(induced) == first_cofaces
         assert sorted(totals) == [2, 3, 4]  # CM(C/K), CM(C), CM(K): one each
 
-    def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q):
+    @pytest.mark.parametrize("first", ["1", "1 + x"])
+    def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q, first):
         # non-cocommutative base with the co-adjoint SaYD coefficient: the
-        # checklist exercises the aYD flag and every verdict certifies
+        # checklist exercises the aYD flag and every verdict certifies. With
+        # the first basis vector of K = the left summand 1 + x, K's free
+        # basis {1 + x} is not grouplike: CH(K) and CH(C, K) untwist d_0 and
+        # their last coface (the session fixture checks every model and map)
         C1 = regular_module_coalgebra(h4_q)
-        C = direct_sum_module_coalgebras(C1, C1)
+        if first == "1 + x":
+            P = Matrix.from_entries(QQ, 4, 4, [(i, i, QQ.one) for i in range(4)]
+                                    + [(2, 0, QQ.neg(QQ.one))])  # e_0 = 1 + x
+            Pinv = invert(P)
+            desc = BialgebraDesc(QQ, ["1+x", "g", "x", "gx"], "coalgebra",
+                                 comult=P.kron(P).mul(h4_q.comult).mul(Pinv),
+                                 counit=h4_q.counit.mul(Pinv))
+            C1 = ModuleCoalgebra(desc, h4_q, P.mul(h4_q.mult).mul(
+                Matrix.identity(QQ, 4).kron(Pinv)))
+        C = direct_sum_module_coalgebras(C1, regular_module_coalgebra(h4_q))
         K = Matrix.from_entries(QQ, 8, 4, [(i, i, QQ.one) for i in range(4)])
         ses = quotient_ses(C, K, "subcoalgebra")
         X = make_coefficient("r_ad", h4_q)
+        W_K = regular.free_bases(X, ses.k_module_coalgebra())[0]
+        assert regular.Untwist(ses.k_module_coalgebra(), X, W_K).slotted_d0 == (first == "1")
         rep = verify_excision(ses, X, "coalgebra", 1)
         assert rep.hypothesis("coefficient anti-Yetter-Drinfeld").verdict == "PASS"
         assert rep.all_pass
