@@ -686,18 +686,18 @@ def _algebra_degree(A, X, inclusions, n):
 def assemble_for_homology(side, main, X, maxdeg):
     """:func:`assemble` for a caller that reads nothing but the (co)cyclic module.
 
-    The result may be the model of :func:`regular.regular_cocyclic_module`,
-    which has the same homology in another basis and no quotients to induce
-    ambient maps through. It is taken on the coalgebra side exactly when C
-    has a c0 of :func:`regular.regular_grouplike` and X is stable and
-    anti-Yetter-Drinfeld; ``X.ayd`` holds only where B has an inverse
-    antipode. Otherwise this is :func:`assemble`.
+    On the coalgebra side the result is the model of :func:`regular.free_model`
+    exactly when :func:`regular.free_bases` finds a free basis of C (and X
+    is stable and anti-Yetter-Drinfeld): it has the same homology in
+    another basis and no quotients to induce ambient maps through.
+    Otherwise this is :func:`assemble`.
     """
-    if side == "coalgebra" and X.stable and X.ayd:
+    if side == "coalgebra":
         from . import regular  # imported here: it adds to every start-up otherwise
 
-        if regular.regular_grouplike(main) is not None:
-            return regular.regular_cocyclic_module(main, X, maxdeg)
+        bases = regular.free_bases(X, main)
+        if bases is not None:
+            return regular.free_model(main, X, bases[0], maxdeg)
     return assemble(side, main, X, maxdeg)
 
 

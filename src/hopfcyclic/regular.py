@@ -8,10 +8,9 @@ coinvariants are X (x) W (x) C^{(x) n} (Connes-Moscovici, Comm. Math. Phys.
 that model the cofaces, the cyclic operator (for M = C) and the comparison
 maps of the coinvariant complexes, from the structure maps, with no ambient
 complex and no quotient; it checks on them every identity that the audits
-do not imply. B acting on itself is the case W = {c0}
-(:func:`regular_cocyclic_module`). ``complexes.assemble_for_homology`` and
-the coalgebra-side drivers of ``theorems`` take it; every start-up that does
-not leaves this module unimported.
+do not imply. ``complexes.assemble_for_homology`` and the coalgebra-side
+drivers of ``theorems`` take it wherever :func:`free_bases` finds W; every
+start-up that does not leaves this module unimported.
 """
 
 import collections.abc
@@ -62,47 +61,6 @@ def free_bases(X, *pieces):
 def _embedding(field, dim, W):
     """The dim x |W| matrix of the basis vectors W."""
     return Matrix(field, dim, len(W), {w: {k: field.one} for k, w in enumerate(W)})
-
-
-def regular_grouplike(C):
-    """A basis index c0 of C with Delta(c0) = c0 (x) c0 and b -> b c0 bijective, or None.
-
-    Such a c0 makes phi(b) = b c0 an isomorphism B -> C of module
-    coalgebras, from the module-coalgebra axioms that the construction of C
-    audits. phi is B-linear, phi(a b) = (a b) c0 = a (b c0), by the audited
-    associativity, and phi(1) = c0 by unitality. It preserves the
-    comultiplication: by the audited compatibility and Delta(c0) =
-    c0 (x) c0, Delta(b c0) = b_(1) c0 (x) b_(2) c0 = (phi (x) phi) Delta(b).
-    It is bijective by the rank test. So C is free on W = {c0}, and as c0 is
-    grouplike, d_0 and the last coface of :func:`free_model` need no
-    untwisting.
-    """
-    f = C.base.field
-    n = C.dim
-    if n != C.over.dim:
-        return None
-    columns = C.base.comult.coldict()
-    for c0 in range(n):
-        if columns.get(c0) == {c0 * n + c0: f.one}:
-            e0 = Matrix.column(f, {c0: f.one}, n)
-            if rank(C.action.mul(Matrix.identity(f, n).kron(e0))) == n:  # b -> b c0
-                return c0
-    return None
-
-
-def regular_cocyclic_module(C, X, maxdeg):
-    """The cocyclic module of (C, B, X) for C regular: :func:`free_model` on W = {c0}.
-
-    C must have a c0 of :func:`regular_grouplike`. The model is X (x) C^{(x) n};
-    for C = B acting on itself and c0 = 1 its cofaces and tau are those of
-    the model on X (x) B^{(x) n}: d_0 inserts 1, d_j is Delta on a_j, the
-    last coface is x (x) a -> x_(0) (x) a (x) x_(-1), and tau is
-    x (x) a_1 (x) a -> S(a_1) (x_(0) (x) a (x) x_(-1)).
-    """
-    c0 = regular_grouplike(C)
-    if c0 is None:
-        raise ShapeMismatch("module coalgebra has no grouplike c0 with b -> b c0 bijective")
-    return free_model(C, X, [c0], maxdeg)
 
 
 def free_model(C, X, W, maxdeg, M=None):
@@ -270,11 +228,15 @@ class _Cofaces(collections.abc.Sequence):
     its reader holds it, so a model holds none of its large degrees between
     the four readers (the two identity checks, the Hochschild complex and
     the cyclic total complex), each of which reads one degree at a time.
-    Keeping the small degrees costs little memory and spares small runs
-    three rebuilds; keeping the large ones would set the peak (out of
-    degree 7, CH(C) of ``direct_sum_ses.json`` has 9 cofaces of 32768
-    columns). A prefix slice shares what is kept
-    (``CocyclicModule.truncate``).
+    KEEP is measured, on ``excision direct_sum_ses.json`` over Q (a
+    2-vCPU host). Keeping nothing makes perfbench's excision-coalgebra
+    (degree 2) take 0.061 s against 0.049 s (10 of 10 pairs). Keeping
+    everything raises the peak at degree 5 from 102 to 123 MB and at
+    degree 6 from 367 to 480 MB (out of degree 7, CH(C) has 9 cofaces of
+    32768 columns). From 2^10 to 2^14 the times agree within noise and
+    the peaks within 5 MB (97-102 MB at degree 5, 362-367 MB at degree
+    6); 2^14 keeps the most of them. 2^16 peaks at 122 and 384 MB. A
+    prefix slice shares what is kept (``CocyclicModule.truncate``).
     """
 
     KEEP = 1 << 14

@@ -5,10 +5,9 @@ import pytest
 
 from hopfcyclic import cli, complexes
 from hopfcyclic.cli import main, parse_input
-from hopfcyclic.complexes import assemble, cyclic_total_complex, homology
+from hopfcyclic.complexes import assemble, assemble_for_homology, cyclic_total_complex, homology
 from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
 from hopfcyclic.errors import ParseError
-from hopfcyclic.regular import regular_cocyclic_module
 from hopfcyclic.serialize import complex_dump, dumps
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
@@ -92,7 +91,7 @@ class TestHomology:
         assert code == 0
         mc = parse_input(path)
         X = make_coefficient("r_ad", mc.over)
-        model = cyclic_total_complex(regular_cocyclic_module(mc, X, 2), 2)
+        model = cyclic_total_complex(assemble_for_homology("coalgebra", mc, X, 2), 2)
         assert json.loads(dump.read_text()) == json.loads(
             dumps(complex_dump({"cyclic_total": model})))
         assert model.dims == cyclic_total_complex(assemble("coalgebra", mc, X, 2), 2).dims

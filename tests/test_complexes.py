@@ -55,7 +55,6 @@ from hopfcyclic.linalg import (
 
 from hopfcyclic.serialize import module_coalgebra_from_json
 from hopfcyclic import complexes, regular, theorems
-from hopfcyclic.regular import regular_grouplike
 
 from lemmas import (
     cotensor,
@@ -396,7 +395,7 @@ def test_coface_shape_mutant_rejected(kind, mutation, h4_q, every_coface_identit
     mc = regular_module_coalgebra(h4_q)
     X = make_coefficient("r_ad", h4_q)
     cm = (twisted_ch(mc, regular_bicomodule(mc), X, 2) if kind == "twisted CH"
-          else regular.regular_cocyclic_module(mc, X, 2))
+          else assemble_for_homology("coalgebra", mc, X, 2))
     cofaces = [list(faces) for faces in cm.cofaces]
     if mutation == "n+1 cofaces":
         del cofaces[1][-1]
@@ -719,9 +718,9 @@ class TestFreeModel:
         h4 = sweedler_h4(REGULAR_FIELDS[fname])
         C = self._unit_plus_x(h4)
         X = make_coefficient("r_ad", h4)
-        assert regular_grouplike(C) == 1  # g: the regular model keeps it
         W = regular.free_basis(h4, C.dim, C.action)
         assert W == [0] and not regular.Untwist(C, X, W).slotted_d0
+        assert assemble_for_homology("coalgebra", C, X, 3).untwist.W == W
         # the session fixture checks both against the descended modules
         for M in (None, regular_bicomodule(C)):
             cm = regular.free_model(C, X, W, 3, M)
@@ -776,20 +775,26 @@ class TestRegularModel:
         X = make_coefficient("r_ad", B)
         for perm in itertools.permutations(range(4)):
             mc = _relabelled(C, list(perm))
-            assert regular_grouplike(mc) in (perm[0], perm[1]), perm
             cm = assemble_for_homology("coalgebra", mc, X, 2)
+            assert cm.untwist.W in ([perm[0]], [perm[1]]), perm
             assert cm.quotients is None and homology(cm, "cyclic", 1) == [2, 1]
 
     def test_without_a_suitable_c0_the_descended_path_is_taken(self, z2_q, k_eps_z2):
-        # C (+) C has no c0 at all (dim 4 over dim 2); the counit action on
-        # Q[Z/2] has c0 = e grouplike, but b -> eps(b) e is not bijective
+        # the counit action on Q[Z/2] has c0 = e grouplike, but b -> eps(b) e
+        # is not bijective: no free basis, so it descends
+        mc = eps_module_coalgebra(z2_q, z2_q)
+        assert regular.free_basis(z2_q, mc.dim, mc.action) is None
+        assert assemble_for_homology("coalgebra", mc, k_eps_z2, 2).quotients is not None
+
+    def test_free_on_two_basis_vectors_takes_the_model(self, z2_q, k_eps_z2):
+        # C (+) C has no basis vector that generates it, but is free on two
         C1 = regular_module_coalgebra(z2_q)
-        for mc in (direct_sum_module_coalgebras(C1, C1), eps_module_coalgebra(z2_q, z2_q)):
-            assert regular_grouplike(mc) is None
-            cm = assemble_for_homology("coalgebra", mc, k_eps_z2, 2)
-            assert cm.quotients is not None
-            with pytest.raises(ShapeMismatch, match="no grouplike c0"):
-                regular.regular_cocyclic_module(mc, k_eps_z2, 2)
+        mc = direct_sum_module_coalgebras(C1, C1)
+        cm = assemble_for_homology("coalgebra", mc, k_eps_z2, 2)
+        assert cm.quotients is None and cm.untwist.W == [0, 2]
+        for theory in ("hochschild", "cyclic"):
+            assert homology(cm, theory, 1) == homology(
+                assemble("coalgebra", mc, k_eps_z2, 2), theory, 1), theory
 
     def test_coefficient_not_ayd_takes_the_descended_path(self, h4_q):
         # eps and unit are stable but not anti-Yetter-Drinfeld on Sweedler's
@@ -806,8 +811,8 @@ class TestRegularModel:
         monkeypatch.setattr(regular, "_model_rotation",
                             lambda u, n: _bump(real(u, n)) if n == 2 else real(u, n))
         with pytest.raises(IdentityViolation):
-            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
-                                              make_coefficient("r_ad", h4_q), 3)
+            assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                  make_coefficient("r_ad", h4_q), 3)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_perturbed_coface_rejected(self, monkeypatch, h4_q, j):
@@ -816,8 +821,8 @@ class TestRegularModel:
         monkeypatch.setattr(regular, "_model_cofaces", lambda u, n: [
             _bump(d) if (n, i) == (2, j) else d for i, d in enumerate(real(u, n))])
         with pytest.raises(IdentityViolation):
-            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
-                                              make_coefficient("r_ad", h4_q), 3)
+            assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                  make_coefficient("r_ad", h4_q), 3)
 
     def test_coface_mutant_that_only_the_coface_check_sees_rejected(self, monkeypatch, h4_q):
         # d_0 out of degree 1 perturbed and the other cofaces out of degree 1
@@ -836,13 +841,13 @@ class TestRegularModel:
 
         monkeypatch.setattr(regular, "_model_cofaces", mutant)
         with pytest.raises(IdentityViolation, match=r"'d_\d d_0 = d_0 d_\d'"):
-            regular.regular_cocyclic_module(regular_module_coalgebra(h4_q),
-                                              make_coefficient("r_ad", h4_q), 3)
+            assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                  make_coefficient("r_ad", h4_q), 3)
 
     def test_perturbed_isomorphism_rejected(self, h4_q):
         C = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
-        cm = regular.regular_cocyclic_module(C, X, 3)
+        cm = assemble_for_homology("coalgebra", C, X, 3)
         descended = assemble("coalgebra", C, X, 3)
         iso = oracles.free_isomorphism(X, cm.untwist.embed, C.dim, descended.quotients)
         assert oracles.is_cocyclic_isomorphism(iso, cm, descended)
