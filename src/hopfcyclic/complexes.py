@@ -394,7 +394,7 @@ def _check_tau_order(cm):
 
     With k = floor((n+1)/2), tau^{n+1} is (tau^k)^2, times tau once more
     when n+1 is odd: ceil((n+1)/2) products where powering one factor at a
-    time takes n+1, and never more than two powers alive at once. The power
+    time takes n, and never more than two powers alive at once. The power
     is compared with the identity row by row, without building it.
     """
     one = cm.field.one

@@ -7,8 +7,9 @@ coinvariants are X (x) W (x) C^{(x) n} (Connes-Moscovici, Comm. Math. Phys.
 338, 2004). This module finds such a W (:func:`free_basis`) and writes on
 that model the cofaces, the cyclic operator (for M = C) and the comparison
 maps of the coinvariant complexes, from the structure maps, with no ambient
-complex and no quotient; it checks on them every identity that the audits
-do not imply. ``complexes.assemble_for_homology`` and the coalgebra-side
+complex and no quotient, untwisting by Kronecker sums over the action on
+the idle C slots; it checks on them every identity that the audits do not
+imply. ``complexes.assemble_for_homology`` and the coalgebra-side
 drivers of ``theorems`` take it wherever :func:`free_bases` finds W; every
 start-up that does not leaves this module unimported.
 """
@@ -88,7 +89,26 @@ def free_model(C, X, W, maxdeg, M=None):
     the middle d_j is Delta on C slot j, the last coface is
     x (x) w (x) t -> x_(0) (x) w_(0) (x) t (x) x_(-1) w_(-1), and tau moves
     the first C slot into M; Psi is applied wherever the M slot leaves the
-    span of W. These are the induced maps, so the model is the coinvariant
+    span of W.
+
+    Psi is applied to the last coface, to tau and to d_0 without the action
+    of S(b) on a whole degree. Each of them, T applied, reads x (x) w (x) r
+    (r: tau's first C slot; nothing for the cofaces) and writes
+    x_0 (x) s (x) v (x) t (x) y, with t the C^{(x) k} tail copied from the
+    source and y one C slot; d_0 writes y before t. The diagonal action of
+    s deals s_(1) ... s_(k) to t, s_(k+1) to y and s_(k+2) to x_0. As Delta
+    is coassociative, that is Delta(s) = s' (x) s'', Delta^{(k-1)} dealing
+    s' to t and Delta(s'') = p (x) q, p to y and q to x_0. So Psi of the
+    map is sum_{s'} H_{s'} (x) L^{(k)}_{s'}, y moved behind t: H_{s'} is the
+    map on x (x) w (x) r, then the s' part of Delta(s) (x) Delta(s'') and
+    the actions of p and q, and it does not depend on k; L^{(k)}_b is the
+    diagonal action of b on C^{(x) k}, L^{(0)}_b = eps(b) and L^{(k)}_b =
+    sum L^{(1)}_{b_(1)} (x) L^{(k-1)}_{b_(2)}, again by coassociativity.
+    For d_0, Delta^{(2)}(s) = a (x) s' (x) q deals a to y, s' to t and q
+    to x_0 (:attr:`Untwist.insert`). In degree 0 tau has no C slot, and s
+    acts on x_0 alone.
+
+    These are the induced maps, so the model is the coinvariant
     module, exactly where every d descends: d_0 and the middle cofaces are
     B-linear by the audited equivariance of M's right coaction and of
     Delta_C, and the last coface and tau descend for an anti-Yetter-Drinfeld
@@ -116,8 +136,11 @@ class Untwist:
 
     T = (S (x) id_W) F, with F the inverse of b (x) w -> b w, sends m = b w
     to S(b) (x) w. Psi after a map whose target has the M slot is that map
-    with T on the M slot, followed by the diagonal action of the S(b) leg
-    (:meth:`apply`). ``slotted_d0`` says that M's right coaction maps W into
+    with T on the M slot, followed by the diagonal action of the S(b) leg,
+    written as sum_{s'} H_{s'} (x) L^{(k)}_{s'} (:meth:`wrapped`, proof in
+    :func:`free_model`): the H of tau, of the last coface and of d_0 are
+    built once, and each L^{(k)}_b is kept (:meth:`tail`).
+    ``slotted_d0`` says that M's right coaction maps W into
     span(W) (x) C: T then puts no leg but 1 on it, so d_0 is
     id_X (x) rho_W (x) id, a slotted map whose identity with d_1 is the
     audited coassociativity of the coaction restricted to W.
@@ -146,51 +169,97 @@ class Untwist:
         rho_w = slotted(f, 1, self.T, C.dim).mul(self.right)  # w -> S(b) (x) w' (x) c
         self.slotted_d0 = self.unit is not None and all(
             r // (len(self.W) * C.dim) == self.unit for r in rho_w.rowdict)
+        self.tails = {}  # (k, b) -> L^{(k)}_b
+        self.dims = {"x": X.dim, "x0": X.dim, "x1": X.dim, "w": len(self.W), "v": len(self.W),
+                     "m": mdim, "c": C.dim, "c1": C.dim, "y": C.dim, "y1": C.dim}
+        self.dims.update(dict.fromkeys(["s", "s1", "s2", "h", "p", "q"], B.dim))
 
-    @functools.cached_property
-    def _idle_w(self):
-        """X's action on X (x) W, W idle (:meth:`_coefficient`)."""
-        return self._coefficient(Matrix.identity(self.C.over.field, len(self.W)))
+    def tail(self, k, b):
+        """L^{(k)}_b, the diagonal action of b on C^{(x) k}, built once and kept.
 
-    def _coefficient(self, on_w):
-        """B (x) X (x) W' -> X (x) W: b (x) x (x) w -> b x (x) on_w w, X's action with ``on_w``."""
-        dims = {"b": self.C.over.dim, "x": self.X.dim, "y": self.X.dim, "w": on_w.cols,
-                "v": on_w.rows}
-        return wire(self.C.over.field, dims, "b x w -> y v", (self.X.action, "b x -> y"),
-                    (on_w, "w -> v"))
-
-    def apply(self, front, k):
-        """Psi after ``front``, whose rows are X (x) B (x) W (x) C^{(x) k}: sum_s L_s front_s.
-
-        front_s are the rows with s on the B leg, and L_s the diagonal action
-        of s on X (x) W (x) C^{(x) k}, W idle, X receiving the last leg. For
-        the unit 1, L_1 = id by the audited unitality, so front_1 is added
-        as it is; where only 1 occurs, no L_s is built. ``front`` is
-        consumed: its rows become the result's.
+        L^{(0)}_b = eps(b) and L^{(k)}_b = sum L^{(1)}_{b_(1)} (x) L^{(k-1)}_{b_(2)}.
+        For the unit 1, L^{(k)}_1 = id by the audited unitality: it is
+        written, not kept, so that a model whose legs are all 1 keeps none.
         """
         B = self.C.over
-        w = len(self.W)
-        rest = w * _pow(self.C.dim, k)
-        blocks = {}
-        for r, row in front.rowdict.items():
-            xi, r = divmod(r, B.dim * rest)
-            s, r = divmod(r, rest)
-            blocks.setdefault(s, {})[xi * rest + r] = row
-        f = B.field
-        rows = self.X.dim * rest
-        out = blocks.pop(self.unit, {})
-        if blocks:
-            acts = _diagonal_action(B, [(None, self.C.action)] * k, (None, self._idle_w), blocks)
-        for s, rd in blocks.items():  # each L_s front_s added into ``out`` in place
-            for i, row in acts.pop(s).mul(Matrix(f, rows, front.cols, rd)).rowdict.items():
-                tgt = out.setdefault(i, {})
-                for j, v in row.items():
-                    v = f.add(tgt.get(j, f.zero), v)
-                    if v == f.zero:
-                        del tgt[j]
-                    else:
-                        tgt[j] = v
-        return Matrix(f, rows, front.cols, {i: row for i, row in out.items() if row})
+        if b == self.unit:
+            return Matrix.identity(B.field, _pow(self.C.dim, k))
+        if (k, b) not in self.tails:
+            if k:
+                d = B.dim
+                self.tails[k, b] = functools.reduce(Matrix.add, [
+                    self.C.action_matrices[i // d].scale(v).kron(self.tail(k - 1, i % d))
+                    for i, v in B.comult.coldict()[b].items()])
+            else:
+                eps = B.counit.rowdict.get(0, {})
+                self.tails[k, b] = Matrix(B.field, 1, 1, {0: {0: eps[b]}} if b in eps else {})
+        return self.tails[k, b]
+
+    def wrapped(self, H, k, trail):
+        """sum_s H_s (x) L^{(k)}_s, y moved behind the tail: u (x) t -> a (x) t (x) y.
+
+        H_s: u -> a (x) y are the rows of H with s first, y of dimension
+        ``trail``. Accumulated entry by entry, each column index one int
+        object shared by the rows.
+        """
+        f = self.C.over.field
+        zero = f.zero
+        n = _pow(self.C.dim, k)
+        block = H.rows // self.C.over.dim
+        keys = list(range(H.cols * n))
+        acts, rd = {}, {}
+        for r, row in H.rowdict.items():
+            s, r = divmod(r, block)
+            a, y = divmod(r, trail)
+            if s not in acts:
+                acts[s] = self.tail(k, s).rowdict
+            for i, lrow in acts[s].items():
+                out = (a * n + i) * trail + y
+                tgt = rd.get(out)
+                if tgt is None:
+                    tgt = rd[out] = {}
+                for col, hv in row.items():
+                    base = col * n
+                    for j, lv in lrow.items():
+                        key = keys[base + j]
+                        v = f.add(tgt.get(key, zero), f.mul(hv, lv))
+                        if v == zero:
+                            del tgt[key]
+                        else:
+                            tgt[key] = v
+        for i in [i for i, row in rd.items() if not row]:
+            del rd[i]
+        return Matrix(f, block * n, H.cols * n, rd)
+
+    def untwisted(self, spec, *front):
+        """H of :meth:`wrapped`: ``front``, Delta(s) = s1 s2, Delta(s2) = p q, p on y, q on x0."""
+        B = self.C.over
+        return wire(B.field, self.dims, spec, *front, (B.comult, "s -> s1 s2"),
+                    (B.comult, "s2 -> p q"), (self.C.action, "p y -> y1"),
+                    (self.X.action, "q x0 -> x1"))
+
+    @functools.cached_property
+    def rotate(self):
+        """H of tau: x (x) w (x) c -> s1 (x) q x_(0) (x) v (x) p x_(-1) w, s (x) v = T(c)."""
+        return self.untwisted("x w c -> s1 x1 v y1", (self.X.coaction, "x -> h x0"),
+                              (self.embed, "w -> m"), (self.C.action, "h m -> y"),
+                              (self.T, "c -> s v"))
+
+    @functools.cached_property
+    def wrap(self):
+        """H of the last coface: x (x) w -> s1 (x) q x_(0) (x) v (x) p x_(-1) w_(-1)."""
+        return self.untwisted("x w -> s1 x1 v y1", (self.X.coaction, "x -> h x0"),
+                              (self.left, "w -> c m"), (self.C.action, "h c -> y"),
+                              (self.T, "m -> s v"))
+
+    @functools.cached_property
+    def insert(self):
+        """H of d_0: x (x) w -> s1 (x) q x (x) v (x) a w_(1), Delta^{(2)}(s) = a s1 q."""
+        B = self.C.over
+        return wire(B.field, dict(self.dims, a=B.dim), "x w -> s1 x1 v c1",
+                    (self.right, "w -> m c"), (self.T, "m -> s v"), (B.comult, "s -> a s2"),
+                    (B.comult, "s2 -> s1 q"), (self.C.action, "a c -> c1"),
+                    (self.X.action, "q x -> x1"))
 
     def map_to(self, dst, m_map, c_map, n):
         """Degree n of id_X (x) m_map (x) c_map^{(x) n} from this model to ``dst``'s.
@@ -212,9 +281,10 @@ class Untwist:
             s, v = divmod(r, w)
             blocks.setdefault(s, {})[v] = row
         factor = dst.C.action.mul(slotted(f, B.dim, c_map, 1))
-        terms = [_diagonal_action(B, [(None, factor)] * n,
-                                  (None, self._coefficient(Matrix(f, w, A.cols, rd))), [s])[s]
-                 for s, rd in blocks.items()]
+        dims = dict(self.dims, v=w)
+        terms = [_diagonal_action(B, [(None, factor)] * n, (None, wire(
+            f, dims, "s x w -> x1 v", (self.X.action, "s x -> x1"),
+            (Matrix(f, w, A.cols, rd), "w -> v"))), [s])[s] for s, rd in blocks.items()]
         shape = (self.X.dim * w * _pow(c_map.rows, n),
                  self.X.dim * len(self.W) * _pow(c_map.cols, n))
         return functools.reduce(Matrix.add, terms, Matrix.zero(f, *shape))
@@ -265,35 +335,29 @@ class _Cofaces(collections.abc.Sequence):
 
 
 def _model_cofaces(u, n):
-    """The n+2 cofaces of :func:`free_model` out of X (x) W (x) C^{(x) n}."""
-    C, X = u.C, u.X
-    f = C.over.field
-    x, w, c = X.dim, len(u.W), C.dim
-    dims = {"x": x, "x0": x, "w": w, "v": w, "s": C.over.dim, "h": C.over.dim, "c": c,
-            "y": c, "m": u.embed.rows, "t": _pow(c, n)}
-    first = wire(f, dims, "x w t -> x s v c t", (u.right, "w -> m c"), (u.T, "m -> s v"))
-    last = wire(f, dims, "x w t -> x0 s v t y", (X.coaction, "x -> h x0"),
-                (u.left, "w -> c m"), (C.action, "h c -> y"), (u.T, "m -> s v"))
-    return ([u.apply(first, n + 1)]
-            + [slotted(f, x * w * _pow(c, j - 1), C.base.comult, _pow(c, n - j))
+    """The n+2 cofaces of :func:`free_model` out of X (x) W (x) C^{(x) n}.
+
+    d_0 and the last coface are Psi of their maps with the C^{(x) n} tail
+    (:meth:`Untwist.wrapped`); the middle d_j comultiplies C slot j.
+    """
+    c = u.C.dim
+    pre = u.X.dim * len(u.W)
+    return ([u.wrapped(u.insert, n, 1)]
+            + [slotted(u.C.over.field, pre * _pow(c, j - 1), u.C.base.comult, _pow(c, n - j))
                for j in range(1, n + 1)]
-            + [u.apply(last, n + 1)])
+            + [u.wrapped(u.wrap, n, c)])
 
 
 def _model_rotation(u, n):
     """tau of :func:`free_model` on X (x) W (x) C^{(x) n}.
 
     x (x) w (x) c_1 (x) t -> Psi(x_(0) (x) c_1 (x) t (x) x_(-1) w): the first C
-    slot becomes the M slot, so T is applied to it. In degree 0 the M slot
-    is x_(-1) w itself.
+    slot becomes the M slot, so T is applied to it, and t is the tail
+    (:meth:`Untwist.wrapped`). In degree 0 the M slot is x_(-1) w itself
+    and S(b) acts on X alone.
     """
-    C, X = u.C, u.X
-    f = C.over.field
-    dims = {"x": X.dim, "x0": X.dim, "w": len(u.W), "v": len(u.W), "s": C.over.dim,
-            "h": C.over.dim, "m": C.dim, "c": C.dim, "y": C.dim, "t": _pow(C.dim, n - 1)}
-    steps = [(X.coaction, "x -> h x0"), (u.embed, "w -> m"), (C.action, "h m -> y")]
-    if n == 0:
-        front = wire(f, dims, "x w -> x0 s v", *steps, (u.T, "y -> s v"))
-    else:
-        front = wire(f, dims, "x w c t -> x0 s v t y", *steps, (u.T, "c -> s v"))
-    return u.apply(front, n)
+    if n:
+        return u.wrapped(u.rotate, n - 1, u.C.dim)
+    return wire(u.C.over.field, u.dims, "x w -> x1 v", (u.X.coaction, "x -> h x0"),
+                (u.embed, "w -> m"), (u.C.action, "h m -> y"), (u.T, "y -> s v"),
+                (u.X.action, "s x0 -> x1"))

@@ -69,7 +69,10 @@ def every_model_is_the_descended_module():
     invertible and intertwines every coface and tau, exactly. And each
     comparison map that ``regular.Untwist.map_to`` writes between two models
     is the map that id_X (x) m_map (x) c_map^{(x) n} induces on the
-    descended modules, moved across the two isomorphisms.
+    descended modules, moved across the two isomorphisms. Every coface and
+    tau of each model also equals, entry for entry, the one that applies Psi
+    with the whole diagonal action L_s of each leg
+    (``oracles.is_the_applied_model``).
 
     Yields the unwrapped builder and map writer, for a mutant that only the
     checks of the package are to reject."""
@@ -78,6 +81,7 @@ def every_model_is_the_descended_module():
 
     def checked_build(C, X, W, maxdeg, M=None):
         cm = build(C, X, W, maxdeg, M)
+        assert oracles.is_the_applied_model(cm), "the model is not Psi with whole actions"
         T = complexes.induced_complex(
             complexes.twisted_ch(C, M or regular_bicomodule(C), X, maxdeg), X, check_flags=False)
         if M is None:

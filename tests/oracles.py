@@ -19,7 +19,9 @@ the references for the reduced checks of ``CyclicModule.validate`` and
 ``complexes._check_coface_identities``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
-module coalgebra onto its descended cocyclic module; and the hypothesis
+module coalgebra onto its descended cocyclic module; the model's tau and
+cofaces with Psi applied by the whole diagonal action of each leg, the
+reference for the Kronecker sums of ``regular.Untwist.wrapped``; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
 forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
@@ -28,7 +30,12 @@ forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
 
 from fractions import Fraction
 
-from hopfcyclic.complexes import CyclicModule, comodule_coinvariants, total_coactions
+from hopfcyclic.complexes import (
+    CyclicModule,
+    _diagonal_action,
+    comodule_coinvariants,
+    total_coactions,
+)
 from hopfcyclic.equivariant import ComoduleAlgebra, ModuleCoalgebra
 from hopfcyclic.errors import IdentityViolation, ParseError, ShapeMismatch
 from hopfcyclic.hopf import BialgebraDesc
@@ -944,3 +951,65 @@ def direct_sum_comodule_algebras(a, b):
         ents.append(((x + na) * d + leg, i + na, v))
     coaction = Matrix.from_entries(f, n * d, n, ents)
     return ComoduleAlgebra(desc, B, coaction)
+
+
+def untwist_apply(u, front, k):
+    """Psi after ``front``, whose rows are X (x) B (x) W (x) C^{(x) k}: sum_s L_s front_s.
+
+    front_s are the rows with s on the B leg, and L_s the diagonal action of
+    s on X (x) W (x) C^{(x) k}, W idle, X receiving the last leg, built
+    whole for each s; the reference for ``regular.Untwist.wrapped``.
+    """
+    B = u.C.over
+    f = B.field
+    rest = len(u.W) * u.C.dim**k
+    blocks = {}
+    for r, row in front.rowdict.items():
+        xi, r = divmod(r, B.dim * rest)
+        s, r = divmod(r, rest)
+        blocks.setdefault(s, {})[xi * rest + r] = row
+    idle_w = wire(f, {"b": B.dim, "x": u.X.dim, "y": u.X.dim, "w": len(u.W)}, "b x w -> y w",
+                  (u.X.action, "b x -> y"))
+    acts = _diagonal_action(B, [(None, u.C.action)] * k, (None, idle_w), blocks)
+    rows = u.X.dim * rest
+    out = Matrix.zero(f, rows, front.cols)
+    for s, rd in blocks.items():
+        out = out.add(acts[s].mul(Matrix(f, rows, front.cols, rd)))
+    return out
+
+
+def model_cofaces(u, n):
+    """The n+2 cofaces of ``regular.free_model`` out of degree n, Psi by :func:`untwist_apply`."""
+    C, X = u.C, u.X
+    f = C.over.field
+    x, w, c = X.dim, len(u.W), C.dim
+    dims = {"x": x, "x0": x, "w": w, "v": w, "s": C.over.dim, "h": C.over.dim, "c": c,
+            "y": c, "m": u.embed.rows, "t": c**n}
+    first = wire(f, dims, "x w t -> x s v c t", (u.right, "w -> m c"), (u.T, "m -> s v"))
+    last = wire(f, dims, "x w t -> x0 s v t y", (X.coaction, "x -> h x0"),
+                (u.left, "w -> c m"), (C.action, "h c -> y"), (u.T, "m -> s v"))
+    return ([untwist_apply(u, first, n + 1)]
+            + [slotted(f, x * w * c**(j - 1), C.base.comult, c**(n - j)) for j in range(1, n + 1)]
+            + [untwist_apply(u, last, n + 1)])
+
+
+def model_rotation(u, n):
+    """tau of ``regular.free_model`` in degree n, Psi applied by :func:`untwist_apply`."""
+    C, X = u.C, u.X
+    f = C.over.field
+    dims = {"x": X.dim, "x0": X.dim, "w": len(u.W), "v": len(u.W), "s": C.over.dim,
+            "h": C.over.dim, "m": C.dim, "c": C.dim, "y": C.dim, "t": C.dim**max(n - 1, 0)}
+    steps = [(X.coaction, "x -> h x0"), (u.embed, "w -> m"), (C.action, "h m -> y")]
+    if n == 0:
+        front = wire(f, dims, "x w -> x0 s v", *steps, (u.T, "y -> s v"))
+    else:
+        front = wire(f, dims, "x w c t -> x0 s v t y", *steps, (u.T, "c -> s v"))
+    return untwist_apply(u, front, n)
+
+
+def is_the_applied_model(cm):
+    """True iff every coface and tau of the model ``cm`` equals its :func:`untwist_apply` form."""
+    u = cm.untwist
+    if cm.tau is not None and any(t != model_rotation(u, n) for n, t in enumerate(cm.tau)):
+        return False
+    return all(list(cm.cofaces[n]) == model_cofaces(u, n) for n in range(cm.top))

@@ -859,3 +859,80 @@ class TestRegularModel:
                                                 for i in range(16)])
         swapped = [m.mul(swap) if k == 1 else m for k, m in enumerate(iso)]
         assert not oracles.is_cocyclic_isomorphism(swapped, cm, descended)
+
+
+class TestWrappedModel:
+    """tau and the wrapped cofaces of the model as Kronecker sums over kept tail actions."""
+
+    @staticmethod
+    def _models(fname):
+        """(name, C, X, W, M) of models with every kind of W: grouplike, not grouplike, |W| = 2."""
+        field = REGULAR_FIELDS[fname]
+        h4 = sweedler_h4(field)
+        X = make_coefficient("r_ad", h4)
+        C = regular_module_coalgebra(h4)
+        for perm in ([0, 1, 2, 3], [1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 1, 0]):
+            mc = _relabelled(C, perm)
+            yield f"sweedler {perm}", mc, X, regular.free_basis(h4, 4, mc.action), None
+        mc = TestFreeModel._unit_plus_x(h4)
+        yield "1 + x", mc, X, [0], None
+        yield "1 + x, M = C", mc, X, [0], regular_bicomodule(mc)
+        z2 = group_algebra(cyclic_table(2), field)
+        C1 = regular_module_coalgebra(z2)
+        yield "C (+) C", direct_sum_module_coalgebras(C1, C1), make_coefficient("eps", z2), \
+            [0, 2], None
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"),
+                          {"Q": "Q", "F2": "Fp:2", "F3": "Fp:3"}[fname])
+        X = make_coefficient("eps", ses.C.over)
+        W_K, _, W_Q = regular.free_bases(X, ses.k_module_coalgebra(), ses.C, ses.quotient)
+        yield "CH(C, K)", ses.C, X, W_K, theorems._sub_bicomodule(ses)
+        yield "CH(C, C/K)", ses.C, X, W_Q, theorems._quotient_bicomodule(ses)
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_equals_psi_with_whole_actions(self, every_model_is_the_descended_module, fname):
+        # built by the unwrapped builder, so that this compares even without
+        # the session fixture's own comparison
+        build, _ = every_model_is_the_descended_module
+        for name, C, X, W, M in self._models(fname):
+            cm = build(C, X, W, 3, M)
+            assert (cm.tau is None) == (M is not None), name
+            assert oracles.is_the_applied_model(cm), name
+
+    @pytest.mark.parametrize("M", [False, True])
+    def test_bumped_tail_action_rejected(self, monkeypatch, h4_q, M):
+        # L^{(2)}_g, read by tau_3 and the last coface out of degree 2, plus
+        # one at (0, 0). With tau, CocyclicModule.validate rejects it by
+        # tau^4 = id; on CH(C, M) with no tau, _check_coface_identities by
+        # the identity of the last coface with d_0
+        C = TestFreeModel._unit_plus_x(h4_q) if M else regular_module_coalgebra(h4_q)
+        real = regular.Untwist.__init__
+
+        def init(self, *args):
+            real(self, *args)
+            self.tails[2, 1] = _bump(self.tail(2, 1))
+
+        monkeypatch.setattr(regular.Untwist, "__init__", init)
+        X = make_coefficient("r_ad", h4_q)
+        if M:
+            with pytest.raises(IdentityViolation, match="'d_3 d_0 = d_0 d_2' fails in degree 1"):
+                regular.free_model(C, X, [0], 3, regular_bicomodule(C))
+        else:
+            with pytest.raises(IdentityViolation, match=r"'tau\^\{n\+1\} = id' fails in degree 3"):
+                regular.free_model(C, X, [0], 3)
+
+    @pytest.mark.parametrize("name, check", [
+        ("rotate", r"'tau\^\{n\+1\} = id' fails in degree 2"),  # CocyclicModule.validate
+        ("wrap", "'tau d_2 = d_1 tau' fails in degree 2"),  # CocyclicModule.validate
+        ("insert", "'d_2 d_0 = d_0 d_1' fails in degree 0"),  # _check_coface_identities
+    ])
+    def test_bumped_h_block_rejected(self, monkeypatch, h4_q, name, check):
+        # the H block of tau, of the last coface or of the untwisted d_0 with
+        # s' = gx, plus one at its first entry: only the block's s' = gx leg
+        # of the Kronecker sum changes
+        C = TestFreeModel._unit_plus_x(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        real = getattr(regular.Untwist, name).func
+        monkeypatch.setattr(regular.Untwist, name,
+                            property(lambda u: _bump(real(u), 3 * real(u).rows // 4)))
+        with pytest.raises(IdentityViolation, match=check):
+            regular.free_model(C, X, [0], 3, regular_bicomodule(C) if name == "insert" else None)
