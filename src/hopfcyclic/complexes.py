@@ -166,20 +166,20 @@ def comodule_coinvariants(unit, blocks):
     return rank_kernel(stacked)[1]
 
 
-def _check_coface_identities(cm, slotted_d0=True):
-    """The coface counts and shapes, and the coface identities with the last coface.
+def _check_coface_degree(dims, n, faces, lower, slotted_d0=True):
+    """The cofaces ``faces`` out of degree n: their count, shapes and identities with the last.
 
-    Checked, entry-exactly: n+2 cofaces leave each degree n, each of shape
-    dims[n+1] x dims[n]; and d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1
-    out of each degree m, the m+2 of the (m+3)(m+2)/2 identities
-    d_j d_i = d_i d_{j-1}, i < j, that involve a last coface. ``cm`` is a
-    :class:`CocyclicModule`: a twisted CH complex (:func:`twisted_ch`) or
-    a model of :func:`regular.free_model`. The identities
-    with j <= m+1 involve only d_0 and the middle cofaces, each written with
-    ``slotted`` or with ``wire`` and identity slots: the middle d_k is Delta
-    on the k-th C slot, and d_0 is the right coaction of M (on the model,
-    restricted to W) inserted after the coefficient. They follow from
-    audits that have run:
+    Checked, entry-exactly: n+2 cofaces leave degree n, each of shape
+    dims[n+1] x dims[n]; and, with ``lower`` the cofaces out of degree
+    m = n-1 (None for n = 0), d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1,
+    the m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j,
+    that involve a last coface. :func:`twisted_ch` and
+    :func:`regular.free_model` check each degree as they build it. The
+    identities with j <= m+1 involve only d_0 and the middle cofaces, each
+    written with ``slotted`` or with ``wire`` and identity slots: the middle
+    d_k is Delta on the k-th C slot, and d_0 is the right coaction of M (on
+    the model, restricted to W) inserted after the coefficient. They follow
+    from audits that have run:
       - j >= i+2: both sides apply the same two maps on disjoint slots, and
         maps on disjoint slots commute, (A (x) I)(I (x) B') = A (x) B' =
         (I (x) B')(A (x) I) (the slotted lemma).
@@ -196,23 +196,20 @@ def _check_coface_identities(cm, slotted_d0=True):
     identities with j = m+2 are the ones that can fail.
     ``tests/oracles.py`` keeps the full loop.
     """
-    lower = None  # the cofaces out of degree n - 1: each degree is read once
-    for n in range(cm.top):
-        upper = cm.cofaces[n]
-        if len(upper) != n + 2:
-            raise ShapeMismatch(f"degree {n} must carry {n + 2} cofaces")
-        for d in upper:
-            if d.cols != cm.dims[n] or d.rows != cm.dims[n + 1]:
-                raise ShapeMismatch(f"coface at degree {n} has wrong shape")
-        if lower is not None:
-            m = n - 1
-            pairs = [(m + 2, i) for i in range(m + 2)]
-            if not slotted_d0:
-                pairs += [(j, 0) for j in range(1, m + 2)]
-            for j, i in pairs:
-                if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
-                    raise IdentityViolation(m, f"d_{j} d_{i} = d_{i} d_{j - 1}")
-        lower = upper
+    if len(faces) != n + 2:
+        raise ShapeMismatch(f"degree {n} must carry {n + 2} cofaces")
+    for d in faces:
+        if d.cols != dims[n] or d.rows != dims[n + 1]:
+            raise ShapeMismatch(f"coface at degree {n} has wrong shape")
+    if lower is None:
+        return
+    m = n - 1
+    pairs = [(m + 2, i) for i in range(m + 2)]
+    if not slotted_d0:
+        pairs += [(j, 0) for j in range(1, m + 2)]
+    for j, i in pairs:
+        if faces[j].mul(lower[i]) != faces[i].mul(lower[j - 1]):
+            raise IdentityViolation(m, f"d_{j} d_{i} = d_{i} d_{j - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,8 @@ def twisted_ch(C, M, X, maxdeg):
     right coaction of M, the middle ones comultiply a C slot, the last wraps
     the left legs around with the coefficient twist
     x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1)).
-    The result is a :class:`CocyclicModule` with no tau, its coface counts,
-    shapes and identities checked (:func:`_check_coface_identities`). The
+    The result is a :class:`CocyclicModule` with no tau, the coface counts,
+    shapes and identities of each degree checked as it is built. The
     graded B-action is attached for the algebra generators g only,
     ``actions[n][g]`` = L_g: nothing reads any other (see
     :func:`induced_complex`).
@@ -271,13 +268,12 @@ def twisted_ch(C, M, X, maxdeg):
         for j in range(1, n + 1):
             faces.append(slotted(f, x * m * _pow(c, j - 1), C.base.comult, _pow(c, n - j)))
         faces.append(_wrap_coface(C, M, X, _pow(c, n)))
+        _check_coface_degree(dims, n, faces, cofaces[-1] if n else None)
         cofaces.append(faces)
     actions = [_diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n, (x, X.action),
                                 B.algebra_generators)
                for n in range(maxdeg + 1)]
-    cm = CocyclicModule(f, B, dims, cofaces, actions=actions)
-    _check_coface_identities(cm)
-    return cm
+    return CocyclicModule(f, B, dims, cofaces, actions=actions)
 
 
 def _wrap_coface(C, M, X, cn):
@@ -359,32 +355,6 @@ def induced_complex(T, X, check_flags=True):
 
 
 # ---------------------------------------------------------------------------
-# Cotensor products and derived dimensions
-# ---------------------------------------------------------------------------
-
-
-def _alternating(field, faces):
-    """sum_j (-1)^j faces[j], accumulated in one pass."""
-    zero = field.zero
-    rd = {}
-    for j, d in enumerate(faces):
-        for i, row in d.rowdict.items():
-            tgt = rd.setdefault(i, {})
-            for c, v in row.items():
-                w = field.add(tgt.get(c, zero), field.neg(v) if j % 2 else v)
-                if w == zero:
-                    tgt.pop(c, None)
-                else:
-                    tgt[c] = w
-    return Matrix(field, faces[0].rows, faces[0].cols, {i: r for i, r in rd.items() if r})
-
-
-# ---------------------------------------------------------------------------
-# Trivialization isomorphisms
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # Cocyclic and cyclic modules
 # ---------------------------------------------------------------------------
 
@@ -410,6 +380,15 @@ def _check_tau_order(cm):
         if len(power.rowdict) != cm.dims[n] or any(
                 row != {i: one} for i, row in power.rowdict.items()):
             raise IdentityViolation(n, "tau^{n+1} = id")
+
+
+def _check_tau_degree(tau, n, faces):
+    """tau d_j = d_{j-1} tau, 1 <= j <= n+1, and tau d_0 = d_{n+1} for the cofaces out of n."""
+    for j in range(1, n + 2):
+        if tau[n + 1].mul(faces[j]) != faces[j - 1].mul(tau[n]):
+            raise IdentityViolation(n + 1, f"tau d_{j} = d_{j-1} tau")
+    if tau[n + 1].mul(faces[0]) != faces[n + 1]:
+        raise IdentityViolation(n + 1, "tau d_0 = d_n")
 
 
 def _induced(amb, src, dst, failure):
@@ -442,9 +421,7 @@ def descend(T, quotients):
 class CocyclicModule:
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
-    ``cofaces[n]`` lists the n+2 cofaces leaving degree n (a model builds
-    them each time they are read: every consumer reads one degree at a
-    time, in order) and ``tau[n]`` is
+    ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
     the cyclic operator, None until :meth:`with_tau`. An ambient twisted CH
     complex (:func:`twisted_ch`) has no tau and carries ``actions[n][g]``,
     L_g on degree n for the algebra generators g of B, by which
@@ -452,16 +429,17 @@ class CocyclicModule:
     ambient module keeps them as ``quotients[n]``, the quotient of degree n;
     nothing of the ambient is kept but the dimensions each quotient records,
     so it is freed once descended. A model of :func:`regular.free_model`
-    has neither, and keeps the ``untwist`` (``regular.Untwist``) by which
-    maps between models are written. Built once per run
-    at the deepest degree any consumer needs; shallower consumers take a
-    truncation, which shares every matrix.
+    has neither. It keeps the ``untwist`` (``regular.Untwist``) by which
+    maps between models are written, and b and, with tau, b' out of each
+    degree, ``b[n]`` and ``b_prime[n]``, which its complexes read. Built
+    once per run at the deepest degree any consumer needs; shallower
+    consumers take a truncation, which shares every matrix.
     """
 
     orientation = +1
 
     def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None,
-                 untwist=None):
+                 untwist=None, b=None, b_prime=None):
         self.field = field
         self.over = over
         self.quotients = quotients
@@ -471,10 +449,11 @@ class CocyclicModule:
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
         self.tau = tau
+        self.b, self.b_prime = b, b_prime
 
     @functools.cached_property
     def complex(self):
-        """The Hochschild complex, d = sum_j (-1)^j d_j, built on first use.
+        """The Hochschild complex, d = b = sum_j (-1)^j d_j, built on first use.
 
         It is the matrix that inducing the ambient differential gives,
         because inducing is linear.
@@ -485,11 +464,14 @@ class CocyclicModule:
         """The same module through degree ``top``, nothing rebuilt."""
         if top > self.top:
             raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
-        tau = self.tau[:top + 1] if self.tau is not None else None
-        quotients = self.quotients[:top + 1] if self.quotients is not None else None
-        actions = self.actions[:top + 1] if self.actions is not None else None
+
+        def cut(seq, stop):
+            return None if seq is None else seq[:stop]
+
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], self.cofaces[:top],
-                              tau, quotients, actions, self.untwist)
+                              cut(self.tau, top + 1), cut(self.quotients, top + 1),
+                              cut(self.actions, top + 1), self.untwist, cut(self.b, top),
+                              cut(self.b_prime, top))
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
@@ -524,18 +506,12 @@ class CocyclicModule:
         Checked: tau^{n+1} = id, tau d_j = d_{j-1} tau for 1 <= j <= n and
         tau d_0 = d_n, for the cofaces d_j into degree n. The coface
         identities hold on a module descended from a validated ambient
-        (:func:`induced_complex`), because inducing is multiplicative; a
-        module built without one checks them too
-        (:func:`regular.free_model`).
+        (:func:`induced_complex`), because inducing is multiplicative;
+        :func:`regular.free_model` checks them and these degree by degree.
         """
         _check_tau_order(self)
-        for n in range(1, self.top + 1):
-            faces_in = self.cofaces[n - 1]
-            for j in range(1, n + 1):
-                if self.tau[n].mul(faces_in[j]) != faces_in[j - 1].mul(self.tau[n - 1]):
-                    raise IdentityViolation(n, f"tau d_{j} = d_{j-1} tau")
-            if self.tau[n].mul(faces_in[0]) != faces_in[n]:
-                raise IdentityViolation(n, "tau d_0 = d_n")
+        for n in range(self.top):
+            _check_tau_degree(self.tau, n, self.cofaces[n])
 
 
 class CyclicModule:
@@ -550,6 +526,7 @@ class CyclicModule:
         self.tau = tau
         self.inclusions = inclusions
         self.orientation = -1
+        self.b = self.b_prime = None  # alternated from the faces when read
 
     def validate(self):
         """Check the cyclic identities at every degree n, entry-exactly.
@@ -713,10 +690,37 @@ def _face_maps(cm):
     return ((n, cm.faces[n]) for n in range(1, cm.top + 1))
 
 
+def _alternating(field, faces):
+    """sum_j (-1)^j faces[j], accumulated in one pass."""
+    zero = field.zero
+    rd = {}
+    for j, d in enumerate(faces):
+        for i, row in d.rowdict.items():
+            tgt = rd.setdefault(i, {})
+            for c, v in row.items():
+                w = field.add(tgt.get(c, zero), field.neg(v) if j % 2 else v)
+                if w == zero:
+                    tgt.pop(c, None)
+                else:
+                    tgt[c] = w
+    return Matrix(field, faces[0].rows, faces[0].cols, {i: r for i, r in rd.items() if r})
+
+
+def _differentials(cm, drop_last=False):
+    """b by degree, or b' (the last (co)face dropped) with ``drop_last``.
+
+    A model keeps its own (``b``, ``b_prime``); any other module's are
+    alternated from its (co)faces, one degree at a time.
+    """
+    kept = cm.b_prime if drop_last else cm.b
+    if kept is not None:
+        return dict(enumerate(kept))
+    return {n: _alternating(cm.field, faces[:len(faces) - drop_last])
+            for n, faces in _face_maps(cm)}
+
+
 def _hochschild_complex(cm, drop_last=False):
-    diffs = {n: _alternating(cm.field, faces[:len(faces) - drop_last])
-             for n, faces in _face_maps(cm)}
-    return GradedComplex(cm.field, cm.orientation, cm.dims, diffs)
+    return GradedComplex(cm.field, cm.orientation, cm.dims, _differentials(cm, drop_last))
 
 
 def _lambda_n(cm, n):
@@ -746,11 +750,7 @@ def cyclic_total_complex(cm, maxtot):
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
     o = cm.orientation
-    built = vars(cm).get("complex")  # b, where the module's Hochschild complex exists
-    b_full, b_prime = {}, {}
-    for n, faces in _face_maps(cm):
-        b_full[n] = built.diffs[n] if built is not None else _alternating(f, faces)
-        b_prime[n] = _alternating(f, faces[:-1])
+    b_full, b_prime = _differentials(cm), _differentials(cm, drop_last=True)
     tot_dims = []
     blocks = []  # per total degree: list of (p, q)
     for m in range(maxtot + 1):
@@ -793,9 +793,4 @@ def homology(obj, theory, maxdeg):
     else:
         cx = _hochschild_complex(obj, drop_last=theory == "bar")
     return [cx.homology(n) for n in range(maxdeg + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Relative bar complex
-# ---------------------------------------------------------------------------
 

@@ -17,7 +17,8 @@ start-up that does not leaves this module unimported.
 import collections.abc
 import functools
 
-from .complexes import CocyclicModule, _check_coface_identities, _diagonal_action, _pow
+from .complexes import (CocyclicModule, _alternating, _check_coface_degree, _check_tau_degree,
+                        _check_tau_order, _diagonal_action, _pow)
 from .errors import AuditFailed, ShapeMismatch
 from .linalg import Matrix, invert, rank, slotted, wire
 
@@ -115,19 +116,31 @@ def free_model(C, X, W, maxdeg, M=None):
     X, which the callers require (:func:`free_bases`). Nothing descends
     here, so the [L_g, d_j] commutators and the well-definedness checks of
     the descended path have nothing left to check. What remains is checked:
-    the coface identities of ``complexes._check_coface_identities``, with
-    d_0's own where d_0 is not slotted (:class:`Untwist`), and for M = C the
-    cocyclic identities.
+    for M = C, tau^{n+1} = id first. Then the cofaces out of each degree n
+    are built once, and their tau identities (for M = C, as
+    ``CocyclicModule.validate``) and identities with the cofaces out of n-1
+    (``complexes._check_coface_degree``, with d_0's own where d_0 is not
+    slotted, :class:`Untwist`) checked; b_n and, for M = C, b'_n are kept,
+    and the cofaces let go. Reading ``cofaces[n]`` builds them again.
     """
     if not X.module_report.ok:
         raise AuditFailed(X.module_report)
     u = Untwist(C, X, W, M)
     tau = None if M is not None else [_model_rotation(u, n) for n in range(maxdeg + 1)]
     dims = [X.dim * len(W) * _pow(C.dim, n) for n in range(maxdeg + 1)]
-    cm = CocyclicModule(C.over.field, C.over, dims, _Cofaces(u, maxdeg, dims), tau, untwist=u)
+    cm = CocyclicModule(C.over.field, C.over, dims, _Cofaces(u, maxdeg), tau, untwist=u, b=[],
+                        b_prime=None if tau is None else [])
     if tau is not None:
-        cm.validate()
-    _check_coface_identities(cm, slotted_d0=u.slotted_d0)
+        _check_tau_order(cm)
+    lower = None
+    for n in range(maxdeg):
+        faces = _model_cofaces(u, n)
+        if tau is not None:
+            _check_tau_degree(tau, n, faces)
+            cm.b_prime.append(_alternating(cm.field, faces[:-1]))
+        _check_coface_degree(dims, n, faces, lower, u.slotted_d0)
+        cm.b.append(_alternating(cm.field, faces))
+        lower = faces
     return cm
 
 
@@ -293,27 +306,13 @@ class Untwist:
 class _Cofaces(collections.abc.Sequence):
     """The cofaces of a model by degree, ``[n]`` built by :func:`_model_cofaces` when read.
 
-    Degree n is kept once built when its n+2 cofaces have at most ``KEEP``
-    columns together, (n+2) dims[n]; a larger degree lives only as long as
-    its reader holds it, so a model holds none of its large degrees between
-    the four readers (the two identity checks, the Hochschild complex and
-    the cyclic total complex), each of which reads one degree at a time.
-    KEEP is measured, on ``excision direct_sum_ses.json`` over Q (a
-    2-vCPU host). Keeping nothing makes perfbench's excision-coalgebra
-    (degree 2) take 0.061 s against 0.049 s (10 of 10 pairs). Keeping
-    everything raises the peak at degree 5 from 102 to 123 MB and at
-    degree 6 from 367 to 480 MB (out of degree 7, CH(C) has 9 cofaces of
-    32768 columns). From 2^10 to 2^14 the times agree within noise and
-    the peaks within 5 MB (97-102 MB at degree 5, 362-367 MB at degree
-    6); 2^14 keeps the most of them. 2^16 peaks at 122 and 384 MB. A
-    prefix slice shares what is kept (``CocyclicModule.truncate``).
+    :func:`free_model` keeps what its readers need, so only a reader of
+    single cofaces (``complexes.descend``) builds them again. A prefix
+    slice is the same model's cofaces (``CocyclicModule.truncate``).
     """
 
-    KEEP = 1 << 14
-
-    def __init__(self, untwist, count, dims, kept=None):
-        self.untwist, self.count, self.dims = untwist, count, dims
-        self.kept = {} if kept is None else kept
+    def __init__(self, untwist, count):
+        self.untwist, self.count = untwist, count
 
     def __len__(self):
         return self.count
@@ -323,15 +322,10 @@ class _Cofaces(collections.abc.Sequence):
             start, stop, step = n.indices(self.count)
             if (start, step) != (0, 1):
                 raise ShapeMismatch("only prefixes of the cofaces are taken")
-            return _Cofaces(self.untwist, stop, self.dims, self.kept)
+            return _Cofaces(self.untwist, stop)
         if not 0 <= n < self.count:
             raise IndexError(n)
-        if n in self.kept:
-            return self.kept[n]
-        faces = _model_cofaces(self.untwist, n)
-        if (n + 2) * self.dims[n] <= self.KEEP:
-            self.kept[n] = faces
-        return faces
+        return _model_cofaces(self.untwist, n)
 
 
 def _model_cofaces(u, n):

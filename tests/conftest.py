@@ -41,23 +41,32 @@ def every_face_identity_holds():
 
 @pytest.fixture(scope="session", autouse=True)
 def every_coface_identity_holds():
-    """Each cocyclic module that passes ``_check_coface_identities`` in a test
-    (every twisted CH complex and every model of ``regular.free_model``) also
-    passes every coface identity d_j d_i = d_i d_{j-1}, the full loop of
+    """Each degree of cofaces that passes ``_check_coface_degree`` in a test
+    (every degree of every twisted CH complex and of every model of
+    ``regular.free_model``, checked as it is built) also passes every coface
+    identity d_j d_i = d_i d_{j-1} with the degree below, the full loop of
     which the reduced check proves the rest implied
     (``oracles.all_coface_identities``). Both names are wrapped: the one in
     ``complexes`` and the one ``regular`` imports.
 
-    Yields the reduced check, for a test of what it alone rejects."""
-    reduced = complexes._check_coface_identities
+    Yields the reduced check run over every degree of a module, for a test
+    of what it alone rejects."""
+    reduced = complexes._check_coface_degree
 
-    def check(cm, slotted_d0=True):
-        reduced(cm, slotted_d0)
-        assert oracles.all_coface_identities(cm), "a coface identity fails that the check passed"
+    def check(dims, n, faces, lower, slotted_d0=True):
+        reduced(dims, n, faces, lower, slotted_d0)
+        assert lower is None or oracles.all_coface_identities([lower, faces]), \
+            "a coface identity fails that the check passed"
 
-    complexes._check_coface_identities = regular._check_coface_identities = check
-    yield reduced
-    complexes._check_coface_identities = regular._check_coface_identities = reduced
+    def reduced_on_module(cm, slotted_d0=True):
+        lower = None
+        for n, faces in enumerate(cm.cofaces):
+            reduced(cm.dims, n, faces, lower, slotted_d0)
+            lower = faces
+
+    complexes._check_coface_degree = regular._check_coface_degree = check
+    yield reduced_on_module
+    complexes._check_coface_degree = regular._check_coface_degree = reduced
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -72,7 +81,8 @@ def every_model_is_the_descended_module():
     descended modules, moved across the two isomorphisms. Every coface and
     tau of each model also equals, entry for entry, the one that applies Psi
     with the whole diagonal action L_s of each leg
-    (``oracles.is_the_applied_model``).
+    (``oracles.is_the_applied_model``), and the b and b' that it keeps equal
+    the alternating sums of its cofaces.
 
     Yields the unwrapped builder and map writer, for a mutant that only the
     checks of the package are to reject."""
@@ -82,6 +92,11 @@ def every_model_is_the_descended_module():
     def checked_build(C, X, W, maxdeg, M=None):
         cm = build(C, X, W, maxdeg, M)
         assert oracles.is_the_applied_model(cm), "the model is not Psi with whole actions"
+        assert len(cm.b) == cm.top and (cm.b_prime is None) == (cm.tau is None)
+        for n, faces in enumerate(cm.cofaces):
+            assert cm.b[n] == complexes._alternating(cm.field, faces) and (
+                cm.b_prime is None or cm.b_prime[n] == complexes._alternating(
+                    cm.field, faces[:-1])), f"a kept differential out of degree {n} is not b or b'"
         T = complexes.induced_complex(
             complexes.twisted_ch(C, M or regular_bicomodule(C), X, maxdeg), X, check_flags=False)
         if M is None:

@@ -16,7 +16,7 @@ assembled from ambient faces and tau times the kernel basis, the reference
 for the assembly that applies them on the kernel basis; every face identity of a cyclic
 module and every coface identity of a cocyclic module, with or without tau,
 the references for the reduced checks of ``CyclicModule.validate`` and
-``complexes._check_coface_identities``; the differential of the bar
+``complexes._check_coface_degree``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; the model's tau and
@@ -28,6 +28,7 @@ forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
 ``solve_columns`` call.
 """
 
+import itertools
 from fractions import Fraction
 
 from hopfcyclic.complexes import (
@@ -634,15 +635,15 @@ def all_face_identities(cm):
     return True
 
 
-def all_coface_identities(cm):
+def all_coface_identities(cofaces):
     """True iff every coface identity d_j d_i = d_i d_{j-1}, i < j, holds in every degree.
 
-    The full loop of (m+3)(m+2)/2 pairs out of each degree m of a
-    cocyclic module, with or without tau.
+    ``cofaces`` lists the cofaces out of consecutive degrees: those of a
+    cocyclic module, with or without tau, or two degrees of them. The full
+    loop of (m+3)(m+2)/2 pairs out of each degree m but the last.
     """
-    for m in range(cm.top - 1):
-        lower, upper = cm.cofaces[m], cm.cofaces[m + 1]
-        for j in range(m + 3):
+    for lower, upper in itertools.pairwise(cofaces):
+        for j in range(len(upper)):
             for i in range(j):
                 if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
                     return False

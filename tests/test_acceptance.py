@@ -454,10 +454,20 @@ def test_degree_ceiling_algebra_excision_f2():
             assert d.dims["A"] == d.dims["I"] + d.dims["A/I"], d.n
 
 
-# Run by a fresh interpreter, so that neither its time nor its peak RSS
-# depends on what ran before it. ru_maxrss is in KiB on Linux.
-CEILING_CHILD = """
-import json, resource, sys, time
+# Each script is run by a fresh interpreter, so that neither its time nor
+# its peak RSS depends on what ran before it. Its own peak is VmHWM:
+# ru_maxrss also counts the RSS of the process that started it, which a
+# long test session makes the larger.
+PEAK_RSS_MB = """
+import re
+
+def peak_rss_mb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) / 1024
+"""
+
+CEILING_CHILD = PEAK_RSS_MB + """
+import json, sys, time
 from hopfcyclic.cli import parse_input
 from hopfcyclic.equivariant import make_coefficient
 from hopfcyclic.theorems import verify_excision
@@ -468,16 +478,12 @@ ses = parse_input(path, field)
 X = make_coefficient("eps", (ses.C if side == "coalgebra" else ses.A).over)
 rep = verify_excision(ses, X, side, int(degree))
 seconds = time.time() - t0
-print(json.dumps({"seconds": seconds, "all_pass": rep.all_pass,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+print(json.dumps({"seconds": seconds, "all_pass": rep.all_pass, "peak_rss_mb": peak_rss_mb(),
                   "degrees": [d.n for d in rep.degrees], "dims": [d.dims for d in rep.degrees]}))
 """
 
-
-# The child's own peak is VmHWM: ru_maxrss also counts the RSS of the
-# process that started it, which a long test session makes the larger.
-HOMOLOGY_CHILD = """
-import contextlib, io, json, re, sys, time
+HOMOLOGY_CHILD = PEAK_RSS_MB + """
+import contextlib, io, json, sys, time
 from hopfcyclic.cli import main
 
 t0 = time.time()
@@ -486,9 +492,7 @@ with contextlib.redirect_stdout(out):
     code = main(sys.argv[1:] + ["--json"])
 seconds = time.time() - t0
 text = out.getvalue()
-with open("/proc/self/status") as fh:
-    peak_kib = int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
-print(json.dumps({"seconds": seconds, "code": code, "peak_rss_mb": peak_kib / 1024,
+print(json.dumps({"seconds": seconds, "code": code, "peak_rss_mb": peak_rss_mb(),
                   "report": json.loads(text[text.index("{"):])}))
 """
 
@@ -520,7 +524,7 @@ def ceiling_run(name, seconds, megabytes, fixture, side, field, degree):
 
 
 def test_degree_ceiling_coalgebra_excision():
-    dims = ceiling_run("degree ceiling: coalgebra-side excision at degree 5 over Q", 16, 155,
+    dims = ceiling_run("degree ceiling: coalgebra-side excision at degree 5 over Q", 16, 120,
                        "direct_sum_ses.json", "coalgebra", "Q", 5)
     for n, d in enumerate(dims):
         assert d["C"] == d["K"] + d["C/K"], n
@@ -534,8 +538,8 @@ def test_degree_ceiling_algebra_excision():
 
 
 def test_degree_ceiling_sweedler_cyclic_homology():
-    # the model through degree 6: the 7 cofaces out of degree 5 have more
-    # than regular._Cofaces.KEEP columns together and are rebuilt on each read
+    # the model through degree 6: its largest cofaces, the 7 out of degree
+    # 5, are built once, checked and let go once b and b' are formed
     run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 3.5, 96,
                     HOMOLOGY_CHILD, "homology",
                     str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),

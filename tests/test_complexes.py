@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcyclic.cli import parse_input
+from hopfcyclic.cli import main, parse_input
 from hopfcyclic.errors import (
     DegreeOutOfRange,
     HopfCyclicError,
@@ -381,7 +382,7 @@ def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identi
     d = bumped[n][j]
     bumped[n][j] = d.add(Matrix.from_entries(T.field, d.rows, d.cols, [(0, 0, T.field.one)]))
     mutant = CocyclicModule(T.field, T.over, T.dims, bumped, actions=T.actions)
-    assert not oracles.all_coface_identities(mutant)
+    assert not oracles.all_coface_identities(mutant.cofaces)
     with pytest.raises(HopfCyclicError):
         every_coface_identity_holds(mutant)  # the reduced check, as twisted_ch runs it
         induced_complex(mutant, X)
@@ -391,7 +392,7 @@ def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identi
 @pytest.mark.parametrize("kind", ["twisted CH", "regular model"])
 def test_coface_shape_mutant_rejected(kind, mutation, h4_q, every_coface_identity_holds):
     """A degree n with n+1 cofaces, or a coface of the wrong shape, is refused
-    by the count and shape checks of ``_check_coface_identities``."""
+    by the count and shape checks of ``_check_coface_degree``."""
     mc = regular_module_coalgebra(h4_q)
     X = make_coefficient("r_ad", h4_q)
     cm = (twisted_ch(mc, regular_bicomodule(mc), X, 2) if kind == "twisted CH"
@@ -844,6 +845,60 @@ class TestRegularModel:
             assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
                                   make_coefficient("r_ad", h4_q), 3)
 
+    def test_each_coface_degree_built_once(self, monkeypatch, capsys,
+                                           every_model_is_the_descended_module):
+        # cyclic homology through degree 5 reads the model through degree
+        # 6, whose 7 cofaces out of degree 5 are its largest: each degree's
+        # cofaces are built once, for their checks, b and b'. The package's
+        # builder, as the session's comparison reads every coface again
+        build, _ = every_model_is_the_descended_module
+        monkeypatch.setattr(regular, "free_model", build)
+        real = regular._model_cofaces
+        built = collections.Counter()
+
+        def counted(u, n):
+            built[n] += 1
+            return real(u, n)
+
+        monkeypatch.setattr(regular, "_model_cofaces", counted)
+        assert main(["homology", str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
+                     "--coefficient", "r_ad", "--theory", "cyclic", "--max-degree", "5",
+                     "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["dims"] == [2, 1, 2, 1, 2, 1]
+        assert built == {n: 1 for n in range(6)}
+
+    def test_session_runs_every_coface_identity_on_a_model(self, monkeypatch, h4_q,
+                                                            every_coface_identity_holds):
+        # d_1 out of degree 2 of CH(C, C) with no tau, bumped at a column
+        # where the last coface out of degree 1 has no row and d_1 out of
+        # degree 1 has one: no identity with the last coface reads the
+        # entry, so the package's checks pass it, and the session's full
+        # loop, run on each degree as the model builds it, rejects it
+        C = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        M = regular_bicomodule(C)
+        real = regular._model_cofaces
+        u = regular.Untwist(C, X, [0], M)
+        lower = real(u, 1)
+        assert u.slotted_d0
+        col = next(c for c in range(lower[1].rows)
+                   if c in lower[1].rowdict and c not in lower[-1].rowdict)
+
+        def bumped(u, n):
+            faces = real(u, n)
+            if n == 2:
+                faces[1] = _bump(faces[1], 0, col)
+            return faces
+
+        dims = [4 ** (n + 1) for n in range(4)]
+        mutant = CocyclicModule(QQ, h4_q, dims, [bumped(u, n) for n in range(3)])
+        every_coface_identity_holds(mutant)  # the reduced check passes it
+        assert not oracles.all_coface_identities(mutant.cofaces)
+        monkeypatch.setattr(regular, "_model_cofaces", bumped)
+        with pytest.raises(AssertionError, match="a coface identity fails that the check passed"):
+            regular.free_model(C, X, [0], 3, M)
+
     def test_perturbed_isomorphism_rejected(self, h4_q):
         C = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
@@ -902,7 +957,7 @@ class TestWrappedModel:
     def test_bumped_tail_action_rejected(self, monkeypatch, h4_q, M):
         # L^{(2)}_g, read by tau_3 and the last coface out of degree 2, plus
         # one at (0, 0). With tau, CocyclicModule.validate rejects it by
-        # tau^4 = id; on CH(C, M) with no tau, _check_coface_identities by
+        # tau^4 = id; on CH(C, M) with no tau, _check_coface_degree by
         # the identity of the last coface with d_0
         C = TestFreeModel._unit_plus_x(h4_q) if M else regular_module_coalgebra(h4_q)
         real = regular.Untwist.__init__
@@ -923,7 +978,7 @@ class TestWrappedModel:
     @pytest.mark.parametrize("name, check", [
         ("rotate", r"'tau\^\{n\+1\} = id' fails in degree 2"),  # CocyclicModule.validate
         ("wrap", "'tau d_2 = d_1 tau' fails in degree 2"),  # CocyclicModule.validate
-        ("insert", "'d_2 d_0 = d_0 d_1' fails in degree 0"),  # _check_coface_identities
+        ("insert", "'d_2 d_0 = d_0 d_1' fails in degree 0"),  # _check_coface_degree
     ])
     def test_bumped_h_block_rejected(self, monkeypatch, h4_q, name, check):
         # the H block of tau, of the last coface or of the untwisted d_0 with

@@ -197,7 +197,7 @@ def slot_maps(draw):
 @given(slot_maps())
 @settings(max_examples=100, deadline=None)
 def test_maps_on_disjoint_slots_commute(case):
-    """The slotted lemma that ``complexes._check_coface_identities`` rests on:
+    """The slotted lemma that ``complexes._check_coface_degree`` rests on:
     F on one slot and G on a later one, of P (x) A (x) Q (x) B (x) R, commute,
     whether F is ``slotted`` or a ``wire`` step next to identity slots.
     Over Q, F_2 and F_3."""
