@@ -307,9 +307,9 @@ def total_chain_map(src_tot, dst_tot, components):
     """Lift a (co)cyclic-module morphism to the cyclic total complexes.
 
     ``src_tot`` and ``dst_tot`` are the modules' :func:`cyclic_total_complex`.
-    The source may be built deeper than the target (cone bookkeeping needs
-    one extra degree on the source side); components are produced wherever
-    both sides exist, the degree-q component on each (p, q) block.
+    Either may be built deeper than the other (:func:`_excision_depths`);
+    components are produced wherever both sides exist, the degree-q
+    component on each (p, q) block.
     """
     f = src_tot.field
     comps = {}
@@ -419,6 +419,29 @@ def _add_hopf_hypotheses(add, B, X):
 # ---------------------------------------------------------------------------
 
 
+def _excision_depths(orientation, maxdeg):
+    """The depths (X, Y, Z) to build an excision triple X -> Y -> Z through, for ``maxdeg``.
+
+    Each module is built through the deepest degree that is read of it.
+    :func:`cofibration_verdicts` reads the homology of the triple complex D
+    through maxdeg + 2 (cochain) or maxdeg + 1 (chain), and so D itself one
+    degree further. Each module's own homology through maxdeg reads that
+    module through maxdeg + 1.
+
+    - Cochain, D^m = X^m (+) Y^{m-1} (+) Z^{m-2}: D^{maxdeg+3} reads X
+      through maxdeg + 3, Y through maxdeg + 2 and Z through maxdeg + 1,
+      which its own homology reads too.
+    - Chain, D_m = X_{m-2} (+) Y_{m-1} (+) Z_m: D_{maxdeg+2} reads X through
+      maxdeg, Y through maxdeg + 1 and Z through maxdeg + 2; X's own
+      homology reads X through maxdeg + 1.
+
+    A module built one degree shallower than this raises DegreeOutOfRange.
+    """
+    if orientation == +1:
+        return maxdeg + 3, maxdeg + 2, maxdeg + 1
+    return maxdeg + 1, maxdeg + 1, maxdeg + 2
+
+
 def verify_excision(ses, X, side, maxdeg):
     """Hypothesis checklist plus cofibration verdicts via mapping cones."""
     if side == "coalgebra":
@@ -466,7 +489,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     f = B.field
     c, q, k = C.dim, ses.quotient.dim, Kmc.dim
     I_c, I_k, I_q = (Matrix.identity(f, n) for n in (c, k, q))
-    depth_k, depth_c, depth_q = maxdeg + 3, maxdeg + 2, maxdeg + 1
+    depth_k, depth_c, depth_q = _excision_depths(+1, maxdeg)
     proj, incl = ses.projection, ses.K
     W_K, W_C, W_Q = _free_bases(X, Kmc, C, ses.quotient) or (None,) * 3
 
@@ -614,14 +637,16 @@ def _verify_excision_algebra(ses, X, maxdeg):
                                      "only the integral criterion is implemented")
     certified = report.hypotheses_certified
 
-    # chain orientation: the cone bookkeeping wants the target built deepest
-    depth_i, depth_a, depth_q = maxdeg + 1, maxdeg + 2, maxdeg + 2
+    # chain orientation: A/I is read one degree deeper than I and A
+    depth_i, depth_a, depth_q = _excision_depths(-1, maxdeg)
     cm_I = assemble("algebra", ses.ideal, X, depth_i)
     cm_A = assemble("algebra", A, X, depth_a)
     cm_Q = assemble("algebra", ses.quotient, X, depth_q)
     tot_I, tot_A, tot_Q = (cyclic_total_complex(cm, cm.top) for cm in (cm_I, cm_A, cm_Q))
     u_comps = _cyclic_map_components(cm_I, cm_A, X, ses.I, min(depth_i, depth_a))
     v_comps = _cyclic_map_components(cm_A, cm_Q, X, ses.projection, min(depth_a, depth_q))
+    # the modules' faces, tau and inclusions are read by nothing past this point
+    del cm_I, cm_A, cm_Q
     u_tot = total_chain_map(tot_I, tot_A, u_comps)
     v_tot = total_chain_map(tot_A, tot_Q, v_comps)
     cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)

@@ -519,6 +519,68 @@ class TestExcisionAlgebra:
         assert h_unitality_probe(z2_q, 3) == [0, 0, 0]
 
 
+class TestExcisionDepths:
+    """Each excision driver builds every module exactly as deep as it is read."""
+
+    FIXTURE = {"coalgebra": "direct_sum_ses.json", "algebra": "z2_product_algebra_ses.json"}
+
+    @classmethod
+    def _run(cls, side, field, maxdeg):
+        ses = parse_input(str(FIXTURES / cls.FIXTURE[side]), field)
+        X = make_coefficient("eps", (ses.C if side == "coalgebra" else ses.A).over)
+        return verify_excision(ses, X, side, maxdeg)
+
+    @staticmethod
+    def _shifted(monkeypatch, which, by):
+        real = theorems._excision_depths
+
+        def shifted(orientation, maxdeg):
+            depths = list(real(orientation, maxdeg))
+            depths[which] += by
+            return tuple(depths)
+
+        monkeypatch.setattr(theorems, "_excision_depths", shifted)
+
+    @pytest.mark.parametrize("maxdeg", [0, 1, 2, 3])
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    @pytest.mark.parametrize("side, which, message", [
+        # CH(K) one short: the Hochschild triple complex reads it through maxdeg + 3
+        pytest.param("coalgebra", 0,
+                     "triple complex certified through {m1}, asked for verdicts through {m}",
+                     id="K"),
+        # CH(C) and the comparisons one short: the cone of CH(C, C/K) -> CH(C/K)
+        pytest.param("coalgebra", 1,
+                     "cone certified through degree {m}, asked for verdicts through {m}",
+                     id="C"),
+        # CM(C/K) one short: the cyclic triple complex reads it through maxdeg + 1
+        pytest.param("coalgebra", 2,
+                     "triple complex certified through {m1}, asked for verdicts through {m}",
+                     id="C/K"),
+        # CM(I) one short: its own homology through maxdeg
+        pytest.param("algebra", 0, "requested degree {m}, certified through {m_1}", id="I"),
+        # CM(A) or CM(A/I) one short: the triple complex
+        pytest.param("algebra", 1,
+                     "triple complex certified through {m}, asked for verdicts through {m}",
+                     id="A"),
+        pytest.param("algebra", 2,
+                     "triple complex certified through {m}, asked for verdicts through {m}",
+                     id="A/I"),
+    ])
+    def test_each_depth_is_read(self, monkeypatch, side, which, message, field, maxdeg):
+        self._shifted(monkeypatch, which, -1)
+        text = message.format(m=maxdeg, m1=maxdeg + 1, m_1=maxdeg - 1)
+        with pytest.raises(DegreeOutOfRange, match=f"^{text}$"):
+            self._run(side, field, maxdeg)
+
+    @pytest.mark.parametrize("maxdeg", [0, 1, 2, 3])
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_algebra_report_same_one_degree_deeper(self, monkeypatch, which, field, maxdeg):
+        built = self._run("algebra", field, maxdeg).json_str()
+        self._shifted(monkeypatch, which, +1)
+        assert self._run("algebra", field, maxdeg).json_str() == built
+
+
 class TestRelative:
     def test_modes_agree_on_direct_sum(self, direct_sum_ses_q, z2_q, k_eps_z2):
         C = direct_sum_ses_q.C
