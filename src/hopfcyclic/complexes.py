@@ -25,9 +25,11 @@ from .errors import (
 from .equivariant import regular_bicomodule
 from .linalg import (
     GradedComplex,
+    KernelBasis,
     Matrix,
     QuotientSpace,
     block_matrix,
+    kernel_kron,
     map_well_defined,
     rank_kernel,
     restrict,
@@ -430,8 +432,9 @@ class CocyclicModule:
     nothing of the ambient is kept but the dimensions each quotient records,
     so it is freed once descended. A model of :func:`regular.free_model`
     has neither. It keeps the ``untwist`` (``regular.Untwist``) by which
-    maps between models are written, and b and, with tau, b' out of each
-    degree, ``b[n]`` and ``b_prime[n]``, which its complexes read. Built
+    maps between models are written and its codegeneracies read, and b
+    and, with tau, the last coface out of each degree, ``b[n]`` and
+    ``last[n]``, from which its complexes are formed. Built
     once per run at the deepest degree any consumer needs; shallower
     consumers take a truncation, which shares every matrix.
     """
@@ -439,7 +442,7 @@ class CocyclicModule:
     orientation = +1
 
     def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None,
-                 untwist=None, b=None, b_prime=None):
+                 untwist=None, b=None, last=None):
         self.field = field
         self.over = over
         self.quotients = quotients
@@ -449,7 +452,7 @@ class CocyclicModule:
         self.top = len(self.dims) - 1
         self.cofaces = cofaces
         self.tau = tau
-        self.b, self.b_prime = b, b_prime
+        self.b, self.last = b, last
 
     @functools.cached_property
     def complex(self):
@@ -471,7 +474,7 @@ class CocyclicModule:
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], self.cofaces[:top],
                               cut(self.tau, top + 1), cut(self.quotients, top + 1),
                               cut(self.actions, top + 1), self.untwist, cut(self.b, top),
-                              cut(self.b_prime, top))
+                              cut(self.last, top))
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
@@ -526,7 +529,8 @@ class CyclicModule:
         self.tau = tau
         self.inclusions = inclusions
         self.orientation = -1
-        self.b = self.b_prime = None  # alternated from the faces when read
+        self.b = self.last = None  # alternated from the faces when read
+        self.untwist = None
 
     def validate(self):
         """Check the cyclic identities at every degree n, entry-exactly.
@@ -709,12 +713,15 @@ def _alternating(field, faces):
 def _differentials(cm, drop_last=False):
     """b by degree, or b' (the last (co)face dropped) with ``drop_last``.
 
-    A model keeps its own (``b``, ``b_prime``); any other module's are
-    alternated from its (co)faces, one degree at a time.
+    A model keeps b and the last coface d_{n+1} out of each degree n
+    (``b``, ``last``), and b' = b - (-1)^{n+1} d_{n+1} is formed from them
+    in one subtraction. Any other module's are alternated from its
+    (co)faces, one degree at a time.
     """
-    kept = cm.b_prime if drop_last else cm.b
-    if kept is not None:
-        return dict(enumerate(kept))
+    if cm.b is not None and not drop_last:
+        return dict(enumerate(cm.b))
+    if drop_last and cm.last is not None:
+        return {n: b.sub(d) if n % 2 else b.add(d) for n, (b, d) in enumerate(zip(cm.b, cm.last))}
     return {n: _alternating(cm.field, faces[:len(faces) - drop_last])
             for n, faces in _face_maps(cm)}
 
@@ -781,16 +788,162 @@ def cyclic_total_complex(cm, maxtot):
     return GradedComplex(f, o, tot_dims, diffs)
 
 
+def _counital(X):
+    """Whether X's coaction is counital, eps(x_(-1)) x_(0) = x.
+
+    The codegeneracy identities read it (:func:`codegeneracy`), and no
+    audit of a coefficient checks it.
+    """
+    f = X.over.field
+    return slotted(f, 1, X.over.counit, X.dim).mul(X.coaction) == Matrix.identity(f, X.dim)
+
+
+def codegeneracy(cm, n, i):
+    """sigma_i out of degree n+1 of a model with tau, 0 <= i <= n: eps_C on its C slot i+1.
+
+    ``cm`` is a :func:`regular.free_model` of M = C, on X (x) W (x)
+    C^{(x) n+1}. sigma_i is Psi sigma_i Phi for sigma_i = eps_C on the
+    same C slot of X (x) C (x) C^{(x) n+1}. That sigma_i commutes with
+    the diagonal action, as eps_C(b c) = eps(b) eps_C(c) (the audited
+    counit compatibility of the module coalgebra) and eps on one leg of
+    Delta^{(k)}(b) leaves Delta^{(k-1)}(b) (the counit law of B), so it
+    descends; and Psi [x (x) w (x) t] = x (x) w (x) t for w in W, as
+    S(1) = 1, so it needs no untwisting. Each identity below holds on the
+    ambient cofaces of :func:`twisted_ch` and the rotation
+    x (x) m (x) c_1 (x) t -> x_(0) (x) c_1 (x) t (x) x_(-1) m, and
+    descends to the model, on which Phi Psi = id:
+      - sigma_j sigma_i = sigma_i sigma_{j+1} (i <= j), sigma_j d_i =
+        d_i sigma_{j-1} (i < j), sigma_j d_i = d_{i-1} sigma_j (i > j+1)
+        and tau_n sigma_i = sigma_{i-1} tau_{n+1} (1 <= i <= n): both
+        sides apply the same maps on disjoint slots, moved alike, and maps
+        on disjoint slots commute (the slotted lemma). d_0 writes the M
+        slot and slot 1, the last coface the X and M slots and the last
+        slot, and tau reads slot 1 and writes the last.
+      - sigma_j d_j = sigma_j d_{j+1} = id: (id (x) eps) Delta =
+        (eps (x) id) Delta = id on a middle slot and, for d_0, on the M
+        slot, the counit law of C (``hopf.audit``). For the last coface,
+        eps(x_(-1) m_(-1)) x_(0) (x) m_(0) = eps(x_(-1)) x_(0) (x)
+        eps(m_(-1)) m_(0) by the B-linearity of eps_C, and that is
+        x (x) m by the counit laws of X's coaction (:func:`_counital`)
+        and of C.
+      - tau_n sigma_0 = sigma_n tau_{n+1}^2: tau^2 sends x (x) m (x) c_1
+        (x) c_2 (x) t to x_(0)(0) (x) c_2 (x) t (x) x_(-1) m (x)
+        x_(0)(-1) c_1; eps on the last slot gives eps(x_(0)(-1)) eps(c_1)
+        by the B-linearity of eps_C, and x_(0)(0) eps(x_(0)(-1)) = x_(0)
+        by the counit law of X's coaction, which leaves
+        eps(c_1) tau(x (x) m (x) c_2 (x) t).
+    They are not checked here; ``tests/oracles.py`` keeps the full loop.
+    """
+    c = cm.untwist.C.dim
+    return slotted(cm.field, cm.dims[0] * _pow(c, i), cm.untwist.C.base.counit, _pow(c, n - i))
+
+
+def normalized_cochains(cm, top):
+    """The normalized cochains X (x) W (x) Cbar^{(x) n} of a model, Cbar = ker eps_C, n <= top.
+
+    They are the common kernel of the :func:`codegeneracy` maps out of
+    degree n: in a basis of C that extends one of Cbar by a vector e with
+    eps_C(e) = 1, sigma_i kills the basis tensors with a Cbar vector at
+    its slot and sends the others to distinct basis tensors, so the
+    common kernel is spanned by those with Cbar vectors at every slot.
+    Each is the
+    :class:`KernelBasis` K_n = I (x) K_eps^{(x) n}, K_eps the canonical
+    kernel basis of eps_C, its free rows the products of theirs
+    (:func:`kernel_kron`).
+    """
+    f = cm.field
+    eps = rank_kernel(cm.untwist.C.base.counit)[1]
+    head = cm.dims[0]
+    K = [KernelBasis(f, head, list(range(head)), {i: {i: f.one} for i in range(head)})]
+    for _ in range(top):
+        K.append(kernel_kron(K[-1], eps))
+    return K
+
+
+def connes_complex(cm, maxtot):
+    """Total complex of Connes' (b, B) mixed complex on a model's normalized cochains.
+
+    ``cm`` is a model of :func:`regular.free_model` with tau. Its
+    codegeneracies sigma_i are eps_C on a C slot (:func:`codegeneracy`,
+    which proves the identities they satisfy), so the normalized cochains,
+    the common kernel of the codegeneracies, are X (x) W (x) Cbar^{(x) n},
+    Cbar = ker eps_C, with the basis K_n (:func:`normalized_cochains`).
+    On them act bbar_n = b_n restricted, out of degree n, and
+    Bbar_n = N_n sigma_n tau_{n+1} restricted, into degree n from n+1, with
+    N_n = sum_i lambda_n^i and sigma_n tau_{n+1} the extra codegeneracy.
+    Tot^m = (+)_k Cbar^{m-2k} with D = bbar + Bbar computes the cyclic
+    cohomology of a cocyclic module over any field, the same as the
+    (b, b', 1 - lambda, N) bicomplex of :func:`cyclic_total_complex`
+    (Connes, C. R. Acad. Sci. Paris 296, 1983; Loday, *Cyclic Homology*,
+    1.6 and 2.1, read for the dual cocyclic module), while
+    Tot^m holds every other degree below m, normalized, where the
+    bicomplex holds every one.
+
+    Checked: each image b_n K_n and N_n sigma_n tau_{n+1} K_{n+1} lies in
+    the normalized cochains (:func:`restrict`, exactly), and D o D = 0 in
+    :class:`GradedComplex`, that is bbar^2 = 0, Bbar^2 = 0 and
+    bbar Bbar + Bbar bbar = 0. Total degree runs through ``maxtot``; the
+    differentials out of Tot^{maxtot - 1} read b through degree maxtot - 1
+    and tau through maxtot - 1.
+    """
+    if maxtot > cm.top:
+        raise DegreeOutOfRange(
+            f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
+    K = normalized_cochains(cm, maxtot)
+
+    def onto(n, image, what):
+        small = restrict(K[n], image)
+        if small is None:
+            raise IdentityViolation(n, f"{what} preserves the normalized cochains")
+        return small
+
+    b = [onto(n + 1, cm.b[n].mul(K[n]), "b") for n in range(maxtot)]
+    B = []
+    for n in range(maxtot - 1):
+        lam = _lambda_n(cm, n)
+        image = extra = codegeneracy(cm, n, n).mul(cm.tau[n + 1]).mul(K[n + 1])
+        for _ in range(n):  # N_n Y = Y + lambda (Y + lambda (... + lambda Y))
+            image = extra.add(lam.mul(image))
+        B.append(onto(n, image, "B"))
+    return _mixed_total(cm.field, [k.cols for k in K], b, B)
+
+
+def _mixed_total(field, dims, b, B):
+    """Total cochain complex of a mixed complex: Tot^m = (+)_k V^{m-2k}, D = b + B.
+
+    ``dims[q]`` is dim V^q, ``b[q]`` leaves V^q for V^{q+1} and ``B[q]``
+    leaves V^{q+1} for V^q. Component k of Tot^m is V^{m-2k}; b keeps the
+    component and B moves it one up. Total degree runs through
+    len(dims) - 1.
+    """
+    parts = [range(m, -1, -2) for m in range(len(dims))]
+    diffs = {}
+    for m in range(len(dims) - 1):
+        src, tgt = parts[m], parts[m + 1]
+        grid = [[None] * len(src) for _ in tgt]
+        for k, q in enumerate(src):
+            grid[k][k] = b[q]
+            if q:
+                grid[k + 1][k] = B[q - 1]
+        diffs[m] = block_matrix(field, grid, [dims[q] for q in tgt], [dims[q] for q in src])
+    return GradedComplex(field, +1, [sum(dims[q] for q in p) for p in parts], diffs)
+
+
 def homology(obj, theory, maxdeg):
-    """Dimensions per degree of the chosen theory of a (co)cyclic module."""
+    """Dimensions per degree of the chosen theory of a (co)cyclic module.
+
+    Cyclic homology of a model with tau whose coefficient coaction is
+    counital reads :func:`connes_complex`; of any other module, the
+    bicomplex of :func:`cyclic_total_complex`.
+    """
     if theory not in ("hochschild", "cyclic", "bar"):
         raise ShapeMismatch(f"unknown theory {theory!r}")
     if maxdeg + 1 > obj.top:
         raise DegreeOutOfRange(f"{theory} degree {maxdeg} needs internal degree "
                                f"{maxdeg + 1}, built through {obj.top}")
     if theory == "cyclic":
-        cx = cyclic_total_complex(obj, maxdeg + 1)
+        connes = obj.untwist is not None and obj.tau is not None and _counital(obj.untwist.X)
+        cx = (connes_complex if connes else cyclic_total_complex)(obj, maxdeg + 1)
     else:
         cx = _hochschild_complex(obj, drop_last=theory == "bar")
     return [cx.homology(n) for n in range(maxdeg + 1)]
-

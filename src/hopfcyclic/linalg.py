@@ -414,6 +414,17 @@ class KernelBasis(Matrix):
         self.free = free
 
 
+def kernel_kron(K, L):
+    """K (x) L of two :class:`KernelBasis`, itself one: its free rows are the products of theirs.
+
+    Row free_K[k] * L.rows + free_L[l] of K (x) L is e_k (x) e_l, which is
+    e_{k * L.cols + l}.
+    """
+    M = K.kron(L)
+    return KernelBasis(K.field, M.rows, [k * L.rows + l for k in K.free for l in L.free],
+                       M.rowdict)
+
+
 def _free_basis(field, ncols, red):
     """The canonical basis of the kernel of the RREF ``red``, a :class:`KernelBasis`.
 

@@ -120,8 +120,11 @@ def free_model(C, X, W, maxdeg, M=None):
     are built once, and their tau identities (for M = C, as
     ``CocyclicModule.validate``) and identities with the cofaces out of n-1
     (``complexes._check_coface_degree``, with d_0's own where d_0 is not
-    slotted, :class:`Untwist`) checked; b_n and, for M = C, b'_n are kept,
-    and the cofaces let go. Reading ``cofaces[n]`` builds them again.
+    slotted, :class:`Untwist`) checked; b_n and, for M = C, the last
+    coface d_{n+1} are kept, and the others let go: b' = b -
+    (-1)^{n+1} d_{n+1} (``complexes._differentials``), and Connes' complex
+    reads b and tau (``complexes.connes_complex``). Reading ``cofaces[n]``
+    builds them again.
     """
     if not X.module_report.ok:
         raise AuditFailed(X.module_report)
@@ -129,7 +132,7 @@ def free_model(C, X, W, maxdeg, M=None):
     tau = None if M is not None else [_model_rotation(u, n) for n in range(maxdeg + 1)]
     dims = [X.dim * len(W) * _pow(C.dim, n) for n in range(maxdeg + 1)]
     cm = CocyclicModule(C.over.field, C.over, dims, _Cofaces(u, maxdeg), tau, untwist=u, b=[],
-                        b_prime=None if tau is None else [])
+                        last=None if tau is None else [])
     if tau is not None:
         _check_tau_order(cm)
     lower = None
@@ -137,7 +140,7 @@ def free_model(C, X, W, maxdeg, M=None):
         faces = _model_cofaces(u, n)
         if tau is not None:
             _check_tau_degree(tau, n, faces)
-            cm.b_prime.append(_alternating(cm.field, faces[:-1]))
+            cm.last.append(faces[-1])
         _check_coface_degree(dims, n, faces, lower, u.slotted_d0)
         cm.b.append(_alternating(cm.field, faces))
         lower = faces

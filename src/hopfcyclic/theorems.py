@@ -430,7 +430,10 @@ def _excision_depths(orientation, maxdeg):
 
     - Cochain, D^m = X^m (+) Y^{m-1} (+) Z^{m-2}: D^{maxdeg+3} reads X
       through maxdeg + 3, Y through maxdeg + 2 and Z through maxdeg + 1,
-      which its own homology reads too.
+      which its own homology reads too. On the coalgebra side CH(C/K) is
+      built at Z's depth for both its uses: the cone of the weak
+      equivalence CH(C, C/K) -> CH(C/K), cone^m = A^m (+) B^{m-1}, reads
+      its target one degree below its source, built at Y's depth.
     - Chain, D_m = X_{m-2} (+) Y_{m-1} (+) Z_m: D_{maxdeg+2} reads X through
       maxdeg, Y through maxdeg + 1 and Z through maxdeg + 2; X's own
       homology reads X through maxdeg + 1.
@@ -495,7 +498,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
 
     # each distinct complex is built once, at the deepest depth any consumer needs
     T_C_q = _coinvariant_ch(C, X, depth_c, W_Q, _quotient_bicomodule(ses))  # CH(C, C/K)
-    T_q_q = _coinvariant_ch(ses.quotient, X, depth_c, W_Q)  # CH(C/K)
+    T_q_q = _coinvariant_ch(ses.quotient, X, depth_q, W_Q)  # CH(C/K)
     T_K = _coinvariant_ch(Kmc, X, depth_k, W_K)  # CH(K)
     T_C_k = _coinvariant_ch(C, X, depth_c, W_K, _sub_bicomodule(ses))  # CH(C, K)
     T_C_C = _coinvariant_ch(C, X, depth_c, W_C)  # CH(C)

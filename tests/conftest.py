@@ -81,8 +81,9 @@ def every_model_is_the_descended_module():
     descended modules, moved across the two isomorphisms. Every coface and
     tau of each model also equals, entry for entry, the one that applies Psi
     with the whole diagonal action L_s of each leg
-    (``oracles.is_the_applied_model``), and the b and b' that it keeps equal
-    the alternating sums of its cofaces.
+    (``oracles.is_the_applied_model``), and the b that it keeps is the
+    alternating sum of its cofaces and, with tau, the last coface that it
+    keeps is the last of them.
 
     Yields the unwrapped builder and map writer, for a mutant that only the
     checks of the package are to reject."""
@@ -92,11 +93,11 @@ def every_model_is_the_descended_module():
     def checked_build(C, X, W, maxdeg, M=None):
         cm = build(C, X, W, maxdeg, M)
         assert oracles.is_the_applied_model(cm), "the model is not Psi with whole actions"
-        assert len(cm.b) == cm.top and (cm.b_prime is None) == (cm.tau is None)
+        assert len(cm.b) == cm.top and (cm.last is None) == (cm.tau is None)
         for n, faces in enumerate(cm.cofaces):
             assert cm.b[n] == complexes._alternating(cm.field, faces) and (
-                cm.b_prime is None or cm.b_prime[n] == complexes._alternating(
-                    cm.field, faces[:-1])), f"a kept differential out of degree {n} is not b or b'"
+                cm.last is None or cm.last[n] == faces[-1]), \
+                f"a kept map out of degree {n} is not b or the last coface"
         T = complexes.induced_complex(
             complexes.twisted_ch(C, M or regular_bicomodule(C), X, maxdeg), X, check_flags=False)
         if M is None:
@@ -118,6 +119,32 @@ def every_model_is_the_descended_module():
     regular.free_model, regular.Untwist.map_to = checked_build, checked_map_to
     yield build, map_to
     regular.free_model, regular.Untwist.map_to = build, map_to
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_connes_complex_is_the_bicomplex():
+    """Each total complex that ``complexes.connes_complex`` builds on a model
+    in a test has the homology of the (b, b', 1 - lambda, N) bicomplex of the
+    same model (``complexes.cyclic_total_complex``) in every degree it
+    certifies, and the model passes every codegeneracy identity, the full
+    loop that ``regular.Untwist.codegeneracy`` proves
+    (``oracles.all_codegeneracy_identities``).
+
+    Yields the unwrapped builder, for a mutant that only the checks of the
+    package are to reject."""
+    build = complexes.connes_complex
+
+    def checked(cm, maxtot):
+        cx = build(cm, maxtot)
+        bicomplex = complexes.cyclic_total_complex(cm, maxtot)
+        assert [cx.homology(n) for n in range(maxtot)] == [
+            bicomplex.homology(n) for n in range(maxtot)], "Connes' complex is not the bicomplex"
+        assert oracles.all_codegeneracy_identities(cm), "a codegeneracy identity fails"
+        return cx
+
+    complexes.connes_complex = checked
+    yield build
+    complexes.connes_complex = build
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,7 @@ from fractions import Fraction
 from hopfcyclic.complexes import (
     CyclicModule,
     _diagonal_action,
+    codegeneracy,
     comodule_coinvariants,
     total_coactions,
 )
@@ -647,6 +648,44 @@ def all_coface_identities(cofaces):
             for i in range(j):
                 if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
                     return False
+    return True
+
+
+def all_codegeneracy_identities(cm):
+    """True iff every identity of the codegeneracies of a model with tau holds in every degree.
+
+    sigma_i out of degree n+1 is ``complexes.codegeneracy(cm, n, i)``, d
+    the cofaces and tau the cyclic operator of ``cm``. The full loop, which
+    that function's docstring proves from audits:
+    sigma_j sigma_i = sigma_i sigma_{j+1} for i <= j; sigma_j d_i =
+    d_i sigma_{j-1} for i < j, id for i = j and i = j+1, and
+    d_{i-1} sigma_j for i > j+1; tau sigma_i = sigma_{i-1} tau for
+    1 <= i <= n, and tau_n sigma_0 = sigma_n tau_{n+1}^2.
+    """
+    tau = cm.tau
+    sigma = [[codegeneracy(cm, n, i) for i in range(n + 1)] for n in range(cm.top)]
+    faces = [list(cm.cofaces[n]) for n in range(cm.top)]
+    for n, s in enumerate(sigma):  # s[j]: degree n+1 -> n
+        if n + 1 < cm.top:
+            up = sigma[n + 1]
+            if any(s[j].mul(up[i]) != s[i].mul(up[j + 1])
+                   for j in range(n + 1) for i in range(j + 1)):
+                return False
+        ident = Matrix.identity(cm.field, cm.dims[n])
+        for j in range(n + 1):
+            for i, d in enumerate(faces[n]):
+                if i < j:
+                    want = faces[n - 1][i].mul(sigma[n - 1][j - 1])
+                elif i <= j + 1:
+                    want = ident
+                else:
+                    want = faces[n - 1][i - 1].mul(sigma[n - 1][j])
+                if s[j].mul(d) != want:
+                    return False
+        if any(tau[n].mul(s[i]) != s[i - 1].mul(tau[n + 1]) for i in range(1, n + 1)):
+            return False
+        if tau[n].mul(s[0]) != s[n].mul(tau[n + 1]).mul(tau[n + 1]):
+            return False
     return True
 
 

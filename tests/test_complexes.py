@@ -846,13 +846,16 @@ class TestRegularModel:
                                   make_coefficient("r_ad", h4_q), 3)
 
     def test_each_coface_degree_built_once(self, monkeypatch, capsys,
-                                           every_model_is_the_descended_module):
+                                           every_model_is_the_descended_module,
+                                           every_connes_complex_is_the_bicomplex):
         # cyclic homology through degree 5 reads the model through degree
         # 6, whose 7 cofaces out of degree 5 are its largest: each degree's
-        # cofaces are built once, for their checks, b and b'. The package's
-        # builder, as the session's comparison reads every coface again
+        # cofaces are built once, for their checks, b and the last coface.
+        # The package's builders, as the session's comparisons read every
+        # coface again
         build, _ = every_model_is_the_descended_module
         monkeypatch.setattr(regular, "free_model", build)
+        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
         real = regular._model_cofaces
         built = collections.Counter()
 
@@ -991,3 +994,131 @@ class TestWrappedModel:
                             property(lambda u: _bump(real(u), 3 * real(u).rows // 4)))
         with pytest.raises(IdentityViolation, match=check):
             regular.free_model(C, X, [0], 3, regular_bicomodule(C) if name == "insert" else None)
+
+
+class TestConnesComplex:
+    """Cyclic homology of a model with tau from Connes' (b, B) complex on normalized cochains."""
+
+    @staticmethod
+    def _bicomplex_dims(cm, maxdeg):
+        tot = cyclic_total_complex(cm, maxdeg + 1)
+        return [tot.homology(n) for n in range(maxdeg + 1)]
+
+    @staticmethod
+    def _cases(field):
+        """(name, C, X, W) of models with tau: W grouplike, W = {1 + x}, |W| = 2."""
+        h4 = sweedler_h4(field)
+        yield "sweedler", regular_module_coalgebra(h4), make_coefficient("r_ad", h4), [0]
+        yield "1 + x", TestFreeModel._unit_plus_x(h4), make_coefficient("r_ad", h4), [0]
+        z2 = group_algebra(cyclic_table(2), field)
+        C1 = regular_module_coalgebra(z2)
+        yield "C (+) C", direct_sum_module_coalgebras(C1, C1), make_coefficient("eps", z2), [0, 2]
+
+    def test_only_a_model_reads_it(self, monkeypatch, h4_q, every_connes_complex_is_the_bicomplex):
+        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
+        read = collections.Counter()
+        for name in ("connes_complex", "cyclic_total_complex"):
+            def counted(cm, maxtot, real=getattr(complexes, name), name=name):
+                read[name] += 1
+                return real(cm, maxtot)
+
+            monkeypatch.setattr(complexes, name, counted)
+        C = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        assert homology(assemble_for_homology("coalgebra", C, X, 3), "cyclic", 2) == [2, 1, 2]
+        assert read == {"connes_complex": 1}
+        assert homology(assemble("coalgebra", C, X, 3), "cyclic", 2) == [2, 1, 2]
+        assert read == {"connes_complex": 1, "cyclic_total_complex": 1}
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_edge_cases_give_the_bicomplex_dims(self, fname):
+        # degree 0, W not grouplike, and W of two vectors; the session
+        # fixture compares every degree of each again
+        for name, C, X, W in self._cases(REGULAR_FIELDS[fname]):
+            cm = regular.free_model(C, X, W, 3)
+            assert complexes._counital(X), name
+            for maxdeg in (0, 2):
+                dims = homology(cm, "cyclic", maxdeg)
+                assert dims == self._bicomplex_dims(cm, maxdeg), (name, maxdeg)
+                assert dims == homology(assemble("coalgebra", C, X, 3), "cyclic", maxdeg), name
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    def test_max_degree_zero_on_a_model(self, capsys, field):
+        path = FIXTURES / "sweedler_h4_regular_module_coalgebra.json"
+        assert main(["homology", str(path), "--coefficient", "r_ad", "--theory", "cyclic",
+                     "--max-degree", "0", "--field", field, "--json"]) == 0
+        out = capsys.readouterr().out
+        mc = parse_input(str(path), field)
+        cm = assemble_for_homology("coalgebra", mc, make_coefficient("r_ad", mc.over), 1)
+        assert cm.untwist is not None
+        assert json.loads(out[out.index("{"):])["dims"] == self._bicomplex_dims(cm, 0) == [2]
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_normalized_cochains_are_the_common_kernel(self, fname):
+        for name, C, X, W in self._cases(REGULAR_FIELDS[fname]):
+            cm = regular.free_model(C, X, W, 3)
+            for n, K in enumerate(complexes.normalized_cochains(cm, 3)):
+                assert K.cols == X.dim * len(W) * (C.dim - 1) ** n, name
+                assert rank_kernel(K)[0] == K.cols, name
+                assert n == 0 or all(complexes.codegeneracy(cm, n - 1, i).mul(K).is_zero()
+                                     for i in range(n)), name
+
+    def test_a_coaction_that_is_not_counital_reads_the_bicomplex(self, monkeypatch, h4_q):
+        X = make_coefficient("r_ad", h4_q)
+        assert complexes._counital(X)
+        assert not complexes._counital(
+            ModComod(h4_q, X.dim, X.action, X.coaction.scale(QQ.from_int(2))))
+        cm = assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q), X, 3)
+        monkeypatch.setattr(complexes, "_counital", lambda X: False)
+        monkeypatch.setattr(complexes, "connes_complex", None)  # not called
+        assert homology(cm, "cyclic", 2) == [2, 1, 2]
+
+    # Each mutant below is built by the package's builder, not the session's,
+    # and rejected by the check its match names.
+
+    @staticmethod
+    def _sweedler(field=QQ):
+        h4 = sweedler_h4(field)
+        return assemble_for_homology("coalgebra", regular_module_coalgebra(h4),
+                                     make_coefficient("r_ad", h4), 4)
+
+    def test_first_codegeneracy_for_the_last_rejected(self, monkeypatch,
+                                                      every_connes_complex_is_the_bicomplex):
+        # Bbar from sigma_0 tau: bbar Bbar + Bbar bbar = 0 fails, in D o D
+        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
+        real = complexes.codegeneracy
+        monkeypatch.setattr(complexes, "codegeneracy",
+                            lambda cm, n, i: real(cm, n, 0 if i == n else i))
+        with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 1$"):
+            homology(self._sweedler(), "cyclic", 3)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+    def test_perturbed_codegeneracy_rejected(self, monkeypatch, field,
+                                             every_connes_complex_is_the_bicomplex):
+        # sigma_2 out of degree 3 plus one at (3, 5): N sigma_2 tau_3 K_3
+        # leaves the normalized cochains, and restrict sees it
+        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
+        real = complexes.codegeneracy
+        monkeypatch.setattr(complexes, "codegeneracy", lambda cm, n, i: (
+            _bump(real(cm, n, i), 3, 5) if (n, i) == (2, 2) else real(cm, n, i)))
+        with pytest.raises(IdentityViolation, match="'B preserves the normalized cochains' "
+                                                    "fails in degree 2"):
+            homology(self._sweedler(field), "cyclic", 3)
+
+    @pytest.mark.parametrize("which, q", [("b", 2), ("B", 1)])
+    def test_perturbed_differential_rejected(self, monkeypatch, which, q,
+                                             every_connes_complex_is_the_bicomplex):
+        # bbar out of degree 2, or Bbar into degree 1, plus one at (0, 0):
+        # D o D out of total degree 1 reads both. (A bump of bbar into the
+        # top total degree meets no later differential, as in any complex.)
+        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
+        real = complexes._mixed_total
+
+        def mutant(field, dims, b, B):
+            maps = {"b": list(b), "B": list(B)}
+            maps[which][q] = _bump(maps[which][q])
+            return real(field, dims, maps["b"], maps["B"])
+
+        monkeypatch.setattr(complexes, "_mixed_total", mutant)
+        with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 1$"):
+            homology(self._sweedler(), "cyclic", 3)
