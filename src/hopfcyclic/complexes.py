@@ -404,20 +404,17 @@ def _induced(amb, src, dst, failure):
     return induced
 
 
-def descend(T, quotients):
-    """The :class:`CocyclicModule`, no tau yet, that ``T``'s cofaces induce on ``quotients``.
+def descend_degree(n, faces, quotients):
+    """The cofaces ``faces`` out of degree n induced from ``quotients[n]`` to ``quotients[n + 1]``.
 
-    ``T`` is any module with ``field``, ``over`` and ``cofaces``, such as a
-    cocyclic module with the quotients of a cokernel. Every coface must
-    send relations into relations, exactly (twisted CH complexes:
-    :func:`induced_complex`). The result keeps no reference to ``T``.
+    Each must send relations into relations, exactly. The cokernel of
+    ``relative --mode cokernel`` induces every degree of CM(C) with it: a
+    descended module's degree by degree, a model's inside
+    ``regular.free_model`` as each degree is built.
     """
-    cofaces = [[_induced(d, quotients[n], quotients[n + 1],
-                         IdentityViolation(n, f"coface d_{j} well-defined on the quotient"))
-                for j, d in enumerate(T.cofaces[n])]
-               for n in range(len(quotients) - 1)]
-    return CocyclicModule(T.field, T.over, [q.dim for q in quotients], cofaces,
-                          quotients=quotients)
+    return [_induced(d, quotients[n], quotients[n + 1],
+                     IdentityViolation(n, f"coface d_{j} well-defined on the quotient"))
+            for j, d in enumerate(faces)]
 
 
 class CocyclicModule:
@@ -431,10 +428,13 @@ class CocyclicModule:
     ambient module keeps them as ``quotients[n]``, the quotient of degree n;
     nothing of the ambient is kept but the dimensions each quotient records,
     so it is freed once descended. A model of :func:`regular.free_model`
-    has neither. It keeps the ``untwist`` (``regular.Untwist``) by which
-    maps between models are written and its codegeneracies read, and b
-    and, with tau, the last coface out of each degree, ``b[n]`` and
-    ``last[n]``, from which its complexes are formed. Built
+    has neither, and no cofaces: its ``cofaces`` is None, and the one
+    reader of single cofaces, the cokernel of ``relative --mode cokernel``,
+    induces them inside the build loop of ``free_model``. It keeps the
+    ``untwist`` (``regular.Untwist``) by which maps between models are
+    written and its codegeneracies read, and b and, with tau, the last
+    coface out of each degree, ``b[n]`` and ``last[n]``, from which its
+    complexes are formed. Built
     once per run at the deepest degree any consumer needs; shallower
     consumers take a truncation, which shares every matrix.
     """
@@ -471,7 +471,7 @@ class CocyclicModule:
         def cut(seq, stop):
             return None if seq is None else seq[:stop]
 
-        return CocyclicModule(self.field, self.over, self.dims[:top + 1], self.cofaces[:top],
+        return CocyclicModule(self.field, self.over, self.dims[:top + 1], cut(self.cofaces, top),
                               cut(self.tau, top + 1), cut(self.quotients, top + 1),
                               cut(self.actions, top + 1), self.untwist, cut(self.b, top),
                               cut(self.last, top))

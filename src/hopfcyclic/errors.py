@@ -47,10 +47,6 @@ class NotCoideal(HopfCyclicError):
     pass
 
 
-class NotCounital(HopfCyclicError):
-    pass
-
-
 class NotStable(HopfCyclicError):
     pass
 

@@ -14,7 +14,6 @@ drivers of ``theorems`` take it wherever :func:`free_bases` finds W; every
 start-up that does not leaves this module unimported.
 """
 
-import collections.abc
 import functools
 
 from .complexes import (CocyclicModule, _alternating, _check_coface_degree, _check_tau_degree,
@@ -65,7 +64,7 @@ def _embedding(field, dim, W):
     return Matrix(field, dim, len(W), {w: {k: field.one} for k, w in enumerate(W)})
 
 
-def free_model(C, X, W, maxdeg, M=None):
+def free_model(C, X, W, maxdeg, M=None, each=None):
     """CH(C, M; X) on coinvariants, built on X (x) W (x) C^{(x) n}, with tau where M = C.
 
     ``M`` is an ``EquivariantBicomodule`` over C, or None for C itself, the
@@ -123,15 +122,18 @@ def free_model(C, X, W, maxdeg, M=None):
     slotted, :class:`Untwist`) checked; b_n and, for M = C, the last
     coface d_{n+1} are kept, and the others let go: b' = b -
     (-1)^{n+1} d_{n+1} (``complexes._differentials``), and Connes' complex
-    reads b and tau (``complexes.connes_complex``). Reading ``cofaces[n]``
-    builds them again.
+    reads b and tau (``complexes.connes_complex``). A model has no
+    cofaces (``cofaces`` is None): ``each``, where given, is called as
+    each(n, faces) once the cofaces out of degree n are checked, and there
+    the one reader of single cofaces, ``relative --mode cokernel``,
+    induces them on its quotients.
     """
     if not X.module_report.ok:
         raise AuditFailed(X.module_report)
     u = Untwist(C, X, W, M)
     tau = None if M is not None else [_model_rotation(u, n) for n in range(maxdeg + 1)]
     dims = [X.dim * len(W) * _pow(C.dim, n) for n in range(maxdeg + 1)]
-    cm = CocyclicModule(C.over.field, C.over, dims, _Cofaces(u, maxdeg), tau, untwist=u, b=[],
+    cm = CocyclicModule(C.over.field, C.over, dims, None, tau, untwist=u, b=[],
                         last=None if tau is None else [])
     if tau is not None:
         _check_tau_order(cm)
@@ -143,12 +145,16 @@ def free_model(C, X, W, maxdeg, M=None):
             cm.last.append(faces[-1])
         _check_coface_degree(dims, n, faces, lower, u.slotted_d0)
         cm.b.append(_alternating(cm.field, faces))
+        if each is not None:
+            each(n, faces)
         lower = faces
     return cm
 
 
 class Untwist:
     """Psi of :func:`free_model` and what it needs: W, its embedding and the untwisting T.
+
+    ``M`` is the bicomodule, None for C, as :func:`free_model` takes it.
 
     T = (S (x) id_W) F, with F the inverse of b (x) w -> b w, sends m = b w
     to S(b) (x) w. Psi after a map whose target has the M slot is that map
@@ -165,7 +171,7 @@ class Untwist:
     def __init__(self, C, X, W, M=None):
         B = C.over
         f = B.field
-        self.C, self.X, self.W = C, X, list(W)
+        self.C, self.X, self.W, self.M = C, X, list(W), M
         if B.antipode is None:
             raise ShapeMismatch("the model needs an antipode on B")
         mdim = C.dim if M is None else M.dim
@@ -304,31 +310,6 @@ class Untwist:
         shape = (self.X.dim * w * _pow(c_map.rows, n),
                  self.X.dim * len(self.W) * _pow(c_map.cols, n))
         return functools.reduce(Matrix.add, terms, Matrix.zero(f, *shape))
-
-
-class _Cofaces(collections.abc.Sequence):
-    """The cofaces of a model by degree, ``[n]`` built by :func:`_model_cofaces` when read.
-
-    :func:`free_model` keeps what its readers need, so only a reader of
-    single cofaces (``complexes.descend``) builds them again. A prefix
-    slice is the same model's cofaces (``CocyclicModule.truncate``).
-    """
-
-    def __init__(self, untwist, count):
-        self.untwist, self.count = untwist, count
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            start, stop, step = n.indices(self.count)
-            if (start, step) != (0, 1):
-                raise ShapeMismatch("only prefixes of the cofaces are taken")
-            return _Cofaces(self.untwist, stop)
-        if not 0 <= n < self.count:
-            raise IndexError(n)
-        return _model_cofaces(self.untwist, n)
 
 
 def _model_cofaces(u, n):

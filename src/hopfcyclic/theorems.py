@@ -16,12 +16,13 @@ import json
 from types import SimpleNamespace
 
 from .complexes import (
+    CocyclicModule,
     _alternating,
     assemble,
     assemble_for_homology,
     comodule_coinvariants,
     cyclic_total_complex,
-    descend,
+    descend_degree,
     homology,
     induced_complex,
     total_coactions,
@@ -763,18 +764,34 @@ def _relative_hypotheses(ses, X, maxdeg, report):
 
 
 def _cokernel_cyclic_dims(ses, X, maxdeg):
-    """Cyclic dims of the degreewise cokernel of CM(K) -> CM(C)."""
+    """Cyclic dims of the degreewise cokernel of CM(K) -> CM(C).
+
+    Between models the comparison reads only the two untwists, so the
+    quotients exist before CM(C) is built, and its cofaces are induced on
+    them (:func:`descend_degree`) as ``regular.free_model`` builds them.
+    """
     depth = maxdeg + 1
     Kmc = ses.k_module_coalgebra()
     W_K, W_C = _free_bases(X, Kmc, ses.C) or (None, None)
-    cm_K, cm_C = (_coinvariant_ch(mc, X, depth, W) if W is not None
-                  else assemble("coalgebra", mc, X, depth)
-                  for mc, W in ((Kmc, W_K), (ses.C, W_C)))
-    f = cm_C.field
-    u = _comparison(cm_K, cm_C, X, ses.K, ses.K)
-    coker = [QuotientSpace(f, cm_C.dims[n], u.components[n].columns())
+    if W_C is None:
+        cm_K, cm_C = (assemble("coalgebra", mc, X, depth) for mc in (Kmc, ses.C))
+        comps = _comparison(cm_K, cm_C, X, ses.K, ses.K).components
+    else:
+        from . import regular
+
+        cm_K, u_C = regular.free_model(Kmc, X, W_K, depth), regular.Untwist(ses.C, X, W_C)
+        comps = {n: cm_K.untwist.map_to(u_C, ses.K, ses.K, n) for n in range(depth + 1)}
+    coker = [QuotientSpace(cm_K.field, comps[n].rows, comps[n].columns())
              for n in range(depth + 1)]
-    return homology(descend(cm_C, coker).with_tau(cm_C.tau), "cyclic", maxdeg)
+    if W_C is None:
+        cofaces = [descend_degree(n, cm_C.cofaces[n], coker) for n in range(depth)]
+    else:
+        cofaces = []
+        cm_C = regular.free_model(ses.C, X, W_C, depth, each=lambda n, faces: cofaces.append(
+            descend_degree(n, faces, coker)))
+        ChainMap(cm_K.complex, cm_C.complex, comps)
+    cm = CocyclicModule(cm_K.field, cm_K.over, [q.dim for q in coker], cofaces, quotients=coker)
+    return homology(cm.with_tau(cm_C.tau), "cyclic", maxdeg)
 
 
 # ---------------------------------------------------------------------------

@@ -76,40 +76,58 @@ def every_model_is_the_descended_module():
     descended module of the same triple by Phi, the class of
     x (x) w (x) t -> x (x) w (x) t (``oracles.free_isomorphism``): the map is
     invertible and intertwines every coface and tau, exactly. And each
-    comparison map that ``regular.Untwist.map_to`` writes between two models
-    is the map that id_X (x) m_map (x) c_map^{(x) n} induces on the
-    descended modules, moved across the two isomorphisms. Every coface and
-    tau of each model also equals, entry for entry, the one that applies Psi
-    with the whole diagonal action L_s of each leg
+    comparison map that ``regular.Untwist.map_to`` writes is the map that
+    id_X (x) m_map (x) c_map^{(x) n} induces on the descended modules,
+    moved across the two isomorphisms; an untwist whose model is not built
+    yet, as the cokernel's CM(C) when its quotients are formed, is
+    descended for the check. Every coface that a model hands over as it
+    builds each degree, and its tau, also equal, entry for entry, those
+    that apply Psi with the whole diagonal action L_s of each leg
     (``oracles.is_the_applied_model``), and the b that it keeps is the
     alternating sum of its cofaces and, with tau, the last coface that it
-    keeps is the last of them.
+    keeps is the last of them. A model keeps no cofaces, so the checks
+    that read them after the build take the oracle's
+    (``oracles.model_cofaces``), which these comparisons show equal.
 
     Yields the unwrapped builder and map writer, for a mutant that only the
     checks of the package are to reject."""
     build, map_to = regular.free_model, regular.Untwist.map_to
     descended = weakref.WeakKeyDictionary()  # untwist -> (descended module, Phi)
 
-    def checked_build(C, X, W, maxdeg, M=None):
-        cm = build(C, X, W, maxdeg, M)
-        assert oracles.is_the_applied_model(cm), "the model is not Psi with whole actions"
+    def descend(u, top):
+        """The descended module of ``u``'s triple through ``top``, and Phi onto it, kept."""
+        if u not in descended or descended[u][0].top < top:
+            C, X, M = u.C, u.X, u.M
+            T = complexes.induced_complex(
+                complexes.twisted_ch(C, M or regular_bicomodule(C), X, top), X, check_flags=False)
+            if M is None:
+                T = complexes.assemble("coalgebra", C, X, top, descended=T)
+            descended[u] = T, oracles.free_isomorphism(X, u.embed, C.dim, T.quotients)
+        return descended[u]
+
+    def checked_build(C, X, W, maxdeg, M=None, each=None):
+        built = []
+
+        def handed(n, faces):
+            built.append(faces)
+            if each is not None:
+                each(n, faces)
+
+        cm = build(C, X, W, maxdeg, M, each=handed)
+        assert cm.cofaces is None, "a model keeps its cofaces"
+        assert oracles.is_the_applied_model(cm, built), "the model is not Psi with whole actions"
         assert len(cm.b) == cm.top and (cm.last is None) == (cm.tau is None)
-        for n, faces in enumerate(cm.cofaces):
+        for n, faces in enumerate(built):
             assert cm.b[n] == complexes._alternating(cm.field, faces) and (
                 cm.last is None or cm.last[n] == faces[-1]), \
                 f"a kept map out of degree {n} is not b or the last coface"
-        T = complexes.induced_complex(
-            complexes.twisted_ch(C, M or regular_bicomodule(C), X, maxdeg), X, check_flags=False)
-        if M is None:
-            T = complexes.assemble("coalgebra", C, X, maxdeg, descended=T)
-        iso = oracles.free_isomorphism(X, cm.untwist.embed, C.dim, T.quotients)
+        T, iso = descend(cm.untwist, maxdeg)
         assert oracles.is_cocyclic_isomorphism(iso, cm, T), "the model is not the descended module"
-        descended[cm.untwist] = (T, iso)
         return cm
 
     def checked_map_to(src, dst, m_map, c_map, n):
         comp = map_to(src, dst, m_map, c_map, n)
-        (T_src, iso_src), (T_dst, iso_dst) = descended[src], descended[dst]
+        (T_src, iso_src), (T_dst, iso_dst) = descend(src, n), descend(dst, n)
         ambient = oracles.comparison_ambient(src.X.dim, m_map, c_map, n)
         induced = map_well_defined(ambient, T_src.quotients[n], T_dst.quotients[n])
         assert induced is not None and iso_dst[n].mul(comp) == induced.mul(iso_src[n]), \

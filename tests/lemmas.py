@@ -30,8 +30,8 @@ from hopfcyclic.equivariant import (
 )
 from hopfcyclic.errors import (
     AuditFailed,
+    HopfCyclicError,
     IdentityViolation,
-    NotCounital,
     NotSubcoalgebra,
     ParseError,
     ShapeMismatch,
@@ -48,6 +48,10 @@ from hopfcyclic.linalg import (
     slotted,
     wire,
 )
+
+
+class NotCounital(HopfCyclicError):
+    """A coalgebra whose counit law fails where a lemma needs it."""
 
 
 # ---------------------------------------------------------------------------

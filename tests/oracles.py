@@ -655,7 +655,8 @@ def all_codegeneracy_identities(cm):
     """True iff every identity of the codegeneracies of a model with tau holds in every degree.
 
     sigma_i out of degree n+1 is ``complexes.codegeneracy(cm, n, i)``, d
-    the cofaces and tau the cyclic operator of ``cm``. The full loop, which
+    the cofaces, which a model does not keep, from :func:`model_cofaces`,
+    and tau the cyclic operator of ``cm``. The full loop, which
     that function's docstring proves from audits:
     sigma_j sigma_i = sigma_i sigma_{j+1} for i <= j; sigma_j d_i =
     d_i sigma_{j-1} for i < j, id for i = j and i = j+1, and
@@ -664,7 +665,7 @@ def all_codegeneracy_identities(cm):
     """
     tau = cm.tau
     sigma = [[codegeneracy(cm, n, i) for i in range(n + 1)] for n in range(cm.top)]
-    faces = [list(cm.cofaces[n]) for n in range(cm.top)]
+    faces = [model_cofaces(cm.untwist, n) for n in range(cm.top)]
     for n, s in enumerate(sigma):  # s[j]: degree n+1 -> n
         if n + 1 < cm.top:
             up = sigma[n + 1]
@@ -729,11 +730,16 @@ def comparison_ambient(x, m_map, c_map, n):
     return out
 
 
+def cofaces_of(cm, n):
+    """The cofaces out of degree n of ``cm``, a model's from :func:`model_cofaces`: it keeps none."""
+    return model_cofaces(cm.untwist, n) if cm.cofaces is None else cm.cofaces[n]
+
+
 def is_cocyclic_isomorphism(iso, src, dst):
     """True iff each iso[n] is invertible and iso intertwines every coface and tau, exactly.
 
     tau is compared where both modules carry it; a module with tau is no
-    isomorph of one without.
+    isomorph of one without. A model's cofaces are :func:`cofaces_of` it.
     """
     if len(iso) != src.top + 1 or src.dims != dst.dims:
         return False
@@ -745,7 +751,7 @@ def is_cocyclic_isomorphism(iso, src, dst):
         if src.tau is not None and dst.tau[n].mul(m) != m.mul(src.tau[n]):
             return False
     for n in range(src.top):
-        for d_src, d_dst in zip(src.cofaces[n], dst.cofaces[n], strict=True):
+        for d_src, d_dst in zip(cofaces_of(src, n), cofaces_of(dst, n), strict=True):
             if d_dst.mul(iso[n]) != iso[n + 1].mul(d_src):
                 return False
     return True
@@ -1047,9 +1053,14 @@ def model_rotation(u, n):
     return untwist_apply(u, front, n)
 
 
-def is_the_applied_model(cm):
-    """True iff every coface and tau of the model ``cm`` equals its :func:`untwist_apply` form."""
+def is_the_applied_model(cm, cofaces):
+    """True iff tau and the cofaces of the model ``cm`` equal their :func:`untwist_apply` form.
+
+    A model keeps no cofaces: ``cofaces[n]`` are those out of degree n as
+    ``regular.free_model`` handed them over while it built ``cm``.
+    """
     u = cm.untwist
     if cm.tau is not None and any(t != model_rotation(u, n) for n, t in enumerate(cm.tau)):
         return False
-    return all(list(cm.cofaces[n]) == model_cofaces(u, n) for n in range(cm.top))
+    return len(cofaces) == cm.top and all(
+        list(faces) == model_cofaces(u, n) for n, faces in enumerate(cofaces))

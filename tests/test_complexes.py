@@ -395,9 +395,12 @@ def test_coface_shape_mutant_rejected(kind, mutation, h4_q, every_coface_identit
     by the count and shape checks of ``_check_coface_degree``."""
     mc = regular_module_coalgebra(h4_q)
     X = make_coefficient("r_ad", h4_q)
-    cm = (twisted_ch(mc, regular_bicomodule(mc), X, 2) if kind == "twisted CH"
-          else assemble_for_homology("coalgebra", mc, X, 2))
-    cofaces = [list(faces) for faces in cm.cofaces]
+    if kind == "twisted CH":
+        cm = twisted_ch(mc, regular_bicomodule(mc), X, 2)
+        cofaces = [list(faces) for faces in cm.cofaces]
+    else:  # a model keeps no cofaces: they are taken as it builds them
+        cofaces = []
+        cm = regular.free_model(mc, X, [0], 2, each=lambda n, faces: cofaces.append(list(faces)))
     if mutation == "n+1 cofaces":
         del cofaces[1][-1]
         message = "degree 1 must carry 3 cofaces"
@@ -845,22 +848,17 @@ class TestRegularModel:
             assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
                                   make_coefficient("r_ad", h4_q), 3)
 
-    def test_each_coface_degree_built_once(self, monkeypatch, capsys,
-                                           every_model_is_the_descended_module,
-                                           every_connes_complex_is_the_bicomplex):
+    def test_each_coface_degree_built_once(self, monkeypatch, capsys):
         # cyclic homology through degree 5 reads the model through degree
-        # 6, whose 7 cofaces out of degree 5 are its largest: each degree's
-        # cofaces are built once, for their checks, b and the last coface.
-        # The package's builders, as the session's comparisons read every
-        # coface again
-        build, _ = every_model_is_the_descended_module
-        monkeypatch.setattr(regular, "free_model", build)
-        monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
+        # 6, whose 7 cofaces out of degree 5 are its largest; the cokernel
+        # through degree 3 reads CM(K), CM(C) and CM(C/K) through degree 4,
+        # and induces CM(C)'s cofaces on its quotients as they are built:
+        # each degree's cofaces of each model are built once
         real = regular._model_cofaces
-        built = collections.Counter()
+        built = collections.defaultdict(collections.Counter)  # untwist -> degree -> builds
 
         def counted(u, n):
-            built[n] += 1
+            built[u][n] += 1
             return real(u, n)
 
         monkeypatch.setattr(regular, "_model_cofaces", counted)
@@ -869,7 +867,15 @@ class TestRegularModel:
                      "--json"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):])["dims"] == [2, 1, 2, 1, 2, 1]
-        assert built == {n: 1 for n in range(6)}
+        assert [dict(c) for c in built.values()] == [{n: 1 for n in range(6)}]
+        built.clear()
+        assert main(["relative", str(FIXTURES / "direct_sum_ses.json"), "--mode", "cokernel",
+                     "--max-degree", "3", "--json"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out[out.index("{"):])
+        assert [d["dims"]["this"] for d in report["degrees"]] == [1, 0, 1, 0]
+        assert sorted(u.C.dim for u in built) == [2, 2, 4]  # K, C/K and C
+        assert [dict(c) for c in built.values()] == [{n: 1 for n in range(4)}] * 3
 
     def test_session_runs_every_coface_identity_on_a_model(self, monkeypatch, h4_q,
                                                             every_coface_identity_holds):
@@ -952,9 +958,10 @@ class TestWrappedModel:
         # the session fixture's own comparison
         build, _ = every_model_is_the_descended_module
         for name, C, X, W, M in self._models(fname):
-            cm = build(C, X, W, 3, M)
-            assert (cm.tau is None) == (M is not None), name
-            assert oracles.is_the_applied_model(cm), name
+            built = []
+            cm = build(C, X, W, 3, M, each=lambda n, faces: built.append(faces))
+            assert (cm.tau is None) == (M is not None) and cm.cofaces is None, name
+            assert oracles.is_the_applied_model(cm, built), name
 
     @pytest.mark.parametrize("M", [False, True])
     def test_bumped_tail_action_rejected(self, monkeypatch, h4_q, M):

@@ -1,13 +1,14 @@
-"""Every module-level function in ``src/`` has a caller there, or is an entry point.
+"""Every module-level function and class in ``src/`` has a reader there, or is an entry point.
 
 Entry points are where programs outside the package start: the console
 script's function (``[project.scripts]`` in pyproject.toml) and the
 functions that the benchmark harness in ``perfbench/`` imports. The verbs
 that the console script dispatches to are read by ``cli.build_parser``, so
-they have a caller. A function counts as called when code in ``src/`` other
-than its own body reads its name, as a name or as an attribute. The check
-goes by name: a helper whose name is also read as an attribute elsewhere
-passes unnoticed, but a dead helper with a name of its own fails here.
+they have a caller. A function or class counts as read when code in
+``src/`` other than its own body reads its name, as a name or as an
+attribute. The check goes by name: a helper whose name is also read as an
+attribute elsewhere passes unnoticed, but a dead helper with a name of its
+own fails here.
 """
 
 import ast
@@ -31,13 +32,13 @@ def entry_points():
 
 
 def unreached(src, entries):
-    """``file:function`` for each module-level function of ``src`` that nothing else reads."""
+    """``file:name`` for each module-level function and class of ``src`` that nothing else reads."""
     defined, readers = [], {}
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
             owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path.name, top.name))
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
@@ -59,7 +60,11 @@ def test_planted_unused_helpers_are_found(tmp_path):
         fh.write("\n\ndef _planted_helper(n):\n    return _planted_helper(n - 1) if n else 0\n")
     with open(tree / "regular.py", "a") as fh:
         fh.write("\n\ndef planted_public(x):\n    return x\n")
-    assert unreached(tree, entry_points()) == ["linalg.py:_planted_helper",
+    with open(tree / "errors.py", "a") as fh:
+        fh.write("\n\nclass PlantedError(HopfCyclicError):\n"
+                 "    def again(self):\n        return PlantedError()\n")
+    assert unreached(tree, entry_points()) == ["errors.py:PlantedError",
+                                              "linalg.py:_planted_helper",
                                               "regular.py:planted_public"]
 
 
