@@ -934,10 +934,17 @@ def homology(obj, theory, maxdeg):
 
     Cyclic homology of a model with tau whose coefficient coaction is
     counital reads :func:`connes_complex`; of any other module, the
-    bicomplex of :func:`cyclic_total_complex`.
+    bicomplex of :func:`cyclic_total_complex`. Cyclic homology needs tau,
+    and bar homology the last coface, which a model without tau does not
+    keep.
     """
     if theory not in ("hochschild", "cyclic", "bar"):
         raise ShapeMismatch(f"unknown theory {theory!r}")
+    if theory == "cyclic" and obj.tau is None:
+        raise ShapeMismatch("cyclic homology reads tau, and this module has none")
+    if theory == "bar" and obj.orientation > 0 and obj.last is None and obj.cofaces is None:
+        raise ShapeMismatch("bar homology reads the last coface, and a model without tau "
+                            "keeps none")
     if maxdeg + 1 > obj.top:
         raise DegreeOutOfRange(f"{theory} degree {maxdeg} needs internal degree "
                                f"{maxdeg + 1}, built through {obj.top}")

@@ -9,7 +9,8 @@ point never appears.
 
 There is one elimination, :class:`Echelon`, and every answer is read off
 its result: a rank is its pivot count, a kernel the canonical basis of its
-RREF (:func:`rank_kernel`), a span basis its rows (:func:`column_basis`),
+RREF (:func:`rank_kernel`), a quotient's projection that basis transposed
+(:class:`QuotientSpace`), a span basis its rows (:func:`column_basis`),
 and a solve of A X = B, membership included, the RREF of [A | B]
 (:func:`solve_columns`). Two paths need no elimination at all:
 :func:`restrict` onto a :class:`KernelBasis`, and :func:`map_well_defined`
@@ -387,6 +388,14 @@ def rank(M):
     return ech.rank
 
 
+def _reduced_rows(field, rows):
+    """The RREF of ``rows``, keyed by pivot column; the echelon is freed on return."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    return ech.reduced_rows()
+
+
 def rank_kernel(M):
     """Rank of M and a :class:`KernelBasis` whose columns are a basis of ker M.
 
@@ -394,17 +403,17 @@ def rank_kernel(M):
     its free column and 0 at every other free column. It is read off the
     RREF of M in one pass; see :func:`_free_basis`.
     """
-    ech = Echelon(M.field)
-    for row in M.rowdict.values():
-        ech.insert(row)
-    return ech.rank, _free_basis(M.field, M.cols, ech.reduced_rows())
+    red = _reduced_rows(M.field, M.rowdict.values())
+    return len(red), _free_basis(M.field, M.cols, red)
 
 
 class KernelBasis(Matrix):
-    """A canonical kernel basis K with its free rows: the dual of :class:`QuotientSpace`.
+    """A canonical kernel basis K with its free rows.
 
     ``free[k]`` is the free coordinate of column k, so the rows ``free`` of
-    K form the identity; :func:`restrict` reads coordinates off them.
+    K form the identity; :func:`restrict` reads coordinates off them. The
+    kernel basis of the RREF of a relation set, transposed, is the
+    projection of its :class:`QuotientSpace`.
     """
 
     __slots__ = ("free",)
@@ -485,112 +494,22 @@ def restrict(K, Y):
 class QuotientSpace:
     """k^n modulo the span W of the relations, with projection and a coordinate section.
 
-    Quotient coordinates are the free (non-pivot) columns of the RREF of the
-    relations with leftmost pivots, so the section re-embeds them and
-    projection . section is the identity. The projection has kernel W; no
-    echelon is kept.
-
-    Relations with one or two nonzeros are never eliminated. They fold into
-    a weighted union-find over the field (Tarjan, J. ACM 22, 1975): each
-    index keeps its ratio w_i to its root, e_i = w_i e_root modulo W, and the
-    root is the largest index of its class. A relation with one nonzero
-    kills its class; one with two merges the classes of its indices, and
-    kills the class when the ratios around a cycle disagree. Only the wider
-    relations reach an echelon, rewritten in the coordinates of the live
-    roots; dead classes drop out and zero results are skipped.
-
-    This gives the canonical RREF quotient entry for entry. The pivots of an
-    RREF are the numbers min supp(w) over the nonzero w in W, so the free
-    set depends on W only. The vectors e_i - w_i e_root (i a member of a
-    live class other than its root, so i < root), e_i (i in a dead class)
-    and the echelon rows of the rewritten wide relations lie in W, span it
-    (a wide relation differs from its rewrite by a combination of the first
-    two kinds) and have distinct minimal supports. A nonzero combination of
-    them has the least of those minima among its terms, so the minima are
-    the pivots and the free set is the live roots that are no echelon
-    pivot. As
-    k^n = W + span(e_free) is direct, only one projection onto the free
-    coordinates has kernel W: e_i goes to w_i times the image of its root,
-    which is its own coordinate for a free root and minus its RREF row for
-    an echelon pivot.
+    The dual of :class:`KernelBasis`, read off the same elimination: the
+    relations go into one :class:`Echelon`, and the quotient coordinates are
+    the free columns of its RREF. The projection is the transpose of the
+    canonical kernel basis of that RREF (:func:`_free_basis`), so its kernel
+    is W, and the section puts e_k at the k-th free column, so projection .
+    section is the identity. No echelon is kept.
     """
 
     def __init__(self, field, ambient_dim, relation_vectors):
-        f = field
-        zero, one = f.zero, f.one
+        basis = _free_basis(field, ambient_dim, _reduced_rows(field, relation_vectors))
         self.field = field
         self.ambient_dim = ambient_dim
-        parent = list(range(ambient_dim))
-        ratio = [one] * ambient_dim  # e_i = ratio[i] e_parent[i] modulo the relations
-        dead = set()  # roots of killed classes
-
-        def find(i):
-            """(root of i, w) with e_i = w e_root; compresses the path."""
-            if parent[i] == i:
-                return i, one
-            path = []
-            while parent[i] != i:
-                path.append(i)
-                i = parent[i]
-            w = one
-            for j in reversed(path):
-                w = f.mul(ratio[j], w)
-                ratio[j], parent[j] = w, i
-            return i, w
-
-        wide = []
-        for rel in relation_vectors:
-            if len(rel) > 2:
-                wide.append(rel)
-                continue
-            terms = [(i, a) for i, a in rel.items() if a != zero]
-            if len(terms) == 1:
-                dead.add(find(terms[0][0])[0])
-            elif terms:
-                # a e_i + b e_j reads c_u e_u + c_v e_v = 0 on the roots u, v
-                (u, wu), (v, wv) = find(terms[0][0]), find(terms[1][0])
-                cu, cv = f.mul(terms[0][1], wu), f.mul(terms[1][1], wv)
-                if u == v:
-                    if f.add(cu, cv) != zero:
-                        dead.add(u)
-                    continue
-                if u > v:
-                    u, v, cu, cv = v, u, cv, cu
-                parent[u], ratio[u] = v, f.neg(f.mul(cv, f.inv(cu)))
-                if u in dead or v in dead:
-                    dead.discard(u)
-                    dead.add(v)
-        ech = Echelon(f)
-        for rel in wide:
-            vec = {}
-            for i, a in rel.items():
-                r, w = find(i)
-                if r not in dead:
-                    s = f.add(vec.get(r, zero), f.mul(a, w))
-                    if s == zero:
-                        vec.pop(r, None)
-                    else:
-                        vec[r] = s
-            if vec:
-                ech.insert(vec)
-
-        red = ech.reduced_rows()
-        free = [i for i in range(ambient_dim)
-                if parent[i] == i and i not in dead and i not in red]
-        image = {c: {k: one} for k, c in enumerate(free)}  # live root -> projected e_root
-        index = {c: k for k, c in enumerate(free)}
-        for p, row in red.items():
-            image[p] = {index[c]: f.neg(v) for c, v in row.items() if c != p}
-        rd = {}
-        for i in range(ambient_dim):
-            r, w = find(i)
-            if r not in dead:
-                for k, v in image[r].items():
-                    rd.setdefault(k, {})[i] = f.mul(w, v)
-        self.dim = len(free)
-        self.projection = Matrix(f, self.dim, ambient_dim, rd)
-        sec = [(c, k, one) for k, c in enumerate(free)]
-        self.section = Matrix.from_entries(f, ambient_dim, self.dim, sec)
+        self.dim = basis.cols
+        self.projection = basis.transpose()
+        self.section = Matrix(field, ambient_dim, self.dim,
+                              {c: {k: field.one} for k, c in enumerate(basis.free)})
 
     def induce(self, other, ambient_map):
         """Induced matrix other_quotient <- self on representatives, unchecked.

@@ -4,8 +4,8 @@ Textbook row reduction on dense lists, written without reference to the
 package internals so the two routes stay independent; the structure maps in
 their reference form, composed from Kronecker products, slot permutation
 matrices and matrix products; the coinvariant quotient taken over every
-basis element of B; the quotient read off one RREF of all the relations,
-the reference for the orbit quotients of ``linalg.QuotientSpace``; the
+basis element of B; the quotient read off the dense kernel of the matrix
+whose rows are the relations, the reference for ``linalg.QuotientSpace``; the
 test that a map descends to quotients by one membership test per relation,
 the reference for the product form of ``linalg.map_well_defined``; the
 solve that expresses each column over the generators a tracking echelon
@@ -45,7 +45,6 @@ from hopfcyclic.linalg import (
     Echelon,
     Matrix,
     QuotientSpace,
-    _free_basis,
     rank_kernel,
     restrict,
     solve_columns,
@@ -173,20 +172,23 @@ def descends_by_membership(A, src_relations, dst_relations):
     return True
 
 
-def echelon_quotient(field, ambient_dim, relation_vectors):
-    """(dim, projection, section) of k^n modulo the relation span, by elimination only.
+def dense_quotient(field, ambient_dim, relation_vectors):
+    """(dim, projection, section) of k^n modulo the relation span, on dense lists.
 
-    Every relation goes into one echelon; the quotient coordinates are the
-    free columns of its RREF and the projection is the transpose of the
-    canonical kernel basis of the RREF.
+    The relations are the rows of a matrix R, so the span is its row space
+    and, with x_k the kernel vectors of R that :func:`backsub_kernel` solves
+    for, the projection sends e_i to sum_k x_k[i] e_k. It fixes the free
+    coordinates, and it sends each row of the RREF of R, e_p plus terms at
+    free columns only, to 0. The section puts e_k at the k-th free column.
     """
-    ech = Echelon(field)
-    for v in relation_vectors:
-        ech.insert(v)
-    basis = _free_basis(field, ambient_dim, ech.reduced_rows())
-    free = basis.free
+    R = Matrix.from_entries(field, len(relation_vectors), ambient_dim,
+                            [(r, c, v) for r, rel in enumerate(relation_vectors)
+                             for c, v in rel.items()])
+    _, free, kernel = backsub_kernel(R)
+    proj = [(k, i, v) for k, x in enumerate(kernel) for i, v in x.items()]
     sec = [(c, k, field.one) for k, c in enumerate(free)]
-    return len(free), basis.transpose(), Matrix.from_entries(field, ambient_dim, len(free), sec)
+    return (len(free), Matrix.from_entries(field, len(free), ambient_dim, proj),
+            Matrix.from_entries(field, ambient_dim, len(free), sec))
 
 
 class TrackingEchelon:

@@ -622,6 +622,14 @@ class TestHomology:
         assert homology(cm, "hochschild", 4) == [1, 0, 0, 0, 0]
         assert homology(cm, "bar", 4) == [0, 0, 0, 0, 0]
 
+    def test_cyclic_homology_without_tau_refused(self, h4_q):
+        # an ambient twisted CH complex has no tau
+        mc = regular_module_coalgebra(h4_q)
+        T = twisted_ch(mc, regular_bicomodule(mc), make_coefficient("r_ad", h4_q), 3)
+        with pytest.raises(ShapeMismatch,
+                           match="cyclic homology reads tau, and this module has none"):
+            homology(T, "cyclic", 2)
+
     def test_degree_out_of_range(self, k_q):
         X = make_coefficient("eps", k_q)
         cm = assemble("coalgebra", regular_module_coalgebra(k_q), X, 3)
@@ -731,6 +739,15 @@ class TestFreeModel:
             assert (cm.tau is None) == (M is not None)
         assert homology(cm, "hochschild", 2) == homology(
             assemble("coalgebra", C, X, 3), "hochschild", 2)
+
+    def test_bar_homology_of_a_model_without_tau_refused(self, h4_q):
+        # such a model keeps b only: no cofaces and no last coface
+        C = regular_module_coalgebra(h4_q)
+        cm = regular.free_model(C, make_coefficient("r_ad", h4_q), [0], 3,
+                                regular_bicomodule(C))
+        with pytest.raises(ShapeMismatch,
+                           match="bar homology reads the last coface, and a model without tau"):
+            homology(cm, "bar", 2)
 
     def test_d0_mutant_that_only_the_d0_identities_see_rejected(self, monkeypatch, h4_q):
         # with no tau and d_0 not slotted, d_0 out of degree 2 bumped at

@@ -29,10 +29,10 @@ from hopfcyclic.linalg import (
 from oracles import (
     backsub_kernel,
     dense_of,
+    dense_quotient,
     dense_rank,
     dense_rank_of_matrix,
     descends_by_membership,
-    echelon_quotient,
     sympy_rank,
     tracked_solve,
 )
@@ -517,10 +517,10 @@ def relation_sets(draw):
 
 @given(relation_sets())
 @settings(max_examples=300, deadline=None)
-def test_orbit_quotient_equals_the_echelon_oracle(case):
+def test_quotient_equals_the_dense_kernel_oracle(case):
     field, n, rels = case
     q = QuotientSpace(field, n, rels)
-    assert (q.dim, q.projection, q.section) == echelon_quotient(field, n, rels)
+    assert (q.dim, q.projection, q.section) == dense_quotient(field, n, rels)
 
 
 class TestQuotient:
