@@ -17,10 +17,8 @@ from .errors import (
     AuditFailed,
     DegreeOutOfRange,
     IdentityViolation,
-    NotAYD,
     NotStable,
     ShapeMismatch,
-    WellDefinednessFailure,
 )
 from .equivariant import regular_bicomodule
 from .linalg import (
@@ -317,30 +315,27 @@ def coinvariant_space_from_matrices(field, B, L_list, dim):
     return QuotientSpace(field, dim, rels)
 
 
-def induced_complex(T, X, check_flags=True):
-    """Coinvariants of a twisted CH complex: its :class:`CocyclicModule`, no tau yet.
+def induced_complex(T):
+    """Coinvariants of a twisted CH complex: its :class:`CocyclicModule`, no tau.
 
-    Requires the coefficient to be anti-Yetter-Drinfeld (the hypothesis of
-    the descent) unless ``check_flags`` is off. [L_g, d_j] = 0 is verified
-    for j <= n and the algebra generators g of B. They suffice: the
-    diagonal action is multiplicative, L_{bb'} = L_b L_{b'} and L_1 = id,
-    as Delta is an algebra map and every factor an audited module (the
-    coefficient by the ``module_report`` that :func:`twisted_ch` requires),
-    so the b with L_b d = d L_b form a subalgebra, and one that contains
-    every g is B.
+    [L_g, d_j] = 0 is verified for j <= n and the algebra generators g of
+    B. They suffice: the diagonal action is multiplicative, L_{bb'} =
+    L_b L_{b'} and L_1 = id, as Delta is an algebra map and every factor an
+    audited module (the coefficient by the ``module_report`` that
+    :func:`twisted_ch` requires), so the b with L_b d = d L_b form a
+    subalgebra, and one that contains every g is B.
 
     Only the last coface is checked for descent (:func:`map_well_defined`).
     For j <= n, d_j (L_g - eps(g)) v = (L_g - eps(g)) d_j v by the verified
     commutators, again a relation, and the (L_g - eps(g)) v span the
-    relations: d_0 ... d_n descend without a check.
+    relations: d_0 ... d_n descend without a check. The check of the last
+    is what refuses a coefficient that is not anti-Yetter-Drinfeld.
 
     The work goes degree by degree: the commutators out of degree n, then
     the quotient of degree n+1, then the cofaces out of n induced. A
     coface that does not descend is refused before any higher quotient is
     built.
     """
-    if check_flags and not X.ayd:
-        raise NotAYD("coefficient is not anti-Yetter-Drinfeld")
     B = T.over
     q = [coinvariant_space_from_matrices(T.field, B, T.actions[0], T.dims[0])]
     cofaces = []
@@ -421,22 +416,24 @@ class CocyclicModule:
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
-    the cyclic operator, None until :meth:`with_tau`. An ambient twisted CH
-    complex (:func:`twisted_ch`) has no tau and carries ``actions[n][g]``,
-    L_g on degree n for the algebra generators g of B, by which
-    :func:`induced_complex` descends it. A module induced on quotients of an
-    ambient module keeps them as ``quotients[n]``, the quotient of degree n;
-    nothing of the ambient is kept but the dimensions each quotient records,
-    so it is freed once descended. A model of :func:`regular.free_model`
-    has neither, and no cofaces: its ``cofaces`` is None, and the one
-    reader of single cofaces, the cokernel of ``relative --mode cokernel``,
-    induces them inside the build loop of ``free_model``. It keeps the
-    ``untwist`` (``regular.Untwist``) by which maps between models are
-    written and its codegeneracies read, and b and, with tau, the last
-    coface out of each degree, ``b[n]`` and ``last[n]``, from which its
-    complexes are formed. Built
-    once per run at the deepest degree any consumer needs; shallower
-    consumers take a truncation, which shares every matrix.
+    the cyclic operator, None on an ambient twisted CH complex
+    (:func:`twisted_ch`) and on CH(C, M; X) for M other than C. An ambient
+    complex carries ``actions[n][g]``, L_g on degree n for the algebra
+    generators g of B, by which :func:`induced_complex` descends it. A
+    module induced on quotients of an ambient module keeps them as
+    ``quotients[n]``, the quotient of degree n, on which :meth:`with_tau`
+    induces tau; nothing of the ambient is kept but the dimensions each
+    quotient records, so it is freed once descended. A model of
+    :func:`regular.free_model` has neither, and no cofaces: its ``cofaces``
+    is None, and the one reader of single cofaces, the cokernel of
+    ``relative --mode cokernel``, induces them inside the build loop of
+    ``free_model``. It keeps the ``untwist`` (``regular.Untwist``) by which
+    maps between models are written and its codegeneracies read, and b and,
+    with tau, the last coface out of each degree, ``b[n]`` and ``last[n]``,
+    from which its complexes are formed. :func:`coinvariant_ch` builds
+    CH(C; X) with its tau as either. Built once per run at the deepest
+    degree any consumer needs; shallower consumers take a truncation, which
+    shares every matrix.
     """
 
     orientation = +1
@@ -487,21 +484,6 @@ class CocyclicModule:
         cm = CocyclicModule(self.field, self.over, self.dims, self.cofaces, tau, self.quotients)
         cm.validate()
         return cm
-
-    def induce_map(self, other, ambient_components):
-        """The ChainMap of Hochschild complexes induced by degreewise ambient maps.
-
-        Components above either top degree are dropped; each kept one must
-        send relations into relations, exactly.
-        """
-        from .theorems import ChainMap  # theorems builds on this module
-
-        comps = {}
-        for n, amb in ambient_components.items():
-            if n <= min(self.top, other.top):
-                failure = WellDefinednessFailure(f"comparison map does not descend at degree {n}")
-                comps[n] = _induced(amb, self.quotients[n], other.quotients[n], failure)
-        return ChainMap(self.complex, other.complex, comps)
 
     def validate(self):
         """Check the cocyclic identities at every degree n, entry-exactly.
@@ -563,14 +545,38 @@ class CyclicModule:
                 raise IdentityViolation(n, "d_0 tau = d_n")
 
 
-def assemble(side, main, X, maxdeg, descended=None):
+def coinvariant_ch(C, X, maxdeg, M=None, W=None):
+    """CH(C, M; X) on coinvariants through ``maxdeg``, M = C where None: its one constructor.
+
+    With ``W``, basis indices on which M is free over B
+    (``regular.free_bases``), the model of ``regular.free_model`` on
+    X (x) W (x) C^{(x) n}; otherwise :func:`twisted_ch` descended by
+    :func:`induced_complex`. For M = C tau comes with the module on both
+    paths: the model writes it, and :meth:`CocyclicModule.with_tau` induces
+    the rotation of :func:`_coalgebra_rotation` on the quotients and
+    validates it. A tau needs a stable X: for M = C an unstable X is refused
+    before anything is built.
+    """
+    if M is None and not X.stable:
+        raise NotStable("coefficient is not stable")
+    if W is not None:
+        from . import regular  # imported here: it adds to every start-up otherwise
+
+        return regular.free_model(C, X, W, maxdeg, M)
+    descended = induced_complex(twisted_ch(C, M or regular_bicomodule(C), X, maxdeg))
+    if M is not None:
+        return descended
+    return descended.with_tau(_coalgebra_rotation(C, X, _pow(C.dim, n))
+                              for n in range(maxdeg + 1))  # one at a time
+
+
+def assemble(side, main, X, maxdeg):
     """Build the validated (co)cyclic module of a triple.
 
-    Coalgebra side: coinvariants of X (x) C^{(x) n+1} with the twisted
-    cofaces and the cyclic rotation through the coefficient coaction.
-    ``descended``, the :func:`induced_complex` of CH(C; X) built through at
-    least ``maxdeg``, supplies the induced cofaces instead of a fresh build;
-    only the cyclic operator is then induced.
+    Coalgebra side: the coinvariants of X (x) C^{(x) n+1} with the twisted
+    cofaces and the cyclic rotation through the coefficient coaction, the
+    module of :func:`coinvariant_ch` descended to its quotients, never the
+    model, even where C is free: the quotients and every coface are kept.
     Algebra side: the subspace of A^{(x) n+1} (x) X on which the total
     coaction is trivial, with multiplication faces and the rotation twisted
     through the coaction. Every (co)cyclic identity is verified on the
@@ -579,21 +585,10 @@ def assemble(side, main, X, maxdeg, descended=None):
     if not X.stable:
         raise NotStable("coefficient is not stable")
     if side == "coalgebra":
-        return _assemble_coalgebra(main, X, maxdeg, descended)
+        return coinvariant_ch(main, X, maxdeg)
     if side == "algebra":
         return _assemble_algebra(main, X, maxdeg)
     raise ShapeMismatch(f"unknown side {side!r}")
-
-
-def _assemble_coalgebra(C, X, maxdeg, descended=None):
-    c = C.dim
-    if descended is None:
-        descended = induced_complex(twisted_ch(C, regular_bicomodule(C), X, maxdeg), X,
-                                    check_flags=False)
-    elif descended.top < maxdeg or descended.quotients[0].ambient_dim != X.dim * c:
-        raise ShapeMismatch(f"descended complex is not CH(C; X) through degree {maxdeg}")
-    taus = (_coalgebra_rotation(C, X, _pow(c, n)) for n in range(maxdeg + 1))  # one at a time
-    return descended.truncate(maxdeg).with_tau(taus)
 
 
 def _coalgebra_rotation(C, X, cn):
@@ -667,18 +662,16 @@ def _algebra_degree(A, X, inclusions, n):
 def assemble_for_homology(side, main, X, maxdeg):
     """:func:`assemble` for a caller that reads nothing but the (co)cyclic module.
 
-    On the coalgebra side the result is the model of :func:`regular.free_model`
-    exactly when :func:`regular.free_bases` finds a free basis of C (and X
-    is stable and anti-Yetter-Drinfeld): it has the same homology in
-    another basis and no quotients to induce ambient maps through.
-    Otherwise this is :func:`assemble`.
+    On the coalgebra side this is :func:`coinvariant_ch` with the free basis
+    W of C that ``regular.free_bases`` finds, if any (X stable and
+    anti-Yetter-Drinfeld too): the model, with the same homology in another
+    basis and no quotients to induce ambient maps through, or else the
+    descended module.
     """
     if side == "coalgebra":
         from . import regular  # imported here: it adds to every start-up otherwise
 
-        bases = regular.free_bases(X, main)
-        if bases is not None:
-            return regular.free_model(main, X, bases[0], maxdeg)
+        return coinvariant_ch(main, X, maxdeg, W=(regular.free_bases(X, main) or [None])[0])
     return assemble(side, main, X, maxdeg)
 
 

@@ -51,10 +51,6 @@ class NotStable(HopfCyclicError):
     pass
 
 
-class NotAYD(HopfCyclicError):
-    pass
-
-
 class WellDefinednessFailure(HopfCyclicError):
     pass
 

@@ -9,9 +9,10 @@ that model the cofaces, the cyclic operator (for M = C) and the comparison
 maps of the coinvariant complexes, from the structure maps, with no ambient
 complex and no quotient, untwisting by Kronecker sums over the action on
 the idle C slots; it checks on them every identity that the audits do not
-imply. ``complexes.assemble_for_homology`` and the coalgebra-side
-drivers of ``theorems`` take it wherever :func:`free_bases` finds W; every
-start-up that does not leaves this module unimported.
+imply. ``complexes.coinvariant_ch`` builds it wherever its caller passes
+the W that :func:`free_bases` finds: ``complexes.assemble_for_homology``
+and the coalgebra-side drivers of ``theorems``. Every start-up that reads
+no coalgebra side leaves this module unimported.
 """
 
 import functools

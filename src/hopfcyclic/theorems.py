@@ -18,15 +18,15 @@ from types import SimpleNamespace
 from .complexes import (
     CocyclicModule,
     _alternating,
+    _induced,
     assemble,
     assemble_for_homology,
+    coinvariant_ch,
     comodule_coinvariants,
     cyclic_total_complex,
     descend_degree,
     homology,
-    induced_complex,
     total_coactions,
-    twisted_ch,
 )
 from .equivariant import (
     ComoduleAlgebra,
@@ -37,7 +37,6 @@ from .equivariant import (
     h_counitality_probe,
     is_projective,
     make_coefficient,
-    regular_bicomodule,
     regular_comodule_algebra,
     regular_module_coalgebra,
 )
@@ -48,6 +47,7 @@ from .errors import (
     NotSubcoalgebra,
     OrientationMismatch,
     ShapeMismatch,
+    WellDefinednessFailure,
 )
 from .hopf import BialgebraDesc, find_integral, group_algebra, _validate_group_table
 from .linalg import (
@@ -357,51 +357,23 @@ def _sub_bicomodule(ses):
     return EquivariantBicomodule(C, k, Kmc.action, left, right)
 
 
-def _free_bases(X, *pieces):
-    """``regular.free_bases``: a free basis W of every piece, or None."""
-    from . import regular  # imported here: it adds to every start-up otherwise
-
-    return regular.free_bases(X, *pieces)
-
-
-def _coinvariant_ch(mc, X, depth, W, M=None):
-    """CH(C, M; X) on coinvariants through ``depth``, M = C where None.
-
-    With a free basis W of M, the model on X (x) W (x) C^{(x) n}
-    (``regular.free_model``, with tau for M = C); otherwise the twisted
-    complex descended by :func:`induced_complex`, no tau.
-    """
-    if W is not None:
-        from . import regular
-
-        return regular.free_model(mc, X, W, depth, M)
-    return induced_complex(twisted_ch(mc, M or regular_bicomodule(mc), X, depth), X,
-                           check_flags=False)
-
-
-def _with_tau(mc, X, T, depth):
-    """The cocyclic module of :func:`_coinvariant_ch` ``T`` through ``depth``, with tau."""
-    if T.tau is None:
-        return assemble("coalgebra", mc, X, depth, descended=T)
-    return T if depth == T.top else T.truncate(depth)
-
-
 def _comparison(src, dst, X, m_map, c_map):
-    """The ChainMap of id_X (x) m_map (x) c_map^{(x) n} between :func:`_coinvariant_ch` complexes.
+    """The ChainMap of id_X (x) m_map (x) c_map^{(x) n} between :func:`coinvariant_ch` complexes.
 
     Between models it is written in model bases (``regular.Untwist.map_to``);
-    between descended complexes it is induced from the ambient, each
-    component checked to descend.
+    between descended modules it is induced from the ambient map, each
+    component checked, exactly, to send relations into relations.
     """
     top = min(src.top, dst.top)
     if src.untwist is not None:
-        return ChainMap(src.complex, dst.complex,
-                        {n: src.untwist.map_to(dst.untwist, m_map, c_map, n)
-                         for n in range(top + 1)})
-    f = src.field
-    I_x = Matrix.identity(f, X.dim)
-    return src.induce_map(dst, {n: I_x.kron(m_map).kron(_tensor_power(c_map, n, f))
-                                for n in range(top + 1)})
+        comps = {n: src.untwist.map_to(dst.untwist, m_map, c_map, n) for n in range(top + 1)}
+    else:
+        I_x = Matrix.identity(src.field, X.dim)
+        comps = {n: _induced(I_x.kron(m_map).kron(_tensor_power(c_map, n, src.field)),
+                             src.quotients[n], dst.quotients[n],
+                             WellDefinednessFailure(f"comparison map does not descend at degree {n}"))
+                 for n in range(top + 1)}
+    return ChainMap(src.complex, dst.complex, comps)
 
 
 def _add_hopf_hypotheses(add, B, X):
@@ -495,14 +467,17 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     I_c, I_k, I_q = (Matrix.identity(f, n) for n in (c, k, q))
     depth_k, depth_c, depth_q = _excision_depths(+1, maxdeg)
     proj, incl = ses.projection, ses.K
-    W_K, W_C, W_Q = _free_bases(X, Kmc, C, ses.quotient) or (None,) * 3
+    from . import regular  # imported here: it adds to every start-up otherwise
 
-    # each distinct complex is built once, at the deepest depth any consumer needs
-    T_C_q = _coinvariant_ch(C, X, depth_c, W_Q, _quotient_bicomodule(ses))  # CH(C, C/K)
-    T_q_q = _coinvariant_ch(ses.quotient, X, depth_q, W_Q)  # CH(C/K)
-    T_K = _coinvariant_ch(Kmc, X, depth_k, W_K)  # CH(K)
-    T_C_k = _coinvariant_ch(C, X, depth_c, W_K, _sub_bicomodule(ses))  # CH(C, K)
-    T_C_C = _coinvariant_ch(C, X, depth_c, W_C)  # CH(C)
+    W_K, W_C, W_Q = regular.free_bases(X, Kmc, C, ses.quotient) or (None,) * 3
+
+    # each distinct complex is built once, at the deepest depth any consumer
+    # needs; CH(K), CH(C) and CH(C/K) with tau
+    T_C_q = coinvariant_ch(C, X, depth_c, _quotient_bicomodule(ses), W_Q)  # CH(C, C/K)
+    T_q_q = coinvariant_ch(ses.quotient, X, depth_q, W=W_Q)  # CH(C/K)
+    T_K = coinvariant_ch(Kmc, X, depth_k, W=W_K)  # CH(K)
+    T_C_k = coinvariant_ch(C, X, depth_c, _sub_bicomodule(ses), W_K)  # CH(C, K)
+    T_C_C = coinvariant_ch(C, X, depth_c, W=W_C)  # CH(C)
 
     # intermediate weak equivalence: CH(C, C/K) -> CH(C/K)
     _, h1_ok = cone_quasi_iso(_comparison(T_C_q, T_q_q, X, I_q, proj), maxdeg)
@@ -538,9 +513,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     hoch_ok = cofibration_verdicts(u_h, v_h, maxdeg)
 
     # cyclic-level cofibration on total complexes, each built once for maps and homology
-    tot_K, tot_C, tot_Q = (cyclic_total_complex(_with_tau(mc, X, T, depth), depth)
-                           for mc, depth, T in ((Kmc, depth_k, T_K), (C, depth_c, T_C_C),
-                                                (ses.quotient, depth_q, T_q_q)))
+    tot_K, tot_C, tot_Q = (cyclic_total_complex(T, T.top) for T in (T_K, T_C_C, T_q_q))
     del T_K, T_C_C, T_q_q
     u_tot = total_chain_map(tot_K, tot_C, u_h.components)
     v_tot = total_chain_map(tot_C, tot_Q, v_h.components)
@@ -766,20 +739,22 @@ def _relative_hypotheses(ses, X, maxdeg, report):
 def _cokernel_cyclic_dims(ses, X, maxdeg):
     """Cyclic dims of the degreewise cokernel of CM(K) -> CM(C).
 
-    Between models the comparison reads only the two untwists, so the
-    quotients exist before CM(C) is built, and its cofaces are induced on
-    them (:func:`descend_degree`) as ``regular.free_model`` builds them.
+    CM(K) is built by :func:`coinvariant_ch` on either path. Between models
+    the comparison reads only the two untwists, so the quotients exist
+    before CM(C) is built, and its cofaces are induced on them
+    (:func:`descend_degree`) as ``regular.free_model`` builds them.
     """
+    from . import regular  # imported here: it adds to every start-up otherwise
+
     depth = maxdeg + 1
     Kmc = ses.k_module_coalgebra()
-    W_K, W_C = _free_bases(X, Kmc, ses.C) or (None, None)
+    W_K, W_C = regular.free_bases(X, Kmc, ses.C) or (None, None)
+    cm_K = coinvariant_ch(Kmc, X, depth, W=W_K)
     if W_C is None:
-        cm_K, cm_C = (assemble("coalgebra", mc, X, depth) for mc in (Kmc, ses.C))
+        cm_C = coinvariant_ch(ses.C, X, depth)
         comps = _comparison(cm_K, cm_C, X, ses.K, ses.K).components
     else:
-        from . import regular
-
-        cm_K, u_C = regular.free_model(Kmc, X, W_K, depth), regular.Untwist(ses.C, X, W_C)
+        u_C = regular.Untwist(ses.C, X, W_C)
         comps = {n: cm_K.untwist.map_to(u_C, ses.K, ses.K, n) for n in range(depth + 1)}
     coker = [QuotientSpace(cm_K.field, comps[n].rows, comps[n].columns())
              for n in range(depth + 1)]

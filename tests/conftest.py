@@ -12,7 +12,6 @@ from hopfcyclic.equivariant import (
     direct_sum_module_coalgebras,
     make_coefficient,
     quotient_ses,
-    regular_bicomodule,
     regular_module_coalgebra,
 )
 from hopfcyclic import complexes, regular
@@ -98,10 +97,7 @@ def every_model_is_the_descended_module():
         """The descended module of ``u``'s triple through ``top``, and Phi onto it, kept."""
         if u not in descended or descended[u][0].top < top:
             C, X, M = u.C, u.X, u.M
-            T = complexes.induced_complex(
-                complexes.twisted_ch(C, M or regular_bicomodule(C), X, top), X, check_flags=False)
-            if M is None:
-                T = complexes.assemble("coalgebra", C, X, top, descended=T)
+            T = complexes.coinvariant_ch(C, X, top, M)
             descended[u] = T, oracles.free_isomorphism(X, u.embed, C.dim, T.quotients)
         return descended[u]
 

@@ -43,7 +43,7 @@ from hopfcyclic.complexes import (
     induced_complex,
     twisted_ch,
 )
-from hopfcyclic.errors import NotAYD
+from hopfcyclic.errors import IdentityViolation
 from hopfcyclic.linalg import (
     GradedComplex,
     Matrix,
@@ -181,16 +181,18 @@ def test_criterion_05_theorem_ayd():
             C = regular_module_coalgebra(b)
             X = make_coefficient(kind, b)
             T = twisted_ch(C, regular_bicomodule(C), X, 5)
-            ic = induced_complex(T, X)  # every coface descends, degrees <= 4
+            ic = induced_complex(T)  # every coface descends, degrees <= 4
             assert len(ic.complex.dims) == 6  # d^2 = 0 on the descended complex
-        # refusal on a stable-but-not-aYD coefficient
+        # refusal on a stable-but-not-aYD coefficient: the last coface out of
+        # degree 0 does not descend, exactly
         h4 = sweedler_h4(QQ)
         C = regular_module_coalgebra(h4)
         X = make_coefficient("eps", h4)
         assert X.stable and not X.ayd
         T = twisted_ch(C, regular_bicomodule(C), X, 2)
-        with pytest.raises(NotAYD):
-            induced_complex(T, X)
+        with pytest.raises(IdentityViolation, match="coface d_1 well-defined on the quotient") as exc:
+            induced_complex(T)
+        assert exc.value.degree == 0
 
 
 def test_criterion_06_doi():

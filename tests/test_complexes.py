@@ -14,7 +14,6 @@ from hopfcyclic.errors import (
     DegreeOutOfRange,
     HopfCyclicError,
     IdentityViolation,
-    NotAYD,
     NotStable,
     ShapeMismatch,
 )
@@ -152,7 +151,7 @@ class TestTwistedCH:
     def test_commutators_vanish_below_last(self, z2_q):
         mc = regular_module_coalgebra(z2_q)
         X = make_coefficient("r_ad", z2_q)
-        induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3), X)  # [L_g, d_j] = 0
+        induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3))  # [L_g, d_j] = 0
 
     def test_last_coface_commutator_nonzero_for_sweedler(self, h4_q):
         mc = regular_module_coalgebra(h4_q)
@@ -186,7 +185,7 @@ class TestTwistedCH:
         assert T.actions[1][g].mul(d0) == d0.mul(T.actions[0][g])
         assert T.actions[1][x].mul(d0) != d0.mul(T.actions[0][x])
         with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0 for b = x"):
-            induced_complex(T, X)
+            induced_complex(T)
 
     def test_coefficient_must_be_a_module(self, z2_q):
         # the generator-only checks rest on the coefficient's action being
@@ -252,25 +251,27 @@ class TestInducedComplex:
         mc = regular_module_coalgebra(z2_q)
         X = make_coefficient("r_ad", z2_q)
         T = twisted_ch(mc, regular_bicomodule(mc), X, 5)
-        ic = induced_complex(T, X)  # every coface descends
+        ic = induced_complex(T)  # every coface descends
         assert len(ic.complex.dims) == 6  # d^2 = 0 on the descended complex
 
     def test_trivial_b_reduces_to_plain_ch(self, k_q):
         mc = regular_module_coalgebra(k_q)
         X = make_coefficient("eps", k_q)
         T = twisted_ch(mc, regular_bicomodule(mc), X, 4)
-        ic = induced_complex(T, X)
+        ic = induced_complex(T)
         assert ic.dims == [1, 1, 1, 1, 1]
 
     def test_not_ayd_refused(self, h4_q):
         # stable but not anti-Yetter-Drinfeld: the trivial coefficient over
-        # a Hopf algebra with non-involutive antipode
+        # a Hopf algebra with non-involutive antipode, whose last coface out
+        # of degree 0 does not descend, exactly
         mc = regular_module_coalgebra(h4_q)
         X = make_coefficient("eps", h4_q)
         assert X.stable and not X.ayd
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
-        with pytest.raises(NotAYD):
-            induced_complex(T, X)
+        with pytest.raises(IdentityViolation, match="coface d_1 well-defined on the quotient") as exc:
+            induced_complex(T)
+        assert exc.value.degree == 0
 
     def test_descended_differential_is_the_induced_one(self, direct_sum_ses_q, k_eps_z2):
         # the Hochschild complex of the descended cofaces is T's differential
@@ -285,7 +286,7 @@ class TestInducedComplex:
             if not X.ayd:
                 continue
             T = twisted_ch(mc, M, X, 2)
-            cm = induced_complex(T, X)
+            cm = induced_complex(T)
             q = cm.quotients
             for n in range(T.top):
                 assert cm.complex.diffs[n] == q[n].induce(q[n + 1], T.complex.diffs[n])
@@ -297,11 +298,11 @@ class TestInducedComplex:
         # out of the relations
         T = twisted_ch(direct_sum_ses_q.C, theorems._quotient_bicomodule(direct_sum_ses_q),
                        k_eps_z2, 2)
-        q = induced_complex(T, k_eps_z2).quotients
+        q = induced_complex(T).quotients
         n = 1
         T.cofaces[n][n + 1] = _escaping(T.cofaces[n][n + 1], q[n], q[n + 1])
         with pytest.raises(IdentityViolation, match="coface d_2 well-defined on the quotient"):
-            induced_complex(T, k_eps_z2)
+            induced_complex(T)
 
     def test_first_coface_mutant_rejected(self, h4_q):
         # d_0 is no longer checked for descent: a d_0 that sends a relation out
@@ -309,18 +310,18 @@ class TestInducedComplex:
         mc = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
-        q = induced_complex(T, X).quotients
+        q = induced_complex(T).quotients
         T.cofaces[0][0] = _escaping(T.cofaces[0][0], q[0], q[1])
         assert map_well_defined(T.cofaces[0][0], q[0], q[1]) is None
         with pytest.raises(ShapeMismatch, match=r"\[L_b, d_0\] != 0 at degree 0"):
-            induced_complex(T, X)
+            induced_complex(T)
 
     def test_descent_keeps_nothing_of_the_ambient(self, h4_q):
         mc = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
         T = twisted_ch(mc, regular_bicomodule(mc), X, 2)
         ambient = weakref.ref(T)
-        ic = induced_complex(T, X)
+        ic = induced_complex(T)
         assert [q.ambient_dim for q in ic.quotients] == T.dims
         del T  # reference counting frees it at once: nothing else refers to it
         assert ambient() is None
@@ -329,8 +330,8 @@ class TestInducedComplex:
     def test_truncation_equals_a_fresh_shallower_build(self, h4_q):
         mc = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
-        deep = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3), X)
-        fresh = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 2), X)
+        deep = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 3))
+        fresh = induced_complex(twisted_ch(mc, regular_bicomodule(mc), X, 2))
         cut = deep.truncate(2)
         assert cut.top == fresh.top == 2
         assert cut.dims == fresh.dims
@@ -350,12 +351,12 @@ class TestInducedComplex:
         cut = twisted_ch(mc, regular_bicomodule(mc), X, 3).truncate(2)
         fresh = twisted_ch(mc, regular_bicomodule(mc), X, 2)
         assert cut.actions == fresh.actions
-        assert induced_complex(cut, X).cofaces == induced_complex(fresh, X).cofaces
+        assert induced_complex(cut).cofaces == induced_complex(fresh).cofaces
 
 
 @pytest.fixture(scope="module")
 def ambient_complexes(direct_sum_ses_q, k_eps_z2, h4_q):
-    """name -> (T, X): CH(C), CH(C, K), CH(C, C/K) and CH(K) of the direct sum,
+    """name -> T: CH(C), CH(C, K), CH(C, C/K) and CH(K) of the direct sum,
     and Sweedler H4 over itself with r_ad, each through degree 3."""
     ses = direct_sum_ses_q
     Kmc = ses.k_module_coalgebra()
@@ -367,7 +368,7 @@ def ambient_complexes(direct_sum_ses_q, k_eps_z2, h4_q):
         "CH(K)": (Kmc, regular_bicomodule(Kmc), k_eps_z2),
         "H4 r_ad": (mh, regular_bicomodule(mh), make_coefficient("r_ad", h4_q)),
     }
-    return {name: (twisted_ch(mc, M, X, 3), X) for name, (mc, M, X) in triples.items()}
+    return {name: twisted_ch(mc, M, X, 3) for name, (mc, M, X) in triples.items()}
 
 
 @pytest.mark.parametrize("n, j", [(n, j) for n in range(3) for j in range(n + 2)])
@@ -377,7 +378,7 @@ def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identi
     checks that run outside the test session's full loop reject it: the
     identities with the last coface at construction, else the [L_g, d_j]
     commutators or the descent of the last coface in ``induced_complex``."""
-    T, X = ambient_complexes[name]
+    T = ambient_complexes[name]
     bumped = [list(faces) for faces in T.cofaces]
     d = bumped[n][j]
     bumped[n][j] = d.add(Matrix.from_entries(T.field, d.rows, d.cols, [(0, 0, T.field.one)]))
@@ -385,7 +386,7 @@ def test_coface_bump_rejected(name, n, j, ambient_complexes, every_coface_identi
     assert not oracles.all_coface_identities(mutant.cofaces)
     with pytest.raises(HopfCyclicError):
         every_coface_identity_holds(mutant)  # the reduced check, as twisted_ch runs it
-        induced_complex(mutant, X)
+        induced_complex(mutant)
 
 
 @pytest.mark.parametrize("mutation", ["n+1 cofaces", "wrong shape"])
@@ -511,15 +512,38 @@ class TestShearUntwist:
 
 
 class TestAssemble:
-    def test_z2_dims_are_powers_of_two(self, z2_q, k_eps_z2):
-        cm = assemble("coalgebra", regular_module_coalgebra(z2_q), k_eps_z2, 5)
-        assert cm.dims == [1, 2, 4, 8, 16, 32]
+    @pytest.mark.parametrize("summands", [1, 2])
+    def test_z2_dims_are_powers_of_two(self, z2_q, k_eps_z2, summands):
+        # C and C (+) C are free over B, and assemble still descends: the
+        # module keeps its quotients and every coface, and is no model
+        C1 = regular_module_coalgebra(z2_q)
+        mc = C1 if summands == 1 else direct_sum_module_coalgebras(C1, C1)
+        assert regular.free_bases(k_eps_z2, mc) is not None
+        cm = assemble("coalgebra", mc, k_eps_z2, 5)
+        assert cm.dims == [mc.dim ** (n + 1) // 2 for n in range(6)]  # (X (x) C^{n+1}) / B
+        assert cm.untwist is None and cm.tau is not None
+        assert [q.dim for q in cm.quotients] == cm.dims
+        assert [len(faces) for faces in cm.cofaces] == [n + 2 for n in range(5)]
 
     def test_not_stable_refused(self, z2_q):
         X = ModComod(z2_q, 2, z2_q.mult, z2_q.comult)
         assert not X.stable
         with pytest.raises(NotStable):
             assemble("coalgebra", regular_module_coalgebra(z2_q), X, 2)
+
+    @pytest.mark.parametrize("W", [None, [0]])
+    def test_coinvariant_ch_refuses_an_unstable_coefficient_first(self, monkeypatch, z2_q, W):
+        # CH(C; X) gets a tau on either path, and a tau needs a stable X: the
+        # refusal comes before the twisted complex or the model is built
+        def unreached(*args, **kwargs):
+            raise AssertionError("built before the stability check")
+
+        monkeypatch.setattr(complexes, "twisted_ch", unreached)
+        monkeypatch.setattr(regular, "free_model", unreached)
+        X = ModComod(z2_q, 2, z2_q.mult, z2_q.comult)
+        assert not X.stable
+        with pytest.raises(NotStable):
+            complexes.coinvariant_ch(regular_module_coalgebra(z2_q), X, 2, W=W)
 
     def test_trivial_b_classical_cocyclic(self, k_q):
         X = make_coefficient("eps", k_q)
