@@ -379,9 +379,15 @@ def _check_tau_order(cm):
             raise IdentityViolation(n, "tau^{n+1} = id")
 
 
-def _check_tau_degree(tau, n, faces):
-    """tau d_j = d_{j-1} tau, 1 <= j <= n+1, and tau d_0 = d_{n+1} for the cofaces out of n."""
-    for j in range(1, n + 2):
+def _check_tau_degree(tau, n, faces, middle=True):
+    """tau d_j = d_{j-1} tau and tau d_0 = d_{n+1} for the cofaces out of n, entry-exactly.
+
+    Checked for 1 <= j <= n+1, or, with ``middle`` False, for j = 1 and
+    j = n+1 alone: on a model of ``regular.free_model``, whose docstring
+    proves the middle identities, 2 <= j <= n, from the checked tail
+    actions, the audited B-linearity of Delta_C and the slotted lemma.
+    """
+    for j in range(1, n + 2) if middle else sorted({1, n + 1}):
         if tau[n + 1].mul(faces[j]) != faces[j - 1].mul(tau[n]):
             raise IdentityViolation(n + 1, f"tau d_{j} = d_{j-1} tau")
     if tau[n + 1].mul(faces[0]) != faces[n + 1]:

@@ -19,7 +19,7 @@ import functools
 
 from .complexes import (CocyclicModule, _alternating, _check_coface_degree, _check_tau_degree,
                         _check_tau_order, _diagonal_action, _pow)
-from .errors import AuditFailed, ShapeMismatch
+from .errors import AuditFailed, IdentityViolation, ShapeMismatch
 from .linalg import Matrix, invert, rank, slotted, wire
 
 
@@ -109,24 +109,44 @@ def free_model(C, X, W, maxdeg, M=None, each=None):
     to x_0 (:attr:`Untwist.insert`). In degree 0 tau has no C slot, and s
     acts on x_0 alone.
 
-    These are the induced maps, so the model is the coinvariant
-    module, exactly where every d descends: d_0 and the middle cofaces are
-    B-linear by the audited equivariance of M's right coaction and of
-    Delta_C, and the last coface and tau descend for an anti-Yetter-Drinfeld
-    X, which the callers require (:func:`free_bases`). Nothing descends
-    here, so the [L_g, d_j] commutators and the well-definedness checks of
-    the descended path have nothing left to check. What remains is checked:
-    for M = C, tau^{n+1} = id first. Then the cofaces out of each degree n
-    are built once, and their tau identities (for M = C, as
-    ``CocyclicModule.validate``) and identities with the cofaces out of n-1
-    (``complexes._check_coface_degree``, with d_0's own where d_0 is not
-    slotted, :class:`Untwist`) checked; b_n and, for M = C, the last
-    coface d_{n+1} are kept, and the others let go: b' = b -
-    (-1)^{n+1} d_{n+1} (``complexes._differentials``), and Connes' complex
-    reads b and tau (``complexes.connes_complex``). A model has no
-    cofaces (``cofaces`` is None): ``each``, where given, is called as
-    each(n, faces) once the cofaces out of degree n are checked, and there
-    the one reader of single cofaces, ``relative --mode cokernel``,
+    These are the induced maps, so the model is the coinvariant module,
+    exactly where every d descends: d_0 and the middle cofaces are B-linear
+    by the audited equivariance of M's right coaction and of Delta_C, and
+    the last coface and tau descend for an anti-Yetter-Drinfeld X, which
+    the callers require (:func:`free_bases`). Nothing descends here, so the
+    [L_g, d_j] commutators and the well-definedness checks of the descended
+    path have nothing left to check. What remains is checked or proved:
+      - each kept L^{(k)}_b is the diagonal action of b, checked once the
+        cofaces out of a degree are built, before any of their identities
+        (:meth:`Untwist.check_tails`);
+      - tau d_j = d_{j-1} tau for 2 <= j <= n out of degree n is proved.
+        d_j is Delta on C slot j, slot j-1 of the tail t, and tau_n and
+        tau_{n+1} are sum_s H_s (x) L^{(n-1)}_s and sum_s H_s (x)
+        L^{(n)}_s with the same H_s (:attr:`Untwist.rotate`), which acts on
+        other slots (the slotted lemma). So the identity is L^{(n)}_s
+        Delta_{j-1} = Delta_{j-1} L^{(n-1)}_s, Delta on tail slot j-1: the
+        audited B-linearity Delta(b c) = b_(1) c_(1) (x) b_(2) c_(2) of
+        Delta_C, with the coassociativity of Delta_B, for the checked tails;
+      - tau d_1 = d_0 tau, tau d_{n+1} = d_n tau and tau d_0 = d_{n+1}
+        read H blocks and are checked in every degree, the top one included
+        (``complexes._check_tau_degree``);
+      - tau^{n+1} = id holds for the rotation induced on the coinvariants of
+        a stable anti-Yetter-Drinfeld X (Hajac-Khalkhali-Rangipour-
+        Sommerhaeuser, C. R. Acad. Sci. Paris 338, 2004), and in every
+        degree n >= 1 tau is one H block with a checked tail. The power is
+        checked through the lowest degree in which every leg of that block
+        acts (:meth:`Untwist.exercised`), degree 0, where tau is written
+        apart, included;
+      - the cofaces out of each degree n are built once, and their
+        identities with the cofaces out of n-1 checked
+        (``complexes._check_coface_degree``, with d_0's own where d_0 is
+        not slotted, :class:`Untwist`).
+    b_n and, for M = C, the last coface d_{n+1} are kept, and the others let
+    go: b' = b - (-1)^{n+1} d_{n+1} (``complexes._differentials``), and
+    Connes' complex reads b and tau (``complexes.connes_complex``). A model
+    has no cofaces (``cofaces`` is None): ``each``, where given, is called
+    as each(n, faces) once the cofaces out of degree n are checked, and
+    there the one reader of single cofaces, ``relative --mode cokernel``,
     induces them on its quotients.
     """
     if not X.module_report.ok:
@@ -137,12 +157,13 @@ def free_model(C, X, W, maxdeg, M=None, each=None):
     cm = CocyclicModule(C.over.field, C.over, dims, None, tau, untwist=u, b=[],
                         last=None if tau is None else [])
     if tau is not None:
-        _check_tau_order(cm)
+        _check_tau_order(cm.truncate(u.exercised(maxdeg)))
     lower = None
     for n in range(maxdeg):
         faces = _model_cofaces(u, n)
+        u.check_tails()
         if tau is not None:
-            _check_tau_degree(tau, n, faces)
+            _check_tau_degree(tau, n, faces, middle=False)
             cm.last.append(faces[-1])
         _check_coface_degree(dims, n, faces, lower, u.slotted_d0)
         cm.b.append(_alternating(cm.field, faces))
@@ -192,7 +213,7 @@ class Untwist:
         rho_w = slotted(f, 1, self.T, C.dim).mul(self.right)  # w -> S(b) (x) w' (x) c
         self.slotted_d0 = self.unit is not None and all(
             r // (len(self.W) * C.dim) == self.unit for r in rho_w.rowdict)
-        self.tails = {}  # (k, b) -> L^{(k)}_b
+        self.tails, self.checked = {}, set()  # (k, b) -> L^{(k)}_b; the keys checked
         self.dims = {"x": X.dim, "x0": X.dim, "x1": X.dim, "w": len(self.W), "v": len(self.W),
                      "m": mdim, "c": C.dim, "c1": C.dim, "y": C.dim, "y1": C.dim}
         self.dims.update(dict.fromkeys(["s", "s1", "s2", "h", "p", "q"], B.dim))
@@ -217,6 +238,32 @@ class Untwist:
                 eps = B.counit.rowdict.get(0, {})
                 self.tails[k, b] = Matrix(B.field, 1, 1, {0: {0: eps[b]}} if b in eps else {})
         return self.tails[k, b]
+
+    def check_tails(self):
+        """Each L^{(k)}_b kept since the last call is the diagonal action of b, entry-exactly.
+
+        Compared with ``complexes._diagonal_action`` of b on C^{(x) k}.
+        """
+        pending = {}
+        for k, b in sorted(self.tails.keys() - self.checked):
+            pending.setdefault(k, []).append(b)
+        for k, bs in pending.items():
+            acts = _diagonal_action(self.C.over, [(None, self.C.action)] * k, None, bs)
+            for b in bs:
+                if self.tails[k, b] != acts[b]:
+                    raise IdentityViolation(k, f"L^{{({k})}}_{b} is the diagonal action")
+                self.checked.add((k, b))
+
+    def exercised(self, top):
+        """The lowest degree n >= 1 where each leg s of :attr:`rotate` has L^{(n-1)}_s != 0.
+
+        ``top`` where no degree through ``top`` is one. A leg with
+        L^{(n-1)}_s = 0 adds nothing to tau in degree n.
+        """
+        block = self.rotate.rows // self.C.over.dim
+        legs = {r // block for r in self.rotate.rowdict}
+        return next((n for n in range(1, top + 1)
+                     if all(self.tail(n - 1, s).rowdict for s in legs)), top)
 
     def wrapped(self, H, k, trail):
         """sum_s H_s (x) L^{(k)}_s, y moved behind the tail: u (x) t -> a (x) t (x) y.

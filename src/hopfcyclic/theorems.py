@@ -37,6 +37,7 @@ from .equivariant import (
     h_counitality_probe,
     is_projective,
     make_coefficient,
+    regular_bicomodule,
     regular_comodule_algebra,
     regular_module_coalgebra,
 )
@@ -739,19 +740,21 @@ def _relative_hypotheses(ses, X, maxdeg, report):
 def _cokernel_cyclic_dims(ses, X, maxdeg):
     """Cyclic dims of the degreewise cokernel of CM(K) -> CM(C).
 
-    CM(K) is built by :func:`coinvariant_ch` on either path. Between models
-    the comparison reads only the two untwists, so the quotients exist
-    before CM(C) is built, and its cofaces are induced on them
-    (:func:`descend_degree`) as ``regular.free_model`` builds them.
+    Only the Hochschild comparison is read of CM(K), so :func:`coinvariant_ch`
+    builds it as CH(K, K; X), with no tau, on either path; the descended
+    CM(C) is built first, so that an unstable X is refused before CM(K) is
+    built. Between models the comparison reads only the two untwists, so
+    the quotients exist before CM(C) is built, and its cofaces are induced
+    on them (:func:`descend_degree`) as ``regular.free_model`` builds them.
     """
     from . import regular  # imported here: it adds to every start-up otherwise
 
     depth = maxdeg + 1
     Kmc = ses.k_module_coalgebra()
     W_K, W_C = regular.free_bases(X, Kmc, ses.C) or (None, None)
-    cm_K = coinvariant_ch(Kmc, X, depth, W=W_K)
+    cm_C = coinvariant_ch(ses.C, X, depth) if W_C is None else None
+    cm_K = coinvariant_ch(Kmc, X, depth, regular_bicomodule(Kmc), W_K)
     if W_C is None:
-        cm_C = coinvariant_ch(ses.C, X, depth)
         comps = _comparison(cm_K, cm_C, X, ses.K, ses.K).components
     else:
         u_C = regular.Untwist(ses.C, X, W_C)

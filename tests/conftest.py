@@ -84,8 +84,11 @@ def every_model_is_the_descended_module():
     that apply Psi with the whole diagonal action L_s of each leg
     (``oracles.is_the_applied_model``), and the b that it keeps is the
     alternating sum of its cofaces and, with tau, the last coface that it
-    keeps is the last of them. A model keeps no cofaces, so the checks
-    that read them after the build take the oracle's
+    keeps is the last of them. A model with tau passes tau^{n+1} = id in
+    every degree and every tau identity on the cofaces it handed over, the
+    full loops of which ``regular.free_model`` proves the rest implied
+    (``oracles.all_tau_identities``). A model keeps no cofaces, so the
+    checks that read them after the build take the oracle's
     (``oracles.model_cofaces``), which these comparisons show equal.
 
     Yields the unwrapped builder and map writer, for a mutant that only the
@@ -111,6 +114,8 @@ def every_model_is_the_descended_module():
 
         cm = build(C, X, W, maxdeg, M, each=handed)
         assert cm.cofaces is None, "a model keeps its cofaces"
+        assert cm.tau is None or oracles.all_tau_identities(cm, built), \
+            "a tau identity fails that the model's checks passed"
         assert oracles.is_the_applied_model(cm, built), "the model is not Psi with whole actions"
         assert len(cm.b) == cm.top and (cm.last is None) == (cm.tau is None)
         for n, faces in enumerate(built):

@@ -1,7 +1,9 @@
 """Independent oracles used to cross-check the sparse engine.
 
 Textbook row reduction on dense lists, written without reference to the
-package internals so the two routes stay independent; the structure maps in
+package internals so the two routes stay independent; the rank with the
+rows in dict order, the reference for the sparsest-first order of
+``linalg.rank``; the structure maps in
 their reference form, composed from Kronecker products, slot permutation
 matrices and matrix products; the coinvariant quotient taken over every
 basis element of B; the quotient read off the dense kernel of the matrix
@@ -16,7 +18,9 @@ assembled from ambient faces and tau times the kernel basis, the reference
 for the assembly that applies them on the kernel basis; every face identity of a cyclic
 module and every coface identity of a cocyclic module, with or without tau,
 the references for the reduced checks of ``CyclicModule.validate`` and
-``complexes._check_coface_degree``; the differential of the bar
+``complexes._check_coface_degree``; tau^{n+1} = id and every tau identity
+of a model, the reference for the checks and proofs of
+``regular.free_model``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; the model's tau and
@@ -98,6 +102,18 @@ def dense_kernel_dim(rows, ncols, field):
 
 def dense_rank_of_matrix(M):
     return dense_rank(dense_of(M), M.field) if M.rows else 0
+
+
+def row_order_rank(M):
+    """Rank of M, its rows inserted into an ``Echelon`` in dict order.
+
+    The rank ``linalg.rank`` computed before it took the rows sparsest
+    first; the same elimination in another order.
+    """
+    ech = Echelon(M.field)
+    for row in M.rowdict.values():
+        ech.insert(row)
+    return ech.rank
 
 
 def sympy_rank(M):
@@ -650,6 +666,30 @@ def all_coface_identities(cofaces):
             for i in range(j):
                 if upper[j].mul(lower[i]) != upper[i].mul(lower[j - 1]):
                     return False
+    return True
+
+
+def all_tau_identities(cm, cofaces):
+    """True iff tau^{n+1} = id in every degree and every tau identity holds out of every degree.
+
+    ``cofaces[n]`` are the cofaces out of degree n. The full loops:
+    tau^{n+1} formed one factor at a time, and tau d_j = d_{j-1} tau for
+    1 <= j <= n+1 and tau d_0 = d_{n+1} out of each degree n, of which a
+    model of ``regular.free_model`` checks only the first and the last
+    two and proves the rest.
+    """
+    tau = cm.tau
+    for n, t in enumerate(tau):
+        power = t
+        for _ in range(n):
+            power = power.mul(t)
+        if power != Matrix.identity(cm.field, cm.dims[n]):
+            return False
+    for n, faces in enumerate(cofaces):
+        if any(tau[n + 1].mul(faces[j]) != faces[j - 1].mul(tau[n]) for j in range(1, n + 2)):
+            return False
+        if tau[n + 1].mul(faces[0]) != faces[n + 1]:
+            return False
     return True
 
 

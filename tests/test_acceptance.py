@@ -545,7 +545,7 @@ def test_degree_ceiling_sweedler_cyclic_homology():
     # the model through degree 6: its largest cofaces, the 7 out of degree
     # 5, are built once, checked and let go once b is formed and the last
     # kept; Connes' complex on the normalized cochains gives the dims
-    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 3.5, 76,
+    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 1.6, 76,
                     HOMOLOGY_CHILD, "homology",
                     str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
                     "--coefficient", "r_ad", "--theory", "cyclic", "--max-degree", "5")

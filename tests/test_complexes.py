@@ -3,6 +3,7 @@ import copy
 import itertools
 import json
 import random
+import re
 import types
 import weakref
 from pathlib import Path
@@ -949,6 +950,30 @@ class TestRegularModel:
         with pytest.raises(AssertionError, match="a coface identity fails that the check passed"):
             regular.free_model(C, X, [0], 3, M)
 
+    def test_session_runs_every_tau_identity_on_a_model(self, monkeypatch, h4_q):
+        # d_2 out of degree 3 of a model through degree 4, bumped at a column
+        # where no coface out of degree 2 has a row: no coface identity
+        # reads the entry, and the tau identities that do, tau d_2 = d_1 tau
+        # and tau d_3 = d_2 tau, are proved, not checked, out of degree 3.
+        # The package's checks pass it, and the session's full loops, run on
+        # the cofaces that the model hands over, reject it
+        C = regular_module_coalgebra(h4_q)
+        X = make_coefficient("r_ad", h4_q)
+        real = regular._model_cofaces
+        lower = real(regular.Untwist(C, X, [0]), 2)
+        col = next(c for c in range(lower[0].rows) if all(c not in d.rowdict for d in lower))
+
+        def bumped(u, n):
+            faces = real(u, n)
+            if n == 3:
+                faces[2] = _bump(faces[2], 0, col)
+            return faces
+
+        monkeypatch.setattr(regular, "_model_cofaces", bumped)
+        with pytest.raises(AssertionError,
+                           match="a tau identity fails that the model's checks passed"):
+            regular.free_model(C, X, [0], 4)
+
     def test_perturbed_isomorphism_rejected(self, h4_q):
         C = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
@@ -1007,9 +1032,10 @@ class TestWrappedModel:
     @pytest.mark.parametrize("M", [False, True])
     def test_bumped_tail_action_rejected(self, monkeypatch, h4_q, M):
         # L^{(2)}_g, read by tau_3 and the last coface out of degree 2, plus
-        # one at (0, 0). With tau, CocyclicModule.validate rejects it by
-        # tau^4 = id; on CH(C, M) with no tau, _check_coface_degree by
-        # the identity of the last coface with d_0
+        # one at (0, 0). The tail check rejects it with the cofaces out of
+        # degree 0, before any identity, with tau or without; tau^4 = id is
+        # no longer formed in degree 3, and on CH(C, M) the identity of the
+        # last coface with d_0 would reject it in degree 1
         C = TestFreeModel._unit_plus_x(h4_q) if M else regular_module_coalgebra(h4_q)
         real = regular.Untwist.__init__
 
@@ -1019,16 +1045,60 @@ class TestWrappedModel:
 
         monkeypatch.setattr(regular.Untwist, "__init__", init)
         X = make_coefficient("r_ad", h4_q)
-        if M:
-            with pytest.raises(IdentityViolation, match="'d_3 d_0 = d_0 d_2' fails in degree 1"):
-                regular.free_model(C, X, [0], 3, regular_bicomodule(C))
-        else:
-            with pytest.raises(IdentityViolation, match=r"'tau\^\{n\+1\} = id' fails in degree 3"):
-                regular.free_model(C, X, [0], 3)
+        with pytest.raises(IdentityViolation,
+                           match=r"'L\^\{\(2\)\}_1 is the diagonal action' fails in degree 2"):
+            regular.free_model(C, X, [0], 3, regular_bicomodule(C) if M else None)
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_bumped_top_tail_rejected(self, monkeypatch, every_model_is_the_descended_module,
+                                      fname):
+        # each L^{(k)}_b kept at the highest k, the tail of tau in the top
+        # degree, whose power is not formed, and of the last cofaces, plus
+        # one at (0, 0) as it is kept: the tail check rejects it
+        build, _ = every_model_is_the_descended_module
+        real = regular.Untwist.tail
+        rejected = []
+        for name, C, X, W, M in self._models(fname):
+            kept = build(C, X, W, 3, M).untwist.tails
+            if not kept:  # every leg is 1, whose L^{(k)}_1 = id is written, not kept
+                continue
+            top = max(k for k, _ in kept)
+            for b in sorted(b for k, b in kept if k == top):
+                def bumped(u, k, s, b=b):
+                    new = (k, s) not in u.tails
+                    L = real(u, k, s)
+                    if new and (k, s) == (top, b):
+                        L = u.tails[k, s] = _bump(L)
+                    return L
+
+                monkeypatch.setattr(regular.Untwist, "tail", bumped)
+                with pytest.raises(IdentityViolation, match=re.escape(
+                        f"'L^{{({top})}}_{b} is the diagonal action' fails in degree {top}")):
+                    build(C, X, W, 3, M)
+                monkeypatch.setattr(regular.Untwist, "tail", real)
+                rejected.append((name, b))
+        assert len({name for name, _ in rejected}) == 7, rejected
+
+    @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
+    def test_power_formed_where_every_leg_of_tau_acts(self, fname):
+        # L^{(0)}_s = eps(s) kills the legs x and gx of Sweedler's H4, and
+        # L^{(1)}_s, its regular action, none; every leg of Z_2 is grouplike
+        field = REGULAR_FIELDS[fname]
+        h4 = sweedler_h4(field)
+        X = make_coefficient("r_ad", h4)
+        for C in (regular_module_coalgebra(h4), TestFreeModel._unit_plus_x(h4)):
+            u = regular.Untwist(C, X, [0])
+            assert [u.exercised(top) for top in range(4)] == [0, 1, 2, 2]
+        z2 = group_algebra(cyclic_table(2), field)
+        C1 = regular_module_coalgebra(z2)
+        u = regular.Untwist(direct_sum_module_coalgebras(C1, C1), make_coefficient("eps", z2),
+                            [0, 2])
+        assert [u.exercised(top) for top in range(4)] == [0, 1, 1, 1]
 
     @pytest.mark.parametrize("name, check", [
-        ("rotate", r"'tau\^\{n\+1\} = id' fails in degree 2"),  # CocyclicModule.validate
-        ("wrap", "'tau d_2 = d_1 tau' fails in degree 2"),  # CocyclicModule.validate
+        # the power, formed through degree 2, where every leg of tau acts
+        ("rotate", r"'tau\^\{n\+1\} = id' fails in degree 2"),
+        ("wrap", "'tau d_2 = d_1 tau' fails in degree 2"),  # tau d_{n+1} = d_n tau
         ("insert", "'d_2 d_0 = d_0 d_1' fails in degree 0"),  # _check_coface_degree
     ])
     def test_bumped_h_block_rejected(self, monkeypatch, h4_q, name, check):

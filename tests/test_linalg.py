@@ -33,6 +33,7 @@ from oracles import (
     dense_rank,
     dense_rank_of_matrix,
     descends_by_membership,
+    row_order_rank,
     sympy_rank,
     tracked_solve,
 )
@@ -174,6 +175,34 @@ def sparse_matrices(draw):
         v = Fraction(a, b) if field == QQ else field.from_int(a)
         ents.append((i, j, v))
     return Matrix.from_entries(field, rows, cols, ents)
+
+
+@st.composite
+def rank_cases(draw):
+    """A sparse matrix over Q, F_2 or F_3, square, wide or tall (up to 24 rows), and of
+    full rank or rank-deficient: a product P Q through an inner dimension 0..4."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, cols = draw(st.integers(0, 24)), draw(st.integers(0, 8))
+    scalar = st.sampled_from([1, -1, 2, 3]).map(field.from_int)
+
+    def sparse(r, c):
+        cells = draw(st.lists(st.tuples(st.integers(0, max(r - 1, 0)),
+                                        st.integers(0, max(c - 1, 0)), scalar),
+                              max_size=2 * r * c)) if r and c else []
+        return Matrix.from_entries(field, r, c, cells)
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 4))
+        return sparse(rows, inner).mul(sparse(inner, cols))
+    return sparse(rows, cols)
+
+
+@given(rank_cases())
+@settings(max_examples=200, deadline=None)
+def test_rank_equals_the_row_order_rank(M):
+    """``rank`` inserts the rows sparsest first; the row-order rank and the
+    dense elimination give the same number."""
+    assert rank(M) == row_order_rank(M) == dense_rank_of_matrix(M)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import collections
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hopfcyclic.errors import (
     IdentityViolation,
     NotAGroup,
     NotBStable,
+    NotStable,
     OrientationMismatch,
     ShapeMismatch,
 )
@@ -390,7 +392,7 @@ class TestFreeModels:
         # ends at degree 2, where CH(C/K) ends
         pytest.param("quotient", "chain map does not commute at degree 2",
                      id="quotient-chain map does not commute"),
-        ("regular", "tau"),  # CH(C): a tau identity
+        ("regular", "'tau d_3 = d_2 tau' fails in degree 3"),  # CH(C): tau d_{n+1} = d_n tau
     ])
     def test_top_coface_bump_rejected(self, monkeypatch, every_model_is_the_descended_module,
                                       every_coface_identity_holds, piece, check):
@@ -440,7 +442,9 @@ class TestFreeModels:
         monkeypatch.setattr(regular, "_model_rotation",
                             lambda u, n: _bump(real(u, n)) if n == 2 else real(u, n))
         ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
-        with pytest.raises(IdentityViolation, match="tau"):
+        # every leg of tau on Z_2 is grouplike: tau^{n+1} = id is formed
+        # through degree 1 only, and tau d_1 = d_0 tau rejects tau_2
+        with pytest.raises(IdentityViolation, match="'tau d_1 = d_0 tau' fails in degree 2"):
             verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3, 4, 5])
@@ -622,6 +626,56 @@ class TestRelative:
         with pytest.raises(NotBStable, match="inside quotient_ses"):
             relative_hc(direct_sum_ses_q.C, direct_sum_ses_q.K, k_eps_z2, "quotient", 1)
         assert modes == ["subcoalgebra"]
+
+    @pytest.mark.parametrize("fixture", ["direct_sum_ses.json", "grouplike_counit_ses.json"])
+    def test_cokernel_writes_no_tau_for_k(self, monkeypatch, capsys, fixture):
+        # CM(K) is read only by its Hochschild comparison into CM(C): on the
+        # model path (direct_sum_ses) and on the descended one
+        # (grouplike_counit_ses) no rotation is written or induced for it,
+        # while CM(C), the cokernel and CM(C/K) get theirs
+        ks, inside, taus = [], [], collections.Counter()
+        k_mc, build = equivariant.CoalgebraSES.k_module_coalgebra, theorems.coinvariant_ch
+        with_tau, rotation = CocyclicModule.with_tau, regular._model_rotation
+
+        def kept(ses):
+            ks.append(k_mc(ses))
+            return ks[-1]
+
+        def tracked(C, *args, **kwargs):
+            inside.append(any(C is k for k in ks))
+            try:
+                return build(C, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_with_tau(cm, t):
+            taus["K" if any(inside) else "other"] += 1
+            return with_tau(cm, t)
+
+        def counted_rotation(u, n):
+            taus["K" if any(u.C is k for k in ks) else "other"] += 1
+            return rotation(u, n)
+
+        monkeypatch.setattr(equivariant.CoalgebraSES, "k_module_coalgebra", kept)
+        monkeypatch.setattr(theorems, "coinvariant_ch", tracked)
+        monkeypatch.setattr(CocyclicModule, "with_tau", counted_with_tau)
+        monkeypatch.setattr(regular, "_model_rotation", counted_rotation)
+        assert main(["relative", str(FIXTURES / fixture), "--mode", "cokernel",
+                     "--max-degree", "2", "--json"]) == 0
+        capsys.readouterr()
+        assert ks and taus["K"] == 0 and taus["other"], taus
+
+    def test_cokernel_refuses_an_unstable_coefficient_first(self, monkeypatch):
+        # CM(K), built with no tau, takes an unstable X; CM(C), built first
+        # on the descended path, refuses it before any complex is built
+        ses = parse_input(str(FIXTURES / "grouplike_counit_ses.json"))
+        B = ses.C.over
+        X = ModComod(B, 1, counit_action(B, 1), Matrix.zero(B.field, B.dim, 1))
+        built = []
+        monkeypatch.setattr(complexes, "twisted_ch", lambda *args: built.append(args))
+        with pytest.raises(NotStable, match="coefficient is not stable"):
+            theorems._cokernel_cyclic_dims(ses, X, 1)
+        assert not built
 
     def test_k_equals_c_cokernel_vanishes(self, z2_q, k_eps_z2):
         C = regular_module_coalgebra(z2_q)
