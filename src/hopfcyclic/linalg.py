@@ -686,6 +686,31 @@ def _picker(positions):
     return lambda st: ()
 
 
+def _strides(legs, dims):
+    """{leg: row-major stride} of a product of ``legs``, and the product's dimension."""
+    strides, size = {}, 1
+    for leg in reversed(legs):
+        strides[leg] = size
+        size *= dims[leg]
+    return strides, size
+
+
+def _flat(legs, dims, strides):
+    """index in the product of ``legs`` -> the sum of its slot values times ``strides``."""
+    if len(legs) == 1:
+        s = strides[legs[0]]
+        return lambda i: i * s
+    pairs = [(dims[leg], strides[leg]) for leg in reversed(legs)]
+
+    def flat(i):
+        out = 0
+        for d, s in pairs:
+            i, r = divmod(i, d)
+            out += r * s
+        return out
+    return flat
+
+
 def wire(field, dims, spec, *steps, on=None):
     """The operator of a wiring of structure tensors, entries written directly.
 
@@ -697,8 +722,10 @@ def wire(field, dims, spec, *steps, on=None):
     ``dims`` gives the dimension of every leg.
 
     Source legs that no step consumes are identity slots. The coefficient
-    table is computed once on the other legs, one basis tuple at a time, and
-    copied across the identity slots by stride arithmetic.
+    table on the other legs is copied across the identity slots by stride
+    arithmetic. With one step it is the tensor's entries re-indexed;
+    otherwise it is computed one basis tuple at a time, each step looking
+    up its in-leg values among the tensor's entries.
 
     With ``on`` a matrix M, the result is the product operator @ M, and
     only the operator columns at which M has a row are written. The
@@ -708,13 +735,13 @@ def wire(field, dims, spec, *steps, on=None):
     f = field
     zero = f.zero
     src, dst = _legs(spec)
-    consumed = {leg for _, text in steps for leg in _legs(text)[0]}
+    steps = [(M, text, *_legs(text)) for M, text in steps]
+    consumed = {leg for _, _, ins, _ in steps for leg in ins}
     ident = [leg for leg in src if leg not in consumed]
     live = [leg for leg in src if leg in consumed]
     touched = list(live)
     plan = []
-    for M, text in steps:
-        ins, outs = _legs(text)
+    for M, text, ins, outs in steps:
         if any(leg not in live for leg in ins) or any(
                 leg in live or leg in ident for leg in outs):
             raise ShapeMismatch(f"step {text!r} does not fit the live legs {live}")
@@ -726,50 +753,28 @@ def wire(field, dims, spec, *steps, on=None):
                                 f"got {M.rows}x{M.cols}")
         reads = [live.index(leg) for leg in ins]
         keep = [k for k, leg in enumerate(live) if leg not in ins]
-        hits = {}  # in leg values, as ``read`` returns them -> [(out leg values, entry)]
-        for i, row in M.rowdict.items():
-            values = _unravel(i, out_dims)
-            for j, v in row.items():
-                key = _unravel(j, in_dims)
-                hits.setdefault(key[0] if len(key) == 1 else key, []).append((values, v))
-        read = operator.itemgetter(*reads) if reads else (lambda st: ())
-        plan.append((read, _picker(keep), hits))
+        plan.append((M, ins, outs, reads, keep))
         live = [live[k] for k in keep] + outs
     if sorted(live + ident) != sorted(dst) or len(set(dst)) != len(dst):
         raise ShapeMismatch(f"wiring {spec!r} leaves legs {live} unmatched")
-    src_strides = {leg: math.prod(dims[x] for x in src[k + 1:]) for k, leg in enumerate(src)}
-    dst_strides = {leg: math.prod(dims[x] for x in dst[k + 1:]) for k, leg in enumerate(dst)}
-    col_strides = [src_strides[leg] for leg in touched]
-    row_strides = [dst_strides[leg] for leg in live]
+    src_strides, ncols = _strides(src, dims)
+    dst_strides, nrows = _strides(dst, dims)
 
-    table = {}  # row on the touched legs -> {column on the touched legs: entry}
-    for start in itertools.product(*[range(dims[leg]) for leg in touched]):
-        states = {start: f.one}
-        for read, keep, hits in plan:
-            nxt = {}
-            for st, c in states.items():
-                found = hits.get(read(st))
-                if found is None:
-                    continue
-                base = keep(st)
-                for values, v in found:
-                    key = base + values
-                    w = f.add(nxt.get(key, zero), f.mul(c, v))
-                    if w == zero:
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = w
-            states = nxt
-        col = sum(t * s for t, s in zip(start, col_strides))
-        for st, c in states.items():
-            row = sum(t * s for t, s in zip(st, row_strides))
-            table.setdefault(row, {})[col] = c
+    if len(plan) == 1:
+        M, ins, outs = plan[0][:3]
+        row_of, col_of = _flat(outs, dims, dst_strides), _flat(ins, dims, src_strides)
+        table = {}
+        for i, row in M.rowdict.items():
+            entries = {col_of(j): v for j, v in row.items() if v != zero}
+            if entries:
+                table[row_of(i)] = entries
+    else:
+        table = _walk(f, dims, plan, touched, [dst_strides[leg] for leg in live], src_strides)
 
     offsets = [(0, 0)]  # (row offset, column offset) of each identity basis tuple
     for leg in ident:
         so, si = dst_strides[leg], src_strides[leg]
         offsets = [(ro + t * so, co + t * si) for ro, co in offsets for t in range(dims[leg])]
-    nrows, ncols = math.prod(dims[leg] for leg in dst), math.prod(dims[leg] for leg in src)
     rd = {}
     if on is None:
         for row, cols in table.items():
@@ -785,6 +790,53 @@ def wire(field, dims, spec, *steps, on=None):
             if entries:
                 rd[row + ro] = entries
     return Matrix(f, nrows, ncols, rd).mul(on)
+
+
+def _walk(f, dims, plan, touched, row_strides, src_strides):
+    """The table of :func:`wire` on the touched legs, one basis tuple at a time.
+
+    Each step keys its entries by their in-leg values, a bare value for one
+    in leg; a state is the tuple of live leg values, and a row index is its
+    dot product with ``row_strides``.
+    """
+    zero = f.zero
+    steps = []
+    for M, ins, outs, reads, keep in plan:
+        in_dims = [dims[leg] for leg in ins]
+        out_dims = [dims[leg] for leg in outs]
+        hits = {}  # in leg values, as ``read`` returns them -> [(out leg values, entry)]
+        for i, row in M.rowdict.items():
+            values = (i,) if len(outs) == 1 else _unravel(i, out_dims)
+            for j, v in row.items():
+                key = j if len(ins) == 1 else _unravel(j, in_dims)
+                hits.setdefault(key, []).append((values, v))
+        read = operator.itemgetter(*reads) if reads else (lambda st: ())
+        steps.append((read, _picker(keep), hits))
+    cols = [0]  # the column index of each basis tuple of the touched legs, in product order
+    for leg in touched:
+        s = src_strides[leg]
+        cols = [c + t * s for c in cols for t in range(dims[leg])]
+    table = {}  # row on the touched legs -> {column on the touched legs: entry}
+    for start, col in zip(itertools.product(*[range(dims[leg]) for leg in touched]), cols):
+        states = {start: f.one}
+        for read, keep, hits in steps:
+            nxt = {}
+            for st, c in states.items():
+                found = hits.get(read(st))
+                if found is None:
+                    continue
+                base = keep(st)
+                for values, v in found:
+                    key = base + values
+                    w = f.add(nxt.get(key, zero), f.mul(c, v))
+                    if w == zero:
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = w
+            states = nxt
+        for st, c in states.items():
+            table.setdefault(sum(map(operator.mul, st, row_strides)), {})[col] = c
+    return table
 
 
 def slotted(field, pre_dim, M, post_dim, on=None):

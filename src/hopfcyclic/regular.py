@@ -183,7 +183,9 @@ class Untwist:
     with T on the M slot, followed by the diagonal action of the S(b) leg,
     written as sum_{s'} H_{s'} (x) L^{(k)}_{s'} (:meth:`wrapped`, proof in
     :func:`free_model`): the H of tau, of the last coface and of d_0 are
-    built once, and each L^{(k)}_b is kept (:meth:`tail`).
+    built once, and each L^{(k)}_b is kept (:meth:`tail`). A comparison
+    map into another model is such a sum too, its degrees written in one
+    pass (:meth:`comparison`).
     ``slotted_d0`` says that M's right coaction maps W into
     span(W) (x) C: T then puts no leg but 1 on it, so d_0 is
     id_X (x) rho_W (x) id, a slotted map whose identity with d_1 is the
@@ -229,14 +231,8 @@ class Untwist:
         if b == self.unit:
             return Matrix.identity(B.field, _pow(self.C.dim, k))
         if (k, b) not in self.tails:
-            if k:
-                d = B.dim
-                self.tails[k, b] = functools.reduce(Matrix.add, [
-                    self.C.action_matrices[i // d].scale(v).kron(self.tail(k - 1, i % d))
-                    for i, v in B.comult.coldict()[b].items()])
-            else:
-                eps = B.counit.rowdict.get(0, {})
-                self.tails[k, b] = Matrix(B.field, 1, 1, {0: {0: eps[b]}} if b in eps else {})
+            self.tails[k, b] = B.counit.column_blocks(B.dim)[b] if not k else _grown(
+                B, self.C.action_matrices, functools.partial(self.tail, k - 1), b)
         return self.tails[k, b]
 
     def check_tails(self):
@@ -266,40 +262,9 @@ class Untwist:
                      if all(self.tail(n - 1, s).rowdict for s in legs)), top)
 
     def wrapped(self, H, k, trail):
-        """sum_s H_s (x) L^{(k)}_s, y moved behind the tail: u (x) t -> a (x) t (x) y.
-
-        H_s: u -> a (x) y are the rows of H with s first, y of dimension
-        ``trail``. Accumulated entry by entry, each column index one int
-        object shared by the rows.
-        """
-        f = self.C.over.field
-        zero = f.zero
+        """sum_s H_s (x) L^{(k)}_s, y moved behind the tail (:func:`_kron_sum`)."""
         n = _pow(self.C.dim, k)
-        block = H.rows // self.C.over.dim
-        keys = list(range(H.cols * n))
-        acts, rd = {}, {}
-        for r, row in H.rowdict.items():
-            s, r = divmod(r, block)
-            a, y = divmod(r, trail)
-            if s not in acts:
-                acts[s] = self.tail(k, s).rowdict
-            for i, lrow in acts[s].items():
-                out = (a * n + i) * trail + y
-                tgt = rd.get(out)
-                if tgt is None:
-                    tgt = rd[out] = {}
-                for col, hv in row.items():
-                    base = col * n
-                    for j, lv in lrow.items():
-                        key = keys[base + j]
-                        v = f.add(tgt.get(key, zero), f.mul(hv, lv))
-                        if v == zero:
-                            del tgt[key]
-                        else:
-                            tgt[key] = v
-        for i in [i for i, row in rd.items() if not row]:
-            del rd[i]
-        return Matrix(f, block * n, H.cols * n, rd)
+        return _kron_sum(H, self.C.over.dim, functools.partial(self.tail, k), (n, n), trail)
 
     def untwisted(self, spec, *front):
         """H of :meth:`wrapped`: ``front``, Delta(s) = s1 s2, Delta(s2) = p q, p on y, q on x0."""
@@ -331,33 +296,80 @@ class Untwist:
                     (B.comult, "s2 -> s1 q"), (self.C.action, "a c -> c1"),
                     (self.X.action, "q x -> x1"))
 
-    def map_to(self, dst, m_map, c_map, n):
-        """Degree n of id_X (x) m_map (x) c_map^{(x) n} from this model to ``dst``'s.
+    def comparison(self, dst, m_map, c_map, top):
+        """Degrees 0..top of id_X (x) m_map (x) c_map^{(x) n} from this model to ``dst``'s.
 
-        It is Psi_dst f Phi: m_map (B-linear from this M to dst's) and c_map
-        (B-linear between the coalgebras) make f B-linear, so it descends.
-        With A = T_dst m_map on W, f Phi is id_X (x) A (x) c_map^{(x) n}, and
-        L_s after its rows with s on the B leg, id_X (x) A_s (x)
-        c_map^{(x) n}, is the diagonal action of s with X's action composed
-        with A_s and each C slot's with c_map: a sum over the legs of s of
-        Kronecker products, none of them as large as L_s.
+        It is Psi_dst f Phi, which descends as m_map and c_map are B-linear.
+        With A = T_dst m_map on W, degree n is sum_s H_s (x) L'^{(n)}_s
+        (:func:`_kron_sum`): H = (Delta (x) X's action) A, one wire, and
+        L'^{(n)}_b = sum factor_{b_(1)} (x) L'^{(n-1)}_{b_(2)}, L'^{(0)}_b =
+        eps(b), the diagonal action of b after c_map on each C slot, factor =
+        action_dst (id (x) c_map). Each degree's tails grow from the last's,
+        for the legs of H and every leg their tails read.
         """
         B = self.C.over
-        f = B.field
-        w = len(dst.W)
-        A = dst.T.mul(m_map).mul(self.embed)  # rows s * |W_dst| + v
-        blocks = {}
-        for r, row in A.rowdict.items():
-            s, v = divmod(r, w)
-            blocks.setdefault(s, {})[v] = row
-        factor = dst.C.action.mul(slotted(f, B.dim, c_map, 1))
-        dims = dict(self.dims, v=w)
-        terms = [_diagonal_action(B, [(None, factor)] * n, (None, wire(
-            f, dims, "s x w -> x1 v", (self.X.action, "s x -> x1"),
-            (Matrix(f, w, A.cols, rd), "w -> v"))), [s])[s] for s, rd in blocks.items()]
-        shape = (self.X.dim * w * _pow(c_map.rows, n),
-                 self.X.dim * len(self.W) * _pow(c_map.cols, n))
-        return functools.reduce(Matrix.add, terms, Matrix.zero(f, *shape))
+        f, d = B.field, B.dim
+        H = wire(f, dict(self.dims, v=len(dst.W)), "x w -> s1 x1 v",
+                 (dst.T.mul(m_map).mul(self.embed), "w -> s v"), (B.comult, "s -> s1 s2"),
+                 (self.X.action, "s2 x -> x1"))
+        factor = dst.C.action.mul(slotted(f, d, c_map, 1)).column_blocks(d)
+        legs = {r // (H.rows // d) for r in H.rowdict}
+        while more := {i % d for b in legs for i in B.comult.coldict()[b]} - legs:
+            legs |= more
+        tails, comps = dict(enumerate(B.counit.column_blocks(d))), []
+        for n in range(top + 1):
+            if n:
+                tails = {b: _grown(B, factor, tails.get, b) for b in legs}
+            shape = (_pow(c_map.rows, n), _pow(c_map.cols, n))
+            comps.append(_kron_sum(H, d, tails.get, shape, 1, share=False))
+        return comps
+
+
+def _grown(B, heads, rest, b):
+    """sum heads[b_(1)] (x) rest(b_(2)) over Delta(b): a diagonal action one slot longer."""
+    d = B.dim
+    return functools.reduce(Matrix.add, [heads[i // d].scale(v).kron(rest(i % d))
+                                         for i, v in B.comult.coldict()[b].items()])
+
+
+def _kron_sum(H, d, tail, shape, trail, share=True):
+    """sum_s H_s (x) tail(s), y moved behind the tail: u (x) t -> a (x) t (x) y.
+
+    H_s: u -> a (x) y are the rows of H with s first, of the d legs, y of
+    dimension ``trail``; every tail(s) is a ``shape`` matrix. Accumulated
+    entry by entry; with ``share``, each column index is one int object
+    shared by the rows, which saves memory where many rows hit a column.
+    """
+    f = H.field
+    zero = f.zero
+    nr, nc = shape
+    block = H.rows // d
+    keys = range(H.cols * nc)
+    if share:
+        keys = list(keys)
+    acts, rd = {}, {}
+    for r, row in H.rowdict.items():
+        s, r = divmod(r, block)
+        a, y = divmod(r, trail)
+        if s not in acts:
+            acts[s] = tail(s).rowdict
+        for i, lrow in acts[s].items():
+            out = (a * nr + i) * trail + y
+            tgt = rd.get(out)
+            if tgt is None:
+                tgt = rd[out] = {}
+            for col, hv in row.items():
+                base = col * nc
+                for j, lv in lrow.items():
+                    key = keys[base + j]
+                    v = f.add(tgt.get(key, zero), f.mul(hv, lv))
+                    if v == zero:
+                        del tgt[key]
+                    else:
+                        tgt[key] = v
+    for i in [i for i, row in rd.items() if not row]:
+        del rd[i]
+    return Matrix(f, block * nr, H.cols * nc, rd)
 
 
 def _model_cofaces(u, n):

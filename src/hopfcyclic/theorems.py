@@ -361,13 +361,14 @@ def _sub_bicomodule(ses):
 def _comparison(src, dst, X, m_map, c_map):
     """The ChainMap of id_X (x) m_map (x) c_map^{(x) n} between :func:`coinvariant_ch` complexes.
 
-    Between models it is written in model bases (``regular.Untwist.map_to``);
-    between descended modules it is induced from the ambient map, each
-    component checked, exactly, to send relations into relations.
+    Between models it is written in model bases, every degree in one pass
+    (``regular.Untwist.comparison``); between descended modules it is
+    induced from the ambient map, each component checked, exactly, to send
+    relations into relations.
     """
     top = min(src.top, dst.top)
     if src.untwist is not None:
-        comps = {n: src.untwist.map_to(dst.untwist, m_map, c_map, n) for n in range(top + 1)}
+        comps = dict(enumerate(src.untwist.comparison(dst.untwist, m_map, c_map, top)))
     else:
         I_x = Matrix.identity(src.field, X.dim)
         comps = {n: _induced(I_x.kron(m_map).kron(_tensor_power(c_map, n, src.field)),
@@ -758,7 +759,7 @@ def _cokernel_cyclic_dims(ses, X, maxdeg):
         comps = _comparison(cm_K, cm_C, X, ses.K, ses.K).components
     else:
         u_C = regular.Untwist(ses.C, X, W_C)
-        comps = {n: cm_K.untwist.map_to(u_C, ses.K, ses.K, n) for n in range(depth + 1)}
+        comps = dict(enumerate(cm_K.untwist.comparison(u_C, ses.K, ses.K, depth)))
     coker = [QuotientSpace(cm_K.field, comps[n].rows, comps[n].columns())
              for n in range(depth + 1)]
     if W_C is None:

@@ -75,9 +75,11 @@ def every_model_is_the_descended_module():
     descended module of the same triple by Phi, the class of
     x (x) w (x) t -> x (x) w (x) t (``oracles.free_isomorphism``): the map is
     invertible and intertwines every coface and tau, exactly. And each
-    comparison map that ``regular.Untwist.map_to`` writes is the map that
-    id_X (x) m_map (x) c_map^{(x) n} induces on the descended modules,
-    moved across the two isomorphisms; an untwist whose model is not built
+    degree of each comparison map that ``regular.Untwist.comparison``
+    writes is the map that id_X (x) m_map (x) c_map^{(x) n} induces on the
+    descended modules, moved across the two isomorphisms, and, entry for
+    entry, the map written with one whole diagonal action per leg
+    (``oracles.comparison_by_legs``); an untwist whose model is not built
     yet, as the cokernel's CM(C) when its quotients are formed, is
     descended for the check. Every coface that a model hands over as it
     builds each degree, and its tau, also equal, entry for entry, those
@@ -91,9 +93,9 @@ def every_model_is_the_descended_module():
     checks that read them after the build take the oracle's
     (``oracles.model_cofaces``), which these comparisons show equal.
 
-    Yields the unwrapped builder and map writer, for a mutant that only the
+    Yields the unwrapped builder and comparison writer, for a mutant that only the
     checks of the package are to reject."""
-    build, map_to = regular.free_model, regular.Untwist.map_to
+    build, compare = regular.free_model, regular.Untwist.comparison
     descended = weakref.WeakKeyDictionary()  # untwist -> (descended module, Phi)
 
     def descend(u, top):
@@ -126,18 +128,22 @@ def every_model_is_the_descended_module():
         assert oracles.is_cocyclic_isomorphism(iso, cm, T), "the model is not the descended module"
         return cm
 
-    def checked_map_to(src, dst, m_map, c_map, n):
-        comp = map_to(src, dst, m_map, c_map, n)
-        (T_src, iso_src), (T_dst, iso_dst) = descend(src, n), descend(dst, n)
-        ambient = oracles.comparison_ambient(src.X.dim, m_map, c_map, n)
-        induced = map_well_defined(ambient, T_src.quotients[n], T_dst.quotients[n])
-        assert induced is not None and iso_dst[n].mul(comp) == induced.mul(iso_src[n]), \
-            "a model comparison map is not the descended map"
-        return comp
+    def checked_comparison(src, dst, m_map, c_map, top):
+        comps = compare(src, dst, m_map, c_map, top)
+        assert len(comps) == top + 1, "a comparison map does not write degrees 0..top"
+        (T_src, iso_src), (T_dst, iso_dst) = descend(src, top), descend(dst, top)
+        for n, comp in enumerate(comps):
+            assert comp == oracles.comparison_by_legs(src, dst, m_map, c_map, n), \
+                f"a model comparison map is not the per-leg map in degree {n}"
+            ambient = oracles.comparison_ambient(src.X.dim, m_map, c_map, n)
+            induced = map_well_defined(ambient, T_src.quotients[n], T_dst.quotients[n])
+            assert induced is not None and iso_dst[n].mul(comp) == induced.mul(iso_src[n]), \
+                f"a model comparison map is not the descended map in degree {n}"
+        return comps
 
-    regular.free_model, regular.Untwist.map_to = checked_build, checked_map_to
-    yield build, map_to
-    regular.free_model, regular.Untwist.map_to = build, map_to
+    regular.free_model, regular.Untwist.comparison = checked_build, checked_comparison
+    yield build, compare
+    regular.free_model, regular.Untwist.comparison = build, compare
 
 
 @pytest.fixture(scope="session", autouse=True)

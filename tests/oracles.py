@@ -25,7 +25,11 @@ resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; the model's tau and
 cofaces with Psi applied by the whole diagonal action of each leg, the
-reference for the Kronecker sums of ``regular.Untwist.wrapped``; and the hypothesis
+reference for the Kronecker sums of ``regular.Untwist.wrapped``; each
+degree of a comparison map between models written with one whole
+diagonal action per leg, the reference for the one pass of
+``regular.Untwist.comparison``; the wiring planner that walks every basis
+tuple through every step, the reference for ``linalg.wire``; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
 forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
@@ -33,6 +37,8 @@ forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from hopfcyclic.complexes import (
@@ -673,16 +679,18 @@ def all_tau_identities(cm, cofaces):
     """True iff tau^{n+1} = id in every degree and every tau identity holds out of every degree.
 
     ``cofaces[n]`` are the cofaces out of degree n. The full loops:
-    tau^{n+1} formed one factor at a time, and tau d_j = d_{j-1} tau for
-    1 <= j <= n+1 and tau d_0 = d_{n+1} out of each degree n, of which a
-    model of ``regular.free_model`` checks only the first and the last
-    two and proves the rest.
+    tau^{n+1} in every degree, and tau d_j = d_{j-1} tau for 1 <= j <= n+1
+    and tau d_0 = d_{n+1} out of each degree n, of which a model of
+    ``regular.free_model`` checks only the first and the last two and
+    proves the rest. tau^{n+1} is (tau^k)^2, k = floor((n+1)/2), times tau
+    once more where n+1 is odd: ceil((n+1)/2) products, not n.
     """
     tau = cm.tau
     for n, t in enumerate(tau):
-        power = t
-        for _ in range(n):
-            power = power.mul(t)
+        half = t
+        for _ in range((n + 1) // 2 - 1):
+            half = half.mul(t)
+        power = t if n == 0 else half.mul(half) if n % 2 else half.mul(half).mul(t)
         if power != Matrix.identity(cm.field, cm.dims[n]):
             return False
     for n, faces in enumerate(cofaces):
@@ -769,6 +777,32 @@ def comparison_ambient(x, m_map, c_map, n):
     out = Matrix.identity(m_map.field, x).kron(m_map)
     for _ in range(n):
         out = out.kron(c_map)
+    return out
+
+
+def comparison_by_legs(src, dst, m_map, c_map, n):
+    """Degree n of id_X (x) m_map (x) c_map^{(x) n} from the model of untwist ``src`` to ``dst``'s.
+
+    With A = T_dst m_map on W, one whole diagonal action
+    (``complexes._diagonal_action``) per leg s of A: X's action composed
+    with A_s, each C slot's with c_map; the reference for the one pass of
+    ``regular.Untwist.comparison``.
+    """
+    B = src.C.over
+    f = B.field
+    w = len(dst.W)
+    A = dst.T.mul(m_map).mul(src.embed)  # rows s * |W_dst| + v
+    blocks = {}
+    for r, row in A.rowdict.items():
+        s, v = divmod(r, w)
+        blocks.setdefault(s, {})[v] = row
+    factor = dst.C.action.mul(slotted(f, B.dim, c_map, 1))
+    dims = {"s": B.dim, "x": src.X.dim, "x1": src.X.dim, "w": len(src.W), "v": w}
+    out = Matrix.zero(f, src.X.dim * w * c_map.rows**n, src.X.dim * len(src.W) * c_map.cols**n)
+    for s, rd in blocks.items():
+        head = wire(f, dims, "s x w -> x1 v", (src.X.action, "s x -> x1"),
+                    (Matrix(f, w, A.cols, rd), "w -> v"))
+        out = out.add(_diagonal_action(B, [(None, factor)] * n, (None, head), [s])[s])
     return out
 
 
@@ -1106,3 +1140,121 @@ def is_the_applied_model(cm, cofaces):
         return False
     return len(cofaces) == cm.top and all(
         list(faces) == model_cofaces(u, n) for n, faces in enumerate(cofaces))
+
+
+def _planned_legs(text):
+    """The leg names on either side of "in legs -> out legs"."""
+    src, arrow, dst = text.partition("->")
+    if not arrow:
+        raise ShapeMismatch(f"wiring {text!r} has no '->'")
+    return src.split(), dst.split()
+
+
+def _planned_unravel(index, dims):
+    """The row-major slot values of ``index`` in a product of ``dims``."""
+    out = []
+    for d in reversed(dims):
+        index, r = divmod(index, d)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _planned_picker(positions):
+    """st -> the tuple of st's entries at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    if positions:
+        k = positions[0]
+        return lambda st: (st[k],)
+    return lambda st: ()
+
+
+def planned_wire(field, dims, spec, *steps, on=None):
+    """A wiring's operator, planned one basis tuple at a time; the reference for ``linalg.wire``.
+
+    Same reading of ``spec``, ``steps``, ``dims`` and ``on``, the same
+    refusals with the same messages. Each step's entries are unravelled
+    into leg values, every basis tuple of the touched legs is walked
+    through the steps as a dict of states, and each row and column index
+    is a sum over its legs' strides.
+    """
+    f = field
+    zero = f.zero
+    src, dst = _planned_legs(spec)
+    consumed = {leg for _, text in steps for leg in _planned_legs(text)[0]}
+    ident = [leg for leg in src if leg not in consumed]
+    live = [leg for leg in src if leg in consumed]
+    touched = list(live)
+    plan = []
+    for M, text in steps:
+        ins, outs = _planned_legs(text)
+        if any(leg not in live for leg in ins) or any(
+                leg in live or leg in ident for leg in outs):
+            raise ShapeMismatch(f"step {text!r} does not fit the live legs {live}")
+        in_dims = [dims[leg] for leg in ins]
+        out_dims = [dims[leg] for leg in outs]
+        shape = (math.prod(out_dims), math.prod(in_dims))
+        if (M.rows, M.cols) != shape:
+            raise ShapeMismatch(f"step {text!r} needs a {shape[0]}x{shape[1]} tensor, "
+                                f"got {M.rows}x{M.cols}")
+        reads = [live.index(leg) for leg in ins]
+        keep = [k for k, leg in enumerate(live) if leg not in ins]
+        hits = {}  # in leg values, as ``read`` returns them -> [(out leg values, entry)]
+        for i, row in M.rowdict.items():
+            values = _planned_unravel(i, out_dims)
+            for j, v in row.items():
+                key = _planned_unravel(j, in_dims)
+                hits.setdefault(key[0] if len(key) == 1 else key, []).append((values, v))
+        read = operator.itemgetter(*reads) if reads else (lambda st: ())
+        plan.append((read, _planned_picker(keep), hits))
+        live = [live[k] for k in keep] + outs
+    if sorted(live + ident) != sorted(dst) or len(set(dst)) != len(dst):
+        raise ShapeMismatch(f"wiring {spec!r} leaves legs {live} unmatched")
+    src_strides = {leg: math.prod(dims[x] for x in src[k + 1:]) for k, leg in enumerate(src)}
+    dst_strides = {leg: math.prod(dims[x] for x in dst[k + 1:]) for k, leg in enumerate(dst)}
+    col_strides = [src_strides[leg] for leg in touched]
+    row_strides = [dst_strides[leg] for leg in live]
+
+    table = {}  # row on the touched legs -> {column on the touched legs: entry}
+    for start in itertools.product(*[range(dims[leg]) for leg in touched]):
+        states = {start: f.one}
+        for read, keep, hits in plan:
+            nxt = {}
+            for st, c in states.items():
+                found = hits.get(read(st))
+                if found is None:
+                    continue
+                base = keep(st)
+                for values, v in found:
+                    key = base + values
+                    w = f.add(nxt.get(key, zero), f.mul(c, v))
+                    if w == zero:
+                        nxt.pop(key, None)
+                    else:
+                        nxt[key] = w
+            states = nxt
+        col = sum(t * s for t, s in zip(start, col_strides))
+        for st, c in states.items():
+            row = sum(t * s for t, s in zip(st, row_strides))
+            table.setdefault(row, {})[col] = c
+
+    offsets = [(0, 0)]  # (row offset, column offset) of each identity basis tuple
+    for leg in ident:
+        so, si = dst_strides[leg], src_strides[leg]
+        offsets = [(ro + t * so, co + t * si) for ro, co in offsets for t in range(dims[leg])]
+    nrows, ncols = math.prod(dims[leg] for leg in dst), math.prod(dims[leg] for leg in src)
+    rd = {}
+    if on is None:
+        for row, cols in table.items():
+            for ro, co in offsets:
+                rd[row + ro] = {col + co: v for col, v in cols.items()}
+        return Matrix(f, nrows, ncols, rd)
+    if on.rows != ncols:
+        raise ShapeMismatch(f"a {nrows}x{ncols} wiring does not apply to {on.rows} rows")
+    written = on.rowdict
+    for row, cols in table.items():
+        for ro, co in offsets:
+            entries = {col + co: v for col, v in cols.items() if col + co in written}
+            if entries:
+                rd[row + ro] = entries
+    return Matrix(f, nrows, ncols, rd).mul(on)

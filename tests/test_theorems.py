@@ -381,10 +381,10 @@ class TestFreeModels:
 
     @staticmethod
     def _unchecked(monkeypatch, every_model_is_the_descended_module):
-        """The package's builder and map writer, without the session's oracle."""
-        build, map_to = every_model_is_the_descended_module
+        """The package's builder and comparison writer, without the session's oracle."""
+        build, compare = every_model_is_the_descended_module
         monkeypatch.setattr(regular, "free_model", build)
-        monkeypatch.setattr(regular.Untwist, "map_to", map_to)
+        monkeypatch.setattr(regular.Untwist, "comparison", compare)
 
     @pytest.mark.parametrize("piece, check", [
         ("sub", "chain map does not commute"),  # CH(C, K), no tau: the squares of f2 and g1
@@ -453,19 +453,38 @@ class TestFreeModels:
         # f1, f2, g1, g2, u and v in the order excision writes them, each
         # bumped in degree 1: its own ChainMap squares reject it
         self._unchecked(monkeypatch, every_model_is_the_descended_module)
-        real = regular.Untwist.map_to
+        real = regular.Untwist.comparison
         calls = []
 
-        def bumped(src, dst, m_map, c_map, n):
-            comp = real(src, dst, m_map, c_map, n)
-            if n == 0:
-                calls.append(None)
-            return _bump(comp) if n == 1 and len(calls) == which + 1 else comp
+        def bumped(src, dst, m_map, c_map, top):
+            comps = real(src, dst, m_map, c_map, top)
+            calls.append(None)
+            if len(calls) == which + 1:
+                comps[1] = _bump(comps[1])
+            return comps
 
-        monkeypatch.setattr(regular.Untwist, "map_to", bumped)
+        monkeypatch.setattr(regular.Untwist, "comparison", bumped)
         ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
         with pytest.raises(ShapeMismatch, match="chain map does not commute"):
             verify_excision(ses, make_coefficient("eps", ses.C.over), "coalgebra", 1)
+        assert len(calls) == which + 1
+
+    @pytest.mark.parametrize("kind", ["eps", "unit", "r_ad", "ad_r"])
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    def test_every_comparison_equals_both_oracles(self, monkeypatch, field, kind):
+        # the session's writer checks each degree against the map written
+        # leg by leg and against the descended map; here on f1, f2, g1, g2,
+        # u and v of excision at degree 2 and on the cokernel's map at
+        # degree 3, through degree 4
+        real = regular.Untwist.comparison
+        tops = []
+        monkeypatch.setattr(regular.Untwist, "comparison",
+                            lambda *args: tops.append(args[-1]) or real(*args))
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"), field)
+        X = make_coefficient(kind, ses.C.over)
+        verify_excision(ses, X, "coalgebra", 2)
+        theorems._cokernel_cyclic_dims(ses, X, 3)
+        assert tops == [3, 4, 4, 4, 4, 3, 4]
 
 
 class TestExcisionAlgebra:

@@ -6,12 +6,16 @@ Every structure map the engine writes with ``linalg.wire``,
 composed from Kronecker products, slot permutation matrices and matrix
 products (``tests/oracles.py``); the blocks also equal the total coaction
 wired one degree at a time. The mutation tests check that a
-mis-wired builder does not get through construction.
+mis-wired builder does not get through construction. ``linalg.wire``
+itself equals, on random wirings, the planner that walks every basis
+tuple through every step (``oracles.planned_wire``).
 """
 
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcyclic import complexes, equivariant, hopf
 from hopfcyclic.cli import parse_input
@@ -106,6 +110,91 @@ class TestWire:
             wire(QQ, dims, "a -> a1", (z2_q.comult, "a -> a1 a2"))
         with pytest.raises(ShapeMismatch):
             wire(QQ, dims, "a -> a1 a2", (z2_q.comult, "a2 -> a1 a2"))
+
+
+@st.composite
+def random_wirings(draw):
+    """(field, dims, spec, steps, on, before): 1-3 steps on legs of dims 1..3.
+
+    A step reads 0..2 of the legs live before it (none: a vector step) and
+    writes 0..2 new ones, at most four legs live at a time. A source leg
+    that no step reads is an identity leg, wherever it falls in the source;
+    the target is the final legs in a random order. ``on`` is None or a
+    matrix on the source with some rows empty; ``before`` are the legs
+    live before the last step.
+    """
+    field = draw(st.sampled_from(list(FIELDS.values())))
+    scalar = st.sampled_from([0, 1, -1, 2]).map(field.from_int)
+    dims = {}
+
+    def fresh():
+        leg = f"l{len(dims)}"
+        dims[leg] = draw(st.integers(1, 3))
+        return leg
+
+    def matrix(rows, cols):
+        """Random entries; some matrices also store their zeros, which no product keeps."""
+        vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
+        stored = draw(st.booleans())
+        rd = {}
+        for k, v in enumerate(vals):
+            if v != field.zero or stored:
+                rd.setdefault(k // cols, {})[k % cols] = v
+        return Matrix(field, rows, cols, rd)
+
+    def size(legs):
+        out = 1
+        for leg in legs:
+            out *= dims[leg]
+        return out
+
+    src = [fresh() for _ in range(draw(st.integers(1, 4)))]
+    live, steps = list(src), []
+    for _ in range(draw(st.integers(1, 3))):
+        before = live
+        ins = draw(st.lists(st.sampled_from(live), unique=True, max_size=2)) if live else []
+        rest = [leg for leg in live if leg not in ins]
+        outs = [fresh() for _ in range(draw(st.integers(0, min(2, 4 - len(rest)))))]
+        steps.append((matrix(size(outs), size(ins)), " ".join(ins) + " -> " + " ".join(outs)))
+        live = rest + outs
+    spec = " ".join(src) + " -> " + " ".join(draw(st.permutations(live)))
+    on = None
+    if draw(st.booleans()):
+        on = matrix(size(src), draw(st.integers(0, 3)))
+        empty = draw(st.sets(st.integers(0, on.rows - 1)))
+        on = Matrix(field, on.rows, on.cols, {i: {j: v for j, v in r.items() if v != field.zero}
+                                              for i, r in on.rowdict.items() if i not in empty})
+    return field, dims, spec, steps, on, before
+
+
+def _same_refusal(field, dims, spec, *steps):
+    """Both wirings refuse with ShapeMismatch, and with the same message."""
+    with pytest.raises(ShapeMismatch) as got:
+        wire(field, dims, spec, *steps)
+    with pytest.raises(ShapeMismatch) as want:
+        oracles.planned_wire(field, dims, spec, *steps)
+    assert str(got.value) == str(want.value)
+
+
+@given(random_wirings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_wire_equals_the_planned_wiring(case, data):
+    """``linalg.wire`` against ``oracles.planned_wire``, entry for entry, over
+    Q, F_2 and F_3, with and without ``on``; and the same ShapeMismatch
+    message from both on a misfit step (one reading a leg that is not live,
+    writing a live one, or of the wrong shape) and on a target that leaves
+    a leg unmatched."""
+    field, dims, spec, steps, on, before = case
+    assert wire(field, dims, spec, *steps, on=on) == \
+        oracles.planned_wire(field, dims, spec, *steps, on=on)
+    src, dst = spec.split("->")
+    M, text = steps[-1]
+    misfit = data.draw(st.sampled_from(
+        [(Matrix.zero(field, 1, 1), "zz ->"), (Matrix.zero(field, M.rows + 1, M.cols), text)]
+        + [(Matrix.zero(field, dims[leg], 1), "-> " + leg) for leg in before]))
+    _same_refusal(field, dict(dims, zz=1), spec, *steps[:-1], misfit)
+    unmatched = " ".join(dst.split()[:-1]) if dst.split() else "zz"
+    _same_refusal(field, dict(dims, zz=1), src + "-> " + unmatched, *steps)
 
 
 @pytest.mark.parametrize("fname", list(FIELDS))
