@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from .complexes import (
     CocyclicModule,
     _alternating,
+    _hochschild_complex,
     _induced,
     assemble,
     assemble_for_homology,
@@ -293,16 +294,25 @@ def cofibration_verdicts(u, v, maxdeg):
     Realized through the iterated cone: the induced map cone(u) -> Z is a
     quasi-isomorphism iff the triple complex is acyclic; the verdict at
     degree n consumes its vanishing through degree n+2 (cochain) or n+1
-    (chain).
+    (chain). The b' triple of :func:`_cyclic_excision` is read only for its
+    vanishing through maxdeg + 1, so each module one degree shallower.
+    """
+    shift = 2 if u.orientation == +1 else 1
+    return _triple_vanishing(u, v, maxdeg + shift, maxdeg)[shift:]
+
+
+def _triple_vanishing(u, v, top, maxdeg):
+    """Whether the triple complex of X -> Y -> Z is acyclic through each degree 0..``top``.
+
+    ``top`` serves verdicts through ``maxdeg``, which a too shallow module names.
     """
     D = _triple_complex(u, v)
-    shift = 2 if u.orientation == +1 else 1
-    if maxdeg + shift > D.max_valid_degree:
+    if top > D.max_valid_degree:
         raise DegreeOutOfRange(
             f"triple complex certified through {D.max_valid_degree}, "
             f"asked for verdicts through {maxdeg}")
-    vanish = [D.homology(m) == 0 for m in range(maxdeg + shift + 1)]
-    return [all(vanish[: n + shift + 1]) for n in range(maxdeg + 1)]
+    vanish = [D.homology(m) == 0 for m in range(top + 1)]
+    return [all(vanish[: m + 1]) for m in range(top + 1)]
 
 
 def total_chain_map(src_tot, dst_tot, components):
@@ -413,7 +423,10 @@ def _excision_depths(orientation, maxdeg):
       maxdeg, Y through maxdeg + 1 and Z through maxdeg + 2; X's own
       homology reads X through maxdeg + 1.
 
-    A module built one degree shallower than this raises DegreeOutOfRange.
+    On the coalgebra side the cyclic verdict (:func:`_cyclic_excision`)
+    reads tau through these depths, the b' triple one degree shallower, and
+    each total through maxdeg + 1. A module built one degree shallower than
+    this raises DegreeOutOfRange.
     """
     if orientation == +1:
         return maxdeg + 3, maxdeg + 2, maxdeg + 1
@@ -514,15 +527,8 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     v_h = _comparison(T_C_C, T_q_q, X, proj, proj)
     hoch_ok = cofibration_verdicts(u_h, v_h, maxdeg)
 
-    # cyclic-level cofibration on total complexes, each built once for maps and homology
-    tot_K, tot_C, tot_Q = (cyclic_total_complex(T, T.top) for T in (T_K, T_C_C, T_q_q))
-    del T_K, T_C_C, T_q_q
-    u_tot = total_chain_map(tot_K, tot_C, u_h.components)
-    v_tot = total_chain_map(tot_C, tot_Q, v_h.components)
-    del u_h, v_h
-    cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)
-
-    dims_K, dims_C, dims_Q = (complex_homology(t, maxdeg) for t in (tot_K, tot_C, tot_Q))
+    cyc_ok, (dims_K, dims_C, dims_Q) = _cyclic_excision(T_K, T_C_C, T_q_q, u_h, v_h, hoch_ok,
+                                                        maxdeg)
     for n in range(maxdeg + 1):
         ok = hoch_ok[n] and cyc_ok[n]
         dims = {"K": dims_K[n], "C": dims_C[n], "C/K": dims_Q[n]}
@@ -530,6 +536,65 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     if not certified:
         report.notes.append("conclusion left unasserted: hypotheses not fully certified")
     return report
+
+
+def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
+    """Cyclic verdicts of CM(K) -> CM(C) -> CM(C/K) through ``maxdeg``, and each one's dims.
+
+    ``u`` and ``v`` are the checked Hochschild chain maps and ``hoch_ok``
+    their :func:`cofibration_verdicts`. The verdicts are those of the
+    triple complex D of the three (b, b', 1 - lambda, N) totals with the
+    maps of :func:`total_chain_map`, derived without D by Connes' column
+    filtration (Loday, *Cyclic Homology*, 2.2):
+
+    - The columns p >= r, F_r, form a subcomplex of D: horizontal maps
+      raise p, and u_tot and v_tot put u_q and v_q on each block (p, q).
+      gr_p D in degree m is the triple of column p in degree m - p: of b
+      for even p, of -b' for odd p, which (x, y, z) -> (x, -y, z) carries
+      onto that of b' negated, of the same homology. D^m meets columns
+      p <= m only, so the exact sequences of 0 -> F_{p+1} -> F_p -> gr_p
+      -> 0, taken down from F_{m+1} D^m = 0, leave D no homology at m
+      where no gr_p has any. The verdict at n reads D through n + 2: it
+      passes where the Hochschild triple does (``hoch_ok[n]``) and the b'
+      triple vanishes through n + 1.
+    - Truncated tops: D's totals reach the triple depths, so its column p
+      reaches maxdeg + 3 - p, maxdeg + 2 - p and maxdeg + 1 - p. Column 1
+      is the b' triple of the modules one degree shallower, built here;
+      every other column truncates one of the two triples above the
+      degrees read.
+    - D is a complex, as building it would check, when the block squares
+      of u_tot in total degrees through maxdeg + 1 and of v_tot through
+      maxdeg commute. Vertically that is u b = b u, which ``u`` passed,
+      and u b' = b' u in odd columns, so for q <= maxdeg: the squares of
+      the ChainMap onto the b' complexes. Horizontally it is 1 - lambda
+      and N, polynomials in lambda = (-1)^q tau, so u_q tau = tau u_q for
+      q <= maxdeg + 1, checked in every degree u has. v's are one degree
+      lower, and v u = 0 is checked on the shared components. Each total's
+      bicomplex identities follow from its module's cocyclic ones.
+
+    The derivation is sufficient only: where a derived verdict fails, the
+    bicomplex triple decides, so every verdict is D's. The dims read each
+    total through maxdeg + 1, the fallback's through the triple depth.
+    """
+    mods = (T_K, T_C, T_Q)
+    bars = [_hochschild_complex(T.truncate(T.top - 1), drop_last=True) for T in mods]
+    maps = []
+    for f, s, t in ((u, 0, 1), (v, 1, 2)):
+        top = min(bars[s].top, bars[t].top)
+        maps.append(ChainMap(bars[s], bars[t],
+                             {n: c for n, c in f.components.items() if n <= top}))
+        for n, c in f.components.items():
+            if c.mul(mods[s].tau[n]) != mods[t].tau[n].mul(c):
+                raise ShapeMismatch(f"chain map does not commute with tau at degree {n}")
+    bar_ok = _triple_vanishing(*maps, maxdeg + 1, maxdeg)
+    cyc_ok = [hoch_ok[n] and bar_ok[n + 1] for n in range(maxdeg + 1)]
+    if all(cyc_ok):
+        tots = [cyclic_total_complex(T, maxdeg + 1) for T in mods]
+    else:
+        tots = [cyclic_total_complex(T, T.top) for T in mods]
+        cyc_ok = cofibration_verdicts(total_chain_map(tots[0], tots[1], u.components),
+                                      total_chain_map(tots[1], tots[2], v.components), maxdeg)
+    return cyc_ok, [complex_homology(t, maxdeg) for t in tots]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic import complexes, regular
+from hopfcyclic import complexes, regular, theorems
 from hopfcyclic.linalg import Matrix, map_well_defined
 
 from lemmas import trivial_hopf
@@ -170,6 +170,28 @@ def every_connes_complex_is_the_bicomplex():
     complexes.connes_complex = checked
     yield build
     complexes.connes_complex = build
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_cyclic_excision_is_the_bicomplex_triple():
+    """Each coalgebra excision in a test gives, from the column filtration of
+    ``theorems._cyclic_excision``, the cyclic verdicts and the cyclic dims of
+    K, C and C/K that the triple complex of the three (b, b', 1 - lambda, N)
+    totals gives (``oracles.bicomplex_cyclic_excision``).
+
+    Yields the unwrapped function, for a mutant that only its checks are to
+    reject."""
+    derive = theorems._cyclic_excision
+
+    def checked(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
+        out = derive(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg)
+        assert out == oracles.bicomplex_cyclic_excision(T_K, T_C, T_Q, u, v, maxdeg), \
+            "the column filtration's cyclic verdicts or dims are not the bicomplex triple's"
+        return out
+
+    theorems._cyclic_excision = checked
+    yield derive
+    theorems._cyclic_excision = derive
 
 
 @pytest.fixture(scope="session")

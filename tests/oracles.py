@@ -29,7 +29,10 @@ reference for the Kronecker sums of ``regular.Untwist.wrapped``; each
 degree of a comparison map between models written with one whole
 diagonal action per leg, the reference for the one pass of
 ``regular.Untwist.comparison``; the wiring planner that walks every basis
-tuple through every step, the reference for ``linalg.wire``; and the hypothesis
+tuple through every step, the reference for ``linalg.wire``; the cyclic
+verdicts of coalgebra excision read off the triple complex of the three
+(b, b', 1 - lambda, N) totals, the reference for the column filtration of
+``theorems._cyclic_excision``; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
 forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
@@ -46,6 +49,7 @@ from hopfcyclic.complexes import (
     _diagonal_action,
     codegeneracy,
     comodule_coinvariants,
+    cyclic_total_complex,
     total_coactions,
 )
 from hopfcyclic.equivariant import ComoduleAlgebra, ModuleCoalgebra
@@ -55,11 +59,13 @@ from hopfcyclic.linalg import (
     Echelon,
     Matrix,
     QuotientSpace,
+    complex_homology,
     rank_kernel,
     restrict,
     solve_columns,
     wire,
 )
+from hopfcyclic.theorems import cofibration_verdicts, total_chain_map
 
 
 def dense_of(M):
@@ -1258,3 +1264,16 @@ def planned_wire(field, dims, spec, *steps, on=None):
             if entries:
                 rd[row + ro] = entries
     return Matrix(f, nrows, ncols, rd).mul(on)
+
+
+def bicomplex_cyclic_excision(T_K, T_C, T_Q, u, v, maxdeg):
+    """(verdicts, dims) of ``theorems._cyclic_excision`` from the bicomplex triple.
+
+    Each module's (b, b', 1 - lambda, N) total is built through its depth,
+    u and v are lifted onto the totals with every block square checked, and
+    the verdicts are those of the triple complex of the three totals.
+    """
+    tots = [cyclic_total_complex(T, T.top) for T in (T_K, T_C, T_Q)]
+    verdicts = cofibration_verdicts(total_chain_map(tots[0], tots[1], u.components),
+                                    total_chain_map(tots[1], tots[2], v.components), maxdeg)
+    return verdicts, [complex_homology(t, maxdeg) for t in tots]

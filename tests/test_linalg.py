@@ -216,9 +216,11 @@ def slot_maps(draw):
         rows, cols = draw(dim), draw(dim)
         entries = st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows)
-        return Matrix(field, rows, cols, {
-            i: {j: field.from_int(v) for j, v in enumerate(row) if v}
-            for i, row in enumerate(draw(entries))})
+        # from_entries drops what is zero in the field (2 over F_2), and
+        # the rows left empty, as every Matrix must
+        return Matrix.from_entries(field, rows, cols, [
+            (i, j, field.from_int(v)) for i, row in enumerate(draw(entries))
+            for j, v in enumerate(row)])
 
     return field, p, q, r, block(), block()
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic.linalg import GradedComplex, Matrix, QuotientSpace, complex_homology, invert
+from hopfcyclic.linalg import (GradedComplex, Matrix, QuotientSpace, complex_homology, invert,
+                               rank_kernel)
 from hopfcyclic.theorems import (
     AlgebraSES,
     ChainMap,
@@ -44,6 +46,7 @@ from hopfcyclic.theorems import (
     _two_sided_ideal_closure,
 )
 
+import oracles
 from groups import cyclic_table, dihedral_table, symmetric_table
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
@@ -261,7 +264,10 @@ class TestExcisionCoalgebra:
         maps = 4 * 4 + 2 * 3  # components in degrees 0..3, into CH(C/K) 0..2
         assert len(checked) == last_cofaces + taus + maps
         assert len(induced) == first_cofaces
-        assert sorted(totals) == [2, 3, 4]  # CM(C/K), CM(C), CM(K): one each
+        # CM(C/K), CM(C), CM(K): one each, through maxdeg + 1 for their own
+        # dims; the verdicts are derived from the Hochschild and b' triples,
+        # so no total is built at its triple depth
+        assert sorted(totals) == [2, 2, 2]
 
     @pytest.mark.parametrize("first", ["1", "1 + x"])
     def test_sweedler_sayd_coefficient_full_pipeline(self, h4_q, first):
@@ -302,6 +308,101 @@ class TestExcisionCoalgebra:
         X = make_coefficient("eps", k_q)
         rep = verify_excision(ses, X, "coalgebra", 2)
         assert rep.all_pass
+
+
+class TestCyclicExcision:
+    """The cyclic verdicts of coalgebra excision by the column filtration."""
+
+    MAXDEG = 1
+
+    @classmethod
+    def _inputs(cls, monkeypatch):
+        """What excision on direct_sum_ses over Q hands ``theorems._cyclic_excision``."""
+        seen = []
+        real = theorems._cyclic_excision
+
+        def record(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(theorems, "_cyclic_excision", record)
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
+        X = make_coefficient("eps", ses.C.over)
+        assert verify_excision(ses, X, "coalgebra", cls.MAXDEG).all_pass
+        (args,) = seen
+        return args
+
+    @staticmethod
+    def _plus(u, delta):
+        """u plus ``delta[n]`` in each degree n of ``delta``, checked to commute with b."""
+        return ChainMap(u.source, u.target,
+                        {n: c.add(delta[n]) if n in delta else c for n, c in u.components.items()})
+
+    def test_u_commuting_with_b_not_b_prime_rejected(
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
+        # u + (b h + h b) for h: CM(K)^2 -> CM(C)^1 with one entry commutes
+        # with b, as every null-homotopic perturbation does, but not with b'
+        # (in degree 0 b is 0 on both, so a homotopy out of degree 1 is 0)
+        derive = every_cyclic_excision_is_the_bicomplex_triple
+        T_K, T_C, T_Q, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch)
+        bK, bC = T_K.complex.diffs, T_C.complex.diffs
+        bpK, bpC = (complexes._differentials(T, drop_last=True) for T in (T_K, T_C))
+        for i, j in itertools.product(range(T_C.dims[1]), range(T_K.dims[2])):
+            h = Matrix.from_entries(QQ, T_C.dims[1], T_K.dims[2], [(i, j, QQ.one)])
+            delta = {1: h.mul(bK[1]), 2: bC[1].mul(h)}
+            if delta[2].mul(bpK[1]) != bpC[1].mul(delta[1]):
+                break
+        else:
+            pytest.fail("every one-entry homotopy commutes with b'")
+        with pytest.raises(ShapeMismatch, match=r"^chain map does not commute at degree \d$"):
+            derive(T_K, T_C, T_Q, self._plus(u, delta), v, hoch_ok, maxdeg)
+
+    def test_u_commuting_with_b_and_b_prime_not_tau_rejected(
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
+        # u + y phi in degree maxdeg + 1, y in the image of b in CM(C) and phi
+        # vanishing on the images of b and b' in CM(K), commutes with b, and
+        # with b' in every square the b' complexes read: only tau tells
+        derive = every_cyclic_excision_is_the_bicomplex_triple
+        T_K, T_C, T_Q, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch)
+        m = maxdeg
+        b_K, bp_K = T_K.complex.diffs[m], complexes._differentials(T_K, drop_last=True)[m]
+        _, phis = rank_kernel(b_K.hstack(bp_K).transpose())
+        for y, phi in itertools.product(T_C.complex.diffs[m].columns(), phis.columns()):
+            delta = Matrix.column(QQ, y, T_C.dims[m + 1]).mul(
+                Matrix.column(QQ, phi, T_K.dims[m + 1]).transpose())
+            if delta.mul(T_K.tau[m + 1]) != T_C.tau[m + 1].mul(delta):
+                break
+        else:
+            pytest.fail("every y phi commutes with tau")
+        with pytest.raises(ShapeMismatch,
+                           match=f"^chain map does not commute with tau at degree {m + 1}$"):
+            derive(T_K, T_C, T_Q, self._plus(u, {m + 1: delta}), v, hoch_ok, maxdeg)
+
+    def test_acyclicity_not_derived_takes_the_bicomplex(
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
+        # u = 0 leaves the Hochschild triple not acyclic, so the bicomplex
+        # triple decides, and builds each total through its triple depth.
+        # (The b' triple of these modules is acyclic whatever u and v are:
+        # each b' complex is)
+        derive = every_cyclic_excision_is_the_bicomplex_triple
+        T_K, T_C, T_Q, u, v, _, maxdeg = self._inputs(monkeypatch)
+        zero = ChainMap(u.source, u.target, {n: Matrix.zero(QQ, c.rows, c.cols)
+                                             for n, c in u.components.items()})
+        hoch_ok = cofibration_verdicts(zero, v, maxdeg)
+        assert not all(hoch_ok)
+        totals = []
+        real_total = theorems.cyclic_total_complex
+
+        def total(cm, maxtot):
+            totals.append(maxtot)
+            return real_total(cm, maxtot)
+
+        monkeypatch.setattr(theorems, "cyclic_total_complex", total)
+        verdicts, dims = derive(T_K, T_C, T_Q, zero, v, hoch_ok, maxdeg)
+        assert totals == [T.top for T in (T_K, T_C, T_Q)]
+        assert not all(verdicts)
+        assert (verdicts, dims) == oracles.bicomplex_cyclic_excision(T_K, T_C, T_Q, zero, v,
+                                                                    maxdeg)
 
 
 class TestFreeModels:
