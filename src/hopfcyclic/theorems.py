@@ -13,7 +13,6 @@ conclusion is asserted only when every hypothesis is certified.
 
 import functools
 import json
-from types import SimpleNamespace
 
 from .complexes import (
     CocyclicModule,
@@ -192,48 +191,45 @@ class ChainMap:
                 raise ShapeMismatch(f"chain map does not commute at degree {n}")
 
 
-def mapping_cone(f):
-    """The mapping cone with every degree represented.
+def mapping_cone(*maps):
+    """The iterated mapping cone D of X_0 -> X_1 -> ... -> X_k, in one block pass.
 
-    Cochain: cone^m = A^m (+) B^{m-1} with d(a, b) = (d a, f a - d b); this
-    is the usual cone re-indexed so its bottom degree (which carries A^0) is
-    not truncated away. Chain: cone_m = A_{m-1} (+) B_m with
-    d(a, b) = (-d a, f a + d b). In both cases the cone is acyclic through a
-    window iff f is a homology isomorphism one degree below the window.
+    Cochain: D^m = (+)_i X_i^{m-i}, with (-1)^i d on X_i and maps[i] below
+    it with sign +. Chain: D_m = (+)_i X_{i, m-k+i}, with (-1)^{k-i} d on
+    X_i and maps[i] with sign (-1)^{k-1-i} (Weibel, *An Introduction to
+    Homological Algebra*, 1.5). A summand below degree 0, a missing
+    differential or a missing component is a zero block.
+
+    One map f: A -> B is the cone A^m (+) B^{m-1}, d(a, b) = (d a, f a - d b),
+    re-indexed so its bottom degree (which carries A^0) is not truncated
+    away; chain A_{m-1} (+) B_m, d(a, b) = (-d a, f a + d b). It is acyclic
+    through a window iff f is a homology isomorphism one degree below it.
+    Two maps u, v with v u = 0 give the triple complex, the cone of
+    w(x, y) = v y on cone(u). d o d = 0 is checked on D, which reads every
+    block: d o d of each X_i, the square of each map, and v u.
     """
-    return GradedComplex(f.source.field, f.orientation, *_cone_pieces(f))
+    X = [maps[0].source] + [f.target for f in maps]
+    k, o, fld = len(maps), maps[0].orientation, X[0].field
+    shift = [i if o == +1 else k - i for i in range(k + 1)]  # X_i^n sits in D^{n + shift[i]}
+    top = min(x.top + s for x, s in zip(X, shift))
 
+    def summands(m):
+        return [x.dims[m - s] if m >= s else 0 for x, s in zip(X, shift)]
 
-def _cone_pieces(f):
-    """(dims, diffs) of :func:`mapping_cone` ``f``, with d o d = 0 left unchecked."""
-    A, B = f.source, f.target
-    fld = A.field
-    if f.orientation == +1:
-        top = min(A.top, B.top + 1)
-        dims = [A.dims[m] + (B.dims[m - 1] if m >= 1 else 0) for m in range(top + 1)]
-        diffs = {}
-        for m in range(top):
-            b_dim = B.dims[m - 1] if m >= 1 else 0
-            dB = B.diffs.get(m - 1) if m >= 1 else None
-            grid = [[A.diffs.get(m), None],
-                    [f.components.get(m), None if dB is None else dB.neg()]]
-            diffs[m] = block_matrix(fld, grid,
-                                    [A.dims[m + 1], B.dims[m]],
-                                    [A.dims[m], b_dim])
-        return dims, diffs
-    top = min(A.top + 1, B.top)
-    dims = [(A.dims[m - 1] if m >= 1 else 0) + B.dims[m] for m in range(top + 1)]
     diffs = {}
-    for m in range(1, top + 1):
-        a_dim = A.dims[m - 1]
-        a_tgt = A.dims[m - 2] if m >= 2 else 0
-        dA = A.diffs.get(m - 1) if m >= 2 else None
-        grid = [[None if dA is None else dA.neg(), None],
-                [f.components.get(m - 1), B.diffs.get(m)]]
-        diffs[m] = block_matrix(fld, grid,
-                                [a_tgt, B.dims[m - 1]],
-                                [a_dim, B.dims[m]])
-    return dims, diffs
+    for m in range(top) if o == +1 else range(1, top + 1):
+        grid = [[None] * (k + 1) for _ in range(k + 1)]
+        for i, s in enumerate(shift):
+            if m < s:
+                continue
+            d = X[i].diffs.get(m - s)
+            if d is not None:
+                grid[i][i] = d.neg() if s % 2 else d
+            c = maps[i].components.get(m - s) if i < k else None
+            if c is not None:
+                grid[i + 1][i] = c.neg() if o == -1 and (k - 1 - i) % 2 else c
+        diffs[m] = block_matrix(fld, grid, summands(m + o), summands(m))
+    return GradedComplex(fld, o, [sum(summands(m)) for m in range(top + 1)], diffs)
 
 
 def cone_quasi_iso(f, maxdeg):
@@ -252,48 +248,13 @@ def cone_quasi_iso(f, maxdeg):
     return cone, verdicts
 
 
-def _triple_complex(u, v):
-    """Iterated cone of X -> Y -> Z (requires v u = 0).
-
-    It is cone(w) for the map w: cone(u) -> Z' induced by v, w(x, y) = v y.
-    On the cochain side Z' is Z shifted up one degree with its differential
-    negated, so D^m = X^m (+) Y^{m-1} (+) Z^{m-2} with
-    d(x, y, z) = (d x, u x - d y, v y + d z); on the chain side Z' = Z and
-    D_m = X_{m-2} (+) Y_{m-1} (+) Z_m. w commutes with the differentials
-    because u and v do and v u = 0, so it is built unchecked. The triple is a
-    homotopy cofibration through a window exactly when D is acyclic there
-    (with the window shifted by the cone bookkeeping).
-
-    Only D is checked for d o d = 0, not cone(u): D = [[d_A, 0], [w, +-d_Z']]
-    with A = cone(u), so the top-left block of D D = 0 is d_A d_A = 0 in
-    every degree of cone(u) that D reads. A u that is no chain map fails it.
-    """
-    Z = v.target
-    fld = Z.field
-    for n in u.components:
-        if n in v.components and not v.components[n].mul(u.components[n]).is_zero():
-            raise ShapeMismatch("cofibration check needs v u = 0")
-    dims, diffs = _cone_pieces(u)
-    A = SimpleNamespace(field=fld, orientation=u.orientation, dims=dims, top=len(dims) - 1,
-                        diffs=diffs)
-    shift = 0
-    if u.orientation == +1:
-        shift = 1
-        Z = GradedComplex(fld, +1, [0] + Z.dims, {n + 1: d.neg() for n, d in Z.diffs.items()})
-    w = {}
-    for m in range(A.top + 1):
-        vy = v.components.get(m - shift)  # Y part of cone(u) in degree m -> Z'
-        if vy is not None:
-            w[m] = block_matrix(fld, [[None, vy]], [vy.rows], [A.dims[m] - vy.cols, vy.cols])
-    return mapping_cone(ChainMap(A, Z, w, check=False))
-
-
 def cofibration_verdicts(u, v, maxdeg):
     """Per-degree verdicts that X -> Y -> Z is a homotopy cofibration.
 
-    Realized through the iterated cone: the induced map cone(u) -> Z is a
-    quasi-isomorphism iff the triple complex is acyclic; the verdict at
-    degree n consumes its vanishing through degree n+2 (cochain) or n+1
+    The induced map cone(u) -> Z is a quasi-isomorphism iff the triple
+    complex D = :func:`mapping_cone` ``(u, v)`` is acyclic, D^m = X^m (+)
+    Y^{m-1} (+) Z^{m-2} or D_m = X_{m-2} (+) Y_{m-1} (+) Z_m; the verdict
+    at degree n consumes its vanishing through degree n+2 (cochain) or n+1
     (chain). The b' triple of :func:`_cyclic_excision` is read only for its
     vanishing through maxdeg + 1, so each module one degree shallower.
     """
@@ -304,9 +265,13 @@ def cofibration_verdicts(u, v, maxdeg):
 def _triple_vanishing(u, v, top, maxdeg):
     """Whether the triple complex of X -> Y -> Z is acyclic through each degree 0..``top``.
 
-    ``top`` serves verdicts through ``maxdeg``, which a too shallow module names.
+    v u = 0 is checked on every shared component first. ``top`` serves
+    verdicts through ``maxdeg``, which a too shallow module names.
     """
-    D = _triple_complex(u, v)
+    for n, c in u.components.items():
+        if n in v.components and not v.components[n].mul(c).is_zero():
+            raise ShapeMismatch("cofibration check needs v u = 0")
+    D = mapping_cone(u, v)
     if top > D.max_valid_degree:
         raise DegreeOutOfRange(
             f"triple complex certified through {D.max_valid_degree}, "
@@ -543,9 +508,10 @@ def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
 
     ``u`` and ``v`` are the checked Hochschild chain maps and ``hoch_ok``
     their :func:`cofibration_verdicts`. The verdicts are those of the
-    triple complex D of the three (b, b', 1 - lambda, N) totals with the
-    maps of :func:`total_chain_map`, derived without D by Connes' column
-    filtration (Loday, *Cyclic Homology*, 2.2):
+    triple complex D = :func:`mapping_cone` ``(u_tot, v_tot)`` of the three
+    (b, b', 1 - lambda, N) totals and the maps of :func:`total_chain_map`,
+    derived without D by Connes' column filtration (Loday, *Cyclic
+    Homology*, 2.2):
 
     - The columns p >= r, F_r, form a subcomplex of D: horizontal maps
       raise p, and u_tot and v_tot put u_q and v_q on each block (p, q).
@@ -562,9 +528,9 @@ def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
       is the b' triple of the modules one degree shallower, built here;
       every other column truncates one of the two triples above the
       degrees read.
-    - D is a complex, as building it would check, when the block squares
-      of u_tot in total degrees through maxdeg + 1 and of v_tot through
-      maxdeg commute. Vertically that is u b = b u, which ``u`` passed,
+    - D is a complex, as its one d o d check would show, when the block
+      squares of u_tot in total degrees through maxdeg + 1 and of v_tot
+      through maxdeg commute. Vertically that is u b = b u, which ``u`` passed,
       and u b' = b' u in odd columns, so for q <= maxdeg: the squares of
       the ChainMap onto the b' complexes. Horizontally it is 1 - lambda
       and N, polynomials in lambda = (-1)^q tau, so u_q tau = tau u_q for
@@ -646,7 +612,7 @@ class AlgebraSES:
 
 
 def h_unitality_probe(alg_desc, maxdeg):
-    """Homology of the algebra bar complex (I^{(x) n}, b') through maxdeg."""
+    """Homology H_1..H_maxdeg of the algebra bar complex (I^{(x) n}, b')."""
     f = alg_desc.field
     a = alg_desc.dim
     dims = [1] + [a**n for n in range(1, maxdeg + 2)]
@@ -669,7 +635,8 @@ def _verify_excision_algebra(ses, X, maxdeg):
     _add_hopf_hypotheses(report.add_hypothesis, B, X)
     report.add_hypothesis("A unital", PASS if A.base.unit is not None else FAIL)
     report.add_hypothesis("I is a B-subcomodule", PASS if ses.subcomodule else FAIL)
-    hdims = h_unitality_probe(ses.ideal.base, maxdeg)
+    # H_1..H_{maxdeg+1}: the tensor powers 1..maxdeg+1 that the coalgebra probe reads too
+    hdims = h_unitality_probe(ses.ideal.base, maxdeg + 1)
     report.add_hypothesis("I H-unital", PASS if all(d == 0 for d in hdims) else FAIL,
                           window=window)
     if find_integral(B, "integral") is not None:

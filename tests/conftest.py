@@ -194,6 +194,27 @@ def every_cyclic_excision_is_the_bicomplex_triple():
     theorems._cyclic_excision = derive
 
 
+@pytest.fixture(scope="session", autouse=True)
+def every_cone_is_the_nested_cone():
+    """Each mapping cone and triple complex that ``theorems.mapping_cone``
+    writes in one block pass in a test has the dims and, entry for entry,
+    the differentials of the cone written block by block and of the triple
+    complex built as the cone of cone(u) -> Z' (``oracles.nested_cone``).
+
+    Yields the unwrapped builder, for a test that compares it directly."""
+    build = theorems.mapping_cone
+
+    def checked(*maps):
+        D = build(*maps)
+        assert (D.dims, D.diffs) == oracles.nested_cone(*maps), \
+            "the one-pass cone is not the nested cone"
+        return D
+
+    theorems.mapping_cone = checked
+    yield build
+    theorems.mapping_cone = build
+
+
 @pytest.fixture(scope="session")
 def z2_q():
     return group_algebra(cyclic_table(2), QQ)

@@ -32,7 +32,9 @@ diagonal action per leg, the reference for the one pass of
 tuple through every step, the reference for ``linalg.wire``; the cyclic
 verdicts of coalgebra excision read off the triple complex of the three
 (b, b', 1 - lambda, N) totals, the reference for the column filtration of
-``theorems._cyclic_excision``; and the hypothesis
+``theorems._cyclic_excision``; the mapping cone written block by block and
+the triple complex as the cone of cone(u) -> Z', the reference for the one
+pass of ``theorems.mapping_cone``; and the hypothesis
 systems, integrals, counit action, unit coaction, ideal closure and direct
 sums written as hand-indexed coefficient loops, the references for their
 forms assembled from ``kron``, ``wire``, ``column_blocks`` and one
@@ -43,6 +45,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hopfcyclic.complexes import (
     CyclicModule,
@@ -57,15 +60,17 @@ from hopfcyclic.errors import IdentityViolation, ParseError, ShapeMismatch
 from hopfcyclic.hopf import BialgebraDesc
 from hopfcyclic.linalg import (
     Echelon,
+    GradedComplex,
     Matrix,
     QuotientSpace,
+    block_matrix,
     complex_homology,
     rank_kernel,
     restrict,
     solve_columns,
     wire,
 )
-from hopfcyclic.theorems import cofibration_verdicts, total_chain_map
+from hopfcyclic.theorems import ChainMap, cofibration_verdicts, total_chain_map
 
 
 def dense_of(M):
@@ -1277,3 +1282,68 @@ def bicomplex_cyclic_excision(T_K, T_C, T_Q, u, v, maxdeg):
     verdicts = cofibration_verdicts(total_chain_map(tots[0], tots[1], u.components),
                                     total_chain_map(tots[1], tots[2], v.components), maxdeg)
     return verdicts, [complex_homology(t, maxdeg) for t in tots]
+
+
+def cone_pieces(f):
+    """(dims, diffs) of the mapping cone of ``f``, block by block and unchecked.
+
+    Cochain: cone^m = A^m (+) B^{m-1} with d(a, b) = (d a, f a - d b).
+    Chain: cone_m = A_{m-1} (+) B_m with d(a, b) = (-d a, f a + d b).
+    """
+    A, B = f.source, f.target
+    fld = A.field
+    if f.orientation == +1:
+        top = min(A.top, B.top + 1)
+        dims = [A.dims[m] + (B.dims[m - 1] if m >= 1 else 0) for m in range(top + 1)]
+        diffs = {}
+        for m in range(top):
+            b_dim = B.dims[m - 1] if m >= 1 else 0
+            dB = B.diffs.get(m - 1) if m >= 1 else None
+            grid = [[A.diffs.get(m), None],
+                    [f.components.get(m), None if dB is None else dB.neg()]]
+            diffs[m] = block_matrix(fld, grid,
+                                    [A.dims[m + 1], B.dims[m]],
+                                    [A.dims[m], b_dim])
+        return dims, diffs
+    top = min(A.top + 1, B.top)
+    dims = [(A.dims[m - 1] if m >= 1 else 0) + B.dims[m] for m in range(top + 1)]
+    diffs = {}
+    for m in range(1, top + 1):
+        a_dim = A.dims[m - 1]
+        a_tgt = A.dims[m - 2] if m >= 2 else 0
+        dA = A.diffs.get(m - 1) if m >= 2 else None
+        grid = [[None if dA is None else dA.neg(), None],
+                [f.components.get(m - 1), B.diffs.get(m)]]
+        diffs[m] = block_matrix(fld, grid,
+                                [a_tgt, B.dims[m - 1]],
+                                [a_dim, B.dims[m]])
+    return dims, diffs
+
+
+def nested_cone(*maps):
+    """(dims, diffs) of ``theorems.mapping_cone`` of one map or of two, built as nested cones.
+
+    One map is :func:`cone_pieces`. Two maps u, v give the cone of the map
+    w: cone(u) -> Z' induced by v, w(x, y) = v y. On the cochain side Z' is
+    Z shifted up one degree with its differential negated, so
+    D^m = X^m (+) Y^{m-1} (+) Z^{m-2} with d(x, y, z) = (d x, u x - d y,
+    v y + d z); on the chain side Z' = Z and D_m = X_{m-2} (+) Y_{m-1} (+) Z_m.
+    """
+    if len(maps) == 1:
+        return cone_pieces(maps[0])
+    u, v = maps
+    Z = v.target
+    fld = Z.field
+    dims, diffs = cone_pieces(u)
+    A = SimpleNamespace(field=fld, orientation=u.orientation, dims=dims, top=len(dims) - 1,
+                        diffs=diffs)
+    shift = 0
+    if u.orientation == +1:
+        shift = 1
+        Z = GradedComplex(fld, +1, [0] + Z.dims, {n + 1: d.neg() for n, d in Z.diffs.items()})
+    w = {}
+    for m in range(A.top + 1):
+        vy = v.components.get(m - shift)  # Y part of cone(u) in degree m -> Z'
+        if vy is not None:
+            w[m] = block_matrix(fld, [[None, vy]], [vy.rows], [A.dims[m] - vy.cols, vy.cols])
+    return cone_pieces(ChainMap(A, Z, w, check=False))

@@ -162,6 +162,13 @@ class TestExcision:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_algebra_side_ideal_not_h_unital_at_degree_0_exit_1(self, capsys):
+        # I^2 = 0, so H_1 of I's bar complex is I: degree 0 reads H_1 and fails
+        code, out, _ = run(capsys, "excision", str(FIXTURES / "z2_dual_numbers_ses.json"),
+                           "--side", "algebra", "--max-degree", "0")
+        assert code == 1
+        assert "I H-unital\tFAIL\t0..0" in out.splitlines()
+
     def test_json_flag_emits_report(self, capsys):
         code, out, _ = run(capsys, "excision", str(FIXTURES / "direct_sum_ses.json"),
                            "--max-degree", "1", "--json")

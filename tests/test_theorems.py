@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,8 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic.linalg import (GradedComplex, Matrix, QuotientSpace, complex_homology, invert,
-                               rank_kernel)
+from hopfcyclic.linalg import (GradedComplex, Matrix, QuotientSpace, block_matrix,
+                               complex_homology, invert, rank_kernel)
 from hopfcyclic.theorems import (
     AlgebraSES,
     ChainMap,
@@ -48,6 +49,7 @@ from hopfcyclic.theorems import (
 
 import oracles
 from groups import cyclic_table, dihedral_table, symmetric_table
+from randmat import random_invertible
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
@@ -98,8 +100,8 @@ class TestCones:
 
     @pytest.mark.parametrize("o", [+1, -1])
     def test_triple_complex_refuses_a_u_that_is_not_a_chain_map(self, o):
-        # cone(u) is not validated on its own; the d o d check of the outer
-        # cone must still refuse a u that does not commute with d
+        # neither map is validated on its own; the d o d check of the triple
+        # complex must still refuse a u or a v that does not commute with d
         one, zero = Matrix.identity(QQ, 1), Matrix.zero(QQ, 1, 1)
         leave = [0, 1, 2] if o > 0 else [1, 2, 3]
         X = GradedComplex(QQ, o, [1] * 4, dict(zip(leave, (one, zero, one))))
@@ -112,6 +114,80 @@ class TestCones:
         broken = ChainMap(X, Y, {n: one for n in range(4)}, check=False)
         with pytest.raises(ShapeMismatch, match="d o d"):
             cofibration_verdicts(broken, v, 0)
+        # v = id from X onto Z, whose d is zero: v d_X != d_Z v, and v u = 0
+        u = ChainMap(Z, X, {n: zero for n in range(4)})
+        assert len(cofibration_verdicts(u, ChainMap(X, X, {n: one for n in range(4)}), 0)) == 1
+        broken = ChainMap(X, Z, {n: one for n in range(4)}, check=False)
+        with pytest.raises(ShapeMismatch, match="d o d"):
+            cofibration_verdicts(u, broken, 0)
+
+    @staticmethod
+    def _random_complex(field, o, dims, rng):
+        """A complex on ``dims``: identities from a block of each degree onto the
+        next one's first block (transposed on the chain side), conjugated
+        degreewise by random invertibles. A zero differential is left out."""
+        r, diffs = 0, {}
+        for n in range(len(dims) - 1):
+            skip, r = r, rng.randint(0, min(dims[n] - r, dims[n + 1]))
+            d = Matrix.from_entries(field, dims[n + 1], dims[n],
+                                    [(j, skip + j, field.one) for j in range(r)])
+            diffs.update({n: d} if o > 0 else {n + 1: d.transpose()})
+        g = [random_invertible(field, n, rng) for n in dims]
+        conj = {n: g[n + o].mul(d).mul(invert(g[n])) for n, d in diffs.items()}
+        return GradedComplex(field, o, dims, {n: d for n, d in conj.items() if not d.is_zero()})
+
+    @staticmethod
+    def _split_triple(field, o, X, Z, rng):
+        """X -> Y -> Z with Y = X (+) Z through the lower top, conjugated
+        degreewise by random invertibles; v u = 0 and cone(u) -> Z is a
+        quasi-isomorphism."""
+        top = min(X.top, Z.top)
+        dims = [X.dims[n] + Z.dims[n] for n in range(top + 1)]
+        h = [random_invertible(field, d, rng) for d in dims]
+        h_inv = [invert(m) for m in h]
+        diffs = {}
+        for n in range(top + 1):
+            if 0 <= n + o <= top:
+                dY = block_matrix(field, [[X.diffs.get(n), None], [None, Z.diffs.get(n)]],
+                                  [X.dims[n + o], Z.dims[n + o]], [X.dims[n], Z.dims[n]])
+                diffs[n] = h[n + o].mul(dY).mul(h_inv[n])
+        Y = GradedComplex(field, o, dims, diffs)
+        incl = {n: block_matrix(field, [[Matrix.identity(field, X.dims[n])], [None]],
+                                [X.dims[n], Z.dims[n]], [X.dims[n]]) for n in range(top + 1)}
+        proj = {n: block_matrix(field, [[None, Matrix.identity(field, Z.dims[n])]],
+                                [Z.dims[n]], [X.dims[n], Z.dims[n]]) for n in range(top + 1)}
+        u = ChainMap(X, Y, {n: h[n].mul(c) for n, c in incl.items()})
+        v = ChainMap(Y, Z, {n: c.mul(h_inv[n]) for n, c in proj.items()})
+        return u, v
+
+    @pytest.mark.parametrize("o", [+1, -1])
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("shape", ["one map", "two maps", "unequal tops",
+                                       "missing components"])
+    def test_mapping_cone_is_the_nested_cone(self, every_cone_is_the_nested_cone, o, field,
+                                             shape):
+        # the one block pass against the cone written block by block and the
+        # triple complex as the cone of cone(u) -> Z', entry for entry
+        build = every_cone_is_the_nested_cone
+        rng = random.Random(f"{o}{field}{shape}")
+        tops = (5, 3) if shape == "unequal tops" else (4, 4)
+        X = self._random_complex(field, o, [rng.randint(0, 3) for _ in range(tops[0] + 1)], rng)
+        z_dims = [rng.randint(1, 3) for _ in range(tops[1] + 1)]
+        if shape == "missing components":
+            z_dims[2] = 0
+        Z = self._random_complex(field, o, z_dims, rng)
+        u, v = self._split_triple(field, o, X, Z, rng)
+        if shape == "missing components":
+            # u is the zero map, given by no component; v leaves out its zero ones
+            u = ChainMap(X, u.target, {})
+            v = ChainMap(v.source, Z, {n: c for n, c in v.components.items() if z_dims[n]})
+        maps = (u,) if shape == "one map" else (u, v)
+        D = build(*maps)
+        assert any(not d.is_zero() for d in D.diffs.values())
+        assert (D.dims, D.diffs) == oracles.nested_cone(*maps)
+        if shape in ("two maps", "unequal tops"):
+            maxdeg = D.top - (3 if o > 0 else 2)
+            assert cofibration_verdicts(u, v, maxdeg) == [True] * (maxdeg + 1)
 
     def test_window_out_of_range(self):
         cx = flat(QQ, [1, 1, 1])
@@ -644,6 +720,14 @@ class TestExcisionAlgebra:
     def test_h_unitality_probe(self, z2_q):
         # the group algebra is unital, hence H-unital
         assert h_unitality_probe(z2_q, 3) == [0, 0, 0]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    def test_h_unitality_probe_of_a_square_zero_ideal(self, field):
+        # I = (x) in k[Z/2][x]/(x^2) has I^2 = 0, so b' vanishes on I^{(x) n}
+        ses = parse_input(str(FIXTURES / "z2_dual_numbers_ses.json"), field)
+        assert h_unitality_probe(ses.ideal.base, 2) == [2, 4]
+        report = verify_excision(ses, make_coefficient("eps", ses.A.over), "algebra", 0)
+        assert report.hypothesis("I H-unital").verdict == "FAIL"
 
 
 class TestExcisionDepths:
