@@ -357,7 +357,7 @@ def induced_complex(T):
 
 
 def _check_tau_order(cm):
-    """tau^{n+1} = id in every degree, entry-exactly.
+    """tau^{n+1} = id in every degree that carries tau, entry-exactly.
 
     With k = floor((n+1)/2), tau^{n+1} is (tau^k)^2, times tau once more
     when n+1 is odd: ceil((n+1)/2) products where powering one factor at a
@@ -365,8 +365,7 @@ def _check_tau_order(cm):
     is compared with the identity row by row, without building it.
     """
     one = cm.field.one
-    for n in range(cm.top + 1):
-        t = cm.tau[n]
+    for n, t in enumerate(cm.tau):
         power = t
         for _ in range((n + 1) // 2 - 1):
             power = t.mul(power)
@@ -423,7 +422,11 @@ class CocyclicModule:
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
     the cyclic operator, None on an ambient twisted CH complex
-    (:func:`twisted_ch`) and on CH(C, M; X) for M other than C. An ambient
+    (:func:`twisted_ch`) and on CH(C, M; X) for M other than C. A module
+    through degree ``top`` carries tau_0 ... tau_{top-1}, in the degrees
+    that cofaces leave: the engines read no more (:func:`connes_complex`,
+    :func:`cyclic_total_complex`), and the identities of a tau_top would
+    be its only reader. An ambient
     complex carries ``actions[n][g]``, L_g on degree n for the algebra
     generators g of B, by which :func:`induced_complex` descends it. A
     module induced on quotients of an ambient module keeps them as
@@ -467,7 +470,7 @@ class CocyclicModule:
         return _hochschild_complex(self)
 
     def truncate(self, top):
-        """The same module through degree ``top``, nothing rebuilt."""
+        """The same module through degree ``top``, tau through top - 1, nothing rebuilt."""
         if top > self.top:
             raise DegreeOutOfRange(f"truncation to degree {top}, built through {self.top}")
 
@@ -475,33 +478,38 @@ class CocyclicModule:
             return None if seq is None else seq[:stop]
 
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], cut(self.cofaces, top),
-                              cut(self.tau, top + 1), cut(self.quotients, top + 1),
+                              cut(self.tau, top), cut(self.quotients, top + 1),
                               cut(self.actions, top + 1), self.untwist, cut(self.b, top),
                               cut(self.last, top))
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
 
-        ``taus`` holds one operator per degree and is iterated once.
+        ``taus`` holds one operator per degree below the top and is iterated once.
         """
         what = "cyclic operator well-defined on the quotient"
         tau = [_induced(t, q, q, IdentityViolation(n, what))
-               for n, (t, q) in enumerate(zip(taus, self.quotients, strict=True))]
+               for n, (t, q) in enumerate(zip(taus, self.quotients[:self.top], strict=True))]
         cm = CocyclicModule(self.field, self.over, self.dims, self.cofaces, tau, self.quotients)
         cm.validate()
         return cm
 
     def validate(self):
-        """Check the cocyclic identities at every degree n, entry-exactly.
+        """Check the cocyclic identities at every degree n that carries tau, entry-exactly.
 
-        Checked: tau^{n+1} = id, tau d_j = d_{j-1} tau for 1 <= j <= n and
-        tau d_0 = d_n, for the cofaces d_j into degree n. The coface
-        identities hold on a module descended from a validated ambient
-        (:func:`induced_complex`), because inducing is multiplicative;
-        :func:`regular.free_model` checks them and these degree by degree.
+        Checked: tau^{n+1} = id for n < top, and tau d_j = d_{j-1} tau for
+        1 <= j <= n and tau d_0 = d_n for the cofaces d_j into degree
+        n < top. The coface identities hold on a module descended from a
+        validated ambient (:func:`induced_complex`), because inducing is
+        multiplicative; :func:`regular.free_model` checks them and these
+        degree by degree. No tau_top is built, so the identities of the
+        cofaces into the top with it are not read; those cofaces are the
+        ambient cofaces induced, written by the same code as every lower
+        degree, whose identities with the last coface the ambient's checks
+        passed, and d o d runs on every complex formed from them.
         """
         _check_tau_order(self)
-        for n in range(self.top):
+        for n in range(self.top - 1):
             _check_tau_degree(self.tau, n, self.cofaces[n])
 
 
@@ -573,7 +581,7 @@ def coinvariant_ch(C, X, maxdeg, M=None, W=None):
     if M is not None:
         return descended
     return descended.with_tau(_coalgebra_rotation(C, X, _pow(C.dim, n))
-                              for n in range(maxdeg + 1))  # one at a time
+                              for n in range(maxdeg))  # one at a time
 
 
 def assemble(side, main, X, maxdeg):
@@ -729,6 +737,13 @@ def _hochschild_complex(cm, drop_last=False):
     return GradedComplex(cm.field, cm.orientation, cm.dims, _differentials(cm, drop_last))
 
 
+def _tau_through(cm, top, reader):
+    """Refuse, with DegreeOutOfRange, a module that carries no tau_{top} for ``reader``."""
+    if top >= len(cm.tau):
+        raise DegreeOutOfRange(f"{reader} reads tau through degree {top}, and the module "
+                               f"carries it through {len(cm.tau) - 1}")
+
+
 def _lambda_n(cm, n):
     t = cm.tau[n]
     return t if n % 2 == 0 else t.neg()
@@ -749,12 +764,14 @@ def cyclic_total_complex(cm, maxtot):
     """Total complex of the first-quadrant (b, b', 1 - lambda, N) bicomplex.
 
     Works for both orientations: cochain for cocyclic modules, chain for
-    cyclic modules. Total degree runs through ``maxtot``.
+    cyclic modules. Total degree runs through ``maxtot``; 1 - lambda and N
+    leave total degrees below it, so tau is read through maxtot - 1.
     """
     f = cm.field
     if maxtot > cm.top:
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
+    _tau_through(cm, maxtot - 1, f"the bicomplex through total degree {maxtot}")
     o = cm.orientation
     b_full, b_prime = _differentials(cm), _differentials(cm, drop_last=True)
     tot_dims = []
@@ -883,11 +900,13 @@ def connes_complex(cm, maxtot):
     :class:`GradedComplex`, that is bbar^2 = 0, Bbar^2 = 0 and
     bbar Bbar + Bbar bbar = 0. Total degree runs through ``maxtot``; the
     differentials out of Tot^{maxtot - 1} read b through degree maxtot - 1
-    and tau through maxtot - 1.
+    and tau through maxtot - 1, which a module through maxtot carries
+    (:class:`CocyclicModule`); its tau_{maxtot} would have no reader.
     """
     if maxtot > cm.top:
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
+    _tau_through(cm, maxtot - 1, f"Connes' complex through total degree {maxtot}")
     K = normalized_cochains(cm, maxtot)
 
     def onto(n, image, what):

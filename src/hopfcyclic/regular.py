@@ -128,19 +128,32 @@ def free_model(C, X, W, maxdeg, M=None, each=None):
         audited B-linearity Delta(b c) = b_(1) c_(1) (x) b_(2) c_(2) of
         Delta_C, with the coassociativity of Delta_B, for the checked tails;
       - tau d_1 = d_0 tau, tau d_{n+1} = d_n tau and tau d_0 = d_{n+1}
-        read H blocks and are checked in every degree, the top one included
+        read H blocks and are checked out of every degree n <= maxdeg - 2
         (``complexes._check_tau_degree``);
       - tau^{n+1} = id holds for the rotation induced on the coinvariants of
         a stable anti-Yetter-Drinfeld X (Hajac-Khalkhali-Rangipour-
         Sommerhaeuser, C. R. Acad. Sci. Paris 338, 2004), and in every
         degree n >= 1 tau is one H block with a checked tail. The power is
         checked through the lowest degree in which every leg of that block
-        acts (:meth:`Untwist.exercised`), degree 0, where tau is written
-        apart, included;
+        acts (:meth:`Untwist.exercised` of maxdeg - 1), degree 0, where tau
+        is written apart, included;
       - the cofaces out of each degree n are built once, and their
         identities with the cofaces out of n-1 checked
         (``complexes._check_coface_degree``, with d_0's own where d_0 is
         not slotted, :class:`Untwist`).
+    tau is written in degrees 0 .. maxdeg - 1, the degrees that cofaces
+    leave (:class:`complexes.CocyclicModule`): through total degree m,
+    Connes' complex and the bicomplex read the cochains through m and
+    tau through m - 1 (``complexes.connes_complex``). tau_{maxdeg} has no
+    reader, and so it is neither written nor checked. Its identities were
+    the only check that linked it with the cofaces out of maxdeg - 1;
+    those cofaces are still checked: their identities with the last
+    coface and, where d_0 is not slotted, with d_0, by
+    ``_check_coface_degree`` out of maxdeg - 1 >= 1, and d o d by every
+    complex formed from b (``linalg.GradedComplex``). They are written
+    from the same H blocks and checked tails as every lower degree. At
+    maxdeg = 1 no identity relates the two cofaces out of degree 0 at
+    all: a module through degree 1 satisfies none.
     b_n and, for M = C, the last coface d_{n+1} are kept, and the others let
     go: b' = b - (-1)^{n+1} d_{n+1} (``complexes._differentials``), and
     Connes' complex reads b and tau (``complexes.connes_complex``). A model
@@ -152,18 +165,19 @@ def free_model(C, X, W, maxdeg, M=None, each=None):
     if not X.module_report.ok:
         raise AuditFailed(X.module_report)
     u = Untwist(C, X, W, M)
-    tau = None if M is not None else [_model_rotation(u, n) for n in range(maxdeg + 1)]
+    tau = None if M is not None else [_model_rotation(u, n) for n in range(maxdeg)]
     dims = [X.dim * len(W) * _pow(C.dim, n) for n in range(maxdeg + 1)]
     cm = CocyclicModule(C.over.field, C.over, dims, None, tau, untwist=u, b=[],
                         last=None if tau is None else [])
     if tau is not None:
-        _check_tau_order(cm.truncate(u.exercised(maxdeg)))
+        _check_tau_order(cm.truncate(u.exercised(maxdeg - 1) + 1))
     lower = None
     for n in range(maxdeg):
         faces = _model_cofaces(u, n)
         u.check_tails()
         if tau is not None:
-            _check_tau_degree(tau, n, faces, middle=False)
+            if n + 1 < maxdeg:
+                _check_tau_degree(tau, n, faces, middle=False)
             cm.last.append(faces[-1])
         _check_coface_degree(dims, n, faces, lower, u.slotted_d0)
         cm.b.append(_alternating(cm.field, faces))

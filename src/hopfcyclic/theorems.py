@@ -19,6 +19,7 @@ from .complexes import (
     _alternating,
     _hochschild_complex,
     _induced,
+    _tau_through,
     assemble,
     assemble_for_homology,
     coinvariant_ch,
@@ -175,19 +176,28 @@ class ChainMap:
             self.validate()
 
     def validate(self):
+        """Each component's shape, and f d = d f out of every degree n with n and n + o in 0..top.
+
+        A missing component or differential is zero, as :func:`mapping_cone`
+        reads it: a square with a zero side checks that the other is zero.
+        """
         o = self.orientation
         for n, comp in self.components.items():
             if comp.cols != self.source.dims[n] or comp.rows != self.target.dims[n]:
                 raise ShapeMismatch(f"chain map component {n} has wrong shape")
-        for n in self.components:
-            m = n + o
-            if m not in self.components:
+        for n in range(self.top + 1):
+            if not 0 <= n + o <= self.top:
                 continue
-            d_s = self.source.diffs.get(n)
-            d_t = self.target.diffs.get(n)
-            if d_s is None or d_t is None:
-                continue
-            if self.components[m].mul(d_s) != d_t.mul(self.components[n]):
+            f_n, f_m = self.components.get(n), self.components.get(n + o)
+            d_s, d_t = self.source.diffs.get(n), self.target.diffs.get(n)
+            left = None if f_m is None or d_s is None else f_m.mul(d_s)
+            right = None if d_t is None or f_n is None else d_t.mul(f_n)
+            if left is None or right is None:
+                one = right if left is None else left  # the other side is zero
+                holds = one is None or one.is_zero()
+            else:
+                holds = left == right
+            if not holds:
                 raise ShapeMismatch(f"chain map does not commute at degree {n}")
 
 
@@ -389,9 +399,13 @@ def _excision_depths(orientation, maxdeg):
       homology reads X through maxdeg + 1.
 
     On the coalgebra side the cyclic verdict (:func:`_cyclic_excision`)
-    reads tau through these depths, the b' triple one degree shallower, and
-    each total through maxdeg + 1. A module built one degree shallower than
-    this raises DegreeOutOfRange.
+    reads the b' triple one degree shallower, each total through maxdeg + 1,
+    and tau at most one degree below each depth: its tau checks read it
+    through maxdeg + 1, maxdeg + 1 and maxdeg, the totals of its fallback
+    through maxdeg + 2, maxdeg + 1 and maxdeg. A module through its depth
+    carries tau through depth - 1 and no further
+    (:class:`complexes.CocyclicModule`). A module built one degree
+    shallower than this raises DegreeOutOfRange.
     """
     if orientation == +1:
         return maxdeg + 3, maxdeg + 2, maxdeg + 1
@@ -534,9 +548,14 @@ def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
       and u b' = b' u in odd columns, so for q <= maxdeg: the squares of
       the ChainMap onto the b' complexes. Horizontally it is 1 - lambda
       and N, polynomials in lambda = (-1)^q tau, so u_q tau = tau u_q for
-      q <= maxdeg + 1, checked in every degree u has. v's are one degree
-      lower, and v u = 0 is checked on the shared components. Each total's
-      bicomplex identities follow from its module's cocyclic ones.
+      q <= maxdeg + 1, checked in those degrees, where the target CM(C)
+      carries tau (:class:`CocyclicModule`: through its depth minus one).
+      v's are one degree lower, q <= maxdeg, where CM(C/K) carries tau,
+      and v u = 0 is checked on the shared components. A missing component
+      is a zero block, which commutes with everything. Each total's
+      bicomplex identities follow from its module's cocyclic ones. A
+      module that carries tau through fewer degrees is refused with
+      DegreeOutOfRange.
 
     The derivation is sufficient only: where a derived verdict fails, the
     bicomplex triple decides, so every verdict is D's. The dims read each
@@ -549,8 +568,12 @@ def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
         top = min(bars[s].top, bars[t].top)
         maps.append(ChainMap(bars[s], bars[t],
                              {n: c for n, c in f.components.items() if n <= top}))
-        for n, c in f.components.items():
-            if c.mul(mods[s].tau[n]) != mods[t].tau[n].mul(c):
+        reach = maxdeg + 1 - s  # u_q tau = tau u_q for q <= maxdeg + 1, v's one lower
+        for T in (mods[s], mods[t]):
+            _tau_through(T, reach, "the cyclic excision verdict")
+        for n in range(reach + 1):
+            c = f.components.get(n)
+            if c is not None and c.mul(mods[s].tau[n]) != mods[t].tau[n].mul(c):
                 raise ShapeMismatch(f"chain map does not commute with tau at degree {n}")
     bar_ok = _triple_vanishing(*maps, maxdeg + 1, maxdeg)
     cyc_ok = [hoch_ok[n] and bar_ok[n + 1] for n in range(maxdeg + 1)]
@@ -979,8 +1002,7 @@ def _check_commutative_hopf(params, maxdeg):
     same_spaces = cm_B.dims == cm_Q.dims
     same_maps = same_spaces and all(
         cm_B.cofaces[n][j] == cm_Q.cofaces[n][j]
-        for n in range(depth) for j in range(n + 2)) and all(
-        cm_B.tau[n] == cm_Q.tau[n] for n in range(depth + 1))
+        for n in range(depth) for j in range(n + 2)) and cm_B.tau == cm_Q.tau
     report.add_hypothesis("triples over B and over B/J literally coincide",
                           PASS if same_maps else FAIL)
 

@@ -23,6 +23,23 @@ from groups import cyclic_table, symmetric_table
 
 
 @pytest.fixture(scope="session", autouse=True)
+def every_descended_tau_stops_below_the_top():
+    """Each module that ``CocyclicModule.with_tau`` gives a cyclic operator in
+    a test carries tau_0 ... tau_{top-1}, in the degrees that cofaces leave,
+    and no tau_top: the descended path keeps the rule of the model."""
+    real = complexes.CocyclicModule.with_tau
+
+    def with_tau(cm, taus):
+        out = real(cm, taus)
+        assert len(out.tau) == out.top, "a descended tau does not stop below its top"
+        return out
+
+    complexes.CocyclicModule.with_tau = with_tau
+    yield
+    complexes.CocyclicModule.with_tau = real
+
+
+@pytest.fixture(scope="session", autouse=True)
 def every_face_identity_holds():
     """Each cyclic module that passes ``CyclicModule.validate`` in a test also
     passes every face identity d_i d_j = d_{j-1} d_i, the full loop that the
@@ -86,12 +103,15 @@ def every_model_is_the_descended_module():
     that apply Psi with the whole diagonal action L_s of each leg
     (``oracles.is_the_applied_model``), and the b that it keeps is the
     alternating sum of its cofaces and, with tau, the last coface that it
-    keeps is the last of them. A model with tau passes tau^{n+1} = id in
-    every degree and every tau identity on the cofaces it handed over, the
-    full loops of which ``regular.free_model`` proves the rest implied
-    (``oracles.all_tau_identities``). A model keeps no cofaces, so the
-    checks that read them after the build take the oracle's
-    (``oracles.model_cofaces``), which these comparisons show equal.
+    keeps is the last of them. A model with tau carries tau_0 ... tau_{top-1}
+    and no tau_top, as a descended module does
+    (``every_descended_tau_stops_below_the_top``), and passes tau^{n+1} = id
+    in every degree and every tau identity on the cofaces it handed over
+    wherever tau is built, the full loops of which ``regular.free_model``
+    proves the rest implied (``oracles.all_tau_identities``). A model
+    keeps no cofaces, so the checks that read them after the build take
+    the oracle's (``oracles.model_cofaces``), which these comparisons show
+    equal.
 
     Yields the unwrapped builder and comparison writer, for a mutant that only the
     checks of the package are to reject."""
@@ -116,6 +136,7 @@ def every_model_is_the_descended_module():
 
         cm = build(C, X, W, maxdeg, M, each=handed)
         assert cm.cofaces is None, "a model keeps its cofaces"
+        assert cm.tau is None or len(cm.tau) == cm.top, "a model's tau does not stop below its top"
         assert cm.tau is None or oracles.all_tau_identities(cm, built), \
             "a tau identity fails that the model's checks passed"
         assert oracles.is_the_applied_model(cm, built), "the model is not Psi with whole actions"

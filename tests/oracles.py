@@ -687,14 +687,15 @@ def all_coface_identities(cofaces):
 
 
 def all_tau_identities(cm, cofaces):
-    """True iff tau^{n+1} = id in every degree and every tau identity holds out of every degree.
+    """True iff tau^{n+1} = id and every tau identity hold wherever tau is built.
 
     ``cofaces[n]`` are the cofaces out of degree n. The full loops:
-    tau^{n+1} in every degree, and tau d_j = d_{j-1} tau for 1 <= j <= n+1
-    and tau d_0 = d_{n+1} out of each degree n, of which a model of
-    ``regular.free_model`` checks only the first and the last two and
-    proves the rest. tau^{n+1} is (tau^k)^2, k = floor((n+1)/2), times tau
-    once more where n+1 is odd: ceil((n+1)/2) products, not n.
+    tau^{n+1} in every degree that carries tau, and tau d_j = d_{j-1} tau
+    for 1 <= j <= n+1 and tau d_0 = d_{n+1} out of each degree n whose
+    tau_{n+1} is built, of which a model of ``regular.free_model`` checks
+    only the first and the last two and proves the rest. tau^{n+1} is
+    (tau^k)^2, k = floor((n+1)/2), times tau once more where n+1 is odd:
+    ceil((n+1)/2) products, not n.
     """
     tau = cm.tau
     for n, t in enumerate(tau):
@@ -704,7 +705,7 @@ def all_tau_identities(cm, cofaces):
         power = t if n == 0 else half.mul(half) if n % 2 else half.mul(half).mul(t)
         if power != Matrix.identity(cm.field, cm.dims[n]):
             return False
-    for n, faces in enumerate(cofaces):
+    for n, faces in enumerate(cofaces[:max(len(tau) - 1, 0)]):
         if any(tau[n + 1].mul(faces[j]) != faces[j - 1].mul(tau[n]) for j in range(1, n + 2)):
             return False
         if tau[n + 1].mul(faces[0]) != faces[n + 1]:
@@ -722,7 +723,8 @@ def all_codegeneracy_identities(cm):
     sigma_j sigma_i = sigma_i sigma_{j+1} for i <= j; sigma_j d_i =
     d_i sigma_{j-1} for i < j, id for i = j and i = j+1, and
     d_{i-1} sigma_j for i > j+1; tau sigma_i = sigma_{i-1} tau for
-    1 <= i <= n, and tau_n sigma_0 = sigma_n tau_{n+1}^2.
+    1 <= i <= n, and tau_n sigma_0 = sigma_n tau_{n+1}^2 wherever tau_{n+1}
+    is built.
     """
     tau = cm.tau
     sigma = [[codegeneracy(cm, n, i) for i in range(n + 1)] for n in range(cm.top)]
@@ -744,6 +746,8 @@ def all_codegeneracy_identities(cm):
                     want = faces[n - 1][i - 1].mul(sigma[n - 1][j])
                 if s[j].mul(d) != want:
                     return False
+        if n + 1 >= len(tau):
+            continue
         if any(tau[n].mul(s[i]) != s[i - 1].mul(tau[n + 1]) for i in range(1, n + 1)):
             return False
         if tau[n].mul(s[0]) != s[n].mul(tau[n + 1]).mul(tau[n + 1]):
@@ -825,17 +829,21 @@ def cofaces_of(cm, n):
 def is_cocyclic_isomorphism(iso, src, dst):
     """True iff each iso[n] is invertible and iso intertwines every coface and tau, exactly.
 
-    tau is compared where both modules carry it; a module with tau is no
-    isomorph of one without. A model's cofaces are :func:`cofaces_of` it.
+    tau is compared wherever it is built, in the same degrees on both; a
+    module with tau is no isomorph of one without. A model's cofaces are
+    :func:`cofaces_of` it.
     """
     if len(iso) != src.top + 1 or src.dims != dst.dims:
         return False
     if (src.tau is None) != (dst.tau is None):
         return False
+    if src.tau is not None and len(src.tau) != len(dst.tau):
+        return False
     for n, m in enumerate(iso):
         if (m.rows, m.cols) != (dst.dims[n], src.dims[n]) or rank_kernel(m)[0] != m.rows:
             return False
-        if src.tau is not None and dst.tau[n].mul(m) != m.mul(src.tau[n]):
+    for n, (t_src, t_dst) in enumerate(zip(src.tau or (), dst.tau or ())):
+        if t_dst.mul(iso[n]) != iso[n].mul(t_src):
             return False
     for n in range(src.top):
         for d_src, d_dst in zip(cofaces_of(src, n), cofaces_of(dst, n), strict=True):

@@ -526,9 +526,9 @@ def ceiling_run(name, seconds, megabytes, fixture, side, field, degree):
 
 
 def test_degree_ceiling_coalgebra_excision():
-    # 1.5x the slowest of 16 child readings, 1.54-1.82 s alone and 1.85-3.18 s
-    # beside a CPU-bound process; peaks 81.5-81.8 MB
-    dims = ceiling_run("degree ceiling: coalgebra-side excision at degree 5 over Q", 4.8, 120,
+    # 1.5x the slowest of 19 child readings, 1.81-1.97 s alone and 1.10-1.84 s
+    # beside one or two CPU-bound processes, and of their peaks, 70.9-71.3 MB
+    dims = ceiling_run("degree ceiling: coalgebra-side excision at degree 5 over Q", 3.0, 107,
                        "direct_sum_ses.json", "coalgebra", "Q", 5)
     for n, d in enumerate(dims):
         assert d["C"] == d["K"] + d["C/K"], n
@@ -546,8 +546,11 @@ def test_degree_ceiling_algebra_excision():
 def test_degree_ceiling_sweedler_cyclic_homology():
     # the model through degree 6: its largest cofaces, the 7 out of degree
     # 5, are built once, checked and let go once b is formed and the last
-    # kept; Connes' complex on the normalized cochains gives the dims
-    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 1.6, 76,
+    # kept, and tau through degree 5 only; Connes' complex on the normalized
+    # cochains gives the dims. 1.5x the slowest of 19 child readings,
+    # 0.72-0.82 s alone and 0.41-0.72 s beside one or two CPU-bound
+    # processes, and of their peaks, 42.3-42.6 MB
+    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 1.2, 64,
                     HOMOLOGY_CHILD, "homology",
                     str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
                     "--coefficient", "r_ad", "--theory", "cyclic", "--max-degree", "5")

@@ -951,25 +951,24 @@ class TestRegularModel:
             regular.free_model(C, X, [0], 3, M)
 
     def test_session_runs_every_tau_identity_on_a_model(self, monkeypatch, h4_q):
-        # d_2 out of degree 3 of a model through degree 4, bumped at a column
-        # where no coface out of degree 2 has a row: no coface identity
-        # reads the entry, and the tau identities that do, tau d_2 = d_1 tau
-        # and tau d_3 = d_2 tau, are proved, not checked, out of degree 3.
-        # The package's checks pass it, and the session's full loops, run on
+        # tau_3 of a model through degree 4, its top tau, plus e_0 phi^T with
+        # phi vanishing on the images of d_0, d_1 and d_3 out of degree 2 and
+        # not on d_2's: the checked identities tau d_1 = d_0 tau,
+        # tau d_3 = d_2 tau and tau d_0 = d_3 hold, tau^4 is not formed in
+        # degree 3, and tau d_2 = d_1 tau is proved, not checked. The
+        # package's checks pass it, and the session's full loops, run on
         # the cofaces that the model hands over, reject it
         C = regular_module_coalgebra(h4_q)
         X = make_coefficient("r_ad", h4_q)
-        real = regular._model_cofaces
-        lower = real(regular.Untwist(C, X, [0]), 2)
-        col = next(c for c in range(lower[0].rows) if all(c not in d.rowdict for d in lower))
-
-        def bumped(u, n):
-            faces = real(u, n)
-            if n == 3:
-                faces[2] = _bump(faces[2], 0, col)
-            return faces
-
-        monkeypatch.setattr(regular, "_model_cofaces", bumped)
+        real = regular._model_rotation
+        faces = regular._model_cofaces(regular.Untwist(C, X, [0]), 2)
+        _, phis = rank_kernel(faces[0].hstack(faces[1]).hstack(faces[3]).transpose())
+        rows = faces[2].rows
+        phi = next(Matrix.column(QQ, p, rows).transpose() for p in phis.columns()
+                   if not Matrix.column(QQ, p, rows).transpose().mul(faces[2]).is_zero())
+        bump = Matrix.column(QQ, {0: QQ.one}, rows).mul(phi)
+        monkeypatch.setattr(regular, "_model_rotation",
+                            lambda u, n: real(u, n).add(bump) if n == 3 else real(u, n))
         with pytest.raises(AssertionError,
                            match="a tau identity fails that the model's checks passed"):
             regular.free_model(C, X, [0], 4)
@@ -1052,14 +1051,15 @@ class TestWrappedModel:
     @pytest.mark.parametrize("fname", list(REGULAR_FIELDS))
     def test_bumped_top_tail_rejected(self, monkeypatch, every_model_is_the_descended_module,
                                       fname):
-        # each L^{(k)}_b kept at the highest k, the tail of tau in the top
-        # degree, whose power is not formed, and of the last cofaces, plus
-        # one at (0, 0) as it is kept: the tail check rejects it
+        # each L^{(k)}_b kept at the highest k, the tail of tau in its top
+        # degree, 3 in a model through 4, whose power is not formed, and of
+        # the last cofaces, plus one at (0, 0) as it is kept: the tail check
+        # rejects it
         build, _ = every_model_is_the_descended_module
         real = regular.Untwist.tail
         rejected = []
         for name, C, X, W, M in self._models(fname):
-            kept = build(C, X, W, 3, M).untwist.tails
+            kept = build(C, X, W, 4, M).untwist.tails
             if not kept:  # every leg is 1, whose L^{(k)}_1 = id is written, not kept
                 continue
             top = max(k for k, _ in kept)
@@ -1074,7 +1074,7 @@ class TestWrappedModel:
                 monkeypatch.setattr(regular.Untwist, "tail", bumped)
                 with pytest.raises(IdentityViolation, match=re.escape(
                         f"'L^{{({top})}}_{b} is the diagonal action' fails in degree {top}")):
-                    build(C, X, W, 3, M)
+                    build(C, X, W, 4, M)
                 monkeypatch.setattr(regular.Untwist, "tail", real)
                 rejected.append((name, b))
         assert len({name for name, _ in rejected}) == 7, rejected
@@ -1240,3 +1240,100 @@ class TestConnesComplex:
         monkeypatch.setattr(complexes, "_mixed_total", mutant)
         with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 1$"):
             homology(self._sweedler(), "cyclic", 3)
+
+
+class TestTauBelowTheTop:
+    """A cocyclic module through degree top carries tau_0 ... tau_{top-1}, the
+    degrees that cofaces leave, on the model and on the descended path."""
+
+    @pytest.mark.parametrize("maxdeg", [0, 1, 2, 3])
+    def test_model_writes_one_rotation_per_degree_below_its_top(
+            self, monkeypatch, every_model_is_the_descended_module, h4_q, maxdeg):
+        build, _ = every_model_is_the_descended_module
+        real = regular._model_rotation
+        written = []
+
+        def counted(u, n):
+            written.append(n)
+            return real(u, n)
+
+        monkeypatch.setattr(regular, "_model_rotation", counted)
+        cm = build(regular_module_coalgebra(h4_q), make_coefficient("r_ad", h4_q), [0], maxdeg)
+        assert written == list(range(maxdeg))
+        assert len(cm.tau) == cm.top == maxdeg
+        for top in range(maxdeg + 1):
+            assert cm.truncate(top).tau == cm.tau[:top]
+
+    def test_descended_module_carries_tau_below_its_top(self, monkeypatch, h4_q):
+        monkeypatch.setattr(regular, "free_bases", lambda X, *pieces: None)
+        cm = assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                   make_coefficient("r_ad", h4_q), 3)
+        assert cm.quotients is not None and len(cm.tau) == cm.top == 3
+        assert len(cm.truncate(1).tau) == 1
+
+    @pytest.mark.parametrize("mutant, check", [
+        # parent: 'tau d_4 = d_3 tau' fails in degree 4
+        ("last", "'d_4 d_0 = d_0 d_3' fails in degree 2"),
+        # parent: 'tau d_1 = d_0 tau' fails in degree 4
+        ("d_0", "'d_4 d_0 = d_0 d_3' fails in degree 2"),
+        # unchanged: tau_3 meets the checked identities out of degree 2
+        ("-tau", "'tau d_1 = d_0 tau' fails in degree 3"),
+    ])
+    def test_top_mutant_of_a_model_rejected(self, monkeypatch, h4_q, mutant, check):
+        # a model through degree 4: the last coface or d_0 out of degree 3,
+        # which no tau identity reads, plus one at (0, 0), or tau_3 negated
+        top = 4
+        faces, rotation = regular._model_cofaces, regular._model_rotation
+
+        def bumped(u, n):
+            out = faces(u, n)
+            if n == top - 1:
+                j = -1 if mutant == "last" else 0
+                out[j] = _bump(out[j])
+            return out
+
+        if mutant == "-tau":
+            monkeypatch.setattr(regular, "_model_rotation", lambda u, n: (
+                rotation(u, n).neg() if n == top - 1 else rotation(u, n)))
+        else:
+            monkeypatch.setattr(regular, "_model_cofaces", bumped)
+        with pytest.raises(IdentityViolation, match=re.escape(check)):
+            assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                  make_coefficient("r_ad", h4_q), top)
+
+    def test_top_coface_of_a_descended_module_rejected(self, monkeypatch, h4_q):
+        # the last coface out of degree 2 of a descended module through 3,
+        # plus one at a column where b out of degree 1 has a row; parent:
+        # 'tau d_3 = d_2 tau' fails in degree 3, in with_tau; now no tau_3
+        # is built, and d o d of the Hochschild complex rejects it
+        real = complexes.induced_complex
+
+        def induced(T):
+            cm = real(T)
+            col = min(complexes._alternating(cm.field, cm.cofaces[1]).rowdict)
+            cm.cofaces[2][-1] = _bump(cm.cofaces[2][-1], 0, col)
+            return cm
+
+        monkeypatch.setattr(complexes, "induced_complex", induced)
+        cm = complexes.coinvariant_ch(regular_module_coalgebra(h4_q),
+                                      make_coefficient("r_ad", h4_q), 3)
+        with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 1$"):
+            homology(cm, "cyclic", 2)
+
+    @pytest.mark.parametrize("engine, path", [("connes_complex", "model"),
+                                              ("cyclic_total_complex", "model"),
+                                              ("cyclic_total_complex", "descended")])
+    def test_short_tau_refused(self, monkeypatch, h4_q, engine, path):
+        # a module through degree 3 that carries tau_0 and tau_1 only: the
+        # engines read tau_2 for total degree 3, and refuse it by name
+        if path == "descended":
+            monkeypatch.setattr(regular, "free_bases", lambda X, *pieces: None)
+        cm = assemble_for_homology("coalgebra", regular_module_coalgebra(h4_q),
+                                   make_coefficient("r_ad", h4_q), 3)
+        short = copy.copy(cm)
+        short.tau = cm.tau[:2]
+        build = getattr(complexes, engine)
+        build(short, 2)  # reads tau_0 and tau_1
+        with pytest.raises(DegreeOutOfRange, match="reads tau through degree 2, and the "
+                                                   "module carries it through 1"):
+            build(short, 3)
