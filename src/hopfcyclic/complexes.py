@@ -880,50 +880,64 @@ def connes_complex(cm, maxtot):
     """Total complex of Connes' (b, B) mixed complex on a model's normalized cochains.
 
     ``cm`` is a model of :func:`regular.free_model` with tau. Its
-    codegeneracies sigma_i are eps_C on a C slot (:func:`codegeneracy`,
-    which proves the identities they satisfy), so the normalized cochains,
-    the common kernel of the codegeneracies, are X (x) W (x) Cbar^{(x) n},
-    Cbar = ker eps_C, with the basis K_n (:func:`normalized_cochains`).
-    On them act bbar_n = b_n restricted, out of degree n, and
-    Bbar_n = N_n sigma_n tau_{n+1} restricted, into degree n from n+1, with
-    N_n = sum_i lambda_n^i and sigma_n tau_{n+1} the extra codegeneracy.
-    Tot^m = (+)_k Cbar^{m-2k} with D = bbar + Bbar computes the cyclic
-    cohomology of a cocyclic module over any field, the same as the
-    (b, b', 1 - lambda, N) bicomplex of :func:`cyclic_total_complex`
-    (Connes, C. R. Acad. Sci. Paris 296, 1983; Loday, *Cyclic Homology*,
-    1.6 and 2.1, read for the dual cocyclic module), while
-    Tot^m holds every other degree below m, normalized, where the
-    bicomplex holds every one.
+    codegeneracies sigma_i are eps_C on a C slot (:func:`codegeneracy`
+    proves the identities read below), so the normalized cochains, their
+    common kernel, are X (x) W (x) Cbar^{(x) n}, Cbar = ker eps_C, with the
+    basis K_n (:func:`normalized_cochains`). Tot^m = (+)_k Cbar^{m-2k} with
+    D = bbar + Bbar, Bbar_n = N_n sigma_n tau_{n+1} restricted and
+    N_n = sum_i lambda_n^i, computes cyclic cohomology over any field, as
+    the bicomplex of :func:`cyclic_total_complex` does (Connes, C. R. Acad.
+    Sci. Paris 296, 1983; Loday, *Cyclic Homology*, 1.6 and 2.1).
 
-    Checked: each image b_n K_n and N_n sigma_n tau_{n+1} K_{n+1} lies in
-    the normalized cochains (:func:`restrict`, exactly), and D o D = 0 in
-    :class:`GradedComplex`, that is bbar^2 = 0, Bbar^2 = 0 and
-    bbar Bbar + Bbar bbar = 0. Total degree runs through ``maxtot``; the
-    differentials out of Tot^{maxtot - 1} read b through degree maxtot - 1
-    and tau through maxtot - 1, which a module through maxtot carries
-    (:class:`CocyclicModule`); its tau_{maxtot} would have no reader.
+    The rows ``K_n.free`` of K_n form the identity, so a Y with columns in
+    Cbar^n is K_n P_n Y, P_n the selection of those rows, and P_n Y is what
+    :func:`restrict` reads off Y. Hence bbar_n = (P_{n+1} b_n) K_n and
+    Bbar_n = (P_n N_n) Z_n, Z_n = sigma_n tau_{n+1} K_{n+1}, with P_n N_n
+    by Horner from the left, R_0 = P_n and R_{k+1} = R_k lambda_n + P_n,
+    for these reasons (sigma_i out of degree m+1, i <= m):
+      - b maps Cbar^n into Cbar^{n+1}: sigma_j d_i is d_i sigma_{j-1} for
+        i < j, d_{i-1} sigma_j for i > j+1 and id for i = j, j+1, which b
+        takes with opposite signs.
+      - Z_n lies in Cbar^n: sigma_i sigma_n tau_{n+1} =
+        sigma_{n-1} tau_n sigma_{i+1} for i < n.
+      - N_n maps sigma_n tau_{n+1} Cbar^{n+1} into Cbar^n. Let z be in
+        Cbar^{n+1} and 0 <= j <= n. By tau_n sigma_k = sigma_{k-1}
+        tau_{n+1}, tau_n^j sigma_n tau_{n+1} z = sigma_{n-j} w,
+        w = tau_{n+1}^{j+1} z. For i < n, sigma_i sigma_{n-j} is
+        sigma_{n-j-1} sigma_i (i < n-j) or sigma_{n-j} sigma_{i+1}, so
+        sigma_i lambda^j Z_n reads sigma_l w for an l != n-j, l <= n. By
+        the same and tau_n sigma_0 = sigma_n tau_{n+1}^2, sigma_l w is
+        tau_n^{j+1} sigma_{l+j+1} z if l + j < n and tau_n^j sigma_{l+j-n-1} z
+        if l + j > n, and z is normalized.
+
+    Checked: ``restrict(K_n, Z_n)``, exactly (one image, no N), and
+    D o D = 0 in :class:`GradedComplex`. Tot through ``maxtot`` reads b
+    and tau through maxtot - 1, which a module through maxtot carries.
     """
     if maxtot > cm.top:
         raise DegreeOutOfRange(
             f"total degree {maxtot} needs internal degree {maxtot}, built through {cm.top}")
     _tau_through(cm, maxtot - 1, f"Connes' complex through total degree {maxtot}")
+    f = cm.field
     K = normalized_cochains(cm, maxtot)
 
-    def onto(n, image, what):
-        small = restrict(K[n], image)
-        if small is None:
-            raise IdentityViolation(n, f"{what} preserves the normalized cochains")
-        return small
-
-    b = [onto(n + 1, cm.b[n].mul(K[n]), "b") for n in range(maxtot)]
+    b = []
+    for n in range(maxtot):  # (P_{n+1} b_n) K_n
+        rd = cm.b[n].rowdict
+        rows = {k: rd[i] for k, i in enumerate(K[n + 1].free) if i in rd}
+        b.append(Matrix(f, K[n + 1].cols, cm.dims[n], rows).mul(K[n]))
     B = []
     for n in range(maxtot - 1):
+        Z = codegeneracy(cm, n, n).mul(cm.tau[n + 1]).mul(K[n + 1])
+        if restrict(K[n], Z) is None:
+            raise IdentityViolation(n, "B preserves the normalized cochains")
         lam = _lambda_n(cm, n)
-        image = extra = codegeneracy(cm, n, n).mul(cm.tau[n + 1]).mul(K[n + 1])
-        for _ in range(n):  # N_n Y = Y + lambda (Y + lambda (... + lambda Y))
-            image = extra.add(lam.mul(image))
-        B.append(onto(n, image, "B"))
-    return _mixed_total(cm.field, [k.cols for k in K], b, B)
+        P = R = Matrix(f, K[n].cols, cm.dims[n],
+                       {k: {i: f.one} for k, i in enumerate(K[n].free)})
+        for _ in range(n):  # R = P_n (1 + lambda + ... + lambda^k)
+            R = R.mul(lam).add(P)
+        B.append(R.mul(Z))
+    return _mixed_total(f, [k.cols for k in K], b, B)
 
 
 def _mixed_total(field, dims, b, B):

@@ -170,11 +170,13 @@ def every_model_is_the_descended_module():
 @pytest.fixture(scope="session", autouse=True)
 def every_connes_complex_is_the_bicomplex():
     """Each total complex that ``complexes.connes_complex`` builds on a model
-    in a test has the homology of the (b, b', 1 - lambda, N) bicomplex of the
-    same model (``complexes.cyclic_total_complex``) in every degree it
-    certifies, and the model passes every codegeneracy identity, the full
-    loop that ``regular.Untwist.codegeneracy`` proves
-    (``oracles.all_codegeneracy_identities``).
+    in a test is, entry for entry and so block for block, the one of bbar and
+    Bbar formed on whole degrees and restricted
+    (``oracles.whole_degree_connes``); it has the
+    homology of the (b, b', 1 - lambda, N) bicomplex of the same model
+    (``complexes.cyclic_total_complex``) in every degree it certifies; and
+    the model passes every codegeneracy identity, the full loop that
+    ``complexes.codegeneracy`` proves (``oracles.all_codegeneracy_identities``).
 
     Yields the unwrapped builder, for a mutant that only the checks of the
     package are to reject."""
@@ -182,6 +184,8 @@ def every_connes_complex_is_the_bicomplex():
 
     def checked(cm, maxtot):
         cx = build(cm, maxtot)
+        assert cx.diffs == oracles.whole_degree_connes(cm, maxtot).diffs, \
+            "bbar or Bbar is not the whole-degree map restricted"
         bicomplex = complexes.cyclic_total_complex(cm, maxtot)
         assert [cx.homology(n) for n in range(maxtot)] == [
             bicomplex.homology(n) for n in range(maxtot)], "Connes' complex is not the bicomplex"

@@ -20,7 +20,9 @@ module and every coface identity of a cocyclic module, with or without tau,
 the references for the reduced checks of ``CyclicModule.validate`` and
 ``complexes._check_coface_degree``; tau^{n+1} = id and every tau identity
 of a model, the reference for the checks and proofs of
-``regular.free_model``; the differential of the bar
+``regular.free_model``; bbar and Bbar of Connes' complex formed on whole
+degrees and restricted, the reference for the free-row products of
+``complexes.connes_complex``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; the model's tau and
@@ -50,9 +52,11 @@ from types import SimpleNamespace
 from hopfcyclic.complexes import (
     CyclicModule,
     _diagonal_action,
+    _mixed_total,
     codegeneracy,
     comodule_coinvariants,
     cyclic_total_complex,
+    normalized_cochains,
     total_coactions,
 )
 from hopfcyclic.equivariant import ComoduleAlgebra, ModuleCoalgebra
@@ -753,6 +757,35 @@ def all_codegeneracy_identities(cm):
         if tau[n].mul(s[0]) != s[n].mul(tau[n + 1]).mul(tau[n + 1]):
             return False
     return True
+
+
+def whole_degree_connes(cm, maxtot):
+    """Connes' complex on a model with bbar and Bbar each formed on whole degrees.
+
+    b_n K_n, and N_n sigma_n tau_{n+1} K_{n+1} with N_n applied as n
+    products lambda_n . image on all dims[n] rows, are restricted onto the
+    normalized cochains by ``linalg.restrict``, which checks exactly that
+    each image lies in them. The reference for the free-row products of
+    ``complexes.connes_complex``, which reads off the rows K_n.free only
+    what its docstring proves to lie in the normalized cochains.
+    """
+    K = normalized_cochains(cm, maxtot)
+
+    def onto(n, image, what):
+        small = restrict(K[n], image)
+        if small is None:
+            raise IdentityViolation(n, f"{what} preserves the normalized cochains")
+        return small
+
+    b = [onto(n + 1, cm.b[n].mul(K[n]), "b") for n in range(maxtot)]
+    B = []
+    for n in range(maxtot - 1):
+        lam = cm.tau[n] if n % 2 == 0 else cm.tau[n].neg()
+        image = extra = codegeneracy(cm, n, n).mul(cm.tau[n + 1]).mul(K[n + 1])
+        for _ in range(n):  # N_n Y = Y + lambda (Y + lambda (... + lambda Y))
+            image = extra.add(lam.mul(image))
+        B.append(onto(n, image, "B"))
+    return _mixed_total(cm.field, [k.cols for k in K], b, B)
 
 
 def bar_resolution_differential(desc, n):

@@ -546,11 +546,11 @@ def test_degree_ceiling_algebra_excision():
 def test_degree_ceiling_sweedler_cyclic_homology():
     # the model through degree 6: its largest cofaces, the 7 out of degree
     # 5, are built once, checked and let go once b is formed and the last
-    # kept, and tau through degree 5 only; Connes' complex on the normalized
-    # cochains gives the dims. 1.5x the slowest of 19 child readings,
-    # 0.72-0.82 s alone and 0.41-0.72 s beside one or two CPU-bound
-    # processes, and of their peaks, 42.3-42.6 MB
-    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 1.2, 64,
+    # kept, and tau through degree 5 only; Connes' complex on the free rows
+    # of the normalized cochains gives the dims. 1.5x the slowest of 21
+    # child readings, 0.25-0.50 s alone and 0.33-0.50 s beside one
+    # CPU-bound process, and of their peaks, 40.0-40.4 MB
+    run = child_run("degree ceiling: Sweedler cyclic homology at degree 5 over Q", 0.76, 61,
                     HOMOLOGY_CHILD, "homology",
                     str(FIXTURES / "sweedler_h4_regular_module_coalgebra.json"),
                     "--coefficient", "r_ad", "--theory", "cyclic", "--max-degree", "5")
