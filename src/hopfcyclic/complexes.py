@@ -26,12 +26,12 @@ from .linalg import (
     KernelBasis,
     Matrix,
     QuotientSpace,
-    block_matrix,
     kernel_kron,
     map_well_defined,
     rank_kernel,
     restrict,
     slotted,
+    total_complex,
     wire,
 )
 
@@ -764,8 +764,14 @@ def cyclic_total_complex(cm, maxtot):
     """Total complex of the first-quadrant (b, b', 1 - lambda, N) bicomplex.
 
     Works for both orientations: cochain for cocyclic modules, chain for
-    cyclic modules. Total degree runs through ``maxtot``; 1 - lambda and N
-    leave total degrees below it, so tau is read through maxtot - 1.
+    cyclic modules (Loday, *Cyclic Homology*, 2.1). Column p, p = 0 ..
+    ``maxtot``, is the module through degree maxtot - p with b for even p
+    and b' for odd p, placed p degrees up in :func:`linalg.total_complex`;
+    1 - lambda_q joins column p to p + 1 for even p, and N_q for odd p,
+    each formed per block it fills. The chain side enters N negated, as
+    the chain rule signs a map into an odd column by -1. 1 - lambda and N
+    leave total degrees below ``maxtot``, so tau is read through
+    maxtot - 1.
     """
     f = cm.field
     if maxtot > cm.top:
@@ -774,34 +780,17 @@ def cyclic_total_complex(cm, maxtot):
     _tau_through(cm, maxtot - 1, f"the bicomplex through total degree {maxtot}")
     o = cm.orientation
     b_full, b_prime = _differentials(cm), _differentials(cm, drop_last=True)
-    tot_dims = []
-    blocks = []  # per total degree: list of (p, q)
-    for m in range(maxtot + 1):
-        pq = [(p, m - p) for p in range(m + 1)]
-        blocks.append(pq)
-        tot_dims.append(sum(cm.dims[q] for _, q in pq))
-    diffs = {}
-    for m in range(maxtot + 1):
-        src = blocks[m]
-        if not 0 <= m + o <= maxtot:
-            continue
-        tgt = blocks[m + o]
-        tgt_index = {pq: i for i, pq in enumerate(tgt)}
-        grid = [[None] * len(src) for _ in range(len(tgt))]
-        for si, (p, q) in enumerate(src):
-            # b leaves degree q exactly when q is in b_full
-            if (p, q + o) in tgt_index and q in b_full:
-                grid[tgt_index[p, q + o]][si] = b_full[q] if p % 2 == 0 else b_prime[q].neg()
-            if (p + o, q) in tgt_index:
-                # 1 - lambda leaves the even columns of the cochain bicomplex
-                # and the odd columns of the chain one, N the others
-                grid[tgt_index[p + o, q]][si] = (
-                    Matrix.identity(f, cm.dims[q]).sub(_lambda_n(cm, q))
-                    if (p % 2 == 0) == (o > 0) else _norm_n(cm, q))
-        diffs[m] = block_matrix(f, grid,
-                                [cm.dims[q] for _, q in tgt],
-                                [cm.dims[q] for _, q in src])
-    return GradedComplex(f, o, tot_dims, diffs)
+
+    def one_minus_lambda(q):
+        return Matrix.identity(f, cm.dims[q]).sub(_lambda_n(cm, q))
+
+    def norm(q):
+        return _norm_n(cm, q) if o == +1 else _norm_n(cm, q).neg()
+
+    return total_complex(f, o, [(cm.dims[:maxtot - p + 1], b_prime if p % 2 else b_full)
+                                for p in range(maxtot + 1)],
+                         range(maxtot + 1),
+                         [norm if p % 2 else one_minus_lambda for p in range(maxtot)])
 
 
 def _counital(X):
@@ -885,7 +874,9 @@ def connes_complex(cm, maxtot):
     common kernel, are X (x) W (x) Cbar^{(x) n}, Cbar = ker eps_C, with the
     basis K_n (:func:`normalized_cochains`). Tot^m = (+)_k Cbar^{m-2k} with
     D = bbar + Bbar, Bbar_n = N_n sigma_n tau_{n+1} restricted and
-    N_n = sum_i lambda_n^i, computes cyclic cohomology over any field, as
+    N_n = sum_i lambda_n^i, is the :func:`linalg.total_complex` of the
+    columns (Cbar, bbar) at shifts 0, 2, 4, ..., each joined to the next by
+    n -> Bbar_{n-1}. It computes cyclic cohomology over any field, as
     the bicomplex of :func:`cyclic_total_complex` does (Connes, C. R. Acad.
     Sci. Paris 296, 1983; Loday, *Cyclic Homology*, 1.6 and 2.1).
 
@@ -921,11 +912,11 @@ def connes_complex(cm, maxtot):
     f = cm.field
     K = normalized_cochains(cm, maxtot)
 
-    b = []
+    b = {}
     for n in range(maxtot):  # (P_{n+1} b_n) K_n
         rd = cm.b[n].rowdict
         rows = {k: rd[i] for k, i in enumerate(K[n + 1].free) if i in rd}
-        b.append(Matrix(f, K[n + 1].cols, cm.dims[n], rows).mul(K[n]))
+        b[n] = Matrix(f, K[n + 1].cols, cm.dims[n], rows).mul(K[n])
     B = []
     for n in range(maxtot - 1):
         Z = codegeneracy(cm, n, n).mul(cm.tau[n + 1]).mul(K[n + 1])
@@ -937,28 +928,9 @@ def connes_complex(cm, maxtot):
         for _ in range(n):  # R = P_n (1 + lambda + ... + lambda^k)
             R = R.mul(lam).add(P)
         B.append(R.mul(Z))
-    return _mixed_total(f, [k.cols for k in K], b, B)
-
-
-def _mixed_total(field, dims, b, B):
-    """Total cochain complex of a mixed complex: Tot^m = (+)_k V^{m-2k}, D = b + B.
-
-    ``dims[q]`` is dim V^q, ``b[q]`` leaves V^q for V^{q+1} and ``B[q]``
-    leaves V^{q+1} for V^q. Component k of Tot^m is V^{m-2k}; b keeps the
-    component and B moves it one up. Total degree runs through
-    len(dims) - 1.
-    """
-    parts = [range(m, -1, -2) for m in range(len(dims))]
-    diffs = {}
-    for m in range(len(dims) - 1):
-        src, tgt = parts[m], parts[m + 1]
-        grid = [[None] * len(src) for _ in tgt]
-        for k, q in enumerate(src):
-            grid[k][k] = b[q]
-            if q:
-                grid[k + 1][k] = B[q - 1]
-        diffs[m] = block_matrix(field, grid, [dims[q] for q in tgt], [dims[q] for q in src])
-    return GradedComplex(field, +1, [sum(dims[q] for q in p) for p in parts], diffs)
+    dims, shifts = [k.cols for k in K], range(0, maxtot + 1, 2)
+    return total_complex(f, +1, [(dims[:maxtot - s + 1], b) for s in shifts], shifts,
+                         [lambda n: B[n - 1]] * (len(shifts) - 1))
 
 
 def homology(obj, theory, maxdeg):

@@ -650,6 +650,47 @@ class GradedComplex:
         return self._ranks[n]
 
 
+def total_complex(field, orientation, columns, shifts, maps):
+    """The total complex D of columns X_0, ..., X_k joined by maps, in one block pass.
+
+    ``columns[i]`` is the (dims, diffs) of X_i, placed ``shifts[i]``
+    degrees up: X_i^n is a summand of D^{n + shifts[i]}, and the summands
+    of each degree are listed in column order. ``maps[i]`` joins X_i and
+    X_{i+1}, from the lower shift to the higher on the cochain side and
+    from the higher to the lower on the chain side; it is a function of
+    its source degree that returns the component, or None for zero. The
+    diagonal block of X_i is (-1)^{shifts[i]} d; a map enters with sign +
+    on the cochain side and (-1)^t on the chain side, t its target's
+    shift. Shifts one apart with commuting maps give an iterated mapping
+    cone; shifts two apart with anticommuting maps, a mixed complex. D
+    runs through the lowest top of a shifted column. A summand below
+    degree 0, a missing differential or a missing component is a zero
+    block, and d o d = 0 is checked on D (:class:`GradedComplex`).
+    """
+    o = orientation
+    top = min(len(dims) - 1 + s for (dims, _), s in zip(columns, shifts))
+    joins = [(i, i + 1) if (shifts[i] < shifts[i + 1]) == (o == +1) else (i + 1, i)
+             for i in range(len(maps))]
+
+    def summands(m):
+        return [dims[m - s] if m >= s else 0 for (dims, _), s in zip(columns, shifts)]
+
+    diffs = {}
+    for m in range(top) if o == +1 else range(1, top + 1):
+        grid = [[None] * len(columns) for _ in columns]
+        for i, ((_, d), s) in enumerate(zip(columns, shifts)):
+            blk = d.get(m - s) if m >= s else None
+            if blk is not None:
+                grid[i][i] = blk.neg() if s % 2 else blk
+        for f, (i, j) in zip(maps, joins):
+            s, t = shifts[i], shifts[j]
+            blk = f(m - s) if m >= s and m + o >= t else None
+            if blk is not None:
+                grid[j][i] = blk.neg() if o == -1 and t % 2 else blk
+        diffs[m] = block_matrix(field, grid, summands(m + o), summands(m))
+    return GradedComplex(field, o, [sum(summands(m)) for m in range(top + 1)], diffs)
+
+
 def complex_homology(X, max_valid_degree):
     """Homology dimensions of a GradedComplex for degrees 0..max_valid_degree."""
     if max_valid_degree > X.max_valid_degree:

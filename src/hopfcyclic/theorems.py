@@ -66,6 +66,7 @@ from .linalg import (
     restrict,
     slotted,
     solve_columns,
+    total_complex,
 )
 
 PASS, FAIL, UNVERIFIED = "PASS", "FAIL", "UNVERIFIED"
@@ -202,13 +203,14 @@ class ChainMap:
 
 
 def mapping_cone(*maps):
-    """The iterated mapping cone D of X_0 -> X_1 -> ... -> X_k, in one block pass.
+    """The iterated mapping cone D of X_0 -> X_1 -> ... -> X_k.
 
-    Cochain: D^m = (+)_i X_i^{m-i}, with (-1)^i d on X_i and maps[i] below
-    it with sign +. Chain: D_m = (+)_i X_{i, m-k+i}, with (-1)^{k-i} d on
-    X_i and maps[i] with sign (-1)^{k-1-i} (Weibel, *An Introduction to
-    Homological Algebra*, 1.5). A summand below degree 0, a missing
-    differential or a missing component is a zero block.
+    D is the :func:`linalg.total_complex` of the columns X_i, X_i placed i
+    degrees up on the cochain side and k - i on the chain side:
+    D^m = (+)_i X_i^{m-i}, with (-1)^i d on X_i and maps[i] below it with
+    sign +; D_m = (+)_i X_{i, m-k+i}, with (-1)^{k-i} d on X_i and maps[i]
+    with sign (-1)^{k-1-i} (Weibel, *An Introduction to Homological
+    Algebra*, 1.5).
 
     One map f: A -> B is the cone A^m (+) B^{m-1}, d(a, b) = (d a, f a - d b),
     re-indexed so its bottom degree (which carries A^0) is not truncated
@@ -219,27 +221,10 @@ def mapping_cone(*maps):
     block: d o d of each X_i, the square of each map, and v u.
     """
     X = [maps[0].source] + [f.target for f in maps]
-    k, o, fld = len(maps), maps[0].orientation, X[0].field
-    shift = [i if o == +1 else k - i for i in range(k + 1)]  # X_i^n sits in D^{n + shift[i]}
-    top = min(x.top + s for x, s in zip(X, shift))
-
-    def summands(m):
-        return [x.dims[m - s] if m >= s else 0 for x, s in zip(X, shift)]
-
-    diffs = {}
-    for m in range(top) if o == +1 else range(1, top + 1):
-        grid = [[None] * (k + 1) for _ in range(k + 1)]
-        for i, s in enumerate(shift):
-            if m < s:
-                continue
-            d = X[i].diffs.get(m - s)
-            if d is not None:
-                grid[i][i] = d.neg() if s % 2 else d
-            c = maps[i].components.get(m - s) if i < k else None
-            if c is not None:
-                grid[i + 1][i] = c.neg() if o == -1 and (k - 1 - i) % 2 else c
-        diffs[m] = block_matrix(fld, grid, summands(m + o), summands(m))
-    return GradedComplex(fld, o, [sum(summands(m)) for m in range(top + 1)], diffs)
+    k, o = len(maps), maps[0].orientation
+    return total_complex(X[0].field, o, [(x.dims, x.diffs) for x in X],
+                         [i if o == +1 else k - i for i in range(k + 1)],
+                         [f.components.get for f in maps])
 
 
 def cone_quasi_iso(f, maxdeg):
@@ -1125,8 +1110,8 @@ def _check_cocommutative_hopf(params, maxdeg):
     B, K_gens, X = params["B"], params["K"], params["X"]
     report = TheoremReport("cocommutative-hopf reduction")
     K_basis = column_basis(K_gens)
-    _bialgebra_ideal_checks(B, K_basis, report, want_antipode_stable=True)
-    out = _cocommutative_core(B, K_basis, X, maxdeg, report)
+    bi_ideal = _bialgebra_ideal_checks(B, K_basis, report, want_antipode_stable=True)
+    out = _cocommutative_core(B, K_basis, X, maxdeg, report) if bi_ideal else None
     if out is None:
         report.notes.append("reduction not attempted: hypotheses failed")
         return report

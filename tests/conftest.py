@@ -240,6 +240,29 @@ def every_cone_is_the_nested_cone():
     theorems.mapping_cone = build
 
 
+@pytest.fixture(scope="session", autouse=True)
+def every_bicomplex_is_the_block_grid():
+    """Each (b, b', 1 - lambda, N) total complex that
+    ``complexes.cyclic_total_complex`` builds in a test, through
+    ``complexes`` or ``theorems``, has the dims and, entry for entry, the
+    differentials of the bicomplex written block by block
+    (``oracles.bicomplex_grid``).
+
+    Yields the unwrapped builder, for a mutant that only this check is to
+    reject."""
+    build = complexes.cyclic_total_complex
+
+    def checked(cm, maxtot):
+        tot = build(cm, maxtot)
+        assert (tot.dims, tot.diffs) == oracles.bicomplex_grid(cm, maxtot), \
+            "the columns of the bicomplex are not its block grid"
+        return tot
+
+    complexes.cyclic_total_complex = theorems.cyclic_total_complex = checked
+    yield build
+    complexes.cyclic_total_complex = theorems.cyclic_total_complex = build
+
+
 @pytest.fixture(scope="session")
 def z2_q():
     return group_algebra(cyclic_table(2), QQ)

@@ -21,8 +21,11 @@ the references for the reduced checks of ``CyclicModule.validate`` and
 ``complexes._check_coface_degree``; tau^{n+1} = id and every tau identity
 of a model, the reference for the checks and proofs of
 ``regular.free_model``; bbar and Bbar of Connes' complex formed on whole
-degrees and restricted, the reference for the free-row products of
-``complexes.connes_complex``; the differential of the bar
+degrees and restricted, and its total complex written block by block, the
+references for the free-row products of ``complexes.connes_complex`` and
+its columns in ``linalg.total_complex``; the (b, b', 1 - lambda, N)
+bicomplex written block by block, the reference for the columns of
+``complexes.cyclic_total_complex``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``; the isomorphism from the model of a regular
 module coalgebra onto its descended cocyclic module; the model's tau and
@@ -52,7 +55,9 @@ from types import SimpleNamespace
 from hopfcyclic.complexes import (
     CyclicModule,
     _diagonal_action,
-    _mixed_total,
+    _differentials,
+    _lambda_n,
+    _norm_n,
     codegeneracy,
     comodule_coinvariants,
     cyclic_total_complex,
@@ -785,7 +790,59 @@ def whole_degree_connes(cm, maxtot):
         for _ in range(n):  # N_n Y = Y + lambda (Y + lambda (... + lambda Y))
             image = extra.add(lam.mul(image))
         B.append(onto(n, image, "B"))
-    return _mixed_total(cm.field, [k.cols for k in K], b, B)
+    return mixed_total(cm.field, [k.cols for k in K], b, B)
+
+
+def mixed_total(field, dims, b, B):
+    """Total cochain complex of a mixed complex: Tot^m = (+)_k V^{m-2k}, D = b + B.
+
+    ``dims[q]`` is dim V^q, ``b[q]`` leaves V^q for V^{q+1} and ``B[q]``
+    leaves V^{q+1} for V^q. Component k of Tot^m is V^{m-2k}; b keeps the
+    component and B moves it one up. Total degree runs through
+    len(dims) - 1.
+    """
+    parts = [range(m, -1, -2) for m in range(len(dims))]
+    diffs = {}
+    for m in range(len(dims) - 1):
+        src, tgt = parts[m], parts[m + 1]
+        grid = [[None] * len(src) for _ in tgt]
+        for k, q in enumerate(src):
+            grid[k][k] = b[q]
+            if q:
+                grid[k + 1][k] = B[q - 1]
+        diffs[m] = block_matrix(field, grid, [dims[q] for q in tgt], [dims[q] for q in src])
+    return GradedComplex(field, +1, [sum(dims[q] for q in p) for p in parts], diffs)
+
+
+def bicomplex_grid(cm, maxtot):
+    """(dims, diffs) of the (b, b', 1 - lambda, N) bicomplex, written block by block.
+
+    Total degree m lists the blocks (p, m - p), p = 0..m. b keeps a block's
+    column, with sign - as b' on the odd columns; the horizontal map moves
+    it one column over, 1 - lambda out of the even columns of the cochain
+    bicomplex and the odd columns of the chain one, N out of the others,
+    with sign +. The reference for the columns of
+    ``complexes.cyclic_total_complex`` in ``linalg.total_complex``.
+    """
+    f, o = cm.field, cm.orientation
+    b_full, b_prime = _differentials(cm), _differentials(cm, drop_last=True)
+    blocks = [[(p, m - p) for p in range(m + 1)] for m in range(maxtot + 1)]
+    diffs = {}
+    for m, src in enumerate(blocks):
+        if not 0 <= m + o <= maxtot:
+            continue
+        tgt = {pq: i for i, pq in enumerate(blocks[m + o])}
+        grid = [[None] * len(src) for _ in tgt]
+        for si, (p, q) in enumerate(src):
+            if (p, q + o) in tgt and q in b_full:
+                grid[tgt[p, q + o]][si] = b_full[q] if p % 2 == 0 else b_prime[q].neg()
+            if (p + o, q) in tgt:
+                grid[tgt[p + o, q]][si] = (
+                    Matrix.identity(f, cm.dims[q]).sub(_lambda_n(cm, q))
+                    if (p % 2 == 0) == (o > 0) else _norm_n(cm, q))
+        diffs[m] = block_matrix(f, grid, [cm.dims[q] for _, q in blocks[m + o]],
+                                [cm.dims[q] for _, q in src])
+    return [sum(cm.dims[q] for _, q in pq) for pq in blocks], diffs
 
 
 def bar_resolution_differential(desc, n):

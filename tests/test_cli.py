@@ -8,7 +8,10 @@ from hopfcyclic.cli import main, parse_input
 from hopfcyclic.complexes import assemble, assemble_for_homology, cyclic_total_complex, homology
 from hopfcyclic.equivariant import make_coefficient, regular_comodule_algebra
 from hopfcyclic.errors import ParseError
+from hopfcyclic.linalg import GradedComplex
 from hopfcyclic.serialize import complex_dump, dumps
+
+import oracles
 
 FIXTURES = Path(__file__).parent.parent / "src" / "hopfcyclic" / "fixtures"
 
@@ -95,6 +98,21 @@ class TestHomology:
         assert json.loads(dump.read_text()) == json.loads(
             dumps(complex_dump({"cyclic_total": model})))
         assert model.dims == cyclic_total_complex(assemble("coalgebra", mc, X, 2), 2).dims
+
+    def test_algebra_side_dump_is_the_block_grid(self, capsys, tmp_path):
+        # B over itself read as a comodule algebra dumps the chain bicomplex
+        # of its cyclic module entry for entry, the signs of N included
+        path = str(FIXTURES / "z4_regular_module_coalgebra.json")
+        dump = tmp_path / "dump.json"
+        code, _, _ = run(capsys, "homology", path, "--side", "algebra", "--max-degree", "2",
+                         "--dump", str(dump))
+        assert code == 0
+        B = parse_input(path).over
+        cm = assemble_for_homology("algebra", regular_comodule_algebra(B),
+                                   make_coefficient("eps", B), 3)
+        grid = GradedComplex(cm.field, -1, *oracles.bicomplex_grid(cm, 3))
+        assert json.loads(dump.read_text()) == json.loads(
+            dumps(complex_dump({"cyclic_total": grid})))
 
     @pytest.mark.parametrize("coefficient", ["eps", "unit"])
     def test_sweedler_regular_with_a_coefficient_not_ayd_exit_2(self, capsys, coefficient):
@@ -423,6 +441,23 @@ class TestSpecial:
                            "--params", str(FIXTURES / "cocommutative_hopf_params.json"),
                            "--max-degree", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("entries", [[[1, 0, "1"]], [[0, 0, "-1"], [1, 0, "1"]]],
+                             ids=["g1", "g1-e"])
+    def test_cocommutative_hopf_with_a_k_not_an_ideal_exit_1(self, capsys, tmp_path, entries):
+        # span(g1) and span(g1 - e) in Q[Z/4] are no ideals: B/K is not formed,
+        # and the failed hypotheses are the verdict, as for commutative-hopf
+        params = json.loads((FIXTURES / "cocommutative_hopf_params.json").read_text())
+        params["ideal"] = {"rows": 4, "cols": 1, "entries": entries}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code, out, err = run(capsys, "special", "--kind", "cocommutative-hopf",
+                             "--params", str(path), "--json")
+        assert code == 1, err
+        assert "J is a two-sided ideal\tFAIL\t" in out.splitlines()
+        doc = json.loads(out[out.index("{"):])
+        assert doc["notes"] == ["reduction not attempted: hypotheses failed"]
+        assert doc["degrees"] == []
 
     def test_wrong_document_kind_exit_2(self, capsys):
         code, out, err = run(capsys, "special", "--kind", "additivity",

@@ -55,7 +55,7 @@ from hopfcyclic.linalg import (
 )
 
 from hopfcyclic.serialize import module_coalgebra_from_json
-from hopfcyclic import complexes, regular, theorems
+from hopfcyclic import complexes, linalg, regular, theorems
 
 from lemmas import (
     cotensor,
@@ -1263,16 +1263,75 @@ class TestConnesComplex:
         # D o D out of total degree 1 reads both. (A bump of bbar into the
         # top total degree meets no later differential, as in any complex.)
         monkeypatch.setattr(complexes, "connes_complex", every_connes_complex_is_the_bicomplex)
-        real = complexes._mixed_total
+        real = complexes.total_complex
 
-        def mutant(field, dims, b, B):
-            maps = {"b": list(b), "B": list(B)}
-            maps[which][q] = _bump(maps[which][q])
-            return real(field, dims, maps["b"], maps["B"])
+        def mutant(field, orientation, columns, shifts, maps):
+            if which == "b":  # every column reads bbar
+                columns = [(dims, {**b, q: _bump(b[q])}) for dims, b in columns]
+            else:  # every map reads Bbar_q out of degree q + 1
+                maps = [lambda n, B=B: _bump(B(n)) if n == q + 1 else B(n) for B in maps]
+            return real(field, orientation, columns, shifts, maps)
 
-        monkeypatch.setattr(complexes, "_mixed_total", mutant)
+        monkeypatch.setattr(complexes, "total_complex", mutant)
         with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 1$"):
             homology(self._sweedler(), "cyclic", 3)
+
+
+class TestTotalComplexMutants:
+    """Mutants of the signs of ``linalg.total_complex`` and of its columns,
+    each built by the package's builders, not the session's, and rejected by
+    the check its match names."""
+
+    @staticmethod
+    def _modules():
+        """A cocyclic module (Sweedler's H4 on itself, r_ad) and a cyclic one
+        (Q[Z/2] on itself, eps), each through degree 4."""
+        h4, z2 = sweedler_h4(QQ), group_algebra(cyclic_table(2), QQ)
+        yield assemble("coalgebra", regular_module_coalgebra(h4), make_coefficient("r_ad", h4), 4)
+        yield assemble("algebra", ComoduleAlgebra(z2, z2, z2.comult),
+                       make_coefficient("eps", z2), 4)
+
+    def test_unsigned_diagonal_rejected(self, monkeypatch, every_bicomplex_is_the_block_grid,
+                                        every_cone_is_the_nested_cone):
+        # d in place of (-1)^shift d: the squares b' (1 - lambda) = (1 - lambda) b
+        # of a bicomplex and f d = d f of a cone then add up to 2 (1 - lambda) b
+        # and 2 f d in d o d, not zero over Q
+        real = linalg.total_complex
+
+        def mutant(field, orientation, columns, shifts, maps):
+            columns = [(dims, {n: d.neg() for n, d in diffs.items()} if s % 2 else diffs)
+                       for (dims, diffs), s in zip(columns, shifts)]
+            return real(field, orientation, columns, shifts, maps)
+
+        monkeypatch.setattr(complexes, "total_complex", mutant)
+        monkeypatch.setattr(theorems, "total_complex", mutant)
+        for cm in self._modules():
+            with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree"):
+                every_bicomplex_is_the_block_grid(cm, 4)
+        one = Matrix.identity(QQ, 1)
+        X = GradedComplex(QQ, +1, [1, 1, 1], {0: one})
+        with pytest.raises(ShapeMismatch, match="^d o d != 0 leaving degree 0$"):
+            every_cone_is_the_nested_cone(theorems.ChainMap(X, X, {n: one for n in range(3)}))
+
+    def test_chain_norm_unnegated_rejected(self, monkeypatch, every_bicomplex_is_the_block_grid):
+        # N passed without its negation enters the odd columns of the chain
+        # bicomplex with sign -: a complex with the same homology, so only the
+        # block grid rejects it
+        real = linalg.total_complex
+
+        def mutant(field, orientation, columns, shifts, maps):
+            if orientation == -1:
+                maps = [(lambda q, N=N: N(q).neg()) if p % 2 else N for p, N in enumerate(maps)]
+            return real(field, orientation, columns, shifts, maps)
+
+        _, cm = self._modules()
+        honest = every_bicomplex_is_the_block_grid(cm, 4)
+        monkeypatch.setattr(complexes, "total_complex", mutant)
+        tot = every_bicomplex_is_the_block_grid(cm, 4)
+        assert tot.diffs != honest.diffs
+        assert [tot.homology(n) for n in range(4)] == [honest.homology(n) for n in range(4)]
+        with pytest.raises(AssertionError, match="not its block grid"):
+            complexes.cyclic_total_complex(cm, 4)
 
 
 class TestTauBelowTheTop:
