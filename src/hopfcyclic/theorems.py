@@ -406,6 +406,18 @@ def verify_excision(ses, X, side, maxdeg):
     raise ShapeMismatch(f"unknown side {side!r}")
 
 
+def _coalgebra_rows(add, ses, maxdeg):
+    """The rows that excision and relative share, through ``add``: K, C and
+    C/K H-counital (subcoalgebra mode only), then C and C/K projective over B."""
+    if ses.mode == "subcoalgebra":
+        for name, mc in (("K", ses.k_module_coalgebra()), ("C", ses.C), ("C/K", ses.quotient)):
+            dims = h_counitality_probe(mc.base, maxdeg)
+            add(f"{name} H-counital", FAIL if any(dims) else PASS, window=f"0..{maxdeg}")
+    for name, mc in (("C", ses.C), ("C/K", ses.quotient)):
+        add(f"{name} projective over B",
+            PASS if is_projective(mc.over, mc.action, mc.dim) else FAIL)
+
+
 def _verify_excision_coalgebra(ses, X, maxdeg):
     report = TheoremReport("excision/coalgebra")
     C = ses.C
@@ -419,19 +431,10 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
         report.notes.append("conclusion requires a short exact sequence of coalgebras")
         return report
     report.add_hypothesis("K is a subcoalgebra", PASS)
-    Kmc = ses.k_module_coalgebra()
-    for name, desc in (("K H-counital", Kmc.base), ("C H-counital", C.base),
-                       ("C/K H-counital", ses.quotient.base)):
-        dims = h_counitality_probe(desc, maxdeg)
-        report.add_hypothesis(name, PASS if all(d == 0 for d in dims) else FAIL,
-                              window=window)
-    report.add_hypothesis("C projective over B",
-                          PASS if is_projective(B, C.action, C.dim) else FAIL)
-    report.add_hypothesis("C/K projective over B",
-                          PASS if is_projective(B, ses.quotient.action, ses.quotient.dim) else FAIL)
+    _coalgebra_rows(report.add_hypothesis, ses, maxdeg)
     x_proj = is_projective(B, X.action, X.dim)
     report.add_hypothesis("coefficient projective over B", PASS if x_proj else FAIL)
-    if B.cointegral is not None or x_proj:
+    if x_proj:
         report.add_hypothesis("coefficient has finite projective dimension", PASS,
                               detail="projective, dimension 0")
     else:
@@ -441,6 +444,7 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
                           PASS if ses.b_splitting is not None else FAIL)
     certified = report.hypotheses_certified
 
+    Kmc = ses.k_module_coalgebra()
     f = B.field
     c, q, k = C.dim, ses.quotient.dim, Kmc.dim
     I_c, I_k, I_q = (Matrix.identity(f, n) for n in (c, k, q))
@@ -749,7 +753,6 @@ def relative_hc(C, K_gens, X, mode, maxdeg):
 
 def _relative_hypotheses(ses, X, maxdeg, report):
     B = ses.C.over
-    window = f"0..{maxdeg}"
     ok = True
 
     def add(name, verdict, **kw):
@@ -759,22 +762,10 @@ def _relative_hypotheses(ses, X, maxdeg, report):
             ok = False
 
     _add_hopf_hypotheses(add, B, X)
-    if ses.mode == "subcoalgebra":
-        add("K is a subcoalgebra", PASS)
-        Kmc = ses.k_module_coalgebra()
-        for name, desc in (("K H-counital", Kmc.base), ("C H-counital", ses.C.base),
-                           ("C/K H-counital", ses.quotient.base)):
-            dims = h_counitality_probe(desc, maxdeg)
-            add(name, PASS if all(d == 0 for d in dims) else FAIL, window=window)
-    else:
-        add("K is a subcoalgebra", FAIL)
-    add("C projective over B", PASS if is_projective(B, ses.C.action, ses.C.dim) else FAIL)
-    add("C/K projective over B",
-        PASS if is_projective(B, ses.quotient.action, ses.quotient.dim) else FAIL)
-    if B.cointegral is not None or is_projective(B, X.action, X.dim):
-        add("coefficient has finite projective dimension", PASS)
-    else:
-        add("coefficient has finite projective dimension", UNVERIFIED)
+    add("K is a subcoalgebra", PASS if ses.mode == "subcoalgebra" else FAIL)
+    _coalgebra_rows(add, ses, maxdeg)
+    add("coefficient has finite projective dimension",
+        PASS if is_projective(B, X.action, X.dim) else UNVERIFIED)
     return ok
 
 

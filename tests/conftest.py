@@ -14,7 +14,7 @@ from hopfcyclic.equivariant import (
     quotient_ses,
     regular_module_coalgebra,
 )
-from hopfcyclic import complexes, regular, theorems
+from hopfcyclic import complexes, equivariant, regular, theorems
 from hopfcyclic.linalg import Matrix, map_well_defined
 
 from lemmas import trivial_hopf
@@ -261,6 +261,54 @@ def every_bicomplex_is_the_block_grid():
     complexes.cyclic_total_complex = theorems.cyclic_total_complex = checked
     yield build
     complexes.cyclic_total_complex = theorems.cyclic_total_complex = build
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_counital_probe_is_the_bar_complex():
+    """Each H-counitality probe that a test runs on a description with a
+    counit, which the contraction s = id (x) eps decides with no complex
+    built wherever the counit passes both counit laws, gives the dims of the
+    bar complex built and ranked (``oracles.bar_homology``). Both names are
+    wrapped: the one in ``equivariant`` and the one ``theorems`` imports.
+
+    Yields the unwrapped probe."""
+    probe = equivariant.h_counitality_probe
+
+    def checked(C_desc, maxdeg):
+        dims = probe(C_desc, maxdeg)
+        assert C_desc.counit is None or dims == oracles.bar_homology(C_desc, maxdeg), \
+            "an H-counitality row is not the bar complex's homology"
+        return dims
+
+    equivariant.h_counitality_probe = theorems.h_counitality_probe = checked
+    yield probe
+    equivariant.h_counitality_probe = theorems.h_counitality_probe = probe
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_maschke_verdict_is_the_section_solve():
+    """Each projectivity test that a test runs on a B-module over a Hopf
+    algebra B with a normalized co-integral, which Maschke's theorem decides
+    with no system built, is the answer of the intertwiner solve for a
+    B-linear section (``oracles.is_projective_by_solve``). An action that
+    fails the module audit is refused before any report is printed, so its
+    verdict is not compared. Both names are wrapped: the one in
+    ``equivariant`` and the one ``theorems`` imports.
+
+    Yields the unwrapped test."""
+    decide = equivariant.is_projective
+
+    def checked(B, action, dim):
+        out = decide(B, action, dim)
+        assert B.level != "hopf" or B.cointegral is None or not (
+            equivariant.module_audit(B, dim, action).ok) or (
+            out == oracles.is_projective_by_solve(B, action, dim)), \
+            "a projectivity verdict by Maschke's theorem is not the section solve's"
+        return out
+
+    equivariant.is_projective = theorems.is_projective = checked
+    yield decide
+    equivariant.is_projective = theorems.is_projective = decide
 
 
 @pytest.fixture(scope="session")

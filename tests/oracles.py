@@ -27,8 +27,12 @@ its columns in ``linalg.total_complex``; the (b, b', 1 - lambda, N)
 bicomplex written block by block, the reference for the columns of
 ``complexes.cyclic_total_complex``; the differential of the bar
 resolution as a sum of Kronecker products, the reference for the shifted
-``complexes.bar_complex``; the isomorphism from the model of a regular
-module coalgebra onto its descended cocyclic module; the model's tau and
+``complexes.bar_complex``, and the bar complex's homology from it, the
+reference for the contraction proof of ``equivariant.h_counitality_probe``;
+the intertwiner solve for a B-linear section of B (x) P -> P, the
+reference for the Maschke shortcut of ``equivariant.is_projective``; the
+isomorphism from the model of a regular module coalgebra onto its
+descended cocyclic module; the model's tau and
 cofaces with Psi applied by the whole diagonal action of each leg, the
 reference for the Kronecker sums of ``regular.Untwist.wrapped``; each
 degree of a comparison map between models written with one whole
@@ -74,6 +78,7 @@ from hopfcyclic.linalg import (
     QuotientSpace,
     block_matrix,
     complex_homology,
+    rank,
     rank_kernel,
     restrict,
     solve_columns,
@@ -857,6 +862,38 @@ def bar_resolution_differential(desc, n):
         term = slotted(f, c**j, desc.comult, c**(n + 1 - j))
         out = out.add(term.neg() if j % 2 else term)
     return out
+
+
+def bar_homology(desc, maxdeg):
+    """Homology dims of the bar complex C -> C^{(x) 2} -> ... through maxdeg.
+
+    d_0 is Delta and d_n, n >= 1, is the bar resolution's differential out
+    of degree n - 1 (:func:`bar_resolution_differential`); the dim of H^n is
+    dim C^{(x) n+1} - rank d_n - rank d_{n-1}. The reference for the
+    contraction proof of ``equivariant.h_counitality_probe``.
+    """
+    ranks = [rank(desc.comult)] + [rank(bar_resolution_differential(desc, n))
+                                   for n in range(maxdeg)]
+    return [desc.dim**(n + 1) - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(maxdeg + 1)]
+
+
+def is_projective_by_solve(B, action, dim):
+    """Whether B (x) P -> P has a B-linear section U, by one hand-indexed solve.
+
+    U is a (dim B * dim P) x dim P unknown with action . U = id and
+    U . L_b = (L_b (x) id) . U for every basis element b, L_b on P the
+    action of b and on B left multiplication by b. The reference for the
+    Maschke shortcut of ``equivariant.is_projective``.
+    """
+    f, big = B.field, B.dim * dim
+    I_P = Matrix.identity(f, dim)
+    constraints = [([(action, I_P)], I_P)]
+    for b in range(B.dim):
+        L_free = slotted(f, 1, action_of_basis(B.mult, B.dim, B.dim, b), dim)
+        constraints.append(([(Matrix.identity(f, big), action_of_basis(action, B.dim, dim, b)),
+                             (L_free.neg(), I_P)], Matrix.zero(f, big, dim)))
+    return solve_matrix_system(f, big, dim, constraints) is not None
 
 
 def free_isomorphism(X, embed, c, quotients):

@@ -173,6 +173,31 @@ class TestExcision:
         assert code == 1
         assert "UNVERIFIED" in out
 
+    def test_direct_sum_f2_projectivity_rows_solved(self, capsys):
+        # F_2[Z/2] has no normalized co-integral, so the rows come from the
+        # section solve: C is free over B, the trivial coefficient is not
+        code, out, _ = run(capsys, "excision", str(FIXTURES / "direct_sum_ses.json"),
+                           "--max-degree", "2", "--field", "Fp:2")
+        assert code == 1
+        lines = out.splitlines()
+        assert "C projective over B\tPASS\t" in lines
+        assert "coefficient projective over B\tFAIL\t" in lines
+
+    @pytest.mark.parametrize("argv", [["excision"], ["relative", "--mode", "cokernel"],
+                                      ["relative", "--mode", "quotient"]], ids=" ".join)
+    def test_non_associative_coefficient_exit_2(self, capsys, tmp_path, argv):
+        # g acts by 2 on k, so g (g x) = 4x but (g g) x = x: the module audit
+        # refuses the coefficient before a report is printed
+        coef = tmp_path / "coefficient.json"
+        coef.write_text(json.dumps({
+            "dim": 1, "action": {"rows": 1, "cols": 2, "entries": [[0, 0, "1"], [0, 1, "2"]]},
+            "coaction": {"rows": 2, "cols": 1, "entries": [[0, 0, "1"]]}}))
+        code, out, err = run(capsys, argv[0], str(FIXTURES / "direct_sum_ses.json"), *argv[1:],
+                             "--coefficient", str(coef), "--max-degree", "2")
+        assert code == 2
+        assert out == ""
+        assert "action associativity at ('g1|g1|0',)" in err
+
     def test_algebra_side_product_fixture(self, capsys):
         code, out, _ = run(capsys, "excision",
                            str(FIXTURES / "z2_product_algebra_ses.json"),
@@ -254,6 +279,20 @@ class TestSESBadInput:
         assert code == 2
         assert out == ""
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["excision"], ["relative", "--mode", "cokernel"]],
+                             ids=" ".join)
+    def test_counit_breaking_the_counit_laws_exit_2(self, capsys, tmp_path, argv):
+        # refused at parse, before any H-counital row could read the counit
+        doc = json.loads((FIXTURES / "direct_sum_ses.json").read_text())
+        doc["C"]["base"]["counit"] = ["1", "0", "1", "1"]
+        bad = tmp_path / "bent_counit.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(bad), *argv[1:], "--max-degree", "1")
+        assert code == 2
+        assert out == ""
+        assert "left counit law at ('l.g1',)" in err
         assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcyclic import complexes, equivariant
 from hopfcyclic.errors import (
     AuditFailed,
     MissingAntipodeInverse,
@@ -19,8 +20,6 @@ from hopfcyclic.equivariant import (
     counit_action,
     direct_sum_coalgebras,
     direct_sum_module_coalgebras,
-    h_counitality_probe,
-    is_projective,
     make_coefficient,
     quotient_ses,
     regular_bicomodule,
@@ -29,6 +28,7 @@ from hopfcyclic.equivariant import (
 )
 from hopfcyclic.linalg import Matrix
 
+import oracles
 from groups import cyclic_table, symmetric_table
 from lemmas import eps_module_coalgebra
 
@@ -178,33 +178,68 @@ class TestQuotientSES:
 class TestHCounitality:
     def test_group_algebras_h_counital(self, z2_q, z4_q):
         for B in (z2_q, z4_q):
-            assert h_counitality_probe(B, 4) == [0] * 5
+            assert equivariant.h_counitality_probe(B, 4) == [0] * 5
 
     def test_sweedler_h_counital(self, h4_q):
-        assert h_counitality_probe(h4_q, 3) == [0] * 4
+        assert equivariant.h_counitality_probe(h4_q, 3) == [0] * 4
 
     def test_non_counital_delta_zero(self):
         one_dim = BialgebraDesc(QQ, ["c"], "coalgebra",
                                 comult=Matrix.zero(QQ, 1, 1))
-        dims = h_counitality_probe(one_dim, 2)
+        dims = equivariant.h_counitality_probe(one_dim, 2)
         assert dims[0] == 1
 
     def test_direct_sum_still_h_counital(self, z2_q):
         c = direct_sum_coalgebras(z2_q, z2_q)
-        assert h_counitality_probe(c, 3) == [0] * 4
+        assert equivariant.h_counitality_probe(c, 3) == [0] * 4
+
+    @staticmethod
+    def _bar_complexes(monkeypatch):
+        built = []
+        real = complexes.bar_complex
+
+        def counted(desc, maxN):
+            built.append(maxN)
+            return real(desc, maxN)
+
+        monkeypatch.setattr(complexes, "bar_complex", counted)
+        return built
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+    def test_counital_builds_no_bar_complex(self, monkeypatch, field):
+        built = self._bar_complexes(monkeypatch)
+        for B in (group_algebra(cyclic_table(2), field), sweedler_h4(field)):
+            assert equivariant.h_counitality_probe(B, 4) == [0] * 5
+        assert built == []
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+    def test_broken_counit_falls_back_to_the_probe(self, monkeypatch, field):
+        # counits that break the counit laws, past the audit: the probe runs
+        # and gives the bar complex's dims, as it does with no counit; with
+        # Delta = 0 those are not all zero, so the row FAILs
+        z2 = group_algebra(cyclic_table(2), field)
+        bent = BialgebraDesc(field, z2.basis, "coalgebra", comult=z2.comult,
+                             counit=Matrix.from_entries(field, 1, 2, [(0, 0, field.one)]),
+                             check=False)
+        null = BialgebraDesc(field, ["c"], "coalgebra", comult=Matrix.zero(field, 1, 1),
+                             counit=Matrix.identity(field, 1), check=False)
+        built = self._bar_complexes(monkeypatch)
+        assert equivariant.h_counitality_probe(bent, 3) == oracles.bar_homology(bent, 3)
+        assert equivariant.h_counitality_probe(null, 3)[0] == 1
+        assert built == [4, 4]
 
 
 class TestProjectivity:
     def test_free_module_projective(self, z2_q):
-        assert is_projective(z2_q, z2_q.mult, 2)
+        assert equivariant.is_projective(z2_q, z2_q.mult, 2)
 
     def test_trivial_module_not_projective_char_2(self):
         B = group_algebra(cyclic_table(2), GF(2))
-        assert is_projective(B, counit_action(B, 1), 1) is False
+        assert equivariant.is_projective(B, counit_action(B, 1), 1) is False
 
     def test_everything_projective_over_semisimple(self, z2_q):
-        assert is_projective(z2_q, counit_action(z2_q, 1), 1)
-        assert is_projective(z2_q, z2_q.mult, 2)
+        assert equivariant.is_projective(z2_q, counit_action(z2_q, 1), 1)
+        assert equivariant.is_projective(z2_q, z2_q.mult, 2)
 
     def test_projectivity_matches_cointegral(self, z2_q, z4_q, s3_q, h4_q):
         fixtures = [z2_q, z4_q, s3_q, h4_q,
@@ -212,5 +247,51 @@ class TestProjectivity:
                     group_algebra(cyclic_table(3), GF(2))]
         for B in fixtures:
             has_coint = find_integral(B, "cointegral") is not None
-            proj = is_projective(B, counit_action(B, 1), 1)
+            proj = oracles.is_projective_by_solve(B, counit_action(B, 1), 1)
             assert proj == has_coint, B
+
+    @staticmethod
+    def _systems(monkeypatch):
+        built = []
+        real = equivariant.solve_matrix_system
+
+        def counted(field, m, n, constraints):
+            built.append((m, n))
+            return real(field, m, n, constraints)
+
+        monkeypatch.setattr(equivariant, "solve_matrix_system", counted)
+        return built
+
+    def test_semisimple_builds_no_system(self, monkeypatch, z2_q, s3_q):
+        built = self._systems(monkeypatch)
+        for B in (z2_q, s3_q):
+            assert equivariant.is_projective(B, counit_action(B, 1), 1)
+            assert equivariant.is_projective(B, B.mult, B.dim)
+        assert built == []
+
+    def test_no_cointegral_solves(self, monkeypatch, h4_q):
+        built = self._systems(monkeypatch)
+        assert equivariant.is_projective(h4_q, counit_action(h4_q, 1), 1) is False
+        assert equivariant.is_projective(h4_q, h4_q.mult, 4)
+        assert built == [(4, 1), (16, 4)]
+
+    def test_cointegral_without_antipode_solves(self, monkeypatch):
+        # the monoid {1, a, b} with a and b left zeros: a is a normalized
+        # co-integral (a y = a = eps(y) a), but no u has y u = eps(y) u and
+        # eps(u) = 1, so k_eps is not projective; with no antipode the
+        # solve decides
+        f, one = QQ, QQ.one
+        table = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+        B = BialgebraDesc(
+            f, ["1", "a", "b"], "bialgebra",
+            mult=Matrix.from_entries(f, 3, 9, [(table[i][j], 3 * i + j, one)
+                                               for i in range(3) for j in range(3)]),
+            comult=Matrix.from_entries(f, 9, 3, [(4 * i, i, one) for i in range(3)]),
+            unit=Matrix.from_entries(f, 3, 1, [(0, 0, one)]),
+            counit=Matrix.from_entries(f, 1, 3, [(0, i, one) for i in range(3)]))
+        assert B.cointegral is not None
+        built = self._systems(monkeypatch)
+        assert equivariant.is_projective(B, counit_action(B, 1), 1) is False
+        assert oracles.is_projective_by_solve(B, counit_action(B, 1), 1) is False
+        assert equivariant.is_projective(B, B.mult, 3)
+        assert len(built) == 2

@@ -2,6 +2,7 @@ import collections
 import copy
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,39 @@ class TestExcisionCoalgebra:
         assert verify_excision(ses, X, "coalgebra", 1).all_pass
         relative_hc(ses.C, ses.K, X, "cokernel", 1)
         assert sides == ["cointegral"]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:2"])
+    def test_rows_decided_by_proof_build_nothing(self, monkeypatch, field):
+        # every piece of direct_sum_ses is counital: no H-counital row builds
+        # a bar complex; Q[Z/2] has a normalized co-integral, so no
+        # projectivity row builds a system, while F_2[Z/2] has none, so each
+        # of C, C/K and the coefficient is solved, in each of the three runs
+        bars, systems = [], []
+        real_bar, real_solve = complexes.bar_complex, equivariant.solve_matrix_system
+
+        def bar(desc, maxN):
+            bars.append(maxN)
+            return real_bar(desc, maxN)
+
+        def solve(f, m, n, constraints):
+            if sys._getframe(1).f_code.co_name == "is_projective":
+                systems.append((m, n))
+            return real_solve(f, m, n, constraints)
+
+        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"), field)
+        X = make_coefficient("eps", ses.C.over)
+        monkeypatch.setattr(complexes, "bar_complex", bar)
+        monkeypatch.setattr(equivariant, "solve_matrix_system", solve)
+        reports = [verify_excision(ses, X, "coalgebra", 2)] + [
+            relative_hc(ses.C, ses.K, X, mode, 2)[1] for mode in ("cokernel", "quotient")]
+        assert bars == []
+        assert systems == ([] if field == "Q" else [(8, 4), (4, 2), (2, 1)] * 3)
+        for rep in reports:
+            for name in ("K H-counital", "C H-counital", "C/K H-counital",
+                         "C projective over B", "C/K projective over B"):
+                assert rep.hypothesis(name).verdict == "PASS", name
+        assert reports[0].hypothesis("coefficient projective over B").verdict == (
+            "PASS" if field == "Q" else "FAIL")
 
     def test_each_coface_and_map_induced_once(self, monkeypatch):
         # on the descended path (no free bases), every coface of the five
