@@ -417,7 +417,20 @@ def descend_degree(n, faces, quotients):
             for j, d in enumerate(faces)]
 
 
-class CocyclicModule:
+class _Module:
+    """What the cocyclic and the cyclic module share."""
+
+    @functools.cached_property
+    def complex(self):
+        """The Hochschild complex, d = b = sum_j (-1)^j d_j, built on first use.
+
+        On a descended module it is the matrix that inducing the ambient
+        differential gives, because inducing is linear.
+        """
+        return _hochschild_complex(self)
+
+
+class CocyclicModule(_Module):
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
@@ -459,15 +472,6 @@ class CocyclicModule:
         self.cofaces = cofaces
         self.tau = tau
         self.b, self.last = b, last
-
-    @functools.cached_property
-    def complex(self):
-        """The Hochschild complex, d = b = sum_j (-1)^j d_j, built on first use.
-
-        It is the matrix that inducing the ambient differential gives,
-        because inducing is linear.
-        """
-        return _hochschild_complex(self)
 
     def truncate(self, top):
         """The same module through degree ``top``, tau through top - 1, nothing rebuilt."""
@@ -513,7 +517,7 @@ class CocyclicModule:
             _check_tau_degree(self.tau, n, self.cofaces[n])
 
 
-class CyclicModule:
+class CyclicModule(_Module):
     """Validated cyclic module on cotensor subspaces (algebra side)."""
 
     def __init__(self, field, over, dims, faces, tau, inclusions):
@@ -527,6 +531,11 @@ class CyclicModule:
         self.orientation = -1
         self.b = self.last = None  # alternated from the faces when read
         self.untwist = None
+
+    def truncate(self, top):
+        """The same module through degree ``top``, nothing rebuilt."""
+        return CyclicModule(self.field, self.over, self.dims[:top + 1], self.faces[:top + 1],
+                            self.tau[:top + 1], self.inclusions[:top + 1])
 
     def validate(self):
         """Check the cyclic identities at every degree n, entry-exactly.
@@ -627,6 +636,8 @@ def _algebra_rotation(A, X, an, on=None):
 
 
 def _assemble_algebra(A, X, maxdeg):
+    if not X.module_report.ok:
+        raise AuditFailed(X.module_report)
     B = A.over
     # no blocks outlive the generator, so none is alive past the last kernel
     inclusions = [comodule_coinvariants(B.unit, blocks)

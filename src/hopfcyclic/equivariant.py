@@ -139,7 +139,8 @@ class ModComod:
     coaction of an acted element twists by conjugation through the inverse
     antipode. Without an invertible antipode the ayd flag is recorded False.
     ``module_report`` audits that the action is associative and unital; the
-    twisted complex refuses a coefficient that fails it.
+    twisted complex, the model and the algebra-side cyclic module refuse a
+    coefficient that fails it.
     """
 
     def __init__(self, over, dim, action, coaction):

@@ -16,7 +16,6 @@ import json
 
 from .complexes import (
     CocyclicModule,
-    _alternating,
     _hochschild_complex,
     _induced,
     _tau_through,
@@ -251,7 +250,8 @@ def cofibration_verdicts(u, v, maxdeg):
     Y^{m-1} (+) Z^{m-2} or D_m = X_{m-2} (+) Y_{m-1} (+) Z_m; the verdict
     at degree n consumes its vanishing through degree n+2 (cochain) or n+1
     (chain). The b' triple of :func:`_cyclic_excision` is read only for its
-    vanishing through maxdeg + 1, so each module one degree shallower.
+    vanishing through maxdeg + 1 (cochain) or maxdeg (chain), so each
+    module one degree shallower.
     """
     shift = 2 if u.orientation == +1 else 1
     return _triple_vanishing(u, v, maxdeg + shift, maxdeg)[shift:]
@@ -383,14 +383,14 @@ def _excision_depths(orientation, maxdeg):
       maxdeg, Y through maxdeg + 1 and Z through maxdeg + 2; X's own
       homology reads X through maxdeg + 1.
 
-    On the coalgebra side the cyclic verdict (:func:`_cyclic_excision`)
-    reads the b' triple one degree shallower, each total through maxdeg + 1,
-    and tau at most one degree below each depth: its tau checks read it
-    through maxdeg + 1, maxdeg + 1 and maxdeg, the totals of its fallback
-    through maxdeg + 2, maxdeg + 1 and maxdeg. A module through its depth
-    carries tau through depth - 1 and no further
-    (:class:`complexes.CocyclicModule`). A module built one degree
-    shallower than this raises DegreeOutOfRange.
+    On both sides :func:`_cyclic_excision` reads the b' triple of the
+    modules one degree shallower, through maxdeg + 1 (cochain) or maxdeg
+    (chain), each total through maxdeg + 1, and tau of X, Y and Z through
+    maxdeg + 1, maxdeg + 1 and maxdeg (cochain) or maxdeg - 1, maxdeg and
+    maxdeg (chain), its fallback's totals through each depth minus one. A
+    cocyclic module carries tau through its depth minus one
+    (:class:`complexes.CocyclicModule`), a cyclic module in every degree. A
+    module built one degree shallower than this raises DegreeOutOfRange.
     """
     if orientation == +1:
         return maxdeg + 3, maxdeg + 2, maxdeg + 1
@@ -495,83 +495,96 @@ def _verify_excision_coalgebra(ses, X, maxdeg):
     v_h = _comparison(T_C_C, T_q_q, X, proj, proj)
     hoch_ok = cofibration_verdicts(u_h, v_h, maxdeg)
 
-    cyc_ok, (dims_K, dims_C, dims_Q) = _cyclic_excision(T_K, T_C_C, T_q_q, u_h, v_h, hoch_ok,
-                                                        maxdeg)
-    for n in range(maxdeg + 1):
-        ok = hoch_ok[n] and cyc_ok[n]
-        dims = {"K": dims_K[n], "C": dims_C[n], "C/K": dims_Q[n]}
-        report.add_degree(n, dims, (PASS if ok else FAIL) if certified else UNVERIFIED)
-    if not certified:
-        report.notes.append("conclusion left unasserted: hypotheses not fully certified")
+    cyc_ok, dims = _cyclic_excision([T_K, T_C_C, T_q_q], [u_h, v_h], hoch_ok, maxdeg)
+    _add_degrees(report, ("K", "C", "C/K"), dims, [h and c for h, c in zip(hoch_ok, cyc_ok)],
+                 certified)
     return report
 
 
-def _cyclic_excision(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
-    """Cyclic verdicts of CM(K) -> CM(C) -> CM(C/K) through ``maxdeg``, and each one's dims.
+def _add_degrees(report, names, dims, verdicts, certified):
+    """A degree row per verdict, each module's dims by name; UNVERIFIED unless ``certified``."""
+    for n, ok in enumerate(verdicts):
+        report.add_degree(n, {name: d[n] for name, d in zip(names, dims)},
+                          (PASS if ok else FAIL) if certified else UNVERIFIED)
+    if not certified:
+        report.notes.append("conclusion left unasserted: hypotheses not fully certified")
 
-    ``u`` and ``v`` are the checked Hochschild chain maps and ``hoch_ok``
-    their :func:`cofibration_verdicts`. The verdicts are those of the
-    triple complex D = :func:`mapping_cone` ``(u_tot, v_tot)`` of the three
+
+def _cyclic_excision(mods, maps, hoch_ok, maxdeg):
+    """Cyclic verdicts of the triple ``mods`` through ``maxdeg``, and each module's dims.
+
+    ``mods`` is CM(K) -> CM(C) -> CM(C/K) (cochain, s = 1) or
+    CM(I) -> CM(A) -> CM(A/I) (chain, s = 0); ``maps`` holds u and v, the
+    checked Hochschild chain maps, and ``hoch_ok`` their
+    :func:`cofibration_verdicts`. The verdicts are those of
+    D = :func:`mapping_cone` ``(u_tot, v_tot)``, the triple complex of the
     (b, b', 1 - lambda, N) totals and the maps of :func:`total_chain_map`,
     derived without D by Connes' column filtration (Loday, *Cyclic
     Homology*, 2.2):
 
-    - The columns p >= r, F_r, form a subcomplex of D: horizontal maps
-      raise p, and u_tot and v_tot put u_q and v_q on each block (p, q).
-      gr_p D in degree m is the triple of column p in degree m - p: of b
-      for even p, of -b' for odd p, which (x, y, z) -> (x, -y, z) carries
-      onto that of b' negated, of the same homology. D^m meets columns
-      p <= m only, so the exact sequences of 0 -> F_{p+1} -> F_p -> gr_p
-      -> 0, taken down from F_{m+1} D^m = 0, leave D no homology at m
-      where no gr_p has any. The verdict at n reads D through n + 2: it
-      passes where the Hochschild triple does (``hoch_ok[n]``) and the b'
-      triple vanishes through n + 1.
-    - Truncated tops: D's totals reach the triple depths, so its column p
-      reaches maxdeg + 3 - p, maxdeg + 2 - p and maxdeg + 1 - p. Column 1
+    - u_tot and v_tot put u_q and v_q on each block (p, q), and the
+      horizontal maps raise p (cochain) or lower it (chain), so the columns
+      p >= r, or p <= r, form a subcomplex F_r. gr_p D in degree m is the
+      triple of column p in degree m - p: of b for even p, of -b' for odd
+      p, which (x, y, z) -> (x, -y, z) carries onto that of b' negated. D
+      in degree m meets columns p <= m only, so the exact sequences of
+      0 -> F_{p+1} -> F_p -> gr_p -> 0 taken down from F_{m+1} D^m = 0
+      (cochain), or of 0 -> F_{p-1} -> F_p -> gr_p -> 0 taken up from
+      F_{-1} = 0 to F_{m+1}, which agrees with D through m + 1 (chain),
+      leave D no homology at m where no gr_p has any. The verdict at n
+      reads D through n + 1 + s: column 0 as ``hoch_ok[n]`` does, column 1,
+      the b' triple, through n + s, and column p >= 2 p degrees lower.
+    - Column p of each total reaches its module's depth minus p. Column 1
       is the b' triple of the modules one degree shallower, built here;
       every other column truncates one of the two triples above the
       degrees read.
-    - D is a complex, as its one d o d check would show, when the block
-      squares of u_tot in total degrees through maxdeg + 1 and of v_tot
-      through maxdeg commute. Vertically that is u b = b u, which ``u`` passed,
-      and u b' = b' u in odd columns, so for q <= maxdeg: the squares of
-      the ChainMap onto the b' complexes. Horizontally it is 1 - lambda
-      and N, polynomials in lambda = (-1)^q tau, so u_q tau = tau u_q for
-      q <= maxdeg + 1, checked in those degrees, where the target CM(C)
-      carries tau (:class:`CocyclicModule`: through its depth minus one).
-      v's are one degree lower, q <= maxdeg, where CM(C/K) carries tau,
-      and v u = 0 is checked on the shared components. A missing component
-      is a zero block, which commutes with everything. Each total's
-      bicomplex identities follow from its module's cocyclic ones. A
-      module that carries tau through fewer degrees is refused with
-      DegreeOutOfRange.
+    - D is a complex where the block squares that its homology through
+      maxdeg + 1 + s reads commute: those of u_tot out of total degrees
+      t <= maxdeg + 1 and of v_tot out of t <= maxdeg (cochain), or
+      t <= maxdeg and t <= maxdeg + 1 (chain). Vertically that is u b = b u,
+      which ``u`` passed, and u b' = b' u in odd columns, q <= t - 1, which
+      the ChainMaps onto the b' complexes check. Horizontally it is
+      1 - lambda and N, polynomials in lambda = (-1)^q tau, for
+      q <= t - 1 + s: u_q tau = tau u_q through q = maxdeg + 1 (cochain) or
+      maxdeg - 1 (chain) and v's through maxdeg, checked. A cocyclic module
+      carries tau through its depth minus one (:class:`CocyclicModule`), a
+      cyclic module in every degree; one that carries fewer is refused with
+      DegreeOutOfRange. v u = 0 is checked on the shared components, a
+      missing component is a zero block, and each total's bicomplex
+      identities follow from its module's.
 
-    The derivation is sufficient only: where a derived verdict fails, the
-    bicomplex triple decides, so every verdict is D's. The dims read each
-    total through maxdeg + 1, the fallback's through the triple depth.
+    Where a derived verdict fails, the bicomplex triple decides, so every
+    verdict is D's. The dims read each total through maxdeg + 1, the
+    fallback's through its module's depth. ``mods`` and ``maps`` are
+    emptied once the totals are built: a caller that keeps no other
+    reference frees the modules and the Hochschild complexes before any
+    total is ranked.
     """
-    mods = (T_K, T_C, T_Q)
+    s = 1 if maps[0].orientation == +1 else 0
+    comps = [f.components for f in maps]
     bars = [_hochschild_complex(T.truncate(T.top - 1), drop_last=True) for T in mods]
-    maps = []
-    for f, s, t in ((u, 0, 1), (v, 1, 2)):
-        top = min(bars[s].top, bars[t].top)
-        maps.append(ChainMap(bars[s], bars[t],
-                             {n: c for n, c in f.components.items() if n <= top}))
-        reach = maxdeg + 1 - s  # u_q tau = tau u_q for q <= maxdeg + 1, v's one lower
-        for T in (mods[s], mods[t]):
-            _tau_through(T, reach, "the cyclic excision verdict")
+    bar_maps = []
+    for i, reach in enumerate((maxdeg - 1 + 2 * s, maxdeg)):  # u's reach, v's
+        top = min(bars[i].top, bars[i + 1].top)
+        bar_maps.append(ChainMap(bars[i], bars[i + 1],
+                                 {n: c for n, c in comps[i].items() if n <= top}))
+        _tau_through(mods[i], reach, "the cyclic excision verdict")
+        _tau_through(mods[i + 1], reach, "the cyclic excision verdict")
         for n in range(reach + 1):
-            c = f.components.get(n)
-            if c is not None and c.mul(mods[s].tau[n]) != mods[t].tau[n].mul(c):
+            c = comps[i].get(n)
+            if c is not None and c.mul(mods[i].tau[n]) != mods[i + 1].tau[n].mul(c):
                 raise ShapeMismatch(f"chain map does not commute with tau at degree {n}")
-    bar_ok = _triple_vanishing(*maps, maxdeg + 1, maxdeg)
-    cyc_ok = [hoch_ok[n] and bar_ok[n + 1] for n in range(maxdeg + 1)]
-    if all(cyc_ok):
-        tots = [cyclic_total_complex(T, maxdeg + 1) for T in mods]
-    else:
-        tots = [cyclic_total_complex(T, T.top) for T in mods]
-        cyc_ok = cofibration_verdicts(total_chain_map(tots[0], tots[1], u.components),
-                                      total_chain_map(tots[1], tots[2], v.components), maxdeg)
+    bar_ok = _triple_vanishing(*bar_maps, maxdeg + s, maxdeg)
+    del bars, bar_maps
+    cyc_ok = [hoch_ok[n] and bar_ok[n + s] for n in range(maxdeg + 1)]
+    derived = all(cyc_ok)
+    tots = [cyclic_total_complex(T, maxdeg + 1 if derived else T.top) for T in mods]
+    # no (co)face, tau or inclusion of a module and no Hochschild complex is read past here
+    mods.clear()
+    maps.clear()
+    if not derived:
+        cyc_ok = cofibration_verdicts(*(total_chain_map(*tots[i:i + 2], comps[i]) for i in (0, 1)),
+                                      maxdeg)
     return cyc_ok, [complex_homology(t, maxdeg) for t in tots]
 
 
@@ -624,19 +637,16 @@ class AlgebraSES:
 
 
 def h_unitality_probe(alg_desc, maxdeg):
-    """Homology H_1..H_maxdeg of the algebra bar complex (I^{(x) n}, b')."""
-    f = alg_desc.field
-    a = alg_desc.dim
-    dims = [1] + [a**n for n in range(1, maxdeg + 2)]
-    diffs = {}
-    for n in range(2, maxdeg + 2):
-        faces = []
-        for j in range(n - 1):
-            faces.append(slotted(f, a**j, alg_desc.mult, a**(n - 2 - j)))
-        diffs[n] = _alternating(f, faces)
-    diffs[1] = Matrix.zero(f, 1, a)
-    cx = GradedComplex(f, -1, dims, diffs)
-    return [cx.homology(n) for n in range(1, maxdeg + 1)]
+    """Homology H_1..H_maxdeg of the algebra bar complex (I^{(x) n}, b').
+
+    Its b'_{n+1} is the transpose of the differential out of degree n - 1
+    of the bar complex of the dual coalgebra (comultiplication the
+    transpose of I's product, no counit), and b'_1 = 0, so H_n has the dim
+    of H^{n-1} there (:func:`equivariant.h_counitality_probe`).
+    """
+    dual = BialgebraDesc(alg_desc.field, alg_desc.basis, "coalgebra",
+                         comult=alg_desc.mult.transpose(), check=False)
+    return h_counitality_probe(dual, maxdeg - 1)
 
 
 def _verify_excision_algebra(ses, X, maxdeg):
@@ -658,27 +668,16 @@ def _verify_excision_algebra(ses, X, maxdeg):
         report.add_hypothesis("I and A co-projective over B", UNVERIFIED,
                               detail="UNVERIFIED-HYPOTHESIS: no integral found; "
                                      "only the integral criterion is implemented")
-    certified = report.hypotheses_certified
 
     # chain orientation: A/I is read one degree deeper than I and A
-    depth_i, depth_a, depth_q = _excision_depths(-1, maxdeg)
-    cm_I = assemble("algebra", ses.ideal, X, depth_i)
-    cm_A = assemble("algebra", A, X, depth_a)
-    cm_Q = assemble("algebra", ses.quotient, X, depth_q)
-    tot_I, tot_A, tot_Q = (cyclic_total_complex(cm, cm.top) for cm in (cm_I, cm_A, cm_Q))
-    u_comps = _cyclic_map_components(cm_I, cm_A, X, ses.I, min(depth_i, depth_a))
-    v_comps = _cyclic_map_components(cm_A, cm_Q, X, ses.projection, min(depth_a, depth_q))
-    # the modules' faces, tau and inclusions are read by nothing past this point
-    del cm_I, cm_A, cm_Q
-    u_tot = total_chain_map(tot_I, tot_A, u_comps)
-    v_tot = total_chain_map(tot_A, tot_Q, v_comps)
-    cyc_ok = cofibration_verdicts(u_tot, v_tot, maxdeg)
-    dims_I, dims_A, dims_Q = (complex_homology(t, maxdeg) for t in (tot_I, tot_A, tot_Q))
-    for n in range(maxdeg + 1):
-        dims = {"I": dims_I[n], "A": dims_A[n], "A/I": dims_Q[n]}
-        report.add_degree(n, dims, (PASS if cyc_ok[n] else FAIL) if certified else UNVERIFIED)
-    if not certified:
-        report.notes.append("conclusion left unasserted: hypotheses not fully certified")
+    mods = [assemble("algebra", M, X, depth)
+            for M, depth in zip((ses.ideal, A, ses.quotient), _excision_depths(-1, maxdeg))]
+    maps = [ChainMap(mods[i].complex, mods[i + 1].complex,
+                     _cyclic_map_components(mods[i], mods[i + 1], X, slot_map,
+                                            min(mods[i].top, mods[i + 1].top)))
+            for i, slot_map in enumerate((ses.I, ses.projection))]
+    cyc_ok, dims = _cyclic_excision(mods, maps, cofibration_verdicts(*maps, maxdeg), maxdeg)
+    _add_degrees(report, ("I", "A", "A/I"), dims, cyc_ok, report.hypotheses_certified)
     return report
 
 

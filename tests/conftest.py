@@ -199,18 +199,20 @@ def every_connes_complex_is_the_bicomplex():
 
 @pytest.fixture(scope="session", autouse=True)
 def every_cyclic_excision_is_the_bicomplex_triple():
-    """Each coalgebra excision in a test gives, from the column filtration of
-    ``theorems._cyclic_excision``, the cyclic verdicts and the cyclic dims of
-    K, C and C/K that the triple complex of the three (b, b', 1 - lambda, N)
-    totals gives (``oracles.bicomplex_cyclic_excision``).
+    """Each excision in a test, on the coalgebra side and on the algebra side,
+    gives, from the column filtration of ``theorems._cyclic_excision``, the
+    cyclic verdicts and the cyclic dims of K, C and C/K, or of I, A and A/I,
+    that the triple complex of the three (b, b', 1 - lambda, N) totals gives
+    (``oracles.bicomplex_cyclic_excision``).
 
     Yields the unwrapped function, for a mutant that only its checks are to
     reject."""
     derive = theorems._cyclic_excision
 
-    def checked(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg):
-        out = derive(T_K, T_C, T_Q, u, v, hoch_ok, maxdeg)
-        assert out == oracles.bicomplex_cyclic_excision(T_K, T_C, T_Q, u, v, maxdeg), \
+    def checked(mods, maps, hoch_ok, maxdeg):
+        kept = [*mods, *maps]  # the function empties both lists
+        out = derive(mods, maps, hoch_ok, maxdeg)
+        assert out == oracles.bicomplex_cyclic_excision(*kept, maxdeg), \
             "the column filtration's cyclic verdicts or dims are not the bicomplex triple's"
         return out
 
@@ -283,6 +285,27 @@ def every_counital_probe_is_the_bar_complex():
     equivariant.h_counitality_probe = theorems.h_counitality_probe = checked
     yield probe
     equivariant.h_counitality_probe = theorems.h_counitality_probe = probe
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_unitality_probe_is_the_algebra_bar_complex():
+    """Each H-unitality probe that a test runs through
+    ``theorems.h_unitality_probe``, which reads the bar complex of the dual
+    coalgebra, gives the dims of (I^{(x) n}, b') built on I and ranked
+    (``oracles.algebra_bar_homology``).
+
+    Yields the unwrapped probe."""
+    probe = theorems.h_unitality_probe
+
+    def checked(alg_desc, maxdeg):
+        dims = probe(alg_desc, maxdeg)
+        assert dims == oracles.algebra_bar_homology(alg_desc, maxdeg), \
+            "an H-unitality row is not the homology of the algebra bar complex"
+        return dims
+
+    theorems.h_unitality_probe = checked
+    yield probe
+    theorems.h_unitality_probe = probe
 
 
 @pytest.fixture(scope="session", autouse=True)

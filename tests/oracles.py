@@ -29,6 +29,8 @@ bicomplex written block by block, the reference for the columns of
 resolution as a sum of Kronecker products, the reference for the shifted
 ``complexes.bar_complex``, and the bar complex's homology from it, the
 reference for the contraction proof of ``equivariant.h_counitality_probe``;
+the algebra bar complex (I^{(x) n}, b') built on I, the reference for
+``theorems.h_unitality_probe``, which reads the dual coalgebra's;
 the intertwiner solve for a B-linear section of B (x) P -> P, the
 reference for the Maschke shortcut of ``equivariant.is_projective``; the
 isomorphism from the model of a regular module coalgebra onto its
@@ -39,7 +41,7 @@ degree of a comparison map between models written with one whole
 diagonal action per leg, the reference for the one pass of
 ``regular.Untwist.comparison``; the wiring planner that walks every basis
 tuple through every step, the reference for ``linalg.wire``; the cyclic
-verdicts of coalgebra excision read off the triple complex of the three
+verdicts of excision on either side read off the triple complex of the three
 (b, b', 1 - lambda, N) totals, the reference for the column filtration of
 ``theorems._cyclic_excision``; the mapping cone written block by block and
 the triple complex as the cone of cone(u) -> Z', the reference for the one
@@ -878,6 +880,26 @@ def bar_homology(desc, maxdeg):
             for n in range(maxdeg + 1)]
 
 
+def algebra_bar_homology(alg_desc, maxdeg):
+    """Homology H_1..H_maxdeg of the algebra bar complex (I^{(x) n}, b'), built on I.
+
+    b'_n out of I^{(x) n} is sum_{j < n-1} (-1)^j id^{(x) j} (x) mu (x)
+    id^{(x) n-2-j}, and b'_1 = 0. The reference for
+    ``theorems.h_unitality_probe``, which reads the bar complex of the dual
+    coalgebra.
+    """
+    f, a = alg_desc.field, alg_desc.dim
+    dims = [1] + [a**n for n in range(1, maxdeg + 2)]
+    diffs = {1: Matrix.zero(f, 1, a)}
+    for n in range(2, maxdeg + 2):
+        diffs[n] = Matrix.zero(f, a**(n - 1), a**n)
+        for j in range(n - 1):
+            term = slotted(f, a**j, alg_desc.mult, a**(n - 2 - j))
+            diffs[n] = diffs[n].add(term.neg() if j % 2 else term)
+    cx = GradedComplex(f, -1, dims, diffs)
+    return [cx.homology(n) for n in range(1, maxdeg + 1)]
+
+
 def is_projective_by_solve(B, action, dim):
     """Whether B (x) P -> P has a B-linear section U, by one hand-indexed solve.
 
@@ -1406,14 +1428,16 @@ def planned_wire(field, dims, spec, *steps, on=None):
     return Matrix(f, nrows, ncols, rd).mul(on)
 
 
-def bicomplex_cyclic_excision(T_K, T_C, T_Q, u, v, maxdeg):
+def bicomplex_cyclic_excision(X, Y, Z, u, v, maxdeg):
     """(verdicts, dims) of ``theorems._cyclic_excision`` from the bicomplex triple.
+
+    X -> Y -> Z is CM(K) -> CM(C) -> CM(C/K) or CM(I) -> CM(A) -> CM(A/I).
 
     Each module's (b, b', 1 - lambda, N) total is built through its depth,
     u and v are lifted onto the totals with every block square checked, and
     the verdicts are those of the triple complex of the three totals.
     """
-    tots = [cyclic_total_complex(T, T.top) for T in (T_K, T_C, T_Q)]
+    tots = [cyclic_total_complex(T, T.top) for T in (X, Y, Z)]
     verdicts = cofibration_verdicts(total_chain_map(tots[0], tots[1], u.components),
                                     total_chain_map(tots[1], tots[2], v.components), maxdeg)
     return verdicts, [complex_homology(t, maxdeg) for t in tots]

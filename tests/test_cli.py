@@ -183,16 +183,19 @@ class TestExcision:
         assert "C projective over B\tPASS\t" in lines
         assert "coefficient projective over B\tFAIL\t" in lines
 
-    @pytest.mark.parametrize("argv", [["excision"], ["relative", "--mode", "cokernel"],
+    @pytest.mark.parametrize("argv", [["excision"], ["excision", "--side", "algebra"],
+                                      ["relative", "--mode", "cokernel"],
                                       ["relative", "--mode", "quotient"]], ids=" ".join)
     def test_non_associative_coefficient_exit_2(self, capsys, tmp_path, argv):
         # g acts by 2 on k, so g (g x) = 4x but (g g) x = x: the module audit
-        # refuses the coefficient before a report is printed
+        # refuses the coefficient before a report is printed, on the algebra
+        # side as on the coalgebra side
         coef = tmp_path / "coefficient.json"
         coef.write_text(json.dumps({
             "dim": 1, "action": {"rows": 1, "cols": 2, "entries": [[0, 0, "1"], [0, 1, "2"]]},
             "coaction": {"rows": 2, "cols": 1, "entries": [[0, 0, "1"]]}}))
-        code, out, err = run(capsys, argv[0], str(FIXTURES / "direct_sum_ses.json"), *argv[1:],
+        ses = "z2_product_algebra_ses.json" if "algebra" in argv else "direct_sum_ses.json"
+        code, out, err = run(capsys, argv[0], str(FIXTURES / ses), *argv[1:],
                              "--coefficient", str(coef), "--max-degree", "2")
         assert code == 2
         assert out == ""

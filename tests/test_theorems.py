@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import itertools
 import random
 import sys
@@ -41,7 +42,6 @@ from hopfcyclic.theorems import (
     cofibration_verdicts,
     coset_table,
     group_homology,
-    h_unitality_probe,
     mapping_cone,
     relative_hc,
     special_checks,
@@ -439,24 +439,28 @@ class TestExcisionCoalgebra:
 
 
 class TestCyclicExcision:
-    """The cyclic verdicts of coalgebra excision by the column filtration."""
+    """The cyclic verdicts of excision by the column filtration, on both sides."""
 
-    MAXDEG = 1
+    FIXTURE = {"coalgebra": "direct_sum_ses.json", "algebra": "z2_product_algebra_ses.json"}
+    # on the chain side every homotopy out of degree 0 commutes with b' too
+    MAXDEG = {"coalgebra": 1, "algebra": 2}
 
     @classmethod
-    def _inputs(cls, monkeypatch):
-        """What excision on direct_sum_ses over Q hands ``theorems._cyclic_excision``."""
+    def _inputs(cls, monkeypatch, side):
+        """What excision on ``side`` over Q hands ``theorems._cyclic_excision``:
+        the modules, u, v, the Hochschild verdicts and maxdeg. The lists are
+        copied, as the function empties them."""
         seen = []
         real = theorems._cyclic_excision
 
-        def record(*args):
-            seen.append(args)
-            return real(*args)
+        def record(mods, maps, *args):
+            seen.append((list(mods), *maps, *args))
+            return real(mods, maps, *args)
 
         monkeypatch.setattr(theorems, "_cyclic_excision", record)
-        ses = parse_input(str(FIXTURES / "direct_sum_ses.json"))
-        X = make_coefficient("eps", ses.C.over)
-        assert verify_excision(ses, X, "coalgebra", cls.MAXDEG).all_pass
+        ses = parse_input(str(FIXTURES / cls.FIXTURE[side]))
+        X = make_coefficient("eps", (ses.C if side == "coalgebra" else ses.A).over)
+        assert verify_excision(ses, X, side, cls.MAXDEG[side]).all_pass
         (args,) = seen
         return args
 
@@ -466,71 +470,97 @@ class TestCyclicExcision:
         return ChainMap(u.source, u.target,
                         {n: c.add(delta[n]) if n in delta else c for n, c in u.components.items()})
 
+    @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
     def test_u_commuting_with_b_not_b_prime_rejected(
-            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
-        # u + (b h + h b) for h: CM(K)^2 -> CM(C)^1 with one entry commutes
-        # with b, as every null-homotopic perturbation does, but not with b'
-        # (in degree 0 b is 0 on both, so a homotopy out of degree 1 is 0)
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple, side):
+        # u + (d h + h d) for h: X_k -> Y_{k-o} with one entry commutes with
+        # b, as every null-homotopic perturbation does, but not with b' in
+        # the square out of k - o, which the b' complexes read, k = maxdeg + o
         derive = every_cyclic_excision_is_the_bicomplex_triple
-        T_K, T_C, T_Q, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch)
-        bK, bC = T_K.complex.diffs, T_C.complex.diffs
-        bpK, bpC = (complexes._differentials(T, drop_last=True) for T in (T_K, T_C))
-        for i, j in itertools.product(range(T_C.dims[1]), range(T_K.dims[2])):
-            h = Matrix.from_entries(QQ, T_C.dims[1], T_K.dims[2], [(i, j, QQ.one)])
-            delta = {1: h.mul(bK[1]), 2: bC[1].mul(h)}
-            if delta[2].mul(bpK[1]) != bpC[1].mul(delta[1]):
+        mods, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch, side)
+        o, (X, Y) = u.orientation, mods[:2]
+        k, dX, dY = maxdeg + o, u.source.diffs, u.target.diffs
+        bpX, bpY = (complexes._differentials(T, drop_last=True) for T in (X, Y))
+        for i, j in itertools.product(range(Y.dims[k - o]), range(X.dims[k])):
+            h = Matrix.from_entries(QQ, Y.dims[k - o], X.dims[k], [(i, j, QQ.one)])
+            delta = {k - o: h.mul(dX[k - o]), k: dY[k - o].mul(h)}
+            if delta[k].mul(bpX[k - o]) != bpY[k - o].mul(delta[k - o]):
                 break
         else:
             pytest.fail("every one-entry homotopy commutes with b'")
         with pytest.raises(ShapeMismatch, match=r"^chain map does not commute at degree \d$"):
-            derive(T_K, T_C, T_Q, self._plus(u, delta), v, hoch_ok, maxdeg)
+            derive(mods, [self._plus(u, delta), v], hoch_ok, maxdeg)
 
-    def test_u_commuting_with_b_and_b_prime_not_tau_rejected(
-            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
-        # u + y phi in degree maxdeg + 1, y in the image of b in CM(C) and phi
-        # vanishing on the images of b and b' in CM(K), commutes with b, and
-        # with b' in every square the b' complexes read: only tau tells
+    @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
+    def test_map_commuting_with_b_and_b_prime_not_tau_rejected(
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple, side):
+        # f + y phi in the last degree r of f whose tau the cyclic verdict
+        # reads, y killed by the differentials out of r and phi by those into
+        # r of every square that a ChainMap onto the Hochschild or the b'
+        # complexes checks, and v u = 0 kept: only tau tells. Cochain: f = u,
+        # r = maxdeg + 1. Chain: f = v, r = maxdeg, as the images of b and b'
+        # of CM(I) span degree maxdeg - 1, so no such perturbation of u exists
         derive = every_cyclic_excision_is_the_bicomplex_triple
-        T_K, T_C, T_Q, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch)
-        m = maxdeg
-        b_K, bp_K = T_K.complex.diffs[m], complexes._differentials(T_K, drop_last=True)[m]
-        _, phis = rank_kernel(b_K.hstack(bp_K).transpose())
-        for y, phi in itertools.product(T_C.complex.diffs[m].columns(), phis.columns()):
-            delta = Matrix.column(QQ, y, T_C.dims[m + 1]).mul(
-                Matrix.column(QQ, phi, T_K.dims[m + 1]).transpose())
-            if delta.mul(T_K.tau[m + 1]) != T_C.tau[m + 1].mul(delta):
+        mods, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch, side)
+        i, f, r = (0, u, maxdeg + 1) if side == "coalgebra" else (1, v, maxdeg)
+        o, (X, Y) = f.orientation, mods[i:i + 2]
+        outs, intos = ([], [u.components[r]]) if i else ([v.components[r]], [])
+        bars = [complexes._hochschild_complex(T.truncate(T.top - 1), drop_last=True)
+                for T in (X, Y)]
+        for src, tgt in ((f.source, f.target), bars):
+            top = min(src.top, tgt.top)
+            if r <= top and 0 <= r + o <= top:
+                outs.append(tgt.diffs[r])
+            if r <= top and 0 <= r - o <= top:
+                intos.append(src.diffs[r - o])
+        ys = rank_kernel(functools.reduce(Matrix.vstack, outs))[1].columns()
+        phis = rank_kernel(functools.reduce(Matrix.hstack, intos).transpose())[1].columns()
+        for y, phi in itertools.product(ys, phis):
+            delta = Matrix.column(QQ, y, Y.dims[r]).mul(
+                Matrix.column(QQ, phi, X.dims[r]).transpose())
+            if delta.mul(X.tau[r]) != Y.tau[r].mul(delta):
                 break
         else:
             pytest.fail("every y phi commutes with tau")
+        maps = [u, v]
+        maps[i] = self._plus(f, {r: delta})
         with pytest.raises(ShapeMismatch,
-                           match=f"^chain map does not commute with tau at degree {m + 1}$"):
-            derive(T_K, T_C, T_Q, self._plus(u, {m + 1: delta}), v, hoch_ok, maxdeg)
+                           match=f"^chain map does not commute with tau at degree {r}$"):
+            derive(mods, maps, hoch_ok, maxdeg)
 
     @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
     def test_short_tau_refused(self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple,
-                               which):
-        # u_q tau = tau u_q reads tau of CM(K) and CM(C) through maxdeg + 1,
-        # v's of CM(C) and CM(C/K) through maxdeg: CM(K) carries one tau
-        # more, the others exactly these. With one tau short of what is read,
-        # each is refused by name
+                               side, which):
+        # cochain: u_q tau = tau u_q reads tau of CM(K) and CM(C) through
+        # maxdeg + 1, v's of CM(C) and CM(C/K) through maxdeg: CM(K) carries
+        # one tau more, the others exactly these. Chain: u's reads CM(I) and
+        # CM(A) through maxdeg - 1, v's CM(A) and CM(A/I) through maxdeg, and
+        # each carries tau through its top. With one tau short of what is
+        # read, each is refused by name
         derive = every_cyclic_excision_is_the_bicomplex_triple
-        *mods, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch)
-        assert [len(T.tau) for T in mods] == [maxdeg + 3, maxdeg + 2, maxdeg + 1]
-        reach = maxdeg + 1 if which < 2 else maxdeg
+        mods, u, v, hoch_ok, maxdeg = self._inputs(monkeypatch, side)
+        if side == "coalgebra":
+            assert [len(T.tau) for T in mods] == [maxdeg + 3, maxdeg + 2, maxdeg + 1]
+            reach = maxdeg + 1 if which < 2 else maxdeg
+        else:
+            assert [len(T.tau) for T in mods] == [maxdeg + 2, maxdeg + 2, maxdeg + 3]
+            reach = maxdeg - 1 if which == 0 else maxdeg
         mods[which] = copy.copy(mods[which])
         mods[which].tau = mods[which].tau[:reach]
         with pytest.raises(DegreeOutOfRange, match=f"^the cyclic excision verdict reads tau "
                                                    f"through degree {reach}, "):
-            derive(*mods, u, v, hoch_ok, maxdeg)
+            derive(mods, [u, v], hoch_ok, maxdeg)
 
+    @pytest.mark.parametrize("side", ["coalgebra", "algebra"])
     def test_acyclicity_not_derived_takes_the_bicomplex(
-            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple):
+            self, monkeypatch, every_cyclic_excision_is_the_bicomplex_triple, side):
         # u = 0 leaves the Hochschild triple not acyclic, so the bicomplex
-        # triple decides, and builds each total through its triple depth.
+        # triple decides, and builds each total through its module's depth.
         # (The b' triple of these modules is acyclic whatever u and v are:
         # each b' complex is)
         derive = every_cyclic_excision_is_the_bicomplex_triple
-        T_K, T_C, T_Q, u, v, _, maxdeg = self._inputs(monkeypatch)
+        mods, u, v, _, maxdeg = self._inputs(monkeypatch, side)
         zero = ChainMap(u.source, u.target, {n: Matrix.zero(QQ, c.rows, c.cols)
                                              for n, c in u.components.items()})
         hoch_ok = cofibration_verdicts(zero, v, maxdeg)
@@ -543,11 +573,32 @@ class TestCyclicExcision:
             return real_total(cm, maxtot)
 
         monkeypatch.setattr(theorems, "cyclic_total_complex", total)
-        verdicts, dims = derive(T_K, T_C, T_Q, zero, v, hoch_ok, maxdeg)
-        assert totals == [T.top for T in (T_K, T_C, T_Q)]
+        verdicts, dims = derive(list(mods), [zero, v], hoch_ok, maxdeg)
+        assert totals == [T.top for T in mods]
         assert not all(verdicts)
-        assert (verdicts, dims) == oracles.bicomplex_cyclic_excision(T_K, T_C, T_Q, zero, v,
-                                                                    maxdeg)
+        assert (verdicts, dims) == oracles.bicomplex_cyclic_excision(*mods, zero, v, maxdeg)
+
+    @pytest.mark.parametrize("fixture, field, maxdeg, lifted", [
+        ("z2_product_algebra_ses.json", "Q", 3, 0),
+        ("z2_product_algebra_ses.json", "Fp:2", 3, 0),
+        ("z2_product_algebra_ses.json", "Fp:3", 3, 0),
+        # the Hochschild triple of I = (x) in Q[Z/2][x]/(x^2) fails from degree 1
+        ("z2_dual_numbers_ses.json", "Q", 3, 2),
+    ])
+    def test_algebra_excision_lifts_maps_only_in_the_fallback(self, monkeypatch, fixture, field,
+                                                              maxdeg, lifted):
+        # the bicomplex triple is the one reader of the maps lifted onto the totals
+        calls = []
+        real = theorems.total_chain_map
+
+        def lift(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(theorems, "total_chain_map", lift)
+        ses = parse_input(str(FIXTURES / fixture), field)
+        verify_excision(ses, make_coefficient("eps", ses.A.over), "algebra", maxdeg)
+        assert len(calls) == lifted
 
 
 class TestFreeModels:
@@ -790,15 +841,26 @@ class TestExcisionAlgebra:
 
     def test_h_unitality_probe(self, z2_q):
         # the group algebra is unital, hence H-unital
-        assert h_unitality_probe(z2_q, 3) == [0, 0, 0]
+        assert theorems.h_unitality_probe(z2_q, 3) == [0, 0, 0]
 
     @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
     def test_h_unitality_probe_of_a_square_zero_ideal(self, field):
         # I = (x) in k[Z/2][x]/(x^2) has I^2 = 0, so b' vanishes on I^{(x) n}
         ses = parse_input(str(FIXTURES / "z2_dual_numbers_ses.json"), field)
-        assert h_unitality_probe(ses.ideal.base, 2) == [2, 4]
+        assert theorems.h_unitality_probe(ses.ideal.base, 2) == [2, 4]
         report = verify_excision(ses, make_coefficient("eps", ses.A.over), "algebra", 0)
         assert report.hypothesis("I H-unital").verdict == "FAIL"
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3"])
+    @pytest.mark.parametrize("fixture", ["z2_product_algebra_ses.json",
+                                         "z2_dual_numbers_ses.json"])
+    def test_h_unitality_probe_is_the_algebra_bar_complex(self, fixture, field):
+        # the probe reads the bar complex of the dual coalgebra, with no
+        # counit; every_unitality_probe_is_the_algebra_bar_complex compares
+        # each call with (I^{(x) n}, b') built on I
+        ses = parse_input(str(FIXTURES / fixture), field)
+        for alg, m in itertools.product((ses.ideal, ses.A, ses.quotient), (1, 2, 4)):
+            assert len(theorems.h_unitality_probe(alg.base, m)) == m
 
 
 class TestExcisionDepths:
@@ -839,8 +901,9 @@ class TestExcisionDepths:
         pytest.param("coalgebra", 2,
                      "cone certified through degree {m}, asked for verdicts through {m}",
                      id="C/K"),
-        # CM(I) one short: its own homology through maxdeg
-        pytest.param("algebra", 0, "requested degree {m}, certified through {m_1}", id="I"),
+        # CM(I) one short: its total through maxdeg + 1, for its cyclic dims
+        pytest.param("algebra", 0,
+                     "total degree {m1} needs internal degree {m1}, built through {m}", id="I"),
         # CM(A) or CM(A/I) one short: the triple complex
         pytest.param("algebra", 1,
                      "triple complex certified through {m}, asked for verdicts through {m}",
@@ -851,7 +914,7 @@ class TestExcisionDepths:
     ])
     def test_each_depth_is_read(self, monkeypatch, side, which, message, field, maxdeg):
         self._shifted(monkeypatch, which, -1)
-        text = message.format(m=maxdeg, m1=maxdeg + 1, m_1=maxdeg - 1)
+        text = message.format(m=maxdeg, m1=maxdeg + 1)
         with pytest.raises(DegreeOutOfRange, match=f"^{text}$"):
             self._run(side, field, maxdeg)
 
