@@ -1,7 +1,7 @@
 """Complex builders and the (co)cyclic homology engines.
 
 The bar complex (shifted by one degree, the bar resolution), the twisted
-coalgebra Hochschild complex with its graded action, its coinvariants, and
+coalgebra Hochschild complex descended to its coinvariants, and
 assembly of validated (co)cyclic modules together with
 Hochschild/bar/cyclic dimension computations. The models that need no
 coinvariant quotient are in ``regular``.
@@ -173,7 +173,7 @@ def _check_coface_degree(dims, n, faces, lower, slotted_d0=True):
     dims[n+1] x dims[n]; and, with ``lower`` the cofaces out of degree
     m = n-1 (None for n = 0), d_{m+2} d_i = d_i d_{m+1} for 0 <= i <= m+1,
     the m+2 of the (m+3)(m+2)/2 identities d_j d_i = d_i d_{j-1}, i < j,
-    that involve a last coface. :func:`twisted_ch` and
+    that involve a last coface. :func:`descended_ch` and
     :func:`regular.free_model` check each degree as they build it. The
     identities with j <= m+1 involve only d_0 and the middle cofaces, each
     written with ``slotted`` or with ``wire`` and identity slots: the middle
@@ -239,41 +239,21 @@ def bar_complex(desc, maxN):
 # ---------------------------------------------------------------------------
 
 
-def twisted_ch(C, M, X, maxdeg):
-    """CH with coefficients in M twisted by X: degree n space X (x) M (x) C^n.
+def _ambient_cofaces(C, M, X, n):
+    """The n+2 cofaces of CH with coefficients in M twisted by X out of X (x) M (x) C^{(x) n}.
 
-    Cofaces come from the smash comodule structure: the zeroth applies the
-    right coaction of M, the middle ones comultiply a C slot, the last wraps
+    They come from the smash comodule structure: d_0 applies the right
+    coaction of M, the middle d_j comultiply C slot j, and the last wraps
     the left legs around with the coefficient twist
-    x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1)).
-    The result is a :class:`CocyclicModule` with no tau, the coface counts,
-    shapes and identities of each degree checked as it is built. The
-    graded B-action is attached for the algebra generators g only,
-    ``actions[n][g]`` = L_g: nothing reads any other (see
-    :func:`induced_complex`).
+    x (x) m (x) ... -> x_(0) (x) m_(0) (x) ... (x) x_(-1)(m_(-1))
+    (:func:`_wrap_coface`). The twin of ``regular._model_cofaces``.
     """
-    B = C.over
-    f = B.field
-    c = C.dim
-    m = M.dim
-    x = X.dim
-    if M.coalgebra is not C and M.coalgebra.base.comult != C.base.comult:
-        raise ShapeMismatch("bicomodule must live over the same module coalgebra")
-    if not X.module_report.ok:
-        raise AuditFailed(X.module_report)
-    dims = [x * m * _pow(c, n) for n in range(maxdeg + 1)]
-    cofaces = []
-    for n in range(maxdeg):
-        faces = [slotted(f, x, M.right_coaction, _pow(c, n))]
-        for j in range(1, n + 1):
-            faces.append(slotted(f, x * m * _pow(c, j - 1), C.base.comult, _pow(c, n - j)))
-        faces.append(_wrap_coface(C, M, X, _pow(c, n)))
-        _check_coface_degree(dims, n, faces, cofaces[-1] if n else None)
-        cofaces.append(faces)
-    actions = [_diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n, (x, X.action),
-                                B.algebra_generators)
-               for n in range(maxdeg + 1)]
-    return CocyclicModule(f, B, dims, cofaces, actions=actions)
+    f = C.over.field
+    c, m, x = C.dim, M.dim, X.dim
+    return ([slotted(f, x, M.right_coaction, _pow(c, n))]
+            + [slotted(f, x * m * _pow(c, j - 1), C.base.comult, _pow(c, n - j))
+               for j in range(1, n + 1)]
+            + [_wrap_coface(C, M, X, _pow(c, n))])
 
 
 def _wrap_coface(C, M, X, cn):
@@ -315,40 +295,63 @@ def coinvariant_space_from_matrices(field, B, L_list, dim):
     return QuotientSpace(field, dim, rels)
 
 
-def induced_complex(T):
-    """Coinvariants of a twisted CH complex: its :class:`CocyclicModule`, no tau.
+def descended_ch(C, M, X, maxdeg):
+    """CH with coefficients in M twisted by X on coinvariants: its :class:`CocyclicModule`, no tau.
 
-    [L_g, d_j] = 0 is verified for j <= n and the algebra generators g of
-    B. They suffice: the diagonal action is multiplicative, L_{bb'} =
-    L_b L_{b'} and L_1 = id, as Delta is an algebra map and every factor an
-    audited module (the coefficient by the ``module_report`` that
-    :func:`twisted_ch` requires), so the b with L_b d = d L_b form a
-    subalgebra, and one that contains every g is B.
+    Degree n of the ambient complex is X (x) M (x) C^{(x) n}, with the
+    cofaces of :func:`_ambient_cofaces` and the diagonal B-action, L_g for
+    the algebra generators g only (:func:`_diagonal_action`); degree n of
+    the module is its quotient by B^+
+    (:func:`coinvariant_space_from_matrices`). One degree at a time: the
+    cofaces out of n are built and their identities with those out of n-1
+    checked (:func:`_check_coface_degree`), L_g of degree n+1 is built and
+    [L_g, d_j] = 0 checked for j <= n, the quotient of degree n+1 is
+    formed and the cofaces out of n induced; then the ambient matrices of
+    degree n are let go. A coface that does not descend is refused before
+    any higher degree is built.
+
+    The generators suffice: the diagonal action is multiplicative,
+    L_{bb'} = L_b L_{b'} and L_1 = id, as Delta is an algebra map and every
+    factor an audited module (the coefficient by its ``module_report``,
+    required here), so the b with L_b d = d L_b form a subalgebra, and one
+    that contains every g is B.
 
     Only the last coface is checked for descent (:func:`map_well_defined`).
     For j <= n, d_j (L_g - eps(g)) v = (L_g - eps(g)) d_j v by the verified
     commutators, again a relation, and the (L_g - eps(g)) v span the
     relations: d_0 ... d_n descend without a check. The check of the last
     is what refuses a coefficient that is not anti-Yetter-Drinfeld.
-
-    The work goes degree by degree: the commutators out of degree n, then
-    the quotient of degree n+1, then the cofaces out of n induced. A
-    coface that does not descend is refused before any higher quotient is
-    built.
     """
-    B = T.over
-    q = [coinvariant_space_from_matrices(T.field, B, T.actions[0], T.dims[0])]
-    cofaces = []
-    for n, faces in enumerate(T.cofaces):
+    B = C.over
+    f = B.field
+    c, m, x = C.dim, M.dim, X.dim
+    if M.coalgebra is not C and M.coalgebra.base.comult != C.base.comult:
+        raise ShapeMismatch("bicomodule must live over the same module coalgebra")
+    if not X.module_report.ok:
+        raise AuditFailed(X.module_report)
+    dims = [x * m * _pow(c, n) for n in range(maxdeg + 1)]
+
+    def action(n):
+        return _diagonal_action(B, [(m, M.action)] + [(c, C.action)] * n, (x, X.action),
+                                B.algebra_generators)
+
+    L = action(0)
+    q = [coinvariant_space_from_matrices(f, B, L, dims[0])]
+    cofaces, lower = [], None
+    for n in range(maxdeg):
+        faces = _ambient_cofaces(C, M, X, n)
+        _check_coface_degree(dims, n, faces, lower)
+        up = action(n + 1)
         for j, d in enumerate(faces[:-1]):
             for g in B.algebra_generators:
-                if T.actions[n + 1][g].mul(d) != d.mul(T.actions[n][g]):
+                if up[g].mul(d) != d.mul(L[g]):
                     raise ShapeMismatch(f"[L_b, d_{j}] != 0 at degree {n} for b = {B.basis[g]}")
-        q.append(coinvariant_space_from_matrices(T.field, B, T.actions[n + 1], T.dims[n + 1]))
+        q.append(coinvariant_space_from_matrices(f, B, up, dims[n + 1]))
         failure = IdentityViolation(n, f"coface d_{n + 1} well-defined on the quotient")
         cofaces.append([q[n].induce(q[n + 1], d) for d in faces[:-1]]
                        + [_induced(faces[-1], q[n], q[n + 1], failure)])
-    return CocyclicModule(T.field, B, [qn.dim for qn in q], cofaces, quotients=q)
+        lower, L = faces, up
+    return CocyclicModule(f, B, [qn.dim for qn in q], cofaces, quotients=q)
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +437,15 @@ class CocyclicModule(_Module):
     """Cocyclic module on degreewise spaces of dimension ``dims`` (coalgebra side).
 
     ``cofaces[n]`` lists the n+2 cofaces leaving degree n and ``tau[n]`` is
-    the cyclic operator, None on an ambient twisted CH complex
-    (:func:`twisted_ch`) and on CH(C, M; X) for M other than C. A module
+    the cyclic operator, None on CH(C, M; X) for M other than C. A module
     through degree ``top`` carries tau_0 ... tau_{top-1}, in the degrees
     that cofaces leave: the engines read no more (:func:`connes_complex`,
     :func:`cyclic_total_complex`), and the identities of a tau_top would
-    be its only reader. An ambient
-    complex carries ``actions[n][g]``, L_g on degree n for the algebra
-    generators g of B, by which :func:`induced_complex` descends it. A
-    module induced on quotients of an ambient module keeps them as
-    ``quotients[n]``, the quotient of degree n, on which :meth:`with_tau`
-    induces tau; nothing of the ambient is kept but the dimensions each
-    quotient records, so it is freed once descended. A model of
+    be its only reader. A module descended to coinvariants
+    (:func:`descended_ch`) keeps its quotients as ``quotients[n]``, the
+    quotient of degree n, on which :meth:`with_tau` induces tau; nothing of
+    the ambient complex is kept but the dimensions each quotient records,
+    and each ambient degree is let go once the next is descended. A model of
     :func:`regular.free_model` has neither, and no cofaces: its ``cofaces``
     is None, and the one reader of single cofaces, the cokernel of
     ``relative --mode cokernel``, induces them inside the build loop of
@@ -460,12 +460,11 @@ class CocyclicModule(_Module):
 
     orientation = +1
 
-    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, actions=None,
-                 untwist=None, b=None, last=None):
+    def __init__(self, field, over, dims, cofaces, tau=None, quotients=None, untwist=None,
+                 b=None, last=None):
         self.field = field
         self.over = over
         self.quotients = quotients
-        self.actions = actions
         self.untwist = untwist
         self.dims = list(dims)
         self.top = len(self.dims) - 1
@@ -482,9 +481,8 @@ class CocyclicModule(_Module):
             return None if seq is None else seq[:stop]
 
         return CocyclicModule(self.field, self.over, self.dims[:top + 1], cut(self.cofaces, top),
-                              cut(self.tau, top), cut(self.quotients, top + 1),
-                              cut(self.actions, top + 1), self.untwist, cut(self.b, top),
-                              cut(self.last, top))
+                              cut(self.tau, top), cut(self.quotients, top + 1), self.untwist,
+                              cut(self.b, top), cut(self.last, top))
 
     def with_tau(self, taus):
         """This module with the ambient cyclic operators ``taus`` induced, validated.
@@ -503,8 +501,8 @@ class CocyclicModule(_Module):
 
         Checked: tau^{n+1} = id for n < top, and tau d_j = d_{j-1} tau for
         1 <= j <= n and tau d_0 = d_n for the cofaces d_j into degree
-        n < top. The coface identities hold on a module descended from a
-        validated ambient (:func:`induced_complex`), because inducing is
+        n < top. The coface identities hold on a module descended from
+        checked ambient cofaces (:func:`descended_ch`), because inducing is
         multiplicative; :func:`regular.free_model` checks them and these
         degree by degree. No tau_top is built, so the identities of the
         cofaces into the top with it are not read; those cofaces are the
@@ -573,12 +571,13 @@ def coinvariant_ch(C, X, maxdeg, M=None, W=None):
 
     With ``W``, basis indices on which M is free over B
     (``regular.free_bases``), the model of ``regular.free_model`` on
-    X (x) W (x) C^{(x) n}; otherwise :func:`twisted_ch` descended by
-    :func:`induced_complex`. For M = C tau comes with the module on both
-    paths: the model writes it, and :meth:`CocyclicModule.with_tau` induces
-    the rotation of :func:`_coalgebra_rotation` on the quotients and
-    validates it. A tau needs a stable X: for M = C an unstable X is refused
-    before anything is built.
+    X (x) W (x) C^{(x) n}; otherwise the module of :func:`descended_ch`,
+    built and descended one degree at a time. For M = C tau comes with the
+    module on both paths: the model writes it, and
+    :meth:`CocyclicModule.with_tau` induces the rotation of
+    :func:`_coalgebra_rotation` on the quotients and validates it. A tau
+    needs a stable X: for M = C an unstable X is refused before anything is
+    built.
     """
     if M is None and not X.stable:
         raise NotStable("coefficient is not stable")
@@ -586,7 +585,7 @@ def coinvariant_ch(C, X, maxdeg, M=None, W=None):
         from . import regular  # imported here: it adds to every start-up otherwise
 
         return regular.free_model(C, X, W, maxdeg, M)
-    descended = induced_complex(twisted_ch(C, M or regular_bicomodule(C), X, maxdeg))
+    descended = descended_ch(C, M or regular_bicomodule(C), X, maxdeg)
     if M is not None:
         return descended
     return descended.with_tau(_coalgebra_rotation(C, X, _pow(C.dim, n))
@@ -825,7 +824,7 @@ def codegeneracy(cm, n, i):
     Delta^{(k)}(b) leaves Delta^{(k-1)}(b) (the counit law of B), so it
     descends; and Psi [x (x) w (x) t] = x (x) w (x) t for w in W, as
     S(1) = 1, so it needs no untwisting. Each identity below holds on the
-    ambient cofaces of :func:`twisted_ch` and the rotation
+    ambient cofaces of :func:`_ambient_cofaces` and the rotation
     x (x) m (x) c_1 (x) t -> x_(0) (x) c_1 (x) t (x) x_(-1) m, and
     descends to the model, on which Phi Psi = id:
       - sigma_j sigma_i = sigma_i sigma_{j+1} (i <= j), sigma_j d_i =

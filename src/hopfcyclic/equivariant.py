@@ -57,7 +57,7 @@ class ModuleCoalgebra:
         if action.rows != base.dim or action.cols != over.dim * base.dim:
             raise ShapeMismatch("action tensor has wrong shape")
         if check:
-            report = audit_structure(self, "module_coalgebra")
+            report = _audit_module_coalgebra(self)
             if not report.ok:
                 raise AuditFailed(report)
 
@@ -86,7 +86,7 @@ class ComoduleAlgebra:
         if coaction.rows != base.dim * over.dim or coaction.cols != base.dim:
             raise ShapeMismatch("coaction tensor has wrong shape")
         if check:
-            report = audit_structure(self, "comodule_algebra")
+            report = _audit_comodule_algebra(self)
             if not report.ok:
                 raise AuditFailed(report)
 
@@ -119,7 +119,7 @@ class EquivariantBicomodule:
         if right_coaction.rows != dim * c or right_coaction.cols != dim:
             raise ShapeMismatch("right coaction has wrong shape")
         if check:
-            report = audit_structure(self, "equivariant_bicomodule")
+            report = _audit_equivariant_bicomodule(self)
             if not report.ok:
                 raise AuditFailed(report)
 
@@ -180,23 +180,9 @@ class ModComod:
 
 
 # ---------------------------------------------------------------------------
-# Structure audits
+# Structure audits: each returns an AxiomReport whose failures carry a witness
+# basis tuple of the acting/coacting element followed by the module element
 # ---------------------------------------------------------------------------
-
-
-def audit_structure(obj, kind):
-    """Verify exactly the invariants of the given structure kind.
-
-    Returns an AxiomReport whose failures carry a witness basis tuple of the
-    acting/coacting element followed by the module element.
-    """
-    if kind == "module_coalgebra":
-        return _audit_module_coalgebra(obj)
-    if kind == "comodule_algebra":
-        return _audit_comodule_algebra(obj)
-    if kind == "equivariant_bicomodule":
-        return _audit_equivariant_bicomodule(obj)
-    raise ParseError(f"unknown structure kind {kind!r}")
 
 
 def _names(B, other_names):

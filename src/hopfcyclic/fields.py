@@ -71,10 +71,6 @@ class RationalField(Field):
         r = 1 / a
         return r.numerator if r.denominator == 1 else r
 
-    @staticmethod
-    def from_int(n):
-        return n
-
     def parse(self, s):
         if isinstance(s, int):
             return s
@@ -119,9 +115,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
-
-    def from_int(self, n):
-        return n % self.p
 
     def parse(self, s):
         if isinstance(s, int):

@@ -69,18 +69,6 @@ class Matrix:
         return cls(field, n, n, {i: {i: one} for i in range(n)})
 
     @classmethod
-    def from_dense(cls, field, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        ents = []
-        for i, r in enumerate(dense):
-            for j, v in enumerate(r):
-                fv = field.from_int(v) if isinstance(v, int) else v
-                if fv != field.zero:
-                    ents.append((i, j, fv))
-        return cls.from_entries(field, rows, cols, ents)
-
-    @classmethod
     def column(cls, field, coldict, rows):
         """Single-column matrix from ``{row: scalar}``."""
         rd = {i: {0: v} for i, v in coldict.items() if v != field.zero}
@@ -258,15 +246,6 @@ class Matrix:
             for j, v in row.items():
                 tgt[j + off] = v
         return Matrix(self.field, self.rows, self.cols + other.cols, rd)
-
-    def vstack(self, other):
-        if self.cols != other.cols or self.field != other.field:
-            raise ShapeMismatch("vstack shape mismatch")
-        rd = {i: dict(r) for i, r in self.rowdict.items()}
-        off = self.rows
-        for i, row in other.rowdict.items():
-            rd[i + off] = dict(row)
-        return Matrix(self.field, self.rows + other.rows, self.cols, rd)
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols or self.field != other.field:

@@ -9,9 +9,12 @@ that model the cofaces, the cyclic operator (for M = C) and the comparison
 maps of the coinvariant complexes, from the structure maps, with no ambient
 complex and no quotient, untwisting by Kronecker sums over the action on
 the idle C slots; it checks on them every identity that the audits do not
-imply. ``complexes.coinvariant_ch`` builds it wherever its caller passes
-the W that :func:`free_bases` finds: ``complexes.assemble_for_homology``
-and the coalgebra-side drivers of ``theorems``. Every start-up that reads
+imply. It is built degree by degree, as ``complexes.descended_ch``
+builds and descends the ambient complex of a module that is not free,
+:func:`_model_cofaces` in the place of ``complexes._ambient_cofaces``.
+``complexes.coinvariant_ch`` builds it wherever its caller passes the W
+that :func:`free_bases` finds: ``complexes.assemble_for_homology`` and
+the coalgebra-side drivers of ``theorems``. Every start-up that reads
 no coalgebra side leaves this module unimported.
 """
 
@@ -85,7 +88,7 @@ def free_model(C, X, W, maxdeg, M=None, each=None):
     by b_(1) S(b_(2)) = eps(b), so [v] = [S(b) (t, x) (x) w] = Phi Psi [v].
 
     The cofaces and tau are Psi d Phi for the cofaces d of
-    ``complexes.twisted_ch`` and the rotation of
+    ``complexes._ambient_cofaces`` and the rotation of
     ``complexes._coalgebra_rotation``: d_0 applies M's right coaction to w,
     the middle d_j is Delta on C slot j, the last coface is
     x (x) w (x) t -> x_(0) (x) w_(0) (x) t (x) x_(-1) w_(-1), and tau moves

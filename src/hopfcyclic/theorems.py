@@ -12,7 +12,6 @@ conclusion is asserted only when every hypothesis is certified.
 """
 
 import functools
-import json
 
 from .complexes import (
     CocyclicModule,
@@ -121,12 +120,6 @@ class TheoremReport:
     def add_degree(self, n, dims, verdict):
         self.degrees.append(DegreeVerdict(n, dims, verdict))
 
-    def hypothesis(self, name):
-        for h in self.hypotheses:
-            if h.name == name:
-                return h
-        return None
-
     @property
     def hypotheses_certified(self):
         return all(h.verdict == PASS for h in self.hypotheses)
@@ -143,9 +136,6 @@ class TheoremReport:
             "witness": self.witness,
             "notes": list(self.notes),
         }
-
-    def json_str(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=1)
 
     def __str__(self):
         lines = [f"[{self.theorem}]"]

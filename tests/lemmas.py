@@ -41,6 +41,7 @@ from hopfcyclic.hopf import BialgebraDesc, group_algebra, sweedler_h4
 from hopfcyclic.linalg import (
     GradedComplex,
     Matrix,
+    block_matrix,
     QuotientSpace,
     map_well_defined,
     rank_kernel,
@@ -108,7 +109,8 @@ def cotor(C_desc, X, Y, maxdeg, equivariant=None):
         rho = slotted(f, _pow(c, n + 1), C_desc.comult, 1)  # W -> W (x) C
         left_eq = slotted(f, 1, rho_X, w * yd).sub(slotted(f, xd, lam, yd))
         right_eq = slotted(f, xd, rho, yd).sub(slotted(f, xd * w, rho_Y, 1))
-        _, ker = rank_kernel(left_eq.vstack(right_eq))
+        _, ker = rank_kernel(block_matrix(f, [[left_eq], [right_eq]],
+                                          [left_eq.rows, right_eq.rows], [left_eq.cols]))
         inclusions.append(ker)
         dims.append(ker.cols)
     diffs = {}
@@ -305,7 +307,7 @@ def relative_bar(ses, maxdeg):
     (GradedComplex, actions) where actions[n] lists the diagonal L_b per
     basis element; [L_b, d] = 0 is verified for the algebra generators of
     B, which suffices because K, C and C/K are audited modules (see
-    :func:`induced_complex`).
+    ``complexes.descended_ch``).
     """
     if ses.mode != "subcoalgebra":
         raise NotSubcoalgebra("relative bar complex needs a subcoalgebra")
@@ -412,3 +414,8 @@ def direct_sum_comodule_algebras(a, b):
     coaction = _componentwise((a.coaction, b.coaction),
                               [slotted(f, 1, i, B.dim) for i in incl], incl)
     return ComoduleAlgebra(desc, B, coaction)
+
+
+def hypothesis(report, name):
+    """The hypothesis of a ``TheoremReport`` named ``name``."""
+    return next(h for h in report.hypotheses if h.name == name)

@@ -11,9 +11,9 @@ def random_invertible(field, n, rng):
     for i in range(n):
         for j in range(n):
             if i > j and rng.random() < 0.4:
-                lo.append((i, j, f.from_int(rng.randint(-2, 2))))
+                lo.append((i, j, f.parse(rng.randint(-2, 2))))
             if i < j and rng.random() < 0.4:
-                up.append((i, j, f.from_int(rng.randint(-2, 2))))
+                up.append((i, j, f.parse(rng.randint(-2, 2))))
     L = Matrix.identity(f, n).add(Matrix.from_entries(f, n, n, lo))
     U = Matrix.identity(f, n).add(Matrix.from_entries(f, n, n, up))
     return L.mul(U)

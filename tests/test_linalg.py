@@ -41,7 +41,9 @@ from randmat import random_invertible
 
 
 def mat(field, dense):
-    return Matrix.from_dense(field, dense)
+    return Matrix.from_entries(field, len(dense), len(dense[0]) if dense else 0,
+                               [(i, j, field.parse(v) if isinstance(v, int) else v)
+                                for i, row in enumerate(dense) for j, v in enumerate(row)])
 
 
 class TestMatrixBasics:
@@ -158,7 +160,7 @@ KERNEL_FIELDS = [QQ, GF(2), GF(3)]
 ])
 def test_kernel_edge_shapes(field, shape, dense):
     rows, cols = shape
-    ents = [(i, j, field.from_int(v)) for i, r in enumerate(dense) for j, v in enumerate(r) if v]
+    ents = [(i, j, field.parse(v)) for i, r in enumerate(dense) for j, v in enumerate(r) if v]
     check_kernel(Matrix.from_entries(field, rows, cols, ents))
 
 
@@ -172,7 +174,7 @@ def sparse_matrices(draw):
                      st.integers(-3, 3), st.integers(1, 3))
     ents = []
     for i, j, a, b in draw(st.lists(cell, max_size=rows * cols)):
-        v = Fraction(a, b) if field == QQ else field.from_int(a)
+        v = Fraction(a, b) if field == QQ else field.parse(a)
         ents.append((i, j, v))
     return Matrix.from_entries(field, rows, cols, ents)
 
@@ -183,7 +185,7 @@ def rank_cases(draw):
     full rank or rank-deficient: a product P Q through an inner dimension 0..4."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     rows, cols = draw(st.integers(0, 24)), draw(st.integers(0, 8))
-    scalar = st.sampled_from([1, -1, 2, 3]).map(field.from_int)
+    scalar = st.sampled_from([1, -1, 2, 3]).map(field.parse)
 
     def sparse(r, c):
         cells = draw(st.lists(st.tuples(st.integers(0, max(r - 1, 0)),
@@ -219,7 +221,7 @@ def slot_maps(draw):
         # from_entries drops what is zero in the field (2 over F_2), and
         # the rows left empty, as every Matrix must
         return Matrix.from_entries(field, rows, cols, [
-            (i, j, field.from_int(v)) for i, row in enumerate(draw(entries))
+            (i, j, field.parse(v)) for i, row in enumerate(draw(entries))
             for j, v in enumerate(row)])
 
     return field, p, q, r, block(), block()
@@ -264,7 +266,7 @@ def wirings_on(draw):
     spec, texts = WIRINGS[draw(st.sampled_from(sorted(WIRINGS)))]
     legs = sorted({leg for text in [spec] + texts for leg in text.replace("->", " ").split()})
     dims = {leg: draw(st.integers(1, 3)) for leg in legs}
-    scalar = st.sampled_from([0, 1, -1, 2]).map(field.from_int)
+    scalar = st.sampled_from([0, 1, -1, 2]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -312,7 +314,7 @@ def test_one_pass_difference_equals_adding_the_negation(M, data):
                       if M.rows and M.cols else st.just([]))
     N = Matrix.from_entries(M.field, M.rows, M.cols,
                             [c for c, k in zip(cells, keep) if k]
-                            + [(i, j, M.field.from_int(v)) for i, j, v in extra])
+                            + [(i, j, M.field.parse(v)) for i, j, v in extra])
     diff = M.sub(N)
     assert diff == M.add(N.neg())
     assert all(diff.rowdict.values())
@@ -341,7 +343,7 @@ def quotient_maps(draw):
     Relation sets may be empty, everything, or a few random vectors.
     """
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)  # shrinks to 1, not 0
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.parse)  # shrinks to 1, not 0
 
     def relations(dim):
         kind = draw(st.sampled_from(["some", "none", "all"]))
@@ -393,7 +395,7 @@ def restriction_cases(draw):
     have no columns.
     """
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -406,7 +408,7 @@ def restriction_cases(draw):
     if kind == "zero":
         M = Matrix.zero(field, M.rows, n)
     elif kind == "injective":
-        M = M.vstack(Matrix.identity(field, n))
+        M = block_matrix(field, [[M], [Matrix.identity(field, n)]], [M.rows, n], [n])
     _, K = rank_kernel(M)
     width = draw(st.integers(0, 3))
     Y = K.mul(matrix(K.cols, width))
@@ -438,7 +440,7 @@ def restriction_mutants(draw):
     in column j, at a row i outside ``free`` where K has a row ("outside
     free"), or at z ("no row of K")."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -448,7 +450,8 @@ def restriction_mutants(draw):
     n = draw(st.integers(2, 7))
     z = draw(st.integers(0, n - 1))
     M = matrix(draw(st.integers(1, n - 2)) if n > 2 else 1, n)
-    _, K = rank_kernel(M.vstack(Matrix.from_entries(field, 1, n, [(0, z, field.one)])))
+    pin = Matrix.from_entries(field, 1, n, [(0, z, field.one)])
+    _, K = rank_kernel(block_matrix(field, [[M], [pin]], [M.rows, 1], [n]))
     width = draw(st.integers(1, 3))
     Y = K.mul(matrix(K.cols, width))
     where = draw(st.sampled_from(["outside free", "no row of K"]))
@@ -502,7 +505,7 @@ def relation_sets(draw):
     n = draw(st.integers(0, 8))
     kind = draw(st.sampled_from(
         ["binomial", "mixed", "kills", "cycles", "zero and duplicate", "empty", "full"]))
-    scalar = st.sampled_from([1, -1, 2, 3, -3]).map(field.from_int).filter(
+    scalar = st.sampled_from([1, -1, 2, 3, -3]).map(field.parse).filter(
         lambda v: v != field.zero)
 
     def relation(width):
@@ -633,7 +636,7 @@ def solve_cases(draw):
     A, or random. B may have no columns.
     """
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    scalar = st.sampled_from([1, -1, 2, 0]).map(field.from_int)
+    scalar = st.sampled_from([1, -1, 2, 0]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -679,7 +682,7 @@ def test_invert_equals_the_tracked_oracle(field, n, kind, rng):
     if kind == "invertible":
         M = random_invertible(field, n, rng)
     else:
-        M = Matrix.from_dense(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        M = mat(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         if kind == "repeated column" and n >= 2:
             # column 1 := column 0
             shift = [(0, 1, field.one), (1, 1, field.neg(field.one))]

@@ -103,7 +103,7 @@ def matrix_systems(draw):
     R, or a consistent system with one constraint repeated and its R shifted
     by a nonzero matrix, which no U solves."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    scalar = st.sampled_from([0, 0, 1, -1, 2]).map(field.from_int)
+    scalar = st.sampled_from([0, 0, 1, -1, 2]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -164,7 +164,7 @@ def structure_constants(draw):
     integral systems are defined for any of them, consistent or not."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     d = draw(st.integers(1, 3))
-    scalar = st.sampled_from([0, 0, 0, 1, -1]).map(field.from_int)
+    scalar = st.sampled_from([0, 0, 0, 1, -1]).map(field.parse)
 
     def matrix(rows, cols):
         vals = draw(st.lists(scalar, min_size=rows * cols, max_size=rows * cols))
@@ -209,7 +209,7 @@ def test_ideal_closure_of_every_basis_difference_equals_the_loops(B):
 def test_ideal_closure_of_random_generators_equals_the_loops(B, data):
     f, n = B.field, B.dim
     k = data.draw(st.integers(0, 2))
-    vals = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]).map(f.from_int),
+    vals = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]).map(f.parse),
                               min_size=n * k, max_size=n * k))
     gens = Matrix.from_entries(f, n, k, [(t % n, t // n, v) for t, v in enumerate(vals)])
     assert _two_sided_ideal_closure(B, gens) == oracles.two_sided_ideal_closure(B, gens)
